@@ -98,8 +98,9 @@ def _attractor_layers(
 
     Layer 0 is the target set; a vertex of ``player`` in ``U`` joins one
     layer after its first successor, an opponent vertex one layer after its
-    last.  Work is proportional to the edges touching the attractor, so the
-    partition-refinement loops can afford one call per class pair.
+    last.  Work is proportional to the target plus the edges touching the
+    attractor.  Stuttering refinement makes one call per class, player and
+    successor class, with the target cut down to the class's successors.
     """
     preds = game.predecessors()
     layers: dict[int, int] = {}

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forcing import VertexSet, attractor, diverges, steps
+# attractor, diverges and steps are not called here, but bench/tracing.py
+# wraps these names in this module, so they stay bound.
+from .forcing import VertexSet, attractor, diverges, steps  # noqa: F401
 from .game import ParityGame, Player, disjoint_union
 from .relations import (
     Partition,
@@ -20,6 +22,7 @@ from .relations import (
     gstut_bisim,
     strong_bisim,
     stut_bisim,
+    _stutter_signatures,
 )
 from .solver import solve_zielonka
 
@@ -190,42 +193,38 @@ def quotient_strong_bisim(game: ParityGame) -> QuotientResult:
     return QuotientResult(quotient, part.class_of, "strong-bisim")
 
 
-def _gstut_quotient_from_partition(game: ParityGame, part: Partition, kind: str) -> QuotientResult:
+def _even_escapes(game: ParityGame, class_of: tuple[int, ...], ci: int, cls: VertexSet) -> bool:
+    # steps(EVEN, v, C) for some member v and some other class C.
+    for v in cls:
+        classes = {class_of[u] for u in game.successors[v]}
+        if game.owners[v] is Player.EVEN:
+            if classes != {ci}:
+                return True
+        elif len(classes) == 1 and ci not in classes:
+            return True
+    return False
+
+
+def _stuttering_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
+    # The stable signatures hold every forcing and divergence fact the
+    # quotient needs: (i, cj) gives the edge to cj, (i, -1) the self-loop.
+    part, signatures = _stutter_signatures(game, by_owner)
     priorities = _class_priorities(game, part)
-    n = game.vertex_count
     owners = []
     succs = []
-    for ci, cls in enumerate(part.classes):
-        members = list(cls)
-        even_divergent = all(diverges(game, Player.EVEN, v, cls) for v in members)
-        even_escape = any(
-            steps(game, Player.EVEN, v, part.classes[cj])
-            for v in members
-            for cj in range(part.class_count)
-            if cj != ci
-        )
-        owners.append(Player.EVEN if even_divergent or even_escape else Player.ODD)
-
-        targets = []
-        for cj, target in enumerate(part.classes):
-            if cj == ci:
-                if any(
-                    all(diverges(game, player, v, cls) for v in members)
-                    for player in (Player.EVEN, Player.ODD)
-                ):
-                    targets.append(cj)
-            else:
-                if any(
-                    all(v in attractor(game, player, cls, target) for v in members)
-                    for player in (Player.EVEN, Player.ODD)
-                ):
-                    targets.append(cj)
+    for ci, (cls, sig) in enumerate(zip(part.classes, signatures)):
+        targets = {ci if cj < 0 else cj for _, cj in sig}
         if not targets:
             raise RuntimeError("stuttering quotient class without successors")
-        succs.append(tuple(targets))
+        succs.append(tuple(sorted(targets)))
+        if by_owner:
+            owners.append(game.owners[next(iter(cls))])
+        elif (int(Player.EVEN), -1) in sig or _even_escapes(game, part.class_of, ci, cls):
+            owners.append(Player.EVEN)
+        else:
+            owners.append(Player.ODD)
     quotient = ParityGame(priorities, tuple(owners), tuple(succs))
-    assert quotient.vertex_count == part.class_count and n == len(part.class_of)
-    return QuotientResult(quotient, part.class_of, kind)
+    return QuotientResult(quotient, part.class_of, "stut" if by_owner else "gstut")
 
 
 def quotient_gstut(game: ParityGame) -> QuotientResult:
@@ -233,9 +232,12 @@ def quotient_gstut(game: ParityGame) -> QuotientResult:
 
     A class carries a self-loop only when one player can force divergence
     from all members, and an edge to another class only when one player can
-    force every member there through the class.
+    force every member there through the class.  Both facts are read from
+    the signatures the refinement ends with, so no attractor is computed
+    twice.  A class is odd unless even can diverge in it or some member
+    steps out of it under even's control.
     """
-    return _gstut_quotient_from_partition(game, gstut_bisim(game), "gstut")
+    return _stuttering_quotient(game, by_owner=False)
 
 
 def quotient_stut(game: ParityGame) -> QuotientResult:
@@ -245,11 +247,7 @@ def quotient_stut(game: ParityGame) -> QuotientResult:
     quotient, but classes are single-owner here and keep that owner, which
     makes the construction idempotent.
     """
-    part = stut_bisim(game)
-    base = _gstut_quotient_from_partition(game, part, "stut")
-    owners = tuple(game.owners[next(iter(cls))] for cls in part.classes)
-    quotient = ParityGame(base.quotient.priorities, owners, base.quotient.successors)
-    return QuotientResult(quotient, base.class_map, "stut")
+    return _stuttering_quotient(game, by_owner=True)
 
 
 def _iso_invariants(game: ParityGame) -> list[tuple]:

@@ -264,68 +264,147 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _sign_class(
+    game: ParityGame, class_of: list[int], cid: int, members: list[int]
+) -> dict[tuple, list[int]]:
+    """Group the members of class ``cid`` by their signature.
+
+    The item ``(i, cj)`` says that player ``i`` forces the member into class
+    ``cj`` through ``cid``; ``(i, -1)`` says that ``i`` can keep every play
+    from it inside ``cid`` forever.  Items appear in the same order for every
+    member.  An attractor from ``cid`` can only take in a member that has a
+    successor in the target, so only successor classes are tried, each with
+    its target cut down to the members' successors.  This leaves the
+    attractor's intersection with ``cid`` unchanged.
+    """
+    n = game.vertex_count
+    mask = 0
+    targets: dict[int, int] = {}
+    for v in members:
+        mask |= 1 << v
+        for u in game.successors[v]:
+            cj = class_of[u]
+            if cj != cid:
+                targets[cj] = targets.get(cj, 0) | 1 << u
+    outside = 0
+    for t in targets.values():
+        outside |= t
+    inside = VertexSet(n, mask)
+    items: dict[int, list[tuple[int, int]]] = {v: [] for v in members}
+    for player in (Player.EVEN, Player.ODD):
+        for cj, target in targets.items():
+            hit = attractor(game, player, inside, VertexSet(n, target)).mask & mask
+            for v in iter_bits(hit):
+                items[v].append((int(player), cj))
+        # diverges(i, v, [v]) through the forcing duality.
+        esc = attractor(game, player.opponent, inside, VertexSet(n, outside)).mask
+        for v in iter_bits(mask & ~esc):
+            items[v].append((int(player), -1))
+    groups: dict[tuple, list[int]] = {}
+    for v in members:
+        groups.setdefault(tuple(items[v]), []).append(v)
+    return groups
+
+
+def _refine_classes(game: ParityGame, class_of: list[int]) -> dict[int, tuple]:
+    """Refine ``class_of`` in place until stable; return the classes' signatures.
+
+    Classes keep a stable id while they do not split.  Each round signs the
+    dirty classes against one partition, then splits them all at once.  A
+    class is dirty when it just split or when a member has a successor in a
+    class that just split.  Any other class keeps its members and its
+    successor classes, so its signature, and its refusal to split, carry
+    over.  The rounds are therefore the same as re-signing every class each
+    round.  The result maps the id of every class with more than one member
+    to the signature all its members share.  Singleton classes cannot split
+    and are never signed.
+    """
+    preds = game.predecessors()
+    members: dict[int, list[int]] = {}
+    for v, c in enumerate(class_of):
+        members.setdefault(c, []).append(v)
+    signatures: dict[int, tuple] = {}
+    next_id = max(members) + 1
+    dirty = set(members)
+    while dirty:
+        splits = []
+        for cid in sorted(dirty):
+            if len(members[cid]) == 1:
+                continue
+            groups = _sign_class(game, class_of, cid, members[cid])
+            if len(groups) == 1:
+                (signatures[cid],) = groups
+            else:
+                splits.append((cid, list(groups.values())))
+        dirty = set()
+        for cid, pieces in splits:
+            del members[cid]
+            signatures.pop(cid, None)
+            for piece in pieces:
+                members[next_id] = piece
+                dirty.add(next_id)
+                for v in piece:
+                    class_of[v] = next_id
+                next_id += 1
+        for _, pieces in splits:
+            for piece in pieces:
+                for v in piece:
+                    for u in preds[v]:
+                        dirty.add(class_of[u])
+    return signatures
+
+
 def _gstut_refine(game: ParityGame, initial: Partition) -> Partition:
     """Signature-based partition refinement for governed stuttering bisimilarity.
 
-    A vertex's signature collects, per player, the reachable other classes
-    (forcing through the vertex's own class) and a divergence flag.  Classes
-    are split by signature until stable; splitting only ever separates
-    vertices that no governed stuttering bisimulation within the initial
-    partition can relate, so the result is the largest one.
+    A vertex's signature collects, per player, the successor classes it is
+    forced into through its own class and a divergence flag.  Classes are
+    split by signature until stable, and only the classes next to a split
+    are signed again (see :func:`_refine_classes`).  Splitting only ever
+    separates vertices that no governed stuttering bisimulation within the
+    initial partition can relate, so the result is the largest one.
     """
-    n = game.vertex_count
-    part = initial
-    while True:
-        # forces(i, v, [v], C) for all members of a class at once, one
-        # attractor per (class, player, target class).
-        sigs: list[tuple] = [() for _ in range(n)]
-        items: list[list] = [[] for _ in range(n)]
-        for ci, cls in enumerate(part.classes):
-            if len(cls) == 1:
-                # singleton classes cannot split; their signature is moot
-                continue
-            for player in (Player.EVEN, Player.ODD):
-                for cj, target in enumerate(part.classes):
-                    if ci == cj:
-                        continue
-                    attr = attractor(game, player, cls, target)
-                    for v in cls:
-                        if v in attr:
-                            items[v].append((int(player), cj))
-                # diverges(i, v, [v]) through the forcing duality.
-                esc = attractor(game, player.opponent, cls, cls.complement())
-                for v in cls:
-                    if v not in esc:
-                        items[v].append((int(player), -1))
-        for v in range(n):
-            sigs[v] = tuple(sorted(items[v]))
-        keys = [(part.class_of[v], sigs[v]) for v in range(n)]
-        distinct: dict[tuple, int] = {}
-        class_of = []
-        for v in range(n):
-            class_of.append(distinct.setdefault(keys[v], len(distinct)))
-        new = Partition.from_class_of(n, class_of)
-        if new.class_count == part.class_count:
-            return new
-        part = new
+    class_of = list(initial.class_of)
+    _refine_classes(game, class_of)
+    return Partition.from_class_of(game.vertex_count, class_of)
+
+
+def _stutter_initial(game: ParityGame, by_owner: bool) -> Partition:
+    keys = zip(game.priorities, game.owners) if by_owner else game.priorities
+    return Partition.from_class_of(game.vertex_count, _dense_keys(keys))
+
+
+def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, list[tuple]]:
+    """The stuttering partition with the stable signature of each of its classes.
+
+    ``by_owner`` selects stuttering bisimilarity over the governed variant.
+    ``signatures[ci]`` is shared by every member of class ``ci``.  It holds
+    ``(i, cj)`` when player ``i`` forces every member into class ``cj``
+    through ``ci``, and ``(i, -1)`` when ``i`` can keep every play from every
+    member inside ``ci``.  Class ids follow the returned partition.
+    """
+    class_of = list(_stutter_initial(game, by_owner).class_of)
+    signatures = _refine_classes(game, class_of)
+    part = Partition.from_class_of(game.vertex_count, class_of)
+    index = dict(zip(class_of, part.class_of))
+    out = []
+    for cls in part.classes:
+        v = (cls.mask & -cls.mask).bit_length() - 1
+        sig = signatures.get(class_of[v])
+        if sig is None:
+            (sig,) = _sign_class(game, class_of, class_of[v], [v])
+        out.append(tuple((i, index[cj] if cj >= 0 else -1) for i, cj in sig))
+    return part, out
 
 
 def gstut_bisim(game: ParityGame) -> Partition:
     """Governed stuttering bisimilarity, starting from the priority partition."""
-    initial = Partition.from_class_of(
-        game.vertex_count,
-        _dense_keys(game.priorities),
-    )
-    return _gstut_refine(game, initial)
+    return _gstut_refine(game, _stutter_initial(game, by_owner=False))
 
 
 def stut_bisim(game: ParityGame) -> Partition:
     """Stuttering bisimilarity: the initial partition is additionally split by owner."""
-    initial = Partition.from_class_of(
-        game.vertex_count,
-        _dense_keys([(p, int(o)) for p, o in zip(game.priorities, game.owners)]),
-    )
-    return _gstut_refine(game, initial)
+    return _gstut_refine(game, _stutter_initial(game, by_owner=True))
 
 
 def _dense_keys(keys: Iterable) -> list[int]:

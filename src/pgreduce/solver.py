@@ -112,10 +112,9 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
     """Exact winner partition by recursive attractor decomposition."""
     preds = game.predecessors()
     # Each nested call strips at least one vertex, so the depth is bounded
-    # by the vertex count; give the interpreter room for larger inputs.
+    # by the vertex count; give the interpreter room for larger inputs and
+    # restore the caller's limit afterwards.
     limit = sys.getrecursionlimit()
-    if limit < 2 * game.vertex_count + 100:
-        sys.setrecursionlimit(2 * game.vertex_count + 100)
 
     def solve(alive: int) -> tuple[int, int]:
         if alive == 0:
@@ -140,7 +139,11 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
         return win[0], win[1]
 
     full = (1 << game.vertex_count) - 1
-    even_mask, odd_mask = solve(full)
+    sys.setrecursionlimit(max(limit, 2 * game.vertex_count + 100))
+    try:
+        even_mask, odd_mask = solve(full)
+    finally:
+        sys.setrecursionlimit(limit)
     even = frozenset(v for v in game.vertices if even_mask >> v & 1)
     odd = frozenset(v for v in game.vertices if odd_mask >> v & 1)
     return WinningRegions(even, odd)

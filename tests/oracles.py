@@ -1,14 +1,15 @@
-"""Brute-force oracles, independent of the library's algorithms.
+"""Oracles: brute-force ones and reference constructions.
 
-Everything here enumerates memoryless strategies explicitly and evaluates
-plays on the strategy-restricted graph, so a bug in the attractor or in the
-Zielonka recursion cannot hide in the oracle.
+The winner and forcing oracles enumerate memoryless strategies explicitly
+and evaluate plays on the strategy-restricted graph, so a bug in the
+attractor or in the Zielonka recursion cannot hide in them.  The stuttering
+references at the end keep the library's earlier, direct constructions.
 """
 from itertools import product
 
 import networkx as nx
 
-from pgreduce import ParityGame, Player
+from pgreduce import ParityGame, Partition, Player, QuotientResult, attractor, diverges, steps
 
 
 def strategies(game: ParityGame, player: Player):
@@ -110,3 +111,94 @@ def oracle_winner(game: ParityGame, v: int) -> Player:
             winners.append(player)
     assert len(winners) == 1, f"determinacy violated at {v}: {winners}"
     return winners[0]
+
+
+# --- Reference stuttering refinement and quotient --------------------------
+#
+# Direct constructions: every round signs every class against every other
+# class, and the quotient recomputes each forcing and divergence fact per
+# member.  The library's worklist refinement and signature-based quotient
+# must agree with them byte for byte.  They call the library's forcing
+# layer, which the tests check against the strategy-enumeration oracles.
+
+
+def oracle_gstut_refine(game: ParityGame, initial: Partition) -> Partition:
+    """Re-sign every non-singleton class against all classes each round."""
+    n = game.vertex_count
+    part = initial
+    while True:
+        items: list[list] = [[] for _ in range(n)]
+        for ci, cls in enumerate(part.classes):
+            if len(cls) == 1:
+                continue
+            for player in (Player.EVEN, Player.ODD):
+                for cj, target in enumerate(part.classes):
+                    if ci == cj:
+                        continue
+                    attr = attractor(game, player, cls, target)
+                    for v in cls:
+                        if v in attr:
+                            items[v].append((int(player), cj))
+                esc = attractor(game, player.opponent, cls, cls.complement())
+                for v in cls:
+                    if v not in esc:
+                        items[v].append((int(player), -1))
+        keys = [(part.class_of[v], tuple(sorted(items[v]))) for v in range(n)]
+        distinct: dict[tuple, int] = {}
+        new = Partition.from_class_of(n, [distinct.setdefault(k, len(distinct)) for k in keys])
+        if new.class_count == part.class_count:
+            return new
+        part = new
+
+
+def _dense(keys) -> list[int]:
+    seen: dict = {}
+    return [seen.setdefault(k, len(seen)) for k in keys]
+
+
+def oracle_gstut_bisim(game: ParityGame) -> Partition:
+    return oracle_gstut_refine(game, Partition.from_class_of(game.vertex_count, _dense(game.priorities)))
+
+
+def oracle_stut_bisim(game: ParityGame) -> Partition:
+    keys = _dense(zip(game.priorities, game.owners))
+    return oracle_gstut_refine(game, Partition.from_class_of(game.vertex_count, keys))
+
+
+def _oracle_stuttering_quotient(game: ParityGame, part: Partition, kind: str) -> QuotientResult:
+    priorities = tuple(game.priorities[next(iter(cls))] for cls in part.classes)
+    owners = []
+    succs = []
+    for ci, cls in enumerate(part.classes):
+        members = list(cls)
+        even_divergent = all(diverges(game, Player.EVEN, v, cls) for v in members)
+        even_escape = any(
+            steps(game, Player.EVEN, v, part.classes[cj])
+            for v in members
+            for cj in range(part.class_count)
+            if cj != ci
+        )
+        owners.append(Player.EVEN if even_divergent or even_escape else Player.ODD)
+        targets = []
+        for cj, target in enumerate(part.classes):
+            if cj == ci:
+                facts = [[diverges(game, p, v, cls) for v in members] for p in Player]
+            else:
+                facts = [[v in attractor(game, p, cls, target) for v in members] for p in Player]
+            if any(all(row) for row in facts):
+                targets.append(cj)
+        succs.append(tuple(targets))
+    return QuotientResult(ParityGame(priorities, tuple(owners), tuple(succs)), part.class_of, kind)
+
+
+def oracle_quotient_gstut(game: ParityGame) -> QuotientResult:
+    return _oracle_stuttering_quotient(game, oracle_gstut_bisim(game), "gstut")
+
+
+def oracle_quotient_stut(game: ParityGame) -> QuotientResult:
+    """Edges as for gstut; classes are single-owner and keep their owner."""
+    part = oracle_stut_bisim(game)
+    base = _oracle_stuttering_quotient(game, part, "stut")
+    owners = tuple(game.owners[next(iter(cls))] for cls in part.classes)
+    quotient = ParityGame(base.quotient.priorities, owners, base.quotient.successors)
+    return QuotientResult(quotient, base.class_map, "stut")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from oracles import oracle_winner
@@ -25,6 +27,15 @@ def test_single_even_self_loop():
     regions = solve_zielonka(g)
     assert regions.won_by_even == {0}
     assert regions.won_by_odd == frozenset()
+
+
+def test_recursion_limit_restored():
+    # Big enough that the solver raises the limit; one priority solves fast.
+    n = sys.getrecursionlimit()
+    g = ParityGame((0,) * n, (Player.ODD,) * n, tuple(((v + 1) % n,) for v in range(n)))
+    before = sys.getrecursionlimit()
+    assert solve_zielonka(g).won_by_even == frozenset(range(n))
+    assert sys.getrecursionlimit() == before
 
 
 def test_escape_edge_regions(escape_edge):
