@@ -1,10 +1,8 @@
 """Parity game preorders, equivalences, quotients and a solving pipeline."""
 
 from .forcing import (
-    INFINITY,
     VertexSet,
     attractor,
-    attractor_rank,
     diverges,
     forces,
     steps,
@@ -23,6 +21,8 @@ from .game import (
 )
 from .lattice import check_lattice, compute_relations
 from .quotient import (
+    EQUIVALENCES,
+    Equivalence,
     QuotientResult,
     find_isomorphism,
     iso_check,
@@ -69,11 +69,9 @@ from .simgames import (
 from .solver import (
     Arena,
     ArenaPlayer,
-    arena_as_parity_game,
     buchi_rank,
     solve_buchi,
     solve_zielonka,
-    winner_equivalent,
 )
 
 __version__ = "0.1.0"

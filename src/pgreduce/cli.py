@@ -26,12 +26,8 @@ from .game import (
 )
 from .lattice import RELATION_ORDER, check_lattice, compute_relations
 from .quotient import (
+    EQUIVALENCES,
     QuotientResult,
-    quotient_direct_sim,
-    quotient_governed_bisim,
-    quotient_gstut,
-    quotient_strong_bisim,
-    quotient_stut,
     quotient_equivalent,
     serialize_class_map,
     verify_preservation,
@@ -39,14 +35,6 @@ from .quotient import (
 from .solver import solve_zielonka
 
 __all__ = ["main"]
-
-_QUOTIENTS = {
-    "strong-bisim": quotient_strong_bisim,
-    "governed-bisim": quotient_governed_bisim,
-    "stut": quotient_stut,
-    "gstut": quotient_gstut,
-    "direct-sim": quotient_direct_sim,
-}
 
 
 class _UsageError(Exception):
@@ -185,25 +173,26 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _quotient_for(args, game: ParityGame) -> QuotientResult:
-    if args.equiv not in _QUOTIENTS:
-        supported = ", ".join(sorted(_QUOTIENTS))
+def _quotient_for(args, game: ParityGame, report: _Report) -> QuotientResult:
+    if args.equiv not in EQUIVALENCES:
+        supported = ", ".join(sorted(EQUIVALENCES))
         raise _UsageError(f"unknown equivalence {args.equiv!r}; supported: {supported}")
-    return _QUOTIENTS[args.equiv](game)
+    result = EQUIVALENCES[args.equiv].quotient(game)
+    report.data["sizes"] = {
+        "original": game.vertex_count,
+        "quotient": result.quotient.vertex_count,
+    }
+    return result
 
 
 def _cmd_minimize(args) -> int:
     game, digest = _read_game(args.input)
     report = _Report("minimize", args)
     report.data["input"] = digest
-    result = _quotient_for(args, game)
+    result = _quotient_for(args, game, report)
     report.stamp("minimize")
     args.out.write_bytes(serialize_pgsolver(result.quotient))
     args.map_path.write_bytes(serialize_class_map(result))
-    report.data["sizes"] = {
-        "original": game.vertex_count,
-        "quotient": result.quotient.vertex_count,
-    }
     report.data["classes"][args.equiv] = result.quotient.vertex_count
     report.line(f"original: {game.vertex_count} vertices")
     report.line(f"quotient: {result.quotient.vertex_count} vertices")
@@ -271,11 +260,7 @@ def _cmd_verify(args) -> int:
     game, digest = _read_game(args.input)
     report = _Report("verify", args)
     report.data["input"] = digest
-    result = _quotient_for(args, game)
-    report.data["sizes"] = {
-        "original": game.vertex_count,
-        "quotient": result.quotient.vertex_count,
-    }
+    result = _quotient_for(args, game, report)
     preserved = verify_preservation(game, result)
     equivalent = quotient_equivalent(game, result)
     report.stamp("verify")

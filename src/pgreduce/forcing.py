@@ -4,28 +4,29 @@ These are the vocabulary every equivalence in this package is phrased in:
 ``attractor(game, i, U, T)`` is the set of vertices from which player ``i``
 can force the play into ``T`` while staying inside ``U`` beforehand, and
 ``forces``/``diverges``/``steps`` are the derived predicates.
+
+``attractor_layers`` is the one attractor loop of the package.  Besides the
+constrained attractor here, Zielonka's subgame attractor and the Buchi
+arena solver of :mod:`pgreduce.solver` call it; they differ only in which
+edges count, which they express through the out-degree and the optional
+``allowed`` mask they pass.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .game import ParityGame, Player
 
 __all__ = [
-    "INFINITY",
     "VertexSet",
     "attractor",
-    "attractor_rank",
+    "attractor_layers",
     "forces",
     "diverges",
     "steps",
 ]
-
-# Rank of vertices outside an attractor.  A float sentinel, never a natural.
-INFINITY = math.inf
 
 
 @dataclass(frozen=True)
@@ -91,61 +92,65 @@ class VertexSet:
         return self.mask & ~other.mask == 0
 
 
-def _attractor_layers(
-    game: ParityGame, player: Player, u_mask: int, t_mask: int
+def attractor_layers(
+    owners: Sequence,
+    preds: Sequence[Sequence[int]],
+    degree: Callable[[int], int],
+    player,
+    targets: Iterable[int],
+    allowed: int | None = None,
 ) -> dict[int, int]:
-    """BFS layers of the inductive attractor definition.
+    """BFS layers of ``player``'s attractor to ``targets``.
 
-    Layer 0 is the target set; a vertex of ``player`` in ``U`` joins one
-    layer after its first successor, an opponent vertex one layer after its
-    last.  Work is proportional to the target plus the edges touching the
-    attractor.  Stuttering refinement makes one call per class, player and
-    successor class, with the target cut down to the class's successors.
+    Layer 0 is the target set.  A vertex owned by ``player`` joins one layer
+    after its first successor, any other vertex one layer after the last of
+    its ``degree(v)`` counted successors.  ``degree`` is read once per
+    vertex, when an edge into the attractor first reaches it, and must count
+    every edge in ``preds`` whose target can join.  Counting the edges that
+    leave ``allowed`` as well, as the constrained attractor does, lets them
+    block an opponent vertex; leaving them out, as Zielonka does, removes
+    them from the game.  Only vertices in the ``allowed`` bitmask join;
+    ``None`` allows every vertex.  Work is proportional to the target plus
+    the edges into the attractor.
     """
-    preds = game.predecessors()
-    layers: dict[int, int] = {}
-    queue: deque[int] = deque()
-    mask = t_mask
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        v = low.bit_length() - 1
-        layers[v] = 0
-        queue.append(v)
+    if allowed is None:
+        allowed = -1  # every bit set, and shifting it costs nothing
+    layers = dict.fromkeys(targets, 0)
+    queue = deque(layers)
     remaining: dict[int, int] = {}
     while queue:
         u = queue.popleft()
         next_layer = layers[u] + 1
         for v in preds[u]:
-            if v in layers or not u_mask >> v & 1:
+            if v in layers or not allowed >> v & 1:
                 continue
-            if game.owners[v] is player:
-                layers[v] = next_layer
-                queue.append(v)
-            else:
-                r = remaining.get(v, len(game.successors[v])) - 1
+            if owners[v] is not player:
+                r = remaining.get(v)
+                r = (degree(v) if r is None else r) - 1
                 remaining[v] = r
-                if r == 0:
-                    layers[v] = next_layer
-                    queue.append(v)
+                if r:
+                    continue
+            layers[v] = next_layer
+            queue.append(v)
     return layers
 
 
 def attractor(game: ParityGame, player: Player, U: VertexSet, T: VertexSet) -> VertexSet:
-    """Least fixpoint of the constrained attractor: force into ``T`` via ``U``."""
-    layers = _attractor_layers(game, player, U.mask, T.mask)
+    """Least fixpoint of the constrained attractor: force into ``T`` via ``U``.
+
+    Every edge counts, so an opponent vertex with a successor outside ``U``
+    and ``T`` never joins.  Stuttering refinement makes one call per class,
+    player and successor class, with the target cut down to the class's
+    successors.
+    """
+    succs = game.successors
+    layers = attractor_layers(
+        game.owners, game.predecessors(), lambda v: len(succs[v]), player, T, U.mask
+    )
     mask = 0
     for v in layers:
         mask |= 1 << v
     return VertexSet(game.vertex_count, mask)
-
-
-def attractor_rank(
-    game: ParityGame, player: Player, U: VertexSet, T: VertexSet, v: int
-) -> int | float:
-    """Least ``n`` with ``v`` in the n-th attractor stage, or ``INFINITY``."""
-    layers = _attractor_layers(game, player, U.mask, T.mask)
-    return layers.get(v, INFINITY)
 
 
 def forces(game: ParityGame, player: Player, v: int, U: VertexSet, T: VertexSet) -> bool:

@@ -151,23 +151,37 @@ class PgSolverFormatError(ValueError):
         super().__init__(message)
 
 
+# The successor field takes every digit, comma and blank up to the label, so
+# a failed match backtracks in linear time.
 _VERTEX_RE = re.compile(
     r"^(?P<id>\d+)\s+(?P<prio>\d+)\s+(?P<owner>\d+)"
-    r"(?P<succs>(?:\s+[\d,\s]*?)?)"
-    r'(?:\s*"(?P<label>[^"]*)")?$'
+    r"(?P<succs>(?:\s[\d,\s]*)?)"
+    r'(?:"(?P<label>[^"]*)")?$'
 )
+
+
+def _number(text: str, at: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PgSolverFormatError(f"malformed number {text[:20]!r}", at) from None
 
 
 def parse_pgsolver(text: bytes | str) -> ParityGame:
     """Parse PGSolver format into a game.
 
-    Grammar: an optional header ``parity <max-id>;`` followed by one
-    statement per vertex, ``<id> <priority> <owner> <succ>(,<succ>)*
-    ("name")? ;`` with owner 0 for even and 1 for odd.  Statements are
-    separated by ``;`` and whitespace between tokens is free-form.
+    Grammar: an optional header ``parity <max-id>;`` and an optional
+    ``start <id>;`` statement, followed by one statement per vertex,
+    ``<id> <priority> <owner> <succ>(,<succ>)* ("name")? ;`` with owner 0
+    for even and 1 for odd.  Statements are separated by ``;`` and
+    whitespace between tokens is free-form.  The start vertex must exist
+    and is otherwise ignored.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise PgSolverFormatError(f"input is not UTF-8 text: {exc.reason}") from None
 
     # Statements end at ';'; remember the line each one starts on.
     statements: list[tuple[str, int]] = []
@@ -190,6 +204,7 @@ def parse_pgsolver(text: bytes | str) -> ParityGame:
         raise PgSolverFormatError("missing ';' at end of input", buf_line)
 
     max_id: int | None = None
+    start: tuple[int, int] | None = None
     decls: dict[int, tuple[int, Player, tuple[int, ...], str | None]] = {}
     for idx, (stmt, at) in enumerate(statements):
         stmt = stmt.strip()
@@ -197,15 +212,21 @@ def parse_pgsolver(text: bytes | str) -> ParityGame:
             continue
         if idx == 0 and stmt.startswith("parity"):
             rest = stmt[len("parity"):].strip()
-            if not rest.isdigit():
+            if not rest.isdecimal():
                 raise PgSolverFormatError("malformed 'parity' header", at)
-            max_id = int(rest)
+            max_id = _number(rest, at)
+            continue
+        if start is None and not decls and stmt.startswith("start"):
+            rest = stmt[len("start"):].strip()
+            if not rest.isdecimal():
+                raise PgSolverFormatError("malformed 'start' statement", at)
+            start = (_number(rest, at), at)
             continue
         m = _VERTEX_RE.match(stmt)
         if m is None:
             raise PgSolverFormatError(f"cannot parse vertex statement {stmt!r}", at)
-        vid = int(m.group("id"))
-        prio = int(m.group("prio"))
+        vid = _number(m.group("id"), at)
+        prio = _number(m.group("prio"), at)
         owner = m.group("owner")
         if owner not in ("0", "1"):
             raise PgSolverFormatError(f"owner must be 0 or 1, got {owner!r}", at)
@@ -218,40 +239,35 @@ def parse_pgsolver(text: bytes | str) -> ParityGame:
         if succ_field:
             for part in succ_field.split(","):
                 part = part.strip()
-                if not part.isdigit():
+                if not part.isdecimal():
                     raise PgSolverFormatError(
                         f"malformed successor list {succ_field!r}", at
                     )
-                succs.append(int(part))
+                succs.append(_number(part, at))
         decls[vid] = (prio, Player(int(owner)), tuple(sorted(set(succs))), m.group("label"))
 
     if not decls:
         raise PgSolverFormatError("input declares no vertices")
     n = max(max(decls), max_id if max_id is not None else 0) + 1
 
-    priorities = [0] * n
-    owners = [Player.EVEN] * n
-    successors: list[tuple[int, ...]] = [()] * n
-    labels: list[str | None] = [None] * n
+    # Check every id below n before allocating anything of size n: the
+    # first undeclared id ends the loop, so a header or an id far beyond the
+    # declared vertices costs nothing.
     for vid in range(n):
-        if vid not in decls:
-            # Undeclared ids below the header bound are dead ends.
+        # Undeclared ids below the header bound are dead ends.
+        if vid not in decls or not decls[vid][2]:
             raise PgSolverFormatError(f"vertex {vid} has no successors")
-        prio, owner, succs, label = decls[vid]
-        if not succs:
-            raise PgSolverFormatError(f"vertex {vid} has no successors")
-        for u in succs:
+        for u in decls[vid][2]:
             if u >= n:
                 raise PgSolverFormatError(
                     f"vertex {vid} lists successor {u} beyond the last vertex {n - 1}"
                 )
-        priorities[vid] = prio
-        owners[vid] = owner
-        successors[vid] = succs
-        labels[vid] = label
+    if start is not None and start[0] >= n:
+        raise PgSolverFormatError(f"start vertex {start[0]} is not declared", start[1])
 
-    lab = tuple(labels) if any(x is not None for x in labels) else None
-    return ParityGame(tuple(priorities), tuple(owners), tuple(successors), lab)
+    priorities, owners, successors, labels = zip(*(decls[vid] for vid in range(n)))
+    lab = labels if any(x is not None for x in labels) else None
+    return ParityGame(priorities, owners, successors, lab)
 
 
 def serialize_pgsolver(game: ParityGame) -> bytes:

@@ -10,8 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .game import ParityGame
-from .quotient import find_isomorphism
-from .relations import (
+from .quotient import EQUIVALENCES, find_isomorphism
+
+# direct_sim and the four bisimulation partitions are reached through
+# EQUIVALENCES, but bench/tracing.py wraps these names in this module, so
+# they stay bound.
+from .relations import (  # noqa: F401
     VertexRelation,
     direct_sim,
     equivalence_from_preorder,
@@ -103,26 +107,23 @@ def _winner_relation(game: ParityGame) -> VertexRelation:
 
 
 def compute_relations(game: ParityGame) -> dict[str, VertexRelation]:
-    """All lattice relations of a game, as vertex relations."""
-    return {
+    """All lattice relations of a game, as vertex relations.
+
+    The five equivalences with a unique quotient come from ``EQUIVALENCES``;
+    the direct simulation kernel is named ``direct-sim-equiv`` here.
+    """
+    rels = {
         "iso": _iso_relation(game),
-        "strong-bisim": strong_bisim(game).as_relation(),
-        "stut": stut_bisim(game).as_relation(),
-        "strong-direct-sim-equiv": equivalence_from_preorder(
-            strong_direct_sim(game)
-        ).as_relation(),
-        "governed-bisim": governed_bisim(game).as_relation(),
-        "gstut": gstut_bisim(game).as_relation(),
-        "direct-sim-equiv": equivalence_from_preorder(direct_sim(game)).as_relation(),
-        "delayed-even-equiv": equivalence_from_preorder(
-            delayed_sim(game, "even")
-        ).as_relation(),
-        "delayed-odd-equiv": equivalence_from_preorder(
-            delayed_sim(game, "odd")
-        ).as_relation(),
+        "strong-direct-sim-equiv": equivalence_from_preorder(strong_direct_sim(game)).as_relation(),
+        "delayed-even-equiv": equivalence_from_preorder(delayed_sim(game, "even")).as_relation(),
+        "delayed-odd-equiv": equivalence_from_preorder(delayed_sim(game, "odd")).as_relation(),
         "delayed-equiv": equivalence_from_preorder(delayed_sim(game, "none")).as_relation(),
         "winner": _winner_relation(game),
     }
+    for name, equivalence in EQUIVALENCES.items():
+        key = "direct-sim-equiv" if name == "direct-sim" else name
+        rels[key] = equivalence.partition(game).as_relation()
+    return {name: rels[name] for name in RELATION_ORDER}
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ Three quotients have unique results: by direct simulation equivalence
 (little-brother pruning through minimal/maximal successors), by governed
 bisimilarity and by governed stuttering bisimilarity.  The delayed
 simulation family admits no unique quotient and is deliberately absent.
+``EQUIVALENCES`` maps each equivalence name to its partition and its
+quotient; the CLI, ``quotient_equivalent`` and the lattice read it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 # attractor, diverges and steps are not called here, but bench/tracing.py
 # wraps these names in this module, so they stay bound.
@@ -27,6 +30,8 @@ from .relations import (
 from .solver import solve_zielonka
 
 __all__ = [
+    "EQUIVALENCES",
+    "Equivalence",
     "QuotientResult",
     "min_successors",
     "max_successors",
@@ -68,20 +73,13 @@ def _extremal_successors(
     game: ParityGame, preorder: VertexRelation, v: int, minimal: bool
 ) -> VertexSet:
     succs = game.successors[v]
-    out = []
-    for cand in succs:
-        ok = True
-        for other in succs:
-            if minimal:
-                if preorder.holds(other, cand) and not preorder.holds(cand, other):
-                    ok = False
-                    break
-            else:
-                if preorder.holds(cand, other) and not preorder.holds(other, cand):
-                    ok = False
-                    break
-        if ok:
-            out.append(cand)
+
+    def beaten(cand: int, other: int) -> bool:
+        # ``other`` lies strictly below (minimal) or above (maximal) ``cand``.
+        lo, hi = (other, cand) if minimal else (cand, other)
+        return preorder.holds(lo, hi) and not preorder.holds(hi, lo)
+
+    out = [cand for cand in succs if not any(beaten(cand, other) for other in succs)]
     return VertexSet.from_indices(game.vertex_count, out)
 
 
@@ -144,53 +142,44 @@ def quotient_direct_sim(game: ParityGame) -> QuotientResult:
     return QuotientResult(quotient, part.class_of, "direct-sim")
 
 
-def _governed_quotient_from_partition(game: ParityGame, part: Partition, kind: str) -> QuotientResult:
+def _bisim_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
+    part = strong_bisim(game) if by_owner else governed_bisim(game)
     priorities = _class_priorities(game, part)
     owners = []
     succs = []
     for cls in part.classes:
         members = list(cls)
-        succ_classes: dict[int, frozenset[int]] = {
-            v: frozenset(part.class_of[u] for u in game.successors[v]) for v in members
-        }
-        targets = succ_classes[members[0]]
+        succ_classes = [frozenset(part.class_of[u] for u in game.successors[v]) for v in members]
+        targets = succ_classes[0]
         # Members of a (governed) bisimulation class reach the same classes.
-        if any(succ_classes[v] != targets for v in members):
+        if any(c != targets for c in succ_classes):
             raise RuntimeError("successor classes differ inside a bisimulation class")
-        all_odd = all(game.owners[v] is Player.ODD for v in members)
-        if all_odd and len(targets) > 1:
-            owners.append(Player.ODD)
+        owner = game.owners[members[0]]
+        if by_owner:
+            if any(game.owners[v] is not owner for v in members):
+                raise RuntimeError("strong bisimulation class mixes owners")
+        elif all(game.owners[v] is Player.ODD for v in members) and len(targets) > 1:
+            owner = Player.ODD
         else:
-            owners.append(Player.EVEN)
+            owner = Player.EVEN
+        owners.append(owner)
         succs.append(tuple(sorted(targets)))
     quotient = ParityGame(priorities, tuple(owners), tuple(succs))
-    return QuotientResult(quotient, part.class_of, kind)
+    return QuotientResult(quotient, part.class_of, "strong-bisim" if by_owner else "governed-bisim")
 
 
 def quotient_governed_bisim(game: ParityGame) -> QuotientResult:
-    """Quotient by governed bisimilarity: classes keep their successor classes."""
-    return _governed_quotient_from_partition(game, governed_bisim(game), "governed-bisim")
+    """Quotient by governed bisimilarity: classes keep their successor classes.
+
+    A class is odd when all its members are odd and it has more than one
+    successor class, and even otherwise.
+    """
+    return _bisim_quotient(game, by_owner=False)
 
 
 def quotient_strong_bisim(game: ParityGame) -> QuotientResult:
     """Classic bisimulation quotient: classes are single-owner and keep it."""
-    part = strong_bisim(game)
-    priorities = _class_priorities(game, part)
-    owners = []
-    succs = []
-    for cls in part.classes:
-        members = list(cls)
-        owner = game.owners[members[0]]
-        if any(game.owners[v] is not owner for v in members):
-            raise RuntimeError("strong bisimulation class mixes owners")
-        targets = {part.class_of[u] for v in members for u in game.successors[v]}
-        for v in members:
-            if {part.class_of[u] for u in game.successors[v]} != targets:
-                raise RuntimeError("successor classes differ inside a class")
-        owners.append(owner)
-        succs.append(tuple(sorted(targets)))
-    quotient = ParityGame(priorities, tuple(owners), tuple(succs))
-    return QuotientResult(quotient, part.class_of, "strong-bisim")
+    return _bisim_quotient(game, by_owner=True)
 
 
 def _even_escapes(game: ParityGame, class_of: tuple[int, ...], ci: int, cls: VertexSet) -> bool:
@@ -345,23 +334,11 @@ def verify_preservation(game: ParityGame, result: QuotientResult) -> bool:
 def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     """Each vertex is equivalent to its class in the disjoint union of both games,
     under the defining equivalence of the quotient kind."""
-    union = disjoint_union(game, result.quotient)
-    off = game.vertex_count
-    if result.kind == "direct-sim":
-        rel = direct_sim(union)
-        return all(
-            rel.holds(v, off + result.class_map[v]) and rel.holds(off + result.class_map[v], v)
-            for v in game.vertices
-        )
-    by_kind = {
-        "governed-bisim": governed_bisim,
-        "strong-bisim": strong_bisim,
-        "gstut": gstut_bisim,
-        "stut": stut_bisim,
-    }
-    if result.kind not in by_kind:
+    if result.kind not in EQUIVALENCES:
         raise ValueError(f"unknown quotient kind {result.kind!r}")
-    part = by_kind[result.kind](union)
+    union = disjoint_union(game, result.quotient)
+    part = EQUIVALENCES[result.kind].partition(union)
+    off = game.vertex_count
     return all(part.same_class(v, off + result.class_map[v]) for v in game.vertices)
 
 
@@ -369,3 +346,24 @@ def serialize_class_map(result: QuotientResult) -> bytes:
     """Sidecar class-map format: one ``<original-id> <class-id>`` line per vertex."""
     lines = [f"{v} {c}" for v, c in enumerate(result.class_map)]
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _direct_sim_equivalence(game: ParityGame) -> Partition:
+    return equivalence_from_preorder(direct_sim(game))
+
+
+@dataclass(frozen=True)
+class Equivalence:
+    """An equivalence with a unique quotient: its partition and its quotient builder."""
+
+    partition: Callable[[ParityGame], Partition]
+    quotient: Callable[[ParityGame], QuotientResult]
+
+
+EQUIVALENCES: dict[str, Equivalence] = {
+    "strong-bisim": Equivalence(strong_bisim, quotient_strong_bisim),
+    "governed-bisim": Equivalence(governed_bisim, quotient_governed_bisim),
+    "stut": Equivalence(stut_bisim, quotient_stut),
+    "gstut": Equivalence(gstut_bisim, quotient_gstut),
+    "direct-sim": Equivalence(_direct_sim_equivalence, quotient_direct_sim),
+}

@@ -205,31 +205,26 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int], symmetric: bool) -> 
     return tuple(rows)
 
 
+def _initial_rows(game: ParityGame, by_owner: bool) -> list[int]:
+    # Rows of "same priority (and owner)", read from the initial partition.
+    part = _initial_partition(game, by_owner)
+    return [part.classes[c].mask for c in part.class_of]
+
+
 def direct_sim(game: ParityGame) -> VertexRelation:
     """Greatest direct simulation preorder: even helps the simulating side."""
-    n = game.vertex_count
-    by_prio: dict[int, int] = {}
-    for v in game.vertices:
-        by_prio.setdefault(game.priorities[v], 0)
-        by_prio[game.priorities[v]] |= 1 << v
-    rows = [by_prio[game.priorities[v]] for v in game.vertices]
-    return VertexRelation(n, _direct_sim_fixpoint(game, rows, symmetric=False), "preorder")
+    rows = _direct_sim_fixpoint(game, _initial_rows(game, by_owner=False), symmetric=False)
+    return VertexRelation(game.vertex_count, rows, "preorder")
 
 
 def strong_direct_sim(game: ParityGame) -> VertexRelation:
     """Direct simulation that never relates vertices owned by different players."""
-    n = game.vertex_count
-    by_key: dict[tuple[int, Player], int] = {}
-    for v in game.vertices:
-        key = (game.priorities[v], game.owners[v])
-        by_key.setdefault(key, 0)
-        by_key[key] |= 1 << v
-    rows = [by_key[(game.priorities[v], game.owners[v])] for v in game.vertices]
-    return VertexRelation(n, _direct_sim_fixpoint(game, rows, symmetric=False), "preorder")
+    rows = _direct_sim_fixpoint(game, _initial_rows(game, by_owner=True), symmetric=False)
+    return VertexRelation(game.vertex_count, rows, "preorder")
 
 
-def _symmetric_direct_sim_partition(game: ParityGame, rows: list[int]) -> Partition:
-    fixed = _direct_sim_fixpoint(game, rows, symmetric=True)
+def _symmetric_direct_sim_partition(game: ParityGame, by_owner: bool) -> Partition:
+    fixed = _direct_sim_fixpoint(game, _initial_rows(game, by_owner), symmetric=True)
     rel = VertexRelation(game.vertex_count, fixed, "equivalence")
     rel.validate()
     class_of = [min(iter_bits(fixed[v])) for v in game.vertices]
@@ -238,23 +233,12 @@ def _symmetric_direct_sim_partition(game: ParityGame, rows: list[int]) -> Partit
 
 def governed_bisim(game: ParityGame) -> Partition:
     """Partition induced by the largest symmetric direct simulation."""
-    by_prio: dict[int, int] = {}
-    for v in game.vertices:
-        by_prio.setdefault(game.priorities[v], 0)
-        by_prio[game.priorities[v]] |= 1 << v
-    rows = [by_prio[game.priorities[v]] for v in game.vertices]
-    return _symmetric_direct_sim_partition(game, rows)
+    return _symmetric_direct_sim_partition(game, by_owner=False)
 
 
 def strong_bisim(game: ParityGame) -> Partition:
     """Governed bisimulation restricted to same-owner pairs."""
-    by_key: dict[tuple[int, Player], int] = {}
-    for v in game.vertices:
-        key = (game.priorities[v], game.owners[v])
-        by_key.setdefault(key, 0)
-        by_key[key] |= 1 << v
-    rows = [by_key[(game.priorities[v], game.owners[v])] for v in game.vertices]
-    return _symmetric_direct_sim_partition(game, rows)
+    return _symmetric_direct_sim_partition(game, by_owner=True)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -369,7 +353,8 @@ def _gstut_refine(game: ParityGame, initial: Partition) -> Partition:
     return Partition.from_class_of(game.vertex_count, class_of)
 
 
-def _stutter_initial(game: ParityGame, by_owner: bool) -> Partition:
+def _initial_partition(game: ParityGame, by_owner: bool) -> Partition:
+    """Classes of equal priority, and with ``by_owner`` also of equal owner."""
     keys = zip(game.priorities, game.owners) if by_owner else game.priorities
     return Partition.from_class_of(game.vertex_count, _dense_keys(keys))
 
@@ -383,7 +368,7 @@ def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, li
     through ``ci``, and ``(i, -1)`` when ``i`` can keep every play from every
     member inside ``ci``.  Class ids follow the returned partition.
     """
-    class_of = list(_stutter_initial(game, by_owner).class_of)
+    class_of = list(_initial_partition(game, by_owner).class_of)
     signatures = _refine_classes(game, class_of)
     part = Partition.from_class_of(game.vertex_count, class_of)
     index = dict(zip(class_of, part.class_of))
@@ -399,12 +384,12 @@ def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, li
 
 def gstut_bisim(game: ParityGame) -> Partition:
     """Governed stuttering bisimilarity, starting from the priority partition."""
-    return _gstut_refine(game, _stutter_initial(game, by_owner=False))
+    return _gstut_refine(game, _initial_partition(game, by_owner=False))
 
 
 def stut_bisim(game: ParityGame) -> Partition:
     """Stuttering bisimilarity: the initial partition is additionally split by owner."""
-    return _gstut_refine(game, _stutter_initial(game, by_owner=True))
+    return _gstut_refine(game, _initial_partition(game, by_owner=True))
 
 
 def _dense_keys(keys: Iterable) -> list[int]:
@@ -420,6 +405,5 @@ def equivalence_from_preorder(relation: VertexRelation) -> Partition:
     if relation.kind != "preorder":
         raise ValueError("kernel is only defined for preorders")
     relation.validate()
-    kernel = relation.intersection(relation.transpose(), kind="equivalence")
-    class_of = [min(iter_bits(kernel.rows[v])) for v in range(relation.universe)]
-    return Partition.from_class_of(relation.universe, class_of)
+    # In a preorder, v and w are equivalent exactly when their up-sets are equal.
+    return Partition.from_class_of(relation.universe, _dense_keys(relation.rows))

@@ -99,6 +99,12 @@ def _round_order(game: ParityGame, a: int, b: int) -> tuple[int, ArenaPlayer, Ar
     return first, mover0, mover1
 
 
+def _first_mover(game: ParityGame, a: int, b: int) -> ArenaPlayer:
+    """Owner of the round's first half move for the pair ``(a, b)``."""
+    first, mover0, mover1 = _round_order(game, a, b)
+    return mover0 if first == 0 else mover1
+
+
 def _expand_all(arena: Arena, expand: Callable[[int, Hashable], None]) -> Arena:
     # Positions appended during expansion are expanded in turn.
     i = 0
@@ -108,20 +114,22 @@ def _expand_all(arena: Arena, expand: Callable[[int, Hashable], None]) -> Arena:
     return arena
 
 
-def build_direct_sim_arena(game: ParityGame) -> Arena:
+def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
     """Arena of the direct simulation game over all vertex pairs.
 
     Configurations with unequal priorities collapse into one losing sink;
     every other configuration is accepting, so Duplicator wins exactly the
-    safety condition of matching priorities forever.
+    safety condition of matching priorities forever.  With ``swap``,
+    Spoiler owns every configuration and first picks which side plays the
+    left role in the round.
     """
     arena = Arena()
 
     def cfg(v: int, w: int) -> int:
         if game.priorities[v] != game.priorities[w]:
             return arena.position(_LOSE, ArenaPlayer.DUPLICATOR)
-        first, mover0, mover1 = _round_order(game, v, w)
-        return arena.position(("cfg", v, w), mover0 if first == 0 else mover1, accepting=True)
+        owner = ArenaPlayer.SPOILER if swap else _first_mover(game, v, w)
+        return arena.position(("cfg", v, w), owner, accepting=True)
 
     for v in game.vertices:
         for w in game.vertices:
@@ -131,48 +139,11 @@ def build_direct_sim_arena(game: ParityGame) -> Arena:
         kind = payload[0]
         if kind == "lose":
             arena.add_edge(pos, pos)
-        elif kind == "cfg":
-            _, v, w = payload
-            first, mover0, mover1 = _round_order(game, v, w)
-            if first == 0:
-                for t in game.successors[v]:
-                    arena.add_edge(pos, arena.position(("mid", t, w, 1), mover1))
-            else:
-                for t in game.successors[w]:
-                    arena.add_edge(pos, arena.position(("mid", v, t, 0), mover0))
-        else:
-            _, a, b, side = payload
-            for u in game.successors[a if side == 0 else b]:
-                nxt = cfg(u, b) if side == 0 else cfg(a, u)
-                arena.add_edge(pos, nxt)
-
-    return _expand_all(arena, expand)
-
-
-def build_governed_bisim_arena(game: ParityGame) -> Arena:
-    """Direct simulation arena with a Spoiler-owned swap choice before each round."""
-    arena = Arena()
-
-    def cfg(v: int, w: int) -> int:
-        if game.priorities[v] != game.priorities[w]:
-            return arena.position(_LOSE, ArenaPlayer.DUPLICATOR)
-        return arena.position(("cfg", v, w), ArenaPlayer.SPOILER, accepting=True)
-
-    for v in game.vertices:
-        for w in game.vertices:
-            cfg(v, w)
-
-    def expand(pos: int, payload: Hashable) -> None:
-        kind = payload[0]
-        if kind == "lose":
-            arena.add_edge(pos, pos)
-        elif kind == "cfg":
+        elif kind == "cfg" and swap:
             _, v, w = payload
             for a, b in ((v, w), (w, v)):
-                first, mover0, mover1 = _round_order(game, a, b)
-                owner = mover0 if first == 0 else mover1
-                arena.add_edge(pos, arena.position(("ori", a, b), owner))
-        elif kind == "ori":
+                arena.add_edge(pos, arena.position(("ori", a, b), _first_mover(game, a, b)))
+        elif kind in ("cfg", "ori"):
             _, a, b = payload
             first, mover0, mover1 = _round_order(game, a, b)
             if first == 0:
@@ -184,10 +155,19 @@ def build_governed_bisim_arena(game: ParityGame) -> Arena:
         else:
             _, a, b, side = payload
             for u in game.successors[a if side == 0 else b]:
-                nxt = cfg(u, b) if side == 0 else cfg(a, u)
-                arena.add_edge(pos, nxt)
+                arena.add_edge(pos, cfg(u, b) if side == 0 else cfg(a, u))
 
     return _expand_all(arena, expand)
+
+
+def build_direct_sim_arena(game: ParityGame) -> Arena:
+    """Arena of the direct simulation game over all vertex pairs."""
+    return _simulation_arena(game, swap=False)
+
+
+def build_governed_bisim_arena(game: ParityGame) -> Arena:
+    """Direct simulation arena with a Spoiler-owned swap choice before each round."""
+    return _simulation_arena(game, swap=True)
 
 
 def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
@@ -201,9 +181,7 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     arena = Arena()
 
     def cfg(v: int, w: int, k: Obligation) -> int:
-        first, mover0, mover1 = _round_order(game, v, w)
-        owner = mover0 if first == 0 else mover1
-        return arena.position(("cfg", v, w, k), owner, accepting=k == CHECK)
+        return arena.position(("cfg", v, w, k), _first_mover(game, v, w), accepting=k == CHECK)
 
     for v in game.vertices:
         for w in game.vertices:
@@ -273,9 +251,7 @@ def build_gstut_arena(game: ParityGame) -> Arena:
             _, v, w, c = payload
             for swap in (0, 1):
                 a, b = (w, v) if swap else (v, w)
-                first, mover0, mover1 = _round_order(game, a, b)
-                owner = mover0 if first == 0 else mover1
-                arena.add_edge(pos, arena.position(("ori", a, b, c, swap), owner))
+                arena.add_edge(pos, arena.position(("ori", a, b, c, swap), _first_mover(game, a, b)))
         elif kind == "ori":
             _, a, b, c, swap = payload
             first, mover0, mover1 = _round_order(game, a, b)
@@ -313,36 +289,39 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     return _expand_all(arena, expand)
 
 
-def _pair_relation_from_arena(game: ParityGame, arena: Arena, initial) -> VertexRelation:
+def _start_positions(game: ParityGame, arena: Arena, *tail: Hashable) -> dict[tuple[int, int], int]:
+    """Position of each pair at the start of a play: ``("cfg", v, w, *tail)``,
+    or the losing sink when the priorities differ."""
+    initial = {}
+    for v in game.vertices:
+        for w in game.vertices:
+            key = ("cfg", v, w, *tail) if game.priorities[v] == game.priorities[w] else _LOSE
+            initial[(v, w)] = arena.index[key]
+    return initial
+
+
+def _pair_relation_from_arena(
+    game: ParityGame, arena: Arena, initial, kind: str = "preorder"
+) -> VertexRelation:
     won = solve_buchi(arena)
     n = game.vertex_count
     rows = [0] * n
     for (v, w), pos in initial.items():
         if pos in won:
             rows[v] |= 1 << w
-    return VertexRelation(n, tuple(rows), "preorder")
+    return VertexRelation(n, tuple(rows), kind)
 
 
 def direct_sim_via_game(game: ParityGame) -> VertexRelation:
     """Pairs from which Duplicator wins the direct simulation game."""
     arena = build_direct_sim_arena(game)
-    initial = {}
-    for v in game.vertices:
-        for w in game.vertices:
-            key = ("cfg", v, w) if game.priorities[v] == game.priorities[w] else _LOSE
-            initial[(v, w)] = arena.index[key]
-    return _pair_relation_from_arena(game, arena, initial)
+    return _pair_relation_from_arena(game, arena, _start_positions(game, arena))
 
 
 def governed_bisim_via_game(game: ParityGame) -> VertexRelation:
     """Winning set of the governed bisimulation game; symmetric by the swap move."""
     arena = build_governed_bisim_arena(game)
-    initial = {}
-    for v in game.vertices:
-        for w in game.vertices:
-            key = ("cfg", v, w) if game.priorities[v] == game.priorities[w] else _LOSE
-            initial[(v, w)] = arena.index[key]
-    return _pair_relation_from_arena(game, arena, initial)
+    return _pair_relation_from_arena(game, arena, _start_positions(game, arena))
 
 
 def delayed_sim(game: ParityGame, bias: str = "none") -> VertexRelation:
@@ -470,27 +449,16 @@ def gstut_via_game(game: ParityGame) -> Partition:
     signals an arena encoding bug and raises.
     """
     arena = build_gstut_arena(game)
-    won = solve_buchi(arena)
-    n = game.vertex_count
-    rows = [0] * n
-    for v in game.vertices:
-        for w in game.vertices:
-            key = (
-                ("cfg", v, w, CHECK)
-                if game.priorities[v] == game.priorities[w]
-                else _LOSE
-            )
-            if arena.index[key] in won:
-                rows[v] |= 1 << w
-    rel = VertexRelation(n, tuple(rows), "equivalence")
+    initial = _start_positions(game, arena, CHECK)
+    rel = _pair_relation_from_arena(game, arena, initial, "equivalence")
     try:
         rel.validate()
     except ValueError as exc:
         raise RuntimeError(
             f"stuttering game winning set is not an equivalence: {exc}"
         ) from exc
-    class_of = [min(iter_bits(rows[v])) for v in game.vertices]
-    return Partition.from_class_of(n, class_of)
+    class_of = [min(iter_bits(rel.rows[v])) for v in game.vertices]
+    return Partition.from_class_of(game.vertex_count, class_of)
 
 
 def coincidence_check(game: ParityGame, notion: str) -> bool:

@@ -3,26 +3,27 @@
 ``solve_zielonka`` computes exact winning regions with the classic recursive
 attractor decomposition.  ``solve_buchi`` solves the explicit two-player
 arenas used for the (bi)simulation games; its nested-attractor layering also
-yields the progress ranks consumed by the well-foundedness checks.
+yields the progress ranks consumed by the well-foundedness checks.  Both use
+the attractor kernel :func:`pgreduce.forcing.attractor_layers`: Zielonka
+counts only the successors inside the current subgame and allows only its
+vertices, the arena solver counts every move and allows every position.
 """
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Hashable
 
+from .forcing import attractor_layers
 from .game import ParityGame, Player, WinningRegions
 
 __all__ = [
     "ArenaPlayer",
     "Arena",
     "solve_zielonka",
-    "winner_equivalent",
     "solve_buchi",
     "buchi_rank",
-    "arena_as_parity_game",
 ]
 
 
@@ -73,44 +74,10 @@ class Arena:
                 raise ValueError(f"arena position {p} ({self.payload[p]!r}) has no moves")
 
 
-def _subgame_attractor(
-    game: ParityGame, player: Player, targets: int, alive: int,
-    preds: tuple[tuple[int, ...], ...],
-) -> int:
-    """Attractor of ``player`` to ``targets`` inside the subgame ``alive``.
-
-    Edges leaving ``alive`` do not exist in the subgame, unlike in the
-    constrained attractor of the forcing module.
-    """
-    attr = targets & alive
-    remaining = [0] * game.vertex_count
-    queue = deque()
-    v_mask = 1
-    for v in game.vertices:
-        if alive >> v & 1:
-            remaining[v] = sum(1 for u in game.successors[v] if alive >> u & 1)
-        if attr >> v & 1:
-            queue.append(v)
-        v_mask <<= 1
-    while queue:
-        u = queue.popleft()
-        for v in preds[u]:
-            if not alive >> v & 1 or attr >> v & 1:
-                continue
-            if game.owners[v] is player:
-                attr |= 1 << v
-                queue.append(v)
-            else:
-                remaining[v] -= 1
-                if remaining[v] == 0:
-                    attr |= 1 << v
-                    queue.append(v)
-    return attr
-
-
 def solve_zielonka(game: ParityGame) -> WinningRegions:
     """Exact winner partition by recursive attractor decomposition."""
     preds = game.predecessors()
+    succ_masks = [sum(1 << u for u in row) for row in game.successors]
     # Each nested call strips at least one vertex, so the depth is bounded
     # by the vertex count; give the interpreter room for larger inputs and
     # restore the caller's limit afterwards.
@@ -119,23 +86,28 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
     def solve(alive: int) -> tuple[int, int]:
         if alive == 0:
             return 0, 0
+
+        # Edges leaving the subgame do not exist in it, unlike in the
+        # constrained attractor of the forcing module.
+        def degree(v: int) -> int:
+            return (succ_masks[v] & alive).bit_count()
+
         p = min(game.priorities[v] for v in game.vertices if alive >> v & 1)
         i = Player(p % 2)
-        top = 0
-        for v in game.vertices:
-            if alive >> v & 1 and game.priorities[v] == p:
-                top |= 1 << v
-        a = _subgame_attractor(game, i, top, alive, preds)
+        o = i.opponent
+        top = [v for v in game.vertices if alive >> v & 1 and game.priorities[v] == p]
+        a = sum(1 << v for v in attractor_layers(game.owners, preds, degree, i, top, alive))
         sub = solve(alive & ~a)
         win = [sub[0], sub[1]]
-        if win[i.opponent] == 0:
+        if win[o] == 0:
             win[i] = alive
-            win[i.opponent] = 0
+            win[o] = 0
         else:
-            b = _subgame_attractor(game, i.opponent, win[i.opponent], alive, preds)
+            lost = [v for v in game.vertices if win[o] >> v & 1]
+            b = sum(1 << v for v in attractor_layers(game.owners, preds, degree, o, lost, alive))
             sub2 = solve(alive & ~b)
             win = [sub2[0], sub2[1]]
-            win[i.opponent] |= b
+            win[o] |= b
         return win[0], win[1]
 
     full = (1 << game.vertex_count) - 1
@@ -149,40 +121,12 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
     return WinningRegions(even, odd)
 
 
-def winner_equivalent(game: ParityGame, v: int, w: int) -> bool:
-    """True iff ``v`` and ``w`` lie in the same winning region."""
-    regions = solve_zielonka(game)
-    return regions.winner(v) == regions.winner(w)
-
-
 def _arena_preds(arena: Arena) -> list[list[int]]:
     preds: list[list[int]] = [[] for _ in range(arena.size)]
     for p, row in enumerate(arena.edges):
         for q in row:
             preds[q].append(p)
     return preds
-
-
-def _duplicator_attractor_layers(
-    arena: Arena, targets: set[int], preds: list[list[int]]
-) -> dict[int, int]:
-    layers = {p: 0 for p in targets}
-    remaining = [len(row) for row in arena.edges]
-    queue = deque(sorted(targets))
-    while queue:
-        q = queue.popleft()
-        for p in preds[q]:
-            if p in layers:
-                continue
-            if arena.owners[p] is ArenaPlayer.DUPLICATOR:
-                layers[p] = layers[q] + 1
-                queue.append(p)
-            else:
-                remaining[p] -= 1
-                if remaining[p] == 0:
-                    layers[p] = layers[q] + 1
-                    queue.append(p)
-    return layers
 
 
 def _cpre_duplicator(arena: Arena, target: set[int]) -> set[int]:
@@ -209,7 +153,11 @@ def solve_buchi(arena: Arena) -> frozenset[int]:
     y = set(range(arena.size))
     while True:
         t = arena.accepting & _cpre_duplicator(arena, y)
-        new_y = set(_duplicator_attractor_layers(arena, t, preds))
+        new_y = set(
+            attractor_layers(
+                arena.owners, preds, lambda p: len(arena.edges[p]), ArenaPlayer.DUPLICATOR, sorted(t)
+            )
+        )
         if new_y == y:
             return frozenset(y)
         y = new_y
@@ -222,24 +170,11 @@ def buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
     from a non-accepting won position the rank strictly decreases, so the
     ranks realise a well-founded progress order towards the acceptance set.
     """
-    preds = _arena_preds(arena)
     t = arena.accepting & _cpre_duplicator(arena, set(won))
-    layers = _duplicator_attractor_layers(arena, t, preds)
+    layers = attractor_layers(
+        arena.owners, _arena_preds(arena), lambda p: len(arena.edges[p]),
+        ArenaPlayer.DUPLICATOR, sorted(t),
+    )
     if set(layers) != set(won):
         raise ValueError("rank queried for positions not won by Duplicator")
     return layers
-
-
-def arena_as_parity_game(arena: Arena) -> ParityGame:
-    """Re-encode a Buchi arena as a parity game (cross-check oracle).
-
-    Accepting positions get priority 0, the rest 1; Duplicator plays even.
-    Duplicator wins the Buchi game from a position iff even wins the parity
-    game from the corresponding vertex.
-    """
-    priorities = tuple(0 if p in arena.accepting else 1 for p in range(arena.size))
-    owners = tuple(
-        Player.EVEN if o is ArenaPlayer.DUPLICATOR else Player.ODD for o in arena.owners
-    )
-    succs = tuple(tuple(sorted(set(row))) for row in arena.edges)
-    return ParityGame(priorities, owners, succs)

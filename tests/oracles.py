@@ -9,7 +9,17 @@ from itertools import product
 
 import networkx as nx
 
-from pgreduce import ParityGame, Partition, Player, QuotientResult, attractor, diverges, steps
+from pgreduce import (
+    Arena,
+    ArenaPlayer,
+    ParityGame,
+    Partition,
+    Player,
+    QuotientResult,
+    attractor,
+    diverges,
+    steps,
+)
 
 
 def strategies(game: ParityGame, player: Player):
@@ -111,6 +121,20 @@ def oracle_winner(game: ParityGame, v: int) -> Player:
             winners.append(player)
     assert len(winners) == 1, f"determinacy violated at {v}: {winners}"
     return winners[0]
+
+
+def arena_as_parity_game(arena: Arena) -> ParityGame:
+    """Re-encode a Buchi arena as a parity game, for a second solver's answer.
+
+    Accepting positions get priority 0, the rest 1; Duplicator plays even.
+    Duplicator wins the Buchi game from a position iff even wins the parity
+    game from the corresponding vertex.
+    """
+    priorities = tuple(0 if p in arena.accepting else 1 for p in range(arena.size))
+    owners = tuple(
+        Player.EVEN if o is ArenaPlayer.DUPLICATOR else Player.ODD for o in arena.owners
+    )
+    return ParityGame(priorities, owners, tuple(tuple(row) for row in arena.edges))
 
 
 # --- Reference stuttering refinement and quotient --------------------------

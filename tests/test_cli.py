@@ -49,6 +49,13 @@ class TestSolve:
         assert code == 1
         assert "no successors" in err
 
+    def test_non_utf8_input_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.gm"
+        path.write_bytes(b"\xff;")
+        code, _, err = run(capsys, "solve", path)
+        assert code == 1
+        assert err.startswith("parse error:")
+
     def test_json_report_is_deterministic(self, capsys, write_fixture):
         path = write_fixture("escape_edge")
         code, out1, _ = run(capsys, "solve", path, "--json")

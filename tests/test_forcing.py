@@ -4,12 +4,10 @@ from hypothesis import strategies as st
 
 from oracles import oracle_diverges, oracle_forces
 from pgreduce import (
-    INFINITY,
     ParityGame,
     Player,
     VertexSet,
     attractor,
-    attractor_rank,
     diverges,
     forces,
     gstut_bisim,
@@ -62,14 +60,6 @@ def test_attractor_idempotent(escape_edge):
     t = vs(escape_edge, 3)
     once = attractor(escape_edge, Player.EVEN, u, t)
     assert attractor(escape_edge, Player.EVEN, u, once) == once
-
-
-def test_attractor_rank(escape_edge):
-    u = full(escape_edge)
-    t = vs(escape_edge, 3)
-    assert attractor_rank(escape_edge, Player.EVEN, u, t, 3) == 0
-    assert attractor_rank(escape_edge, Player.EVEN, u, t, 1) == 1
-    assert attractor_rank(escape_edge, Player.EVEN, u, t, 0) == INFINITY
 
 
 def test_forces_target_membership_is_trivial(escape_edge):

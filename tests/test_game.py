@@ -1,3 +1,7 @@
+import re
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +100,79 @@ def test_serialize_rejects_unrepresentable_labels():
     g = ParityGame((0,), (0,), ((0,),), labels=('a"b',))
     with pytest.raises(ValueError, match="not representable"):
         serialize_pgsolver(g)
+
+
+def test_parse_accepts_start_statement():
+    g = parse_pgsolver("parity 1;\nstart 1;\n0 0 0 1;\n1 1 1 0;\n")
+    assert g == parse_pgsolver("parity 1;\n0 0 0 1;\n1 1 1 0;\n")
+    assert parse_pgsolver("start 0; 0 2 1 0;").priorities == (2,)
+    with pytest.raises(PgSolverFormatError, match="line 2: start vertex 2"):
+        parse_pgsolver("parity 1;\nstart 2;\n0 0 0 1;\n1 1 1 0;\n")
+    with pytest.raises(PgSolverFormatError, match="'start'"):
+        parse_pgsolver("start x;\n0 0 0 0;")
+    with pytest.raises(PgSolverFormatError, match="cannot parse"):
+        parse_pgsolver("0 0 0 0;\nstart 0;")
+
+
+def test_parse_rejects_bytes_that_are_not_utf8():
+    with pytest.raises(PgSolverFormatError, match="UTF-8"):
+        parse_pgsolver(b"\xff;")
+
+
+def test_parse_rejects_numbers_int_cannot_read():
+    for text in ("parity \u00b2;\n0 0 0 0;", "0 0 0 " + "1" * 5000 + ";"):
+        with pytest.raises(PgSolverFormatError):
+            parse_pgsolver(text)
+
+
+def test_parse_rejects_large_header_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PgSolverFormatError, match="vertex 1 has no successors"):
+            parse_pgsolver("parity 1000000;\n0 0 0 0;\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_parse_time_linear_in_unmatched_statement():
+    # A statement that fails to match must not backtrack polynomially.
+    start = time.perf_counter()
+    for text in ("0 0 0" + " " * 3000 + "x;", "0 0 0 " + "1 " * 3000 + "x;"):
+        with pytest.raises(PgSolverFormatError, match="cannot parse"):
+            parse_pgsolver(text)
+    assert time.perf_counter() - start < 2.0
+
+
+_TOKENS = [b"parity ", b"start ", b";", b",", b" ", b"\n", b'"', b"0", b"1", b"\xc2\xb2", b"\xd9\xa3"]
+
+
+def _no_long_numbers(data: bytes) -> bool:
+    # Numbers stay below 10**4, so that no input can allocate much even in
+    # a parser that sizes its tables by the largest id.
+    return re.search(r"\d{5}", data.decode("utf-8", "replace")) is None
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.binary(max_size=4),
+            st.sampled_from(_TOKENS),
+            st.integers(0, 9999).map(lambda i: b"%d" % i),
+        ),
+        max_size=40,
+    )
+    .map(b"".join)
+    .filter(_no_long_numbers)
+)
+@settings(max_examples=500, deadline=None)
+def test_parse_arbitrary_bytes_gives_game_or_format_error(data):
+    try:
+        game = parse_pgsolver(data)
+    except PgSolverFormatError:
+        return
+    assert isinstance(game, ParityGame)
 
 
 def test_serialize_canonical_bytes():

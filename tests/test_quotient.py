@@ -1,6 +1,7 @@
 import pytest
 
 from pgreduce import (
+    EQUIVALENCES,
     ParityGame,
     Player,
     QuotientResult,
@@ -18,9 +19,11 @@ from pgreduce import (
     quotient_stut,
     random_game,
     serialize_class_map,
+    serialize_pgsolver,
     verify_preservation,
 )
 from fixture_games import CYCLE_VS_LOOP
+from pgreduce.cli import main
 
 
 class TestExtremalSuccessors:
@@ -191,3 +194,21 @@ def test_preservation_random_all_kinds():
 def test_serialize_class_map(fake_divergence):
     result = quotient_gstut(fake_divergence)
     assert serialize_class_map(result) == b"0 0\n1 0\n2 1\n3 0\n4 0\n"
+
+
+def test_one_registry_names_every_equivalence(escape_edge, capsys, tmp_path):
+    # The CLI's supported list, the quotient kinds and the kinds that
+    # quotient_equivalent accepts are all the registry's keys.
+    path = tmp_path / "g.gm"
+    path.write_bytes(serialize_pgsolver(escape_edge))
+    argv = ["minimize", str(path), "--equiv", "weak", "--out", "q", "--map", "m"]
+    assert main(argv) == 1
+    supported = capsys.readouterr().err.rstrip().split("supported: ")[1].split(", ")
+    assert supported == sorted(EQUIVALENCES)
+    for name, equivalence in EQUIVALENCES.items():
+        result = equivalence.quotient(escape_edge)
+        assert result.kind == name
+        assert quotient_equivalent(escape_edge, result)
+        assert result.class_map == equivalence.partition(escape_edge).class_of
+    with pytest.raises(ValueError, match="unknown quotient kind"):
+        quotient_equivalent(escape_edge, QuotientResult(escape_edge, (0, 1, 2, 3), "weak"))

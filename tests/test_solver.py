@@ -2,20 +2,18 @@ import sys
 
 import pytest
 
-from oracles import oracle_winner
+from oracles import arena_as_parity_game, oracle_winner
 from pgreduce import (
     Arena,
     ArenaPlayer,
     ParityGame,
     Player,
-    arena_as_parity_game,
     buchi_rank,
     build_delayed_sim_arena,
     build_gstut_arena,
     random_game,
     solve_buchi,
     solve_zielonka,
-    winner_equivalent,
 )
 
 D = ArenaPlayer.DUPLICATOR
@@ -54,17 +52,6 @@ def test_regions_partition(random_corpus):
         regions = solve_zielonka(game)
         assert regions.won_by_even | regions.won_by_odd == set(game.vertices)
         assert not regions.won_by_even & regions.won_by_odd
-
-
-def test_winner_equivalent(escape_edge, delayed_chain):
-    assert winner_equivalent(escape_edge, 0, 0)
-    assert winner_equivalent(escape_edge, 0, 2)
-    assert not winner_equivalent(escape_edge, 0, 1)
-    assert all(
-        winner_equivalent(delayed_chain, v, w)
-        for v in delayed_chain.vertices
-        for w in delayed_chain.vertices
-    )
 
 
 def test_zielonka_agrees_with_strategy_enumeration():
