@@ -17,6 +17,8 @@ validated against the coinductive fixpoints by ``coincidence_check``.
 """
 from __future__ import annotations
 
+from collections import deque
+from itertools import product
 from typing import Callable, Hashable
 
 from .game import ParityGame, Player, reward_leq
@@ -89,6 +91,12 @@ _UPDATERS: dict[str, Callable[[int, int, Obligation], Obligation]] = {
     "even": gamma_even,
     "odd": gamma_odd,
 }
+
+
+def _updater(bias: str) -> Callable[[int, int, Obligation], Obligation]:
+    if bias not in _UPDATERS:
+        raise ValueError(f"unknown bias {bias!r}; expected one of none, even, odd")
+    return _UPDATERS[bias]
 
 
 def _round_order(game: ParityGame, a: int, b: int) -> tuple[int, ArenaPlayer, ArenaPlayer]:
@@ -177,7 +185,7 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     Only configurations reachable from the query positions (v, w, γ(v,w,✓))
     are materialised.
     """
-    update = _UPDATERS[bias]
+    update = _updater(bias)
     arena = Arena()
 
     def cfg(v: int, w: int, k: Obligation) -> int:
@@ -326,7 +334,7 @@ def governed_bisim_via_game(game: ParityGame) -> VertexRelation:
 
 def delayed_sim(game: ParityGame, bias: str = "none") -> VertexRelation:
     """Delayed simulation preorder: Duplicator wins from (v, w, γ(v, w, ✓))."""
-    update = _UPDATERS[bias]
+    update = _updater(bias)
     arena = build_delayed_sim_arena(game, bias)
     initial = {}
     for v in game.vertices:
@@ -370,33 +378,51 @@ def _delayed_transfer(
 def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation:
     """Delayed simulation computed directly on obligation triples.
 
-    Double fixpoint over (v, w, k): the outer greatest fixpoint keeps the
-    triples Duplicator can sustain forever, the inner least fixpoint demands
-    finite progress towards a ✓ obligation, exactly the well-founded
-    formulation.  Independent of the arena encoding, which it cross-checks.
+    Double fixpoint over (v, w, k): the outer greatest fixpoint ``y`` keeps
+    the triples Duplicator can sustain forever, the inner least fixpoint
+    ``x`` demands finite progress towards a ✓ obligation, exactly the
+    well-founded formulation of ``_delayed_transfer``.  Worklist invariants:
+    a round evaluates only triples in ``y`` (``x`` is monotone in ``y``, so
+    ``x ⊆ y``); a triple (v, w, k) with k ≠ ✓ joining ``x`` re-queues only
+    its readers (a, b, kk) with a ∈ pred(v), b ∈ pred(w) and
+    update(p(v), p(w), kk) = k; a ✓-triple wakes nobody, as transfers read
+    ``y`` at ✓.  No arena, Buchi solver or attractor enters this route, so
+    it checks the arena encoding of ``delayed_sim`` independently.
     """
-    update = _UPDATERS[bias]
-    obligations: list[Obligation] = [CHECK] + sorted(set(game.priorities))
-    triples = [
-        (v, w, k) for v in game.vertices for w in game.vertices for k in obligations
-    ]
+    update = _updater(bias)
+    prio = game.priorities
+    obligations: list[Obligation] = [CHECK] + sorted(set(prio))
+    preds = game.predecessors()
+    # (p(v), p(w), k) -> the obligations kk whose update lands on k.
+    sources: dict[tuple[int, int, Obligation], list[Obligation]] = {}
+    for pv, pw, kk in product(set(prio), set(prio), obligations):
+        sources.setdefault((pv, pw, update(pv, pw, kk)), []).append(kk)
+    triples = list(product(game.vertices, game.vertices, obligations))
     y = set(triples)
     while True:
         x: set[tuple[int, int, Obligation]] = set()
-        grew = True
-        while grew:
-            grew = False
-            for t in triples:
-                if t in x:
-                    continue
-                v, w, k = t
 
-                def member(vp: int, wp: int, kp: Obligation) -> bool:
-                    return (vp, wp, kp) in (y if kp == CHECK else x)
+        def member(vp: int, wp: int, kp: Obligation) -> bool:
+            return (vp, wp, kp) in (y if kp == CHECK else x)
 
-                if _delayed_transfer(game, update, v, w, k, member):
-                    x.add(t)
-                    grew = True
+        todo = deque(t for t in triples if t in y)
+        queued = set(todo)
+        while todo:
+            t = todo.popleft()
+            queued.discard(t)
+            v, w, k = t
+            if not _delayed_transfer(game, update, v, w, k, member):
+                continue
+            x.add(t)
+            if k == CHECK:
+                continue
+            for kk in sources.get((prio[v], prio[w], k), ()):
+                for a in preds[v]:
+                    for b in preds[w]:
+                        r = (a, b, kk)
+                        if r in y and r not in x and r not in queued:
+                            queued.add(r)
+                            todo.append(r)
         if x == y:
             break
         y = x
@@ -404,8 +430,7 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation
     rows = [0] * n
     for v in game.vertices:
         for w in game.vertices:
-            k0 = update(game.priorities[v], game.priorities[w], CHECK)
-            if (v, w, k0) in y:
+            if (v, w, update(prio[v], prio[w], CHECK)) in y:
                 rows[v] |= 1 << w
     return VertexRelation(n, tuple(rows), "preorder")
 
@@ -418,7 +443,7 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
     a pending obligation moves to related configurations of strictly
     smaller rank until a ✓ is reached.
     """
-    update = _UPDATERS[bias]
+    update = _updater(bias)
     arena = build_delayed_sim_arena(game, bias)
     won = solve_buchi(arena)
     ranks = buchi_rank(arena, won)

@@ -2,9 +2,10 @@
 
 ``solve_zielonka`` computes exact winning regions with the classic recursive
 attractor decomposition.  ``solve_buchi`` solves the explicit two-player
-arenas used for the (bi)simulation games; its nested-attractor layering also
-yields the progress ranks consumed by the well-foundedness checks.  Both use
-the attractor kernel :func:`pgreduce.forcing.attractor_layers`: Zielonka
+arenas used for the (bi)simulation games; its one-step predecessor visits
+the accepting positions only, and its nested-attractor layering also yields
+the progress ranks consumed by the well-foundedness checks.  Both use the
+attractor kernel :func:`pgreduce.forcing.attractor_layers`: Zielonka
 counts only the successors inside the current subgame and allows only its
 vertices, the arena solver counts every move and allows every position.
 """
@@ -130,9 +131,11 @@ def _arena_preds(arena: Arena) -> list[list[int]]:
 
 
 def _cpre_duplicator(arena: Arena, target: set[int]) -> set[int]:
-    """Positions from which Duplicator forces entering ``target`` in one move."""
+    """Accepting positions in ``target`` from which Duplicator forces
+    re-entering ``target`` in one move."""
     out = set()
-    for p, row in enumerate(arena.edges):
+    for p in arena.accepting & target:
+        row = arena.edges[p]
         if arena.owners[p] is ArenaPlayer.DUPLICATOR:
             if any(q in target for q in row):
                 out.add(p)
@@ -152,7 +155,7 @@ def solve_buchi(arena: Arena) -> frozenset[int]:
     preds = _arena_preds(arena)
     y = set(range(arena.size))
     while True:
-        t = arena.accepting & _cpre_duplicator(arena, y)
+        t = _cpre_duplicator(arena, y)
         new_y = set(
             attractor_layers(
                 arena.owners, preds, lambda p: len(arena.edges[p]), ArenaPlayer.DUPLICATOR, sorted(t)
@@ -170,7 +173,7 @@ def buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
     from a non-accepting won position the rank strictly decreases, so the
     ranks realise a well-founded progress order towards the acceptance set.
     """
-    t = arena.accepting & _cpre_duplicator(arena, set(won))
+    t = _cpre_duplicator(arena, set(won))
     layers = attractor_layers(
         arena.owners, _arena_preds(arena), lambda p: len(arena.edges[p]),
         ArenaPlayer.DUPLICATOR, sorted(t),

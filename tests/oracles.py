@@ -2,8 +2,9 @@
 
 The winner and forcing oracles enumerate memoryless strategies explicitly
 and evaluate plays on the strategy-restricted graph, so a bug in the
-attractor or in the Zielonka recursion cannot hide in them.  The stuttering
-references at the end keep the library's earlier, direct constructions.
+attractor or in the Zielonka recursion cannot hide in them.  The stuttering,
+delayed-simulation and Buchi references at the end keep the library's
+earlier, direct constructions.
 """
 from itertools import product
 
@@ -16,10 +17,13 @@ from pgreduce import (
     Partition,
     Player,
     QuotientResult,
+    VertexRelation,
     attractor,
     diverges,
     steps,
 )
+from pgreduce.forcing import attractor_layers
+from pgreduce.simgames import CHECK, _UPDATERS, _delayed_transfer
 
 
 def strategies(game: ParityGame, player: Player):
@@ -226,3 +230,89 @@ def oracle_quotient_stut(game: ParityGame) -> QuotientResult:
     owners = tuple(game.owners[next(iter(cls))] for cls in part.classes)
     quotient = ParityGame(base.quotient.priorities, owners, base.quotient.successors)
     return QuotientResult(quotient, base.class_map, "stut")
+
+
+# --- Reference delayed-simulation fixpoint and Buchi solver ----------------
+#
+# Direct constructions: every inner round re-evaluates every obligation
+# triple, and the one-step predecessor walks every arena position.  The
+# library's worklist fixpoint and accepting-only predecessor step must agree
+# with them exactly.
+
+
+def oracle_delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation:
+    """Double fixpoint over (v, w, k), rescanning all triples until stable."""
+    update = _UPDATERS[bias]
+    obligations = [CHECK] + sorted(set(game.priorities))
+    triples = [(v, w, k) for v in game.vertices for w in game.vertices for k in obligations]
+    y = set(triples)
+    while True:
+        x: set = set()
+        grew = True
+        while grew:
+            grew = False
+            for t in triples:
+                if t in x:
+                    continue
+                v, w, k = t
+
+                def member(vp, wp, kp):
+                    return (vp, wp, kp) in (y if kp == CHECK else x)
+
+                if _delayed_transfer(game, update, v, w, k, member):
+                    x.add(t)
+                    grew = True
+        if x == y:
+            break
+        y = x
+    n = game.vertex_count
+    rows = [0] * n
+    for v in game.vertices:
+        for w in game.vertices:
+            if (v, w, update(game.priorities[v], game.priorities[w], CHECK)) in y:
+                rows[v] |= 1 << w
+    return VertexRelation(n, tuple(rows), "preorder")
+
+
+def _oracle_arena_preds(arena: Arena) -> list[list[int]]:
+    preds: list[list[int]] = [[] for _ in range(arena.size)]
+    for p, row in enumerate(arena.edges):
+        for q in row:
+            preds[q].append(p)
+    return preds
+
+
+def _oracle_cpre_duplicator(arena: Arena, target: set[int]) -> set[int]:
+    """Every position from which Duplicator forces entering ``target`` in one move."""
+    out = set()
+    for p, row in enumerate(arena.edges):
+        if arena.owners[p] is ArenaPlayer.DUPLICATOR:
+            if any(q in target for q in row):
+                out.add(p)
+        elif row and all(q in target for q in row):
+            out.add(p)
+    return out
+
+
+def _oracle_duplicator_layers(arena: Arena, targets: set[int]) -> dict[int, int]:
+    return attractor_layers(
+        arena.owners, _oracle_arena_preds(arena), lambda p: len(arena.edges[p]),
+        ArenaPlayer.DUPLICATOR, sorted(targets),
+    )
+
+
+def oracle_solve_buchi(arena: Arena) -> frozenset[int]:
+    arena.validate()
+    y = set(range(arena.size))
+    while True:
+        new_y = set(_oracle_duplicator_layers(arena, arena.accepting & _oracle_cpre_duplicator(arena, y)))
+        if new_y == y:
+            return frozenset(y)
+        y = new_y
+
+
+def oracle_buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
+    layers = _oracle_duplicator_layers(arena, arena.accepting & _oracle_cpre_duplicator(arena, set(won)))
+    if set(layers) != set(won):
+        raise ValueError("rank queried for positions not won by Duplicator")
+    return layers

@@ -1,5 +1,8 @@
 import pytest
 
+import pgreduce.simgames
+from conftest import small_random_games
+from oracles import oracle_delayed_sim_fixpoint
 from pgreduce import (
     CHECK,
     ParityGame,
@@ -254,3 +257,37 @@ def test_biased_gap_fixture(biased_gap, delayed_chain):
     assert kernel(delayed_chain, "even").class_count == 1
     assert kernel(delayed_chain, "odd").class_count == 3
     assert kernel(delayed_chain, "none").class_count == 1
+
+
+@pytest.mark.parametrize(
+    "call", [delayed_sim, delayed_sim_fixpoint, wf_rank_check, build_delayed_sim_arena]
+)
+def test_unknown_bias_rejected(escape_edge, call):
+    with pytest.raises(ValueError, match="'bogus'.*none, even, odd"):
+        call(escape_edge, "bogus")
+
+
+@pytest.mark.parametrize("bias", ["none", "even", "odd"])
+def test_delayed_fixpoint_matches_reference(bias):
+    small = small_random_games(300, max_n=12, max_priority=4, start_n=2)
+    # The benchmark's crosscheck tail, where the reference needs the most rounds.
+    tail = [random_game(n, 3, (1, 3), 500 + i) for i, n in enumerate(range(12, 23, 2))]
+    for i, game in enumerate(small + tail):
+        assert delayed_sim_fixpoint(game, bias).rows == oracle_delayed_sim_fixpoint(game, bias).rows, i
+
+
+def test_delayed_fixpoint_evaluation_count(monkeypatch):
+    calls = 0
+    original = pgreduce.simgames._delayed_transfer
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(pgreduce.simgames, "_delayed_transfer", counting)
+    game = random_game(50, 5, (1, 3), 1)
+    delayed_sim_fixpoint(game, "none")
+    triples = game.vertex_count ** 2 * (1 + len(set(game.priorities)))
+    # The full-rescan reference evaluates each triple about 56 times here.
+    assert calls <= 10 * triples

@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from oracles import arena_as_parity_game, oracle_winner
+from conftest import small_random_games
+from oracles import arena_as_parity_game, oracle_buchi_rank, oracle_solve_buchi, oracle_winner
 from pgreduce import (
     Arena,
     ArenaPlayer,
@@ -10,6 +11,8 @@ from pgreduce import (
     Player,
     buchi_rank,
     build_delayed_sim_arena,
+    build_direct_sim_arena,
+    build_governed_bisim_arena,
     build_gstut_arena,
     random_game,
     solve_buchi,
@@ -133,6 +136,26 @@ def test_buchi_ranks_decrease_along_duplicator_strategy(random_corpus):
             else:
                 assert all(q in won for q in arena.edges[p])
                 assert all(r < ranks[p] for r in succ_ranks)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_direct_sim_arena,
+        build_governed_bisim_arena,
+        lambda g: build_delayed_sim_arena(g, "none"),
+        lambda g: build_delayed_sim_arena(g, "even"),
+        lambda g: build_delayed_sim_arena(g, "odd"),
+        build_gstut_arena,
+    ],
+    ids=["direct", "governed", "delayed", "delayed_even", "delayed_odd", "gstut"],
+)
+def test_buchi_matches_reference(build):
+    for i, game in enumerate(small_random_games(150, max_n=10, max_priority=3, start_n=2)):
+        arena = build(game)
+        won = solve_buchi(arena)
+        assert won == oracle_solve_buchi(arena), i
+        assert buchi_rank(arena, won) == oracle_buchi_rank(arena, won), i
 
 
 def test_arena_validate_rejects_dead_positions():
