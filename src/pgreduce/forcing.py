@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """An immutable subset of ``0..universe-1`` with bit-set semantics."""
@@ -63,11 +71,7 @@ class VertexSet:
         return 0 <= v < self.universe and self.mask >> v & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter_bits(self.mask)
 
     def __len__(self) -> int:
         return self.count

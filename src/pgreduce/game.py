@@ -167,6 +167,22 @@ def _number(text: str, at: int) -> int:
         raise PgSolverFormatError(f"malformed number {text[:20]!r}", at) from None
 
 
+def _split_statements(text: str) -> list[tuple[str, int]]:
+    """The ``;``-terminated statements, each without its leading whitespace
+    and with the line of its first non-blank character.  Text after the last
+    ``;`` must be blank."""
+    statements = []
+    line = 1
+    for chunk in text.split(";"):
+        stmt = chunk.lstrip()
+        statements.append((stmt, line + chunk.count("\n", 0, len(chunk) - len(stmt))))
+        line += chunk.count("\n")
+    tail, at = statements.pop()
+    if tail:
+        raise PgSolverFormatError("missing ';' at end of input", at)
+    return statements
+
+
 def parse_pgsolver(text: bytes | str) -> ParityGame:
     """Parse PGSolver format into a game.
 
@@ -183,25 +199,7 @@ def parse_pgsolver(text: bytes | str) -> ParityGame:
         except UnicodeDecodeError as exc:
             raise PgSolverFormatError(f"input is not UTF-8 text: {exc.reason}") from None
 
-    # Statements end at ';'; remember the line each one starts on.
-    statements: list[tuple[str, int]] = []
-    line = 1
-    buf: list[str] = []
-    buf_line = 1
-    for ch in text:
-        if ch == ";":
-            statements.append(("".join(buf), buf_line))
-            buf = []
-            buf_line = line
-        else:
-            if ch == "\n":
-                line += 1
-            if not buf and ch.isspace():
-                buf_line = line
-                continue
-            buf.append(ch)
-    if "".join(buf).strip():
-        raise PgSolverFormatError("missing ';' at end of input", buf_line)
+    statements = _split_statements(text)
 
     max_id: int | None = None
     start: tuple[int, int] | None = None

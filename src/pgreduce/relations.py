@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .forcing import VertexSet, attractor
+from .forcing import VertexSet, attractor, iter_bits
 from .game import ParityGame, Player
 
 __all__ = [
@@ -239,13 +239,6 @@ def governed_bisim(game: ParityGame) -> Partition:
 def strong_bisim(game: ParityGame) -> Partition:
     """Governed bisimulation restricted to same-owner pairs."""
     return _symmetric_direct_sim_partition(game, by_owner=True)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _sign_class(

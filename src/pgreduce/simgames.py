@@ -21,8 +21,9 @@ from collections import deque
 from itertools import product
 from typing import Callable, Hashable
 
+from .forcing import iter_bits
 from .game import ParityGame, Player, reward_leq
-from .relations import Partition, VertexRelation, gstut_bisim, iter_bits
+from .relations import Partition, VertexRelation, gstut_bisim
 from .solver import Arena, ArenaPlayer, buchi_rank, solve_buchi
 
 __all__ = [

@@ -1,22 +1,22 @@
 """Parity and Buchi game solving.
 
-``solve_zielonka`` computes exact winning regions with the classic recursive
-attractor decomposition.  ``solve_buchi`` solves the explicit two-player
-arenas used for the (bi)simulation games; its one-step predecessor visits
-the accepting positions only, and its nested-attractor layering also yields
-the progress ranks consumed by the well-foundedness checks.  Both use the
+``solve_zielonka`` computes exact winning regions with Zielonka's attractor
+decomposition, run on an explicit stack over one bitmask per priority.
+``solve_buchi`` solves the explicit two-player arenas used for the
+(bi)simulation games; its one-step predecessor visits the accepting
+positions only, and its nested-attractor layering also yields the progress
+ranks consumed by the well-foundedness checks.  Both use the
 attractor kernel :func:`pgreduce.forcing.attractor_layers`: Zielonka
 counts only the successors inside the current subgame and allows only its
 vertices, the arena solver counts every move and allows every position.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Hashable
 
-from .forcing import attractor_layers
+from .forcing import attractor_layers, iter_bits
 from .game import ParityGame, Player, WinningRegions
 
 __all__ = [
@@ -76,50 +76,65 @@ class Arena:
 
 
 def solve_zielonka(game: ParityGame) -> WinningRegions:
-    """Exact winner partition by recursive attractor decomposition."""
+    """Exact winner partition by Zielonka's attractor decomposition.
+
+    The recursion runs on an explicit stack, so its depth is bounded by
+    memory, not by the interpreter's recursion limit, and no call scans
+    the vertices.  A frame ``(alive, cursor, player, owed)`` waits for the
+    subgame left after ``player``'s attractor to the lowest priority of
+    ``alive``; ``owed`` holds the vertices its earlier tail calls gave to
+    each player.  ``cursor`` indexes the per-priority masks and only moves
+    forward, because no subgame holds a priority below its parent's lowest.
+    """
     preds = game.predecessors()
     succ_masks = [sum(1 << u for u in row) for row in game.successors]
-    # Each nested call strips at least one vertex, so the depth is bounded
-    # by the vertex count; give the interpreter room for larger inputs and
-    # restore the caller's limit afterwards.
-    limit = sys.getrecursionlimit()
+    levels = sorted(set(game.priorities))
+    rank = {p: k for k, p in enumerate(levels)}
+    masks = [0] * len(levels)
+    for v, p in enumerate(game.priorities):
+        masks[rank[p]] |= 1 << v
 
-    def solve(alive: int) -> tuple[int, int]:
-        if alive == 0:
-            return 0, 0
-
+    def attract(player: Player, targets: int, alive: int) -> int:
         # Edges leaving the subgame do not exist in it, unlike in the
         # constrained attractor of the forcing module.
         def degree(v: int) -> int:
             return (succ_masks[v] & alive).bit_count()
 
-        p = min(game.priorities[v] for v in game.vertices if alive >> v & 1)
-        i = Player(p % 2)
-        o = i.opponent
-        top = [v for v in game.vertices if alive >> v & 1 and game.priorities[v] == p]
-        a = sum(1 << v for v in attractor_layers(game.owners, preds, degree, i, top, alive))
-        sub = solve(alive & ~a)
-        win = [sub[0], sub[1]]
-        if win[o] == 0:
-            win[i] = alive
-            win[o] = 0
-        else:
-            lost = [v for v in game.vertices if win[o] >> v & 1]
-            b = sum(1 << v for v in attractor_layers(game.owners, preds, degree, o, lost, alive))
-            sub2 = solve(alive & ~b)
-            win = [sub2[0], sub2[1]]
-            win[o] |= b
-        return win[0], win[1]
+        out = 0
+        for v in attractor_layers(game.owners, preds, degree, player, iter_bits(targets), alive):
+            out |= 1 << v
+        return out
 
-    full = (1 << game.vertex_count) - 1
-    sys.setrecursionlimit(max(limit, 2 * game.vertex_count + 100))
-    try:
-        even_mask, odd_mask = solve(full)
-    finally:
-        sys.setrecursionlimit(limit)
-    even = frozenset(v for v in game.vertices if even_mask >> v & 1)
-    odd = frozenset(v for v in game.vertices if odd_mask >> v & 1)
-    return WinningRegions(even, odd)
+    frames: list[tuple[int, int, Player, list[int]]] = []
+    alive = (1 << game.vertex_count) - 1
+    cursor = 0
+    owed = [0, 0]
+    while True:
+        # Descend: peel the lowest priority's attractor off each subgame.
+        while alive:
+            while not masks[cursor] & alive:
+                cursor += 1
+            i = Player(levels[cursor] % 2)
+            a = attract(i, masks[cursor] & alive, alive)
+            frames.append((alive, cursor, i, owed))
+            alive &= ~a
+            owed = [0, 0]
+        won = owed
+        # Ascend: a frame whose opponent won nothing below is won by its
+        # player; otherwise it continues on the rest, owing ``b``.
+        while frames:
+            alive, cursor, i, owed = frames.pop()
+            o = i.opponent
+            if not won[o]:
+                owed[i] |= alive
+                won = owed
+                continue
+            b = attract(o, won[o], alive)
+            owed[o] |= b
+            alive &= ~b
+            break
+        else:
+            return WinningRegions(frozenset(iter_bits(won[0])), frozenset(iter_bits(won[1])))
 
 
 def _arena_preds(arena: Arena) -> list[list[int]]:

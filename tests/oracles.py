@@ -3,8 +3,8 @@
 The winner and forcing oracles enumerate memoryless strategies explicitly
 and evaluate plays on the strategy-restricted graph, so a bug in the
 attractor or in the Zielonka recursion cannot hide in them.  The stuttering,
-delayed-simulation and Buchi references at the end keep the library's
-earlier, direct constructions.
+delayed-simulation, Buchi, Zielonka and parser references at the end keep
+the library's earlier, direct constructions.
 """
 from itertools import product
 
@@ -15,9 +15,11 @@ from pgreduce import (
     ArenaPlayer,
     ParityGame,
     Partition,
+    PgSolverFormatError,
     Player,
     QuotientResult,
     VertexRelation,
+    WinningRegions,
     attractor,
     diverges,
     steps,
@@ -316,3 +318,75 @@ def oracle_buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
     if set(layers) != set(won):
         raise ValueError("rank queried for positions not won by Duplicator")
     return layers
+
+
+# --- Reference Zielonka solver ---------------------------------------------
+#
+# The recursive form: every call scans all vertices for its lowest priority
+# and for the targets of both attractors.  Its depth grows with the vertex
+# count, which the interpreter's default limit covers on the games it is
+# compared on.  The library's explicit-stack solver must make the same
+# attractor calls, in the same order, and return the same regions.
+
+
+def oracle_solve_zielonka(game: ParityGame) -> WinningRegions:
+    preds = game.predecessors()
+    succ_masks = [sum(1 << u for u in row) for row in game.successors]
+
+    def solve(alive: int) -> tuple[int, int]:
+        if alive == 0:
+            return 0, 0
+
+        def degree(v: int) -> int:
+            return (succ_masks[v] & alive).bit_count()
+
+        p = min(game.priorities[v] for v in game.vertices if alive >> v & 1)
+        i = Player(p % 2)
+        o = i.opponent
+        top = [v for v in game.vertices if alive >> v & 1 and game.priorities[v] == p]
+        a = sum(1 << v for v in attractor_layers(game.owners, preds, degree, i, top, alive))
+        sub = solve(alive & ~a)
+        win = [sub[0], sub[1]]
+        if win[o] == 0:
+            win[i] = alive
+            win[o] = 0
+        else:
+            lost = [v for v in game.vertices if win[o] >> v & 1]
+            b = sum(1 << v for v in attractor_layers(game.owners, preds, degree, o, lost, alive))
+            sub2 = solve(alive & ~b)
+            win = [sub2[0], sub2[1]]
+            win[o] |= b
+        return win[0], win[1]
+
+    even_mask, odd_mask = solve((1 << game.vertex_count) - 1)
+    even = frozenset(v for v in game.vertices if even_mask >> v & 1)
+    odd = frozenset(v for v in game.vertices if odd_mask >> v & 1)
+    return WinningRegions(even, odd)
+
+
+# --- Reference PGSolver statement splitter ----------------------------------
+#
+# The per-character loop: it tracks the line while it reads, and a
+# statement's line is that of its first non-blank character.
+
+
+def oracle_split_statements(text: str) -> list[tuple[str, int]]:
+    statements: list[tuple[str, int]] = []
+    line = 1
+    buf: list[str] = []
+    buf_line = 1
+    for ch in text:
+        if ch == ";":
+            statements.append(("".join(buf), buf_line))
+            buf = []
+            buf_line = line
+        else:
+            if ch == "\n":
+                line += 1
+            if not buf and ch.isspace():
+                buf_line = line
+                continue
+            buf.append(ch)
+    if "".join(buf).strip():
+        raise PgSolverFormatError("missing ';' at end of input", buf_line)
+    return statements

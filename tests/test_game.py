@@ -1,3 +1,4 @@
+import random
 import re
 import time
 import tracemalloc
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgreduce.game as game_module
+from oracles import oracle_split_statements
 from pgreduce import (
     ParityGame,
     PgSolverFormatError,
@@ -173,6 +176,57 @@ def test_parse_arbitrary_bytes_gives_game_or_format_error(data):
     except PgSolverFormatError:
         return
     assert isinstance(game, ParityGame)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except PgSolverFormatError as exc:
+        return ("error", str(exc), exc.line)
+
+
+def _assert_splitter_matches_reference(text):
+    """The statements, or the error, and the parse result, or its error, are
+    those of the per-character splitter."""
+    assert _outcome(game_module._split_statements, text) == _outcome(oracle_split_statements, text)
+    ours = _outcome(parse_pgsolver, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game_module, "_split_statements", oracle_split_statements)
+        assert ours == _outcome(parse_pgsolver, text)
+
+
+_TEXT_TOKENS = [
+    "parity ", "start ", ";", ";", ",", " ", "\n", "\n", "\t", "\r", "\x0b", "\x85", "\u2028", '"',
+    "0", "1", "2", "x",
+]
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_TEXT_TOKENS), st.integers(0, 20).map(str), st.text(max_size=2)),
+        max_size=40,
+    ).map("".join)
+)
+@settings(max_examples=300, deadline=None)
+def test_statement_splitter_matches_reference(text):
+    _assert_splitter_matches_reference(text)
+
+
+def test_statement_splitter_matches_reference_on_mutated_games():
+    rng = random.Random(5)
+    for seed in range(3000):
+        n = rng.randint(1, 8)
+        text = serialize_pgsolver(random_game(n, rng.randint(0, 5), (1, min(3, n)), seed)).decode()
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:at] + rng.choice(_TEXT_TOKENS) + text[at:]
+            elif edit == 1:
+                text = text[:at] + text[at + rng.randint(1, 4):]
+            else:
+                text = text[:at] + rng.choice(_TEXT_TOKENS) + text[at + 1:]
+        _assert_splitter_matches_reference(text)
 
 
 def test_serialize_canonical_bytes():

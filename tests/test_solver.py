@@ -2,8 +2,16 @@ import sys
 
 import pytest
 
+import oracles
+import pgreduce.solver as solver_module
 from conftest import small_random_games
-from oracles import arena_as_parity_game, oracle_buchi_rank, oracle_solve_buchi, oracle_winner
+from oracles import (
+    arena_as_parity_game,
+    oracle_buchi_rank,
+    oracle_solve_buchi,
+    oracle_solve_zielonka,
+    oracle_winner,
+)
 from pgreduce import (
     Arena,
     ArenaPlayer,
@@ -31,12 +39,68 @@ def test_single_even_self_loop():
 
 
 def test_recursion_limit_restored():
-    # Big enough that the solver raises the limit; one priority solves fast.
+    # As many vertices as the recursion limit; one priority solves fast.
     n = sys.getrecursionlimit()
     g = ParityGame((0,) * n, (Player.ODD,) * n, tuple(((v + 1) % n,) for v in range(n)))
     before = sys.getrecursionlimit()
     assert solve_zielonka(g).won_by_even == frozenset(range(n))
     assert sys.getrecursionlimit() == before
+
+
+def _chain_loop(n):
+    """Vertex ``i`` has priority ``i``, owner ``i mod 2`` and edges to itself
+    and to ``i + 1``; its owner wins it by staying."""
+    return ParityGame(
+        tuple(range(n)), tuple(i % 2 for i in range(n)), tuple((i, min(i + 1, n - 1)) for i in range(n))
+    )
+
+
+def _self_loops(n):
+    return ParityGame(tuple(range(n)), tuple(i % 2 for i in range(n)), tuple((i,) for i in range(n)))
+
+
+def test_solver_leaves_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("solve_zielonka changed the recursion limit")
+
+    n = sys.getrecursionlimit() + 200
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    regions = solve_zielonka(_chain_loop(n))
+    assert regions.won_by_even == frozenset(range(0, n, 2))
+    assert regions.won_by_odd == frozenset(range(1, n, 2))
+
+
+def _zielonka_corpus():
+    games = [
+        random_game(n, max_priority, (1, min(3, n)), 1000 * n + max_priority)
+        for n in range(1, 61)
+        for max_priority in (2, 5, n)
+    ]
+    games += [_chain_loop(n) for n in range(1, 41, 3)]
+    games += [_self_loops(n) for n in range(1, 41, 3)]
+    return games
+
+
+def test_zielonka_matches_reference(monkeypatch):
+    """Same regions and the same attractor calls, in order, as the recursive form."""
+    original = solver_module.attractor_layers
+    calls = []
+
+    def recording(owners, preds, degree, player, targets, allowed=None):
+        targets = list(targets)
+        calls.append((player, tuple(targets), allowed))
+        return original(owners, preds, degree, player, targets, allowed)
+
+    monkeypatch.setattr(solver_module, "attractor_layers", recording)
+    monkeypatch.setattr(oracles, "attractor_layers", recording)
+    for k, game in enumerate(_zielonka_corpus()):
+        calls.clear()
+        regions = solve_zielonka(game)
+        ours = list(calls)
+        calls.clear()
+        assert regions == oracle_solve_zielonka(game), k
+        assert ours == calls, k
+        assert all(list(targets) == sorted(targets) for _, targets, _ in ours), k
 
 
 def test_escape_edge_regions(escape_edge):
