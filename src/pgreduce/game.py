@@ -203,7 +203,8 @@ def parse_pgsolver(text: bytes | str) -> ParityGame:
 
     max_id: int | None = None
     start: tuple[int, int] | None = None
-    decls: dict[int, tuple[int, Player, tuple[int, ...], str | None]] = {}
+    # Owners and successor lists stay raw: ParityGame normalises them once.
+    decls: dict[int, tuple[int, int, list[int], str | None]] = {}
     for idx, (stmt, at) in enumerate(statements):
         stmt = stmt.strip()
         if not stmt:
@@ -242,7 +243,7 @@ def parse_pgsolver(text: bytes | str) -> ParityGame:
                         f"malformed successor list {succ_field!r}", at
                     )
                 succs.append(_number(part, at))
-        decls[vid] = (prio, Player(int(owner)), tuple(sorted(set(succs))), m.group("label"))
+        decls[vid] = (prio, int(owner), succs, m.group("label"))
 
     if not decls:
         raise PgSolverFormatError("input declares no vertices")
@@ -255,11 +256,11 @@ def parse_pgsolver(text: bytes | str) -> ParityGame:
         # Undeclared ids below the header bound are dead ends.
         if vid not in decls or not decls[vid][2]:
             raise PgSolverFormatError(f"vertex {vid} has no successors")
-        for u in decls[vid][2]:
-            if u >= n:
-                raise PgSolverFormatError(
-                    f"vertex {vid} lists successor {u} beyond the last vertex {n - 1}"
-                )
+        if max(decls[vid][2]) >= n:
+            u = min(u for u in decls[vid][2] if u >= n)
+            raise PgSolverFormatError(
+                f"vertex {vid} lists successor {u} beyond the last vertex {n - 1}"
+            )
     if start is not None and start[0] >= n:
         raise PgSolverFormatError(f"start vertex {start[0]} is not declared", start[1])
 

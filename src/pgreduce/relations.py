@@ -1,10 +1,11 @@
 """Coinductive/fixpoint computation of the simulation preorders and bisimulations.
 
-The simulation preorders are greatest fixpoints computed by pair deletion;
-the stuttering-style equivalences are computed by signature-based partition
-refinement over forcing and divergence predicates.  The delayed simulation
-family lives in :mod:`pgreduce.simgames` because its natural home is the
-obligation game.
+The simulation preorders are greatest fixpoints computed by pair deletion.
+The four bisimilarities share one signature-based partition refinement:
+governed and strong bisimilarity sign a vertex by its successor classes,
+the stuttering variants by forcing and divergence predicates.  The delayed
+simulation family lives in :mod:`pgreduce.simgames` because its natural
+home is the obligation game.
 """
 from __future__ import annotations
 
@@ -152,13 +153,7 @@ class Partition:
 
 
 def _succ_masks(game: ParityGame) -> list[int]:
-    masks = []
-    for row in game.successors:
-        m = 0
-        for u in row:
-            m |= 1 << u
-        masks.append(m)
-    return masks
+    return [sum(1 << u for u in row) for row in game.successors]
 
 
 def _steps_even_mask(game: ParityGame, succ_masks: list[int], w: int, target_mask: int) -> bool:
@@ -168,12 +163,8 @@ def _steps_even_mask(game: ParityGame, succ_masks: list[int], w: int, target_mas
     return succ_masks[w] & ~target_mask == 0
 
 
-def _direct_sim_fixpoint(game: ParityGame, rows: list[int], symmetric: bool) -> tuple[int, ...]:
-    """Delete pairs violating the direct-simulation transfer until stable.
-
-    With ``symmetric`` set, a pair is also deleted when its mirror pair is,
-    which yields the largest symmetric direct simulation.
-    """
+def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
+    """Delete pairs violating the direct-simulation transfer until stable."""
     succ_masks = _succ_masks(game)
     n = game.vertex_count
     changed = True
@@ -199,46 +190,53 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int], symmetric: bool) -> 
                     ok = _steps_even_mask(game, succ_masks, w, target)
                 if not ok:
                     rows[v] &= ~(1 << w)
-                    if symmetric:
-                        rows[w] &= ~(1 << v)
                     changed = True
     return tuple(rows)
 
 
-def _initial_rows(game: ParityGame, by_owner: bool) -> list[int]:
-    # Rows of "same priority (and owner)", read from the initial partition.
-    part = _initial_partition(game, by_owner)
-    return [part.classes[c].mask for c in part.class_of]
-
-
 def direct_sim(game: ParityGame) -> VertexRelation:
     """Greatest direct simulation preorder: even helps the simulating side."""
-    rows = _direct_sim_fixpoint(game, _initial_rows(game, by_owner=False), symmetric=False)
-    return VertexRelation(game.vertex_count, rows, "preorder")
+    rows = _initial_partition(game, by_owner=False).as_relation().rows
+    return VertexRelation(game.vertex_count, _direct_sim_fixpoint(game, list(rows)), "preorder")
 
 
 def strong_direct_sim(game: ParityGame) -> VertexRelation:
     """Direct simulation that never relates vertices owned by different players."""
-    rows = _direct_sim_fixpoint(game, _initial_rows(game, by_owner=True), symmetric=False)
-    return VertexRelation(game.vertex_count, rows, "preorder")
-
-
-def _symmetric_direct_sim_partition(game: ParityGame, by_owner: bool) -> Partition:
-    fixed = _direct_sim_fixpoint(game, _initial_rows(game, by_owner), symmetric=True)
-    rel = VertexRelation(game.vertex_count, fixed, "equivalence")
-    rel.validate()
-    class_of = [min(iter_bits(fixed[v])) for v in game.vertices]
-    return Partition.from_class_of(game.vertex_count, class_of)
+    rows = _initial_partition(game, by_owner=True).as_relation().rows
+    return VertexRelation(game.vertex_count, _direct_sim_fixpoint(game, list(rows)), "preorder")
 
 
 def governed_bisim(game: ParityGame) -> Partition:
-    """Partition induced by the largest symmetric direct simulation."""
-    return _symmetric_direct_sim_partition(game, by_owner=False)
+    """Governed bisimilarity: the priority partition refined by successor classes."""
+    return _refine(game, _initial_partition(game, by_owner=False), _sign_successors)
 
 
 def strong_bisim(game: ParityGame) -> Partition:
-    """Governed bisimulation restricted to same-owner pairs."""
-    return _symmetric_direct_sim_partition(game, by_owner=True)
+    """Strong bisimilarity: the same refinement from the same-owner partition."""
+    return _refine(game, _initial_partition(game, by_owner=True), _sign_successors)
+
+
+def _sign_successors(
+    game: ParityGame, class_of: list[int], cid: int, members: list[int]
+) -> dict[tuple, list[int]]:
+    """Group the members of class ``cid`` by successor classes and owner.
+
+    Read against the current classes, direct simulation holds both ways
+    between two vertices of one owner exactly when they reach the same set
+    of successor classes, since each must match every move of the other.
+    An even and an odd vertex need that set to be a single class: the even
+    vertex picks a successor that the odd one must match with all of its
+    own, and the other way round.  So ``(successor classes, owner if there
+    are several, else -1)`` is the transfer condition of a symmetric direct
+    simulation, and the coarsest refinement of the priority partition that
+    it leaves stable is the largest one, governed bisimilarity.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for v in members:
+        succ = frozenset(class_of[u] for u in game.successors[v])
+        key = (succ, game.owners[v] if len(succ) > 1 else -1)
+        groups.setdefault(key, []).append(v)
+    return groups
 
 
 def _sign_class(
@@ -283,9 +281,11 @@ def _sign_class(
     return groups
 
 
-def _refine_classes(game: ParityGame, class_of: list[int]) -> dict[int, tuple]:
+def _refine_classes(game: ParityGame, class_of: list[int], sign) -> dict[int, tuple]:
     """Refine ``class_of`` in place until stable; return the classes' signatures.
 
+    ``sign(game, class_of, cid, members)`` groups the members of class
+    ``cid`` by a signature read from the classes of their successors.
     Classes keep a stable id while they do not split.  Each round signs the
     dirty classes against one partition, then splits them all at once.  A
     class is dirty when it just split or when a member has a successor in a
@@ -308,7 +308,7 @@ def _refine_classes(game: ParityGame, class_of: list[int]) -> dict[int, tuple]:
         for cid in sorted(dirty):
             if len(members[cid]) == 1:
                 continue
-            groups = _sign_class(game, class_of, cid, members[cid])
+            groups = sign(game, class_of, cid, members[cid])
             if len(groups) == 1:
                 (signatures[cid],) = groups
             else:
@@ -331,18 +331,14 @@ def _refine_classes(game: ParityGame, class_of: list[int]) -> dict[int, tuple]:
     return signatures
 
 
-def _gstut_refine(game: ParityGame, initial: Partition) -> Partition:
-    """Signature-based partition refinement for governed stuttering bisimilarity.
+def _refine(game: ParityGame, initial: Partition, sign) -> Partition:
+    """The coarsest refinement of ``initial`` that ``sign`` leaves stable.
 
-    A vertex's signature collects, per player, the successor classes it is
-    forced into through its own class and a divergence flag.  Classes are
-    split by signature until stable, and only the classes next to a split
-    are signed again (see :func:`_refine_classes`).  Splitting only ever
-    separates vertices that no governed stuttering bisimulation within the
-    initial partition can relate, so the result is the largest one.
+    Splitting only ever separates vertices that no bisimulation of the
+    signed kind within ``initial`` relates, so the result is the largest one.
     """
     class_of = list(initial.class_of)
-    _refine_classes(game, class_of)
+    _refine_classes(game, class_of, sign)
     return Partition.from_class_of(game.vertex_count, class_of)
 
 
@@ -362,7 +358,7 @@ def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, li
     member inside ``ci``.  Class ids follow the returned partition.
     """
     class_of = list(_initial_partition(game, by_owner).class_of)
-    signatures = _refine_classes(game, class_of)
+    signatures = _refine_classes(game, class_of, _sign_class)
     part = Partition.from_class_of(game.vertex_count, class_of)
     index = dict(zip(class_of, part.class_of))
     out = []
@@ -377,12 +373,12 @@ def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, li
 
 def gstut_bisim(game: ParityGame) -> Partition:
     """Governed stuttering bisimilarity, starting from the priority partition."""
-    return _gstut_refine(game, _initial_partition(game, by_owner=False))
+    return _refine(game, _initial_partition(game, by_owner=False), _sign_class)
 
 
 def stut_bisim(game: ParityGame) -> Partition:
     """Stuttering bisimilarity: the initial partition is additionally split by owner."""
-    return _gstut_refine(game, _initial_partition(game, by_owner=True))
+    return _refine(game, _initial_partition(game, by_owner=True), _sign_class)
 
 
 def _dense_keys(keys: Iterable) -> list[int]:

@@ -3,8 +3,8 @@
 The winner and forcing oracles enumerate memoryless strategies explicitly
 and evaluate plays on the strategy-restricted graph, so a bug in the
 attractor or in the Zielonka recursion cannot hide in them.  The stuttering,
-delayed-simulation, Buchi, Zielonka and parser references at the end keep
-the library's earlier, direct constructions.
+bisimulation, delayed-simulation, Buchi, Zielonka and parser references at
+the end keep the library's earlier, direct constructions.
 """
 from itertools import product
 
@@ -232,6 +232,57 @@ def oracle_quotient_stut(game: ParityGame) -> QuotientResult:
     owners = tuple(game.owners[next(iter(cls))] for cls in part.classes)
     quotient = ParityGame(base.quotient.priorities, owners, base.quotient.successors)
     return QuotientResult(quotient, base.class_map, "stut")
+
+
+# --- Reference governed and strong bisimilarity ----------------------------
+#
+# The largest symmetric direct simulation by pair deletion over n^2 bits:
+# a pair goes, with its mirror, as soon as it violates the direct-simulation
+# transfer.  The library's signature refinement over successor classes must
+# give the same partition.
+
+
+def _oracle_symmetric_direct_sim(game: ParityGame, by_owner: bool) -> Partition:
+    n = game.vertex_count
+    keys = list(zip(game.priorities, game.owners)) if by_owner else list(game.priorities)
+    rows = [sum(1 << w for w in range(n) if keys[w] == keys[v]) for v in range(n)]
+    succ_masks = [sum(1 << u for u in row) for row in game.successors]
+
+    def steps_even(w: int, target: int) -> bool:
+        if game.owners[w] is Player.EVEN:
+            return succ_masks[w] & target != 0
+        return succ_masks[w] & ~target == 0
+
+    def union(vertices) -> int:
+        out = 0
+        for u in vertices:
+            out |= rows[u]
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for v, w in product(range(n), repeat=2):
+            if not rows[v] >> w & 1:
+                continue
+            if game.owners[v] is Player.EVEN:
+                ok = all(steps_even(w, rows[vp]) for vp in game.successors[v])
+            else:
+                ok = steps_even(w, union(game.successors[v]))
+            if not ok:
+                rows[v] &= ~(1 << w)
+                rows[w] &= ~(1 << v)
+                changed = True
+    VertexRelation(n, tuple(rows), "equivalence").validate()
+    return Partition.from_class_of(n, [(row & -row).bit_length() for row in rows])
+
+
+def oracle_governed_bisim(game: ParityGame) -> Partition:
+    return _oracle_symmetric_direct_sim(game, by_owner=False)
+
+
+def oracle_strong_bisim(game: ParityGame) -> Partition:
+    return _oracle_symmetric_direct_sim(game, by_owner=True)
 
 
 # --- Reference delayed-simulation fixpoint and Buchi solver ----------------

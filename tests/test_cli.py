@@ -3,7 +3,7 @@ import json
 import pytest
 
 import fixture_games
-from pgreduce import parse_pgsolver
+from pgreduce import parse_pgsolver, random_game, serialize_pgsolver
 from pgreduce.cli import main
 from pgreduce.lattice import check_lattice, compute_relations
 
@@ -167,6 +167,13 @@ class TestLatticeCheck:
         code, _, err = run(capsys, "lattice-check")
         assert code == 1
         assert "needs" in err
+
+    def test_isomorphism_size_limit(self, capsys, tmp_path):
+        path = tmp_path / "big.gm"
+        path.write_bytes(serialize_pgsolver(random_game(65, 3, (1, 3), 1)))
+        code, _, err = run(capsys, "lattice-check", path)
+        assert code == 1
+        assert "isomorphism check limited to 64 vertices" in err
 
     def test_corrupted_relation_names_the_edge(self, escape_edge):
         relations = compute_relations(escape_edge)

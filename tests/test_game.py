@@ -69,6 +69,16 @@ def test_parse_reports_totality_violation():
 def test_parse_reports_dangling_successor():
     with pytest.raises(PgSolverFormatError, match="successor 7"):
         parse_pgsolver("parity 0;\n0 0 0 7;")
+    # The smallest out-of-range successor is named, whatever the list order.
+    with pytest.raises(PgSolverFormatError, match="successor 5 beyond the last vertex 1"):
+        parse_pgsolver("0 0 0 9,1,5,9;\n1 0 1 0;")
+
+
+def test_parse_normalises_owners_and_successor_lists():
+    g = parse_pgsolver("0 0 1 1,0,1;\n1 0 0 1,1;")
+    assert g.owners == (Player.ODD, Player.EVEN)
+    assert all(type(o) is Player for o in g.owners)
+    assert g.successors == ((0, 1), (1,))
 
 
 def test_parse_reports_duplicate_vertex():
