@@ -25,7 +25,7 @@ from .relations import (  # noqa: F401
     strong_direct_sim,
     stut_bisim,
 )
-from .simgames import coincidence_check, delayed_sim
+from .simgames import DELAYED_BIAS, coincidence_check, delayed_coincides, delayed_sim
 from .solver import solve_zielonka
 
 __all__ = [
@@ -106,18 +106,28 @@ def _winner_relation(game: ParityGame) -> VertexRelation:
     return VertexRelation(n, rows, "equivalence")
 
 
-def compute_relations(game: ParityGame) -> dict[str, VertexRelation]:
+def _delayed_preorders(game: ParityGame) -> dict[str, VertexRelation]:
+    """The delayed simulation preorder of each bias, by the arena route."""
+    return {bias: delayed_sim(game, bias) for bias in ("even", "odd", "none")}
+
+
+def compute_relations(
+    game: ParityGame, *, _preorders: dict[str, VertexRelation] | None = None
+) -> dict[str, VertexRelation]:
     """All lattice relations of a game, as vertex relations.
 
     The five equivalences with a unique quotient come from ``EQUIVALENCES``;
     the direct simulation kernel is named ``direct-sim-equiv`` here.
+    ``_preorders`` lets ``check_lattice`` pass in the delayed preorders it
+    has already computed.
     """
+    pre = _preorders if _preorders is not None else _delayed_preorders(game)
     rels = {
         "iso": _iso_relation(game),
         "strong-direct-sim-equiv": equivalence_from_preorder(strong_direct_sim(game)).as_relation(),
-        "delayed-even-equiv": equivalence_from_preorder(delayed_sim(game, "even")).as_relation(),
-        "delayed-odd-equiv": equivalence_from_preorder(delayed_sim(game, "odd")).as_relation(),
-        "delayed-equiv": equivalence_from_preorder(delayed_sim(game, "none")).as_relation(),
+        "delayed-even-equiv": equivalence_from_preorder(pre["even"]).as_relation(),
+        "delayed-odd-equiv": equivalence_from_preorder(pre["odd"]).as_relation(),
+        "delayed-equiv": equivalence_from_preorder(pre["none"]).as_relation(),
         "winner": _winner_relation(game),
     }
     for name, equivalence in EQUIVALENCES.items():
@@ -139,20 +149,23 @@ def check_lattice(
 ) -> list[LatticeResult]:
     """Check every inclusion edge (and optionally every coincidence property).
 
-    ``relations`` exists as a test hook: a doctored bundle makes the run
-    report the violated edge by name.
+    Each delayed preorder is computed once, on one arena per bias, and
+    serves both the lattice relations and its coincidence with the
+    fixpoint.  ``relations`` exists as a test hook: a doctored bundle makes
+    the run report the violated edge by name.
     """
-    rels = relations if relations is not None else compute_relations(game)
+    pre = _delayed_preorders(game) if relations is None or coincidences else None
+    rels = relations if relations is not None else compute_relations(game, _preorders=pre)
     results = []
     for finer, coarser in LATTICE_EDGES:
         ok = rels[finer].is_subrelation(rels[coarser])
         results.append(LatticeResult(f"{finer} refines {coarser}", ok))
     if coincidences:
         for notion in COINCIDENCE_NOTIONS:
-            results.append(
-                LatticeResult(
-                    f"game-based {notion} coincides",
-                    coincidence_check(game, notion),
-                )
-            )
+            if notion in DELAYED_BIAS:
+                bias = DELAYED_BIAS[notion]
+                ok = delayed_coincides(game, bias, pre[bias])
+            else:
+                ok = coincidence_check(game, notion)
+            results.append(LatticeResult(f"game-based {notion} coincides", ok))
     return results

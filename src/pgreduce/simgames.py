@@ -14,12 +14,26 @@ so Spoiler moves on even-owned left vertices and odd-owned right vertices,
 and the left side moves first exactly when it is even-owned.  The round is
 encoded with an intermediate arena position per half move; this encoding is
 validated against the coinductive fixpoints by ``coincidence_check``.
+
+Positions are numbered in the order a breadth-first expansion discovers
+them.  A builder finds a position by an integer id computed from its
+fields, never by hashing its payload: a delayed configuration (v, w, k) has
+id ``(v * n + w) * K + k``, where obligation 0 is ✓ and obligation i ≥ 1 is
+the i-th smallest priority of the game, and ``K`` counts the obligations.
+A list maps the ids of the configurations and half-move positions to
+positions; the stuttering game's half-move and pick positions, whose id
+spaces hold 2n³(2n + 2) and 2n⁴(2n + 2) ids, use an int-keyed dict.  Round order comes from
+per-vertex mover tables and the obligation update from one table per
+priority pair (``_gamma_table``), which the delayed fixpoint shares.
+
+``delayed_sim_fixpoint`` computes delayed simulation without an arena, so
+it cross-checks the arena route.  Its greatest fixpoint carries the stages
+of each least fixpoint into the next round instead of recomputing them.
 """
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
-from typing import Callable, Hashable
+from typing import Callable
 
 from .forcing import iter_bits
 from .game import ParityGame, Player, reward_leq
@@ -52,6 +66,8 @@ DAGGER = "†"
 
 Obligation = int | str
 _LOSE = ("lose",)
+_SPOILER = ArenaPlayer.SPOILER
+_DUPLICATOR = ArenaPlayer.DUPLICATOR
 
 
 def gamma(n: int, m: int, k: Obligation) -> Obligation:
@@ -100,27 +116,76 @@ def _updater(bias: str) -> Callable[[int, int, Obligation], Obligation]:
     return _UPDATERS[bias]
 
 
-def _round_order(game: ParityGame, a: int, b: int) -> tuple[int, ArenaPlayer, ArenaPlayer]:
-    """First-moving side and the movers of both sides for the pair ``(a, b)``."""
-    mover0 = ArenaPlayer.SPOILER if game.owners[a] is Player.EVEN else ArenaPlayer.DUPLICATOR
-    mover1 = ArenaPlayer.SPOILER if game.owners[b] is Player.ODD else ArenaPlayer.DUPLICATOR
-    first = 0 if game.owners[a] is Player.EVEN else 1
-    return first, mover0, mover1
+def _gamma_table(levels: list[int], bias: str) -> list[int]:
+    """The obligation update on obligation indices.
+
+    With ``P = len(levels)`` and ``K = P + 1`` obligations (0 is ✓, i ≥ 1
+    is ``levels[i - 1]``), entry ``(i * P + j) * K + k`` is the index of
+    ``update(levels[i], levels[j], obligation k)``.
+    """
+    update = _updater(bias)
+    obligations = [CHECK, *levels]
+    where = {k: i for i, k in enumerate(obligations)}
+    return [where[update(pv, pw, k)] for pv in levels for pw in levels for k in obligations]
 
 
-def _first_mover(game: ParityGame, a: int, b: int) -> ArenaPlayer:
-    """Owner of the round's first half move for the pair ``(a, b)``."""
-    first, mover0, mover1 = _round_order(game, a, b)
-    return mover0 if first == 0 else mover1
+def _obligations(game: ParityGame, bias: str) -> tuple[list[Obligation], list[int], list[int]]:
+    """Obligations of the game, the γ table and each vertex pair's row in it.
+
+    The update of obligation k on entering the pair ``j = v * n + w`` is
+    ``table[row[j] + k]``.
+    """
+    levels = sorted(set(game.priorities))
+    level = {p: i for i, p in enumerate(levels)}
+    kk = len(levels) + 1
+    lv = [level[p] * len(levels) for p in game.priorities]
+    row = [(lv[v] + level[pw]) * kk for v in game.vertices for pw in game.priorities]
+    return [CHECK, *levels], _gamma_table(levels, bias), row
 
 
-def _expand_all(arena: Arena, expand: Callable[[int, Hashable], None]) -> Arena:
-    # Positions appended during expansion are expanded in turn.
-    i = 0
-    while i < arena.size:
-        expand(i, arena.payload[i])
-        i += 1
-    return arena
+def _movers(game: ParityGame) -> tuple[list[bool], list[ArenaPlayer], list[ArenaPlayer]]:
+    """Per vertex: even-owned, its mover as the left side, its mover as the right side."""
+    even = [o is Player.EVEN for o in game.owners]
+    left = [_SPOILER if e else _DUPLICATOR for e in even]
+    right = [_DUPLICATOR if e else _SPOILER for e in even]
+    return even, left, right
+
+
+def _explore(
+    listed: int, starts: list[int], successors: Callable[[int], list[int]]
+) -> tuple[Arena, list[int]]:
+    """Moves of a breadth-first arena over integer position ids.
+
+    Positions are numbered in discovery order, from the ids in ``starts``
+    on; ``successors(id)`` gives the ids of a position's moves.  Ids below
+    ``listed`` are found through a list, the rest through a dict.  Returns
+    the arena with its ``edges`` and ``start`` filled in, and the id of
+    each position; the caller describes the positions.
+    """
+    pos_of = [-1] * listed
+    far: dict[int, int] = {}
+    ids: list[int] = []
+    rows: list[list[int]] = []
+    keys = starts
+    expanded = 0
+    while True:
+        row = []
+        for key in keys:
+            pos = pos_of[key] if key < listed else far.get(key, -1)
+            if pos < 0:
+                pos = len(ids)
+                ids.append(key)
+                if key < listed:
+                    pos_of[key] = pos
+                else:
+                    far[key] = pos
+            row.append(pos)
+        rows.append(row)
+        if expanded == len(ids):
+            break
+        keys = successors(ids[expanded])
+        expanded += 1
+    return Arena(edges=rows[1:], start=rows[0]), ids
 
 
 def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
@@ -130,43 +195,50 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
     every other configuration is accepting, so Duplicator wins exactly the
     safety condition of matching priorities forever.  With ``swap``,
     Spoiler owns every configuration and first picks which side plays the
-    left role in the round.
+    left role in the round.  Ids: configuration ``j = v * n + w``, its
+    oriented copy ``n² + j``, half move ``2n² + 2j + side``, sink ``4n²``.
     """
-    arena = Arena()
+    n = game.vertex_count
+    nn = n * n
+    sink = 4 * nn
+    prio, succ = game.priorities, game.successors
+    even, left, right = _movers(game)
 
     def cfg(v: int, w: int) -> int:
-        if game.priorities[v] != game.priorities[w]:
-            return arena.position(_LOSE, ArenaPlayer.DUPLICATOR)
-        owner = ArenaPlayer.SPOILER if swap else _first_mover(game, v, w)
-        return arena.position(("cfg", v, w), owner, accepting=True)
+        return v * n + w if prio[v] == prio[w] else sink
 
-    for v in game.vertices:
-        for w in game.vertices:
-            cfg(v, w)
+    def successors(key: int) -> list[int]:
+        if key == sink:
+            return [sink]
+        if key < nn and swap:
+            return [nn + key, nn + (key % n) * n + key // n]
+        if key < 2 * nn:
+            a, b = divmod(key % nn, n)
+            if even[a]:
+                return [2 * nn + 2 * (t * n + b) + 1 for t in succ[a]]
+            return [2 * nn + 2 * (a * n + t) for t in succ[b]]
+        j, side = divmod(key - 2 * nn, 2)
+        a, b = divmod(j, n)
+        return [cfg(u, b) for u in succ[a]] if side == 0 else [cfg(a, u) for u in succ[b]]
 
-    def expand(pos: int, payload: Hashable) -> None:
-        kind = payload[0]
-        if kind == "lose":
-            arena.add_edge(pos, pos)
-        elif kind == "cfg" and swap:
-            _, v, w = payload
-            for a, b in ((v, w), (w, v)):
-                arena.add_edge(pos, arena.position(("ori", a, b), _first_mover(game, a, b)))
-        elif kind in ("cfg", "ori"):
-            _, a, b = payload
-            first, mover0, mover1 = _round_order(game, a, b)
-            if first == 0:
-                for t in game.successors[a]:
-                    arena.add_edge(pos, arena.position(("mid", t, b, 1), mover1))
-            else:
-                for t in game.successors[b]:
-                    arena.add_edge(pos, arena.position(("mid", a, t, 0), mover0))
+    starts = [cfg(v, w) for v in game.vertices for w in game.vertices]
+    arena, ids = _explore(sink + 1, starts, successors)
+    for pos, key in enumerate(ids):
+        if key == sink:
+            arena.payload.append(_LOSE)
+            arena.owners.append(_DUPLICATOR)
+        elif key < 2 * nn:
+            a, b = key % nn // n, key % n
+            arena.payload.append(("cfg" if key < nn else "ori", a, b))
+            arena.owners.append(_SPOILER if (swap and key < nn) or even[a] else right[b])
+            if key < nn:
+                arena.accepting.add(pos)
         else:
-            _, a, b, side = payload
-            for u in game.successors[a if side == 0 else b]:
-                arena.add_edge(pos, cfg(u, b) if side == 0 else cfg(a, u))
-
-    return _expand_all(arena, expand)
+            j, side = divmod(key - 2 * nn, 2)
+            a, b = j // n, j % n
+            arena.payload.append(("mid", a, b, side))
+            arena.owners.append(left[a] if side == 0 else right[b])
+    return arena
 
 
 def build_direct_sim_arena(game: ParityGame) -> Arena:
@@ -184,53 +256,65 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
 
     Accepting positions are the configurations without pending obligation.
     Only configurations reachable from the query positions (v, w, γ(v,w,✓))
-    are materialised.
+    are materialised.  Ids: configuration ``t = (v * n + w) * K + k``, the
+    half move after it ``n²K + 2t + side``.
     """
-    update = _updater(bias)
-    arena = Arena()
+    n = game.vertex_count
+    succ = game.successors
+    obligations, table, prow = _obligations(game, bias)
+    kk = len(obligations)
+    cfgs = n * n * kk
+    even, left, right = _movers(game)
 
-    def cfg(v: int, w: int, k: Obligation) -> int:
-        return arena.position(("cfg", v, w, k), _first_mover(game, v, w), accepting=k == CHECK)
+    def cfg(j: int, k: int) -> int:
+        # The configuration reached at pair j from obligation k.
+        return j * kk + table[prow[j] + k]
 
-    for v in game.vertices:
-        for w in game.vertices:
-            cfg(v, w, update(game.priorities[v], game.priorities[w], CHECK))
+    def successors(key: int) -> list[int]:
+        if key < cfgs:
+            j, k = divmod(key, kk)
+            v, w = divmod(j, n)
+            if even[v]:
+                return [cfgs + 2 * ((t * n + w) * kk + k) + 1 for t in succ[v]]
+            return [cfgs + 2 * ((v * n + t) * kk + k) for t in succ[w]]
+        t, side = divmod(key - cfgs, 2)
+        j, k = divmod(t, kk)
+        a, b = divmod(j, n)
+        if side == 0:
+            return [cfg(u * n + b, k) for u in succ[a]]
+        return [cfg(a * n + u, k) for u in succ[b]]
 
-    def expand(pos: int, payload: Hashable) -> None:
-        kind = payload[0]
-        if kind == "cfg":
-            _, v, w, k = payload
-            first, mover0, mover1 = _round_order(game, v, w)
-            if first == 0:
-                for t in game.successors[v]:
-                    arena.add_edge(pos, arena.position(("mid", t, w, k, 1), mover1))
-            else:
-                for t in game.successors[w]:
-                    arena.add_edge(pos, arena.position(("mid", v, t, k, 0), mover0))
+    arena, ids = _explore(3 * cfgs, [cfg(j, 0) for j in range(n * n)], successors)
+    for pos, key in enumerate(ids):
+        if key < cfgs:
+            j, k = key // kk, key % kk
+            v, w = j // n, j % n
+            arena.payload.append(("cfg", v, w, obligations[k]))
+            arena.owners.append(_SPOILER if even[v] else right[w])
+            if k == 0:
+                arena.accepting.add(pos)
         else:
-            _, a, b, k, side = payload
-            for u in game.successors[a if side == 0 else b]:
-                vp, wp = (u, b) if side == 0 else (a, u)
-                kp = update(game.priorities[vp], game.priorities[wp], k)
-                arena.add_edge(pos, cfg(vp, wp, kp))
+            t, side = divmod(key - cfgs, 2)
+            j, k = t // kk, t % kk
+            a, b = j // n, j % n
+            arena.payload.append(("mid", a, b, obligations[k], side))
+            arena.owners.append(left[a] if side == 0 else right[b])
+    return arena
 
-    return _expand_all(arena, expand)
 
-
-def _gstut_challenge_update(
-    c: Hashable, cprime: tuple[int, int], same_vertex: bool, spoiler_moved: bool
-) -> Hashable:
-    """Challenge bookkeeping of the stuttering game.
+def _challenge(c: int, cprime: int, same_vertex: bool, spoiler_moved: bool) -> int:
+    """Challenge bookkeeping of the stuttering game, on challenge indices.
 
     Rolling back a Spoiler move on an unswapped side issues (or keeps) the
-    challenge; Duplicator is rewarded when Spoiler swapped sides or dropped
-    a pending challenge, and rolling back her own move costs a dagger.
+    challenge; Duplicator is rewarded (✓, index 0) when Spoiler swapped
+    sides or dropped a pending challenge, and rolling back her own move
+    costs a dagger (index 1).
     """
     if not same_vertex:
-        return CHECK
+        return 0
     if spoiler_moved:
-        return cprime if c in (DAGGER, CHECK, cprime) else CHECK
-    return DAGGER
+        return cprime if c in (0, 1, cprime) else 0
+    return 1
 
 
 def build_gstut_arena(game: ParityGame) -> Arena:
@@ -240,199 +324,247 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     half moves follow, then Duplicator picks the next configuration from
     accepting both moves (reward ✓) or rolling back either side (challenge
     update).  Accepting positions are configurations with reward ✓.
+
+    Challenges are indexed: 0 is ✓, 1 is †, ``2 + t`` is (0, t) and
+    ``2 + n + t`` is (1, t), so ``C = 2n + 2``.  Ids, listed: configuration
+    ``(v * n + w) * C + c``, orientation ``o = 2((a * n + b) * C + c) +
+    swap`` at ``n²C + o``, the sink at ``3n²C``; in a dict: the half move
+    to t after o at ``M + o * n + t`` and the pick of (t0, t1) after o at
+    ``M + 2n³C + (o * n + t0) * n + t1``, with ``M = 3n²C + 1``.  Which side
+    moves first, and so the half move's side, follows from the owner of a.
     """
-    arena = Arena()
+    n = game.vertex_count
+    cc = 2 * n + 2
+    oris = n * n * cc
+    sink = 3 * oris
+    mids = sink + 1
+    picks = mids + 2 * oris * n
+    prio, succ = game.priorities, game.successors
+    even, left, right = _movers(game)
+    challenges = [CHECK, DAGGER, *((0, t) for t in game.vertices), *((1, t) for t in game.vertices)]
 
-    def cfg(v: int, w: int, c: Hashable) -> int:
-        if game.priorities[v] != game.priorities[w]:
-            return arena.position(_LOSE, ArenaPlayer.DUPLICATOR)
-        return arena.position(("cfg", v, w, c), ArenaPlayer.SPOILER, accepting=c == CHECK)
+    def cfg(v: int, w: int, c: int) -> int:
+        return (v * n + w) * cc + c if prio[v] == prio[w] else sink
 
-    for v in game.vertices:
-        for w in game.vertices:
-            cfg(v, w, CHECK)
+    def orientation(o: int) -> tuple[int, int, int, int]:
+        j = o // (2 * cc)
+        return j // n, j % n, o // 2 % cc, o % 2
 
-    def expand(pos: int, payload: Hashable) -> None:
-        kind = payload[0]
-        if kind == "lose":
-            arena.add_edge(pos, pos)
-        elif kind == "cfg":
-            _, v, w, c = payload
-            for swap in (0, 1):
-                a, b = (w, v) if swap else (v, w)
-                arena.add_edge(pos, arena.position(("ori", a, b, c, swap), _first_mover(game, a, b)))
-        elif kind == "ori":
-            _, a, b, c, swap = payload
-            first, mover0, mover1 = _round_order(game, a, b)
-            if first == 0:
-                for t in game.successors[a]:
-                    arena.add_edge(pos, arena.position(("mid", a, b, c, swap, 0, t), mover1))
-            else:
-                for t in game.successors[b]:
-                    arena.add_edge(pos, arena.position(("mid", a, b, c, swap, 1, t), mover0))
-        elif kind == "mid":
-            _, a, b, c, swap, moved, t = payload
-            for u in game.successors[b if moved == 0 else a]:
-                t0, t1 = (t, u) if moved == 0 else (u, t)
-                arena.add_edge(
-                    pos,
-                    arena.position(
-                        ("pick", a, b, t0, t1, c, swap), ArenaPlayer.DUPLICATOR
-                    ),
-                )
+    def successors(key: int) -> list[int]:
+        if key < oris:
+            j, c = key // cc, key % cc
+            v, w = j // n, j % n
+            return [oris + 2 * key, oris + 2 * ((w * n + v) * cc + c) + 1]
+        if key < sink:
+            o = key - oris
+            j = o // (2 * cc)
+            a, b = j // n, j % n
+            return [mids + o * n + t for t in (succ[a] if even[a] else succ[b])]
+        if key == sink:
+            return [sink]
+        if key < picks:
+            m = key - mids
+            j = m // (2 * cc * n)
+            a, b = j // n, j % n
+            if even[a]:
+                return [picks + m * n + u for u in succ[b]]
+            o, t = m // n, m % n
+            return [picks + (o * n + u) * n + t for u in succ[a]]
+        key -= picks
+        a, b, c, swap = orientation(key // (n * n))
+        t0, t1 = key // n % n, key % n
+        # With a swap the rolled-back vertex differs from the one the
+        # round started on, which always yields a ✓ reward.
+        same = (not swap) or a == b
+        return [
+            cfg(t0, t1, 0),
+            cfg(a, t1, _challenge(c, 2 + t0, same, even[a])),
+            cfg(t0, b, _challenge(c, 2 + n + t1, same, not even[b])),
+        ]
+
+    starts = [cfg(v, w, 0) for v in game.vertices for w in game.vertices]
+    arena, ids = _explore(mids, starts, successors)
+    for pos, key in enumerate(ids):
+        if key < oris:
+            j, c = key // cc, key % cc
+            arena.payload.append(("cfg", j // n, j % n, challenges[c]))
+            arena.owners.append(_SPOILER)
+            if c == 0:
+                arena.accepting.add(pos)
+        elif key < sink:
+            a, b, c, swap = orientation(key - oris)
+            arena.payload.append(("ori", a, b, challenges[c], swap))
+            arena.owners.append(_SPOILER if even[a] else right[b])
+        elif key == sink:
+            arena.payload.append(_LOSE)
+            arena.owners.append(_DUPLICATOR)
+        elif key < picks:
+            a, b, c, swap = orientation((key - mids) // n)
+            moved = 0 if even[a] else 1
+            arena.payload.append(("mid", a, b, challenges[c], swap, moved, (key - mids) % n))
+            arena.owners.append(right[b] if moved == 0 else left[a])
         else:
-            _, a, b, t0, t1, c, swap = payload
-            # With a swap the rolled-back vertex differs from the one the
-            # round started on, which always yields a ✓ reward.
-            same = (not swap) or a == b
-            left = _gstut_challenge_update(
-                c, (0, t0), same, game.owners[a] is Player.EVEN
-            )
-            right = _gstut_challenge_update(
-                c, (1, t1), same, game.owners[b] is Player.ODD
-            )
-            arena.add_edge(pos, cfg(t0, t1, CHECK))
-            arena.add_edge(pos, cfg(a, t1, left))
-            arena.add_edge(pos, cfg(t0, b, right))
-
-    return _expand_all(arena, expand)
-
-
-def _start_positions(game: ParityGame, arena: Arena, *tail: Hashable) -> dict[tuple[int, int], int]:
-    """Position of each pair at the start of a play: ``("cfg", v, w, *tail)``,
-    or the losing sink when the priorities differ."""
-    initial = {}
-    for v in game.vertices:
-        for w in game.vertices:
-            key = ("cfg", v, w, *tail) if game.priorities[v] == game.priorities[w] else _LOSE
-            initial[(v, w)] = arena.index[key]
-    return initial
+            key -= picks
+            a, b, c, swap = orientation(key // (n * n))
+            arena.payload.append(("pick", a, b, key // n % n, key % n, challenges[c], swap))
+            arena.owners.append(_DUPLICATOR)
+    return arena
 
 
 def _pair_relation_from_arena(
-    game: ParityGame, arena: Arena, initial, kind: str = "preorder"
+    game: ParityGame, arena: Arena, kind: str = "preorder"
 ) -> VertexRelation:
+    """Pairs whose start position Duplicator wins."""
     won = solve_buchi(arena)
     n = game.vertex_count
     rows = [0] * n
-    for (v, w), pos in initial.items():
+    for j, pos in enumerate(arena.start):
         if pos in won:
-            rows[v] |= 1 << w
+            rows[j // n] |= 1 << (j % n)
     return VertexRelation(n, tuple(rows), kind)
 
 
 def direct_sim_via_game(game: ParityGame) -> VertexRelation:
     """Pairs from which Duplicator wins the direct simulation game."""
-    arena = build_direct_sim_arena(game)
-    return _pair_relation_from_arena(game, arena, _start_positions(game, arena))
+    return _pair_relation_from_arena(game, build_direct_sim_arena(game))
 
 
 def governed_bisim_via_game(game: ParityGame) -> VertexRelation:
     """Winning set of the governed bisimulation game; symmetric by the swap move."""
-    arena = build_governed_bisim_arena(game)
-    return _pair_relation_from_arena(game, arena, _start_positions(game, arena))
+    return _pair_relation_from_arena(game, build_governed_bisim_arena(game))
 
 
 def delayed_sim(game: ParityGame, bias: str = "none") -> VertexRelation:
     """Delayed simulation preorder: Duplicator wins from (v, w, γ(v, w, ✓))."""
-    update = _updater(bias)
-    arena = build_delayed_sim_arena(game, bias)
-    initial = {}
-    for v in game.vertices:
-        for w in game.vertices:
-            k0 = update(game.priorities[v], game.priorities[w], CHECK)
-            initial[(v, w)] = arena.index[("cfg", v, w, k0)]
-    return _pair_relation_from_arena(game, arena, initial)
+    return _pair_relation_from_arena(game, build_delayed_sim_arena(game, bias))
 
 
 def _delayed_transfer(
-    game: ParityGame,
-    update: Callable[[int, int, Obligation], Obligation],
-    v: int,
-    w: int,
-    k: Obligation,
-    member: Callable[[int, int, Obligation], bool],
+    game: ParityGame, v: int, w: int, matched: Callable[[int, int], bool]
 ) -> bool:
-    """One round of the well-founded delayed simulation transfer condition."""
+    """One round of the delayed simulation transfer condition from (v, w).
 
-    def matched(vp: int, wp: int) -> bool:
-        return member(vp, wp, update(game.priorities[vp], game.priorities[wp], k))
-
+    ``matched(v', w')`` says whether the configuration a round reaches at
+    the pair (v', w'), with its updated obligation, is related.
+    """
+    sv, sw = game.successors[v], game.successors[w]
     if game.owners[v] is Player.EVEN:
-        for vp in game.successors[v]:
-            if game.owners[w] is Player.EVEN:
-                if not any(matched(vp, wp) for wp in game.successors[w]):
-                    return False
-            else:
-                if not all(matched(vp, wp) for wp in game.successors[w]):
-                    return False
-        return True
+        if game.owners[w] is Player.EVEN:
+            return all(any(matched(vp, wp) for wp in sw) for vp in sv)
+        return all(matched(vp, wp) for vp in sv for wp in sw)
     if game.owners[w] is Player.EVEN:
-        return any(
-            any(matched(vp, wp) for vp in game.successors[v]) for wp in game.successors[w]
-        )
-    return all(
-        any(matched(vp, wp) for vp in game.successors[v]) for wp in game.successors[w]
-    )
+        return any(matched(vp, wp) for wp in sw for vp in sv)
+    return all(any(matched(vp, wp) for vp in sv) for wp in sw)
 
 
 def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation:
     """Delayed simulation computed directly on obligation triples.
 
-    Double fixpoint over (v, w, k): the outer greatest fixpoint ``y`` keeps
-    the triples Duplicator can sustain forever, the inner least fixpoint
-    ``x`` demands finite progress towards a ✓ obligation, exactly the
-    well-founded formulation of ``_delayed_transfer``.  Worklist invariants:
-    a round evaluates only triples in ``y`` (``x`` is monotone in ``y``, so
-    ``x ⊆ y``); a triple (v, w, k) with k ≠ ✓ joining ``x`` re-queues only
-    its readers (a, b, kk) with a ∈ pred(v), b ∈ pred(w) and
-    update(p(v), p(w), kk) = k; a ✓-triple wakes nobody, as transfers read
-    ``y`` at ✓.  No arena, Buchi solver or attractor enters this route, so
-    it checks the arena encoding of ``delayed_sim`` independently.
+    Double fixpoint over the triples ``t = (v * n + w) * K + k``: the outer
+    greatest fixpoint ``y`` keeps the triples Duplicator can sustain
+    forever, the inner least fixpoint ``x`` demands finite progress towards
+    a ✓ obligation, exactly the well-founded formulation of
+    ``_delayed_transfer``.  Transfers read ``y`` at ✓ and ``x`` elsewhere.
+    The readers of a triple (v, w, k) are the triples (a, b, kk) with
+    a ∈ pred(v), b ∈ pred(w) and update(p(v), p(w), kk) = k.
+
+    Invariants:
+
+    * every triple records the order in which it joined ``x``, and its
+      transfer holds against the ✓-triples of ``y`` and the triples that
+      joined before it;
+    * a round evaluates only triples in ``y`` (``x`` is monotone in ``y``,
+      so ``x ⊆ y``), and a triple other than ✓ that joins ``x`` re-queues
+      its readers; a ✓-triple wakes nobody;
+    * round r + 1 has ``y = x_r`` and starts from ``x_r`` in join order.
+      Only the readers of the ✓-triples that left ``y`` are re-checked,
+      against the triples before them that survived.  A failed re-check
+      removes the triple and, unless it is a ✓-triple, marks its readers
+      for re-checking in turn.  The worklist then climbs from the
+      survivors, starting with the removed triples;
+    * the fixpoint is reached when no ✓-triple leaves ``y``.
+
+    No arena, Buchi solver or attractor enters this route, so it checks the
+    arena encoding of ``delayed_sim`` independently.
     """
-    update = _updater(bias)
-    prio = game.priorities
-    obligations: list[Obligation] = [CHECK] + sorted(set(prio))
-    preds = game.predecessors()
-    # (p(v), p(w), k) -> the obligations kk whose update lands on k.
-    sources: dict[tuple[int, int, Obligation], list[Obligation]] = {}
-    for pv, pw, kk in product(set(prio), set(prio), obligations):
-        sources.setdefault((pv, pw, update(pv, pw, kk)), []).append(kk)
-    triples = list(product(game.vertices, game.vertices, obligations))
-    y = set(triples)
-    while True:
-        x: set[tuple[int, int, Obligation]] = set()
-
-        def member(vp: int, wp: int, kp: Obligation) -> bool:
-            return (vp, wp, kp) in (y if kp == CHECK else x)
-
-        todo = deque(t for t in triples if t in y)
-        queued = set(todo)
-        while todo:
-            t = todo.popleft()
-            queued.discard(t)
-            v, w, k = t
-            if not _delayed_transfer(game, update, v, w, k, member):
-                continue
-            x.add(t)
-            if k == CHECK:
-                continue
-            for kk in sources.get((prio[v], prio[w], k), ()):
-                for a in preds[v]:
-                    for b in preds[w]:
-                        r = (a, b, kk)
-                        if r in y and r not in x and r not in queued:
-                            queued.add(r)
-                            todo.append(r)
-        if x == y:
-            break
-        y = x
     n = game.vertex_count
+    obligations, table, prow = _obligations(game, bias)
+    kk = len(obligations)
+    total = n * n * kk
+    preds = game.predecessors()
+    # sources[table row + k]: the obligations whose update lands on k.
+    sources: list[list[int]] = [[] for _ in table]
+    for r in range(0, len(table), kk):
+        for k in range(kk):
+            sources[r + table[r + k]].append(k)
+
+    def readers(t: int) -> list[int]:
+        j, k = divmod(t, kk)
+        v, w = divmod(j, n)
+        return [
+            (a * n + b) * kk + s
+            for s in sources[prow[j] + k]
+            for a in preds[v]
+            for b in preds[w]
+        ]
+
+    def holds(t: int) -> bool:
+        j, k = divmod(t, kk)
+
+        def matched(vp: int, wp: int) -> bool:
+            jp = vp * n + wp
+            kp = table[prow[jp] + k]
+            return (x if kp else y)[jp * kk + kp] == 1
+
+        return _delayed_transfer(game, j // n, j % n, matched)
+
+    def climb(todo: list[int]) -> None:
+        queued = bytearray(total)
+        for t in todo:
+            queued[t] = 1
+        work = deque(todo)
+        while work:
+            t = work.popleft()
+            queued[t] = 0
+            if not holds(t):
+                continue
+            x[t] = 1
+            order.append(t)
+            if t % kk:
+                for r in readers(t):
+                    if y[r] and not x[r] and not queued[r]:
+                        queued[r] = 1
+                        work.append(r)
+
+    y = bytearray(b"\x01") * total
+    x = bytearray(total)
+    order: list[int] = []
+    climb(list(range(total)))
+    while True:
+        left = [t for t in range(0, total, kk) if y[t] and not x[t]]
+        if not left:
+            break
+        dirty = bytearray(total)
+        for t in left:
+            for r in readers(t):
+                dirty[r] = 1
+        y, x = x, bytearray(total)
+        joined, order = order, []
+        removed = []
+        for t in joined:
+            if dirty[t] and not holds(t):
+                removed.append(t)
+                if t % kk:
+                    for r in readers(t):
+                        dirty[r] = 1
+            else:
+                x[t] = 1
+                order.append(t)
+        climb(removed)
     rows = [0] * n
-    for v in game.vertices:
-        for w in game.vertices:
-            if (v, w, update(prio[v], prio[w], CHECK)) in y:
-                rows[v] |= 1 << w
+    for j in range(n * n):
+        if x[j * kk + table[prow[j]]]:
+            rows[j // n] |= 1 << (j % n)
     return VertexRelation(n, tuple(rows), "preorder")
 
 
@@ -444,26 +576,31 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
     a pending obligation moves to related configurations of strictly
     smaller rank until a ✓ is reached.
     """
-    update = _updater(bias)
+    n = game.vertex_count
+    obligations, table, prow = _obligations(game, bias)
+    kk = len(obligations)
     arena = build_delayed_sim_arena(game, bias)
     won = solve_buchi(arena)
     ranks = buchi_rank(arena, won)
-    related: dict[tuple[int, int, Obligation], int] = {}
+    where = {k: i for i, k in enumerate(obligations)}
+    rank = [-1] * (n * n * kk)
     for pos in won:
         payload = arena.payload[pos]
         if payload[0] == "cfg":
             _, v, w, k = payload
-            related[(v, w, k)] = ranks[pos]
+            rank[(v * n + w) * kk + where[k]] = ranks[pos]
 
-    for (v, w, k), rank in related.items():
+    for t, r in enumerate(rank):
+        if r < 0:
+            continue
+        j, k = divmod(t, kk)
 
-        def member(vp: int, wp: int, kp: Obligation) -> bool:
-            r = related.get((vp, wp, kp))
-            if r is None:
-                return False
-            return k == CHECK or r < rank
+        def matched(vp: int, wp: int) -> bool:
+            jp = vp * n + wp
+            s = rank[jp * kk + table[prow[jp] + k]]
+            return s >= 0 and (k == 0 or s < r)
 
-        if not _delayed_transfer(game, update, v, w, k, member):
+        if not _delayed_transfer(game, j // n, j % n, matched):
             return False
     return True
 
@@ -474,9 +611,7 @@ def gstut_via_game(game: ParityGame) -> Partition:
     The winning set is guaranteed to be an equivalence; anything else
     signals an arena encoding bug and raises.
     """
-    arena = build_gstut_arena(game)
-    initial = _start_positions(game, arena, CHECK)
-    rel = _pair_relation_from_arena(game, arena, initial, "equivalence")
+    rel = _pair_relation_from_arena(game, build_gstut_arena(game), "equivalence")
     try:
         rel.validate()
     except ValueError as exc:
@@ -485,6 +620,15 @@ def gstut_via_game(game: ParityGame) -> Partition:
         ) from exc
     class_of = [min(iter_bits(rel.rows[v])) for v in game.vertices]
     return Partition.from_class_of(game.vertex_count, class_of)
+
+
+# The delayed coincidence notions and the bias of each.
+DELAYED_BIAS = {"delayed": "none", "delayed_even": "even", "delayed_odd": "odd"}
+
+
+def delayed_coincides(game: ParityGame, bias: str, preorder: VertexRelation) -> bool:
+    """The arena route's delayed preorder equals the fixpoint's."""
+    return preorder.rows == delayed_sim_fixpoint(game, bias).rows
 
 
 def coincidence_check(game: ParityGame, notion: str) -> bool:
@@ -500,7 +644,7 @@ def coincidence_check(game: ParityGame, notion: str) -> bool:
         )
     if notion == "gstut":
         return gstut_via_game(game) == gstut_bisim(game)
-    if notion in ("delayed", "delayed_even", "delayed_odd"):
-        bias = {"delayed": "none", "delayed_even": "even", "delayed_odd": "odd"}[notion]
-        return delayed_sim(game, bias).rows == delayed_sim_fixpoint(game, bias).rows
+    if notion in DELAYED_BIAS:
+        bias = DELAYED_BIAS[notion]
+        return delayed_coincides(game, bias, delayed_sim(game, bias))
     raise ValueError(f"unknown notion {notion!r}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from typing import Hashable
 
 from .forcing import attractor_layers, iter_bits
@@ -38,36 +39,25 @@ class Arena:
     """Explicit turn-based game arena with a Buchi acceptance set.
 
     Positions are dense indices; ``payload`` maps a position back to the
-    source tuple it encodes.  Positions are interned by payload, so builders
-    can freely re-request them.
+    source tuple it encodes and ``index`` maps it the other way.  ``start``
+    lists, for the pair games of :mod:`pgreduce.simgames`, the position at
+    which a play from the vertex pair (v, w) starts, at ``v * n + w``.
     """
 
     owners: list[ArenaPlayer] = field(default_factory=list)
     edges: list[list[int]] = field(default_factory=list)
     accepting: set[int] = field(default_factory=set)
     payload: list[Hashable] = field(default_factory=list)
-    index: dict[Hashable, int] = field(default_factory=dict)
+    start: list[int] = field(default_factory=list)
+
+    @cached_property
+    def index(self) -> dict[Hashable, int]:
+        """Position of each payload, built from ``payload`` on first use."""
+        return {p: i for i, p in enumerate(self.payload)}
 
     @property
     def size(self) -> int:
         return len(self.owners)
-
-    def position(self, payload: Hashable, owner: ArenaPlayer, accepting: bool = False) -> int:
-        """Intern a position; repeated requests return the existing index."""
-        pos = self.index.get(payload)
-        if pos is not None:
-            return pos
-        pos = len(self.owners)
-        self.index[payload] = pos
-        self.owners.append(owner)
-        self.edges.append([])
-        self.payload.append(payload)
-        if accepting:
-            self.accepting.add(pos)
-        return pos
-
-    def add_edge(self, src: int, dst: int) -> None:
-        self.edges[src].append(dst)
 
     def validate(self) -> None:
         for p, row in enumerate(self.edges):

@@ -4,7 +4,8 @@ The winner and forcing oracles enumerate memoryless strategies explicitly
 and evaluate plays on the strategy-restricted graph, so a bug in the
 attractor or in the Zielonka recursion cannot hide in them.  The stuttering,
 bisimulation, delayed-simulation, Buchi, Zielonka and parser references at
-the end keep the library's earlier, direct constructions.
+the end keep the library's earlier, direct constructions, and so do the
+arena builders, which intern every position by its payload tuple.
 """
 from itertools import product
 
@@ -25,7 +26,8 @@ from pgreduce import (
     steps,
 )
 from pgreduce.forcing import attractor_layers
-from pgreduce.simgames import CHECK, _UPDATERS, _delayed_transfer
+from pgreduce.lattice import COINCIDENCE_NOTIONS, LATTICE_EDGES, LatticeResult, compute_relations
+from pgreduce.simgames import CHECK, DAGGER, _UPDATERS, _delayed_transfer, coincidence_check
 
 
 def strategies(game: ParityGame, player: Player):
@@ -309,10 +311,11 @@ def oracle_delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexR
                     continue
                 v, w, k = t
 
-                def member(vp, wp, kp):
+                def matched(vp, wp):
+                    kp = update(game.priorities[vp], game.priorities[wp], k)
                     return (vp, wp, kp) in (y if kp == CHECK else x)
 
-                if _delayed_transfer(game, update, v, w, k, member):
+                if _delayed_transfer(game, v, w, matched):
                     x.add(t)
                     grew = True
         if x == y:
@@ -370,6 +373,212 @@ def oracle_buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
         raise ValueError("rank queried for positions not won by Duplicator")
     return layers
 
+
+# --- Reference arena builders ------------------------------------------------
+#
+# The interning builders: every half move builds its payload tuple and looks
+# it up in the arena's payload index.  The library's builders find positions
+# by arithmetic on their fields and must produce the same arenas: the same
+# positions in the same order, with the same owners, edges, acceptance and
+# payloads.
+
+_LOSE = ("lose",)
+
+
+class InterningArena(Arena):
+    """An arena that interns positions by payload, so builders can freely
+    re-request them."""
+
+    def position(self, payload, owner: ArenaPlayer, accepting: bool = False) -> int:
+        pos = self.index.get(payload)
+        if pos is not None:
+            return pos
+        pos = len(self.owners)
+        self.index[payload] = pos
+        self.owners.append(owner)
+        self.edges.append([])
+        self.payload.append(payload)
+        if accepting:
+            self.accepting.add(pos)
+        return pos
+
+    def add_edge(self, src: int, dst: int) -> None:
+        self.edges[src].append(dst)
+
+
+def _round_order(game: ParityGame, a: int, b: int) -> tuple[int, ArenaPlayer, ArenaPlayer]:
+    """First-moving side and the movers of both sides for the pair ``(a, b)``."""
+    mover0 = ArenaPlayer.SPOILER if game.owners[a] is Player.EVEN else ArenaPlayer.DUPLICATOR
+    mover1 = ArenaPlayer.SPOILER if game.owners[b] is Player.ODD else ArenaPlayer.DUPLICATOR
+    first = 0 if game.owners[a] is Player.EVEN else 1
+    return first, mover0, mover1
+
+
+def _first_mover(game: ParityGame, a: int, b: int) -> ArenaPlayer:
+    first, mover0, mover1 = _round_order(game, a, b)
+    return mover0 if first == 0 else mover1
+
+
+def _expand_all(arena: Arena, expand) -> Arena:
+    # Positions appended during expansion are expanded in turn.
+    i = 0
+    while i < arena.size:
+        expand(i, arena.payload[i])
+        i += 1
+    return arena
+
+
+def _oracle_simulation_arena(game: ParityGame, swap: bool) -> Arena:
+    arena = InterningArena()
+
+    def cfg(v: int, w: int) -> int:
+        if game.priorities[v] != game.priorities[w]:
+            return arena.position(_LOSE, ArenaPlayer.DUPLICATOR)
+        owner = ArenaPlayer.SPOILER if swap else _first_mover(game, v, w)
+        return arena.position(("cfg", v, w), owner, accepting=True)
+
+    for v in game.vertices:
+        for w in game.vertices:
+            cfg(v, w)
+
+    def expand(pos: int, payload) -> None:
+        kind = payload[0]
+        if kind == "lose":
+            arena.add_edge(pos, pos)
+        elif kind == "cfg" and swap:
+            _, v, w = payload
+            for a, b in ((v, w), (w, v)):
+                arena.add_edge(pos, arena.position(("ori", a, b), _first_mover(game, a, b)))
+        elif kind in ("cfg", "ori"):
+            _, a, b = payload
+            first, mover0, mover1 = _round_order(game, a, b)
+            if first == 0:
+                for t in game.successors[a]:
+                    arena.add_edge(pos, arena.position(("mid", t, b, 1), mover1))
+            else:
+                for t in game.successors[b]:
+                    arena.add_edge(pos, arena.position(("mid", a, t, 0), mover0))
+        else:
+            _, a, b, side = payload
+            for u in game.successors[a if side == 0 else b]:
+                arena.add_edge(pos, cfg(u, b) if side == 0 else cfg(a, u))
+
+    return _expand_all(arena, expand)
+
+
+def oracle_build_direct_sim_arena(game: ParityGame) -> Arena:
+    return _oracle_simulation_arena(game, swap=False)
+
+
+def oracle_build_governed_bisim_arena(game: ParityGame) -> Arena:
+    return _oracle_simulation_arena(game, swap=True)
+
+
+def oracle_build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
+    update = _UPDATERS[bias]
+    arena = InterningArena()
+
+    def cfg(v: int, w: int, k) -> int:
+        return arena.position(("cfg", v, w, k), _first_mover(game, v, w), accepting=k == CHECK)
+
+    for v in game.vertices:
+        for w in game.vertices:
+            cfg(v, w, update(game.priorities[v], game.priorities[w], CHECK))
+
+    def expand(pos: int, payload) -> None:
+        kind = payload[0]
+        if kind == "cfg":
+            _, v, w, k = payload
+            first, mover0, mover1 = _round_order(game, v, w)
+            if first == 0:
+                for t in game.successors[v]:
+                    arena.add_edge(pos, arena.position(("mid", t, w, k, 1), mover1))
+            else:
+                for t in game.successors[w]:
+                    arena.add_edge(pos, arena.position(("mid", v, t, k, 0), mover0))
+        else:
+            _, a, b, k, side = payload
+            for u in game.successors[a if side == 0 else b]:
+                vp, wp = (u, b) if side == 0 else (a, u)
+                kp = update(game.priorities[vp], game.priorities[wp], k)
+                arena.add_edge(pos, cfg(vp, wp, kp))
+
+    return _expand_all(arena, expand)
+
+
+def _gstut_challenge_update(c, cprime, same_vertex: bool, spoiler_moved: bool):
+    if not same_vertex:
+        return CHECK
+    if spoiler_moved:
+        return cprime if c in (DAGGER, CHECK, cprime) else CHECK
+    return DAGGER
+
+
+def oracle_build_gstut_arena(game: ParityGame) -> Arena:
+    arena = InterningArena()
+
+    def cfg(v: int, w: int, c) -> int:
+        if game.priorities[v] != game.priorities[w]:
+            return arena.position(_LOSE, ArenaPlayer.DUPLICATOR)
+        return arena.position(("cfg", v, w, c), ArenaPlayer.SPOILER, accepting=c == CHECK)
+
+    for v in game.vertices:
+        for w in game.vertices:
+            cfg(v, w, CHECK)
+
+    def expand(pos: int, payload) -> None:
+        kind = payload[0]
+        if kind == "lose":
+            arena.add_edge(pos, pos)
+        elif kind == "cfg":
+            _, v, w, c = payload
+            for swap in (0, 1):
+                a, b = (w, v) if swap else (v, w)
+                arena.add_edge(pos, arena.position(("ori", a, b, c, swap), _first_mover(game, a, b)))
+        elif kind == "ori":
+            _, a, b, c, swap = payload
+            first, mover0, mover1 = _round_order(game, a, b)
+            if first == 0:
+                for t in game.successors[a]:
+                    arena.add_edge(pos, arena.position(("mid", a, b, c, swap, 0, t), mover1))
+            else:
+                for t in game.successors[b]:
+                    arena.add_edge(pos, arena.position(("mid", a, b, c, swap, 1, t), mover0))
+        elif kind == "mid":
+            _, a, b, c, swap, moved, t = payload
+            for u in game.successors[b if moved == 0 else a]:
+                t0, t1 = (t, u) if moved == 0 else (u, t)
+                arena.add_edge(pos, arena.position(("pick", a, b, t0, t1, c, swap), ArenaPlayer.DUPLICATOR))
+        else:
+            _, a, b, t0, t1, c, swap = payload
+            same = (not swap) or a == b
+            left = _gstut_challenge_update(c, (0, t0), same, game.owners[a] is Player.EVEN)
+            right = _gstut_challenge_update(c, (1, t1), same, game.owners[b] is Player.ODD)
+            arena.add_edge(pos, cfg(t0, t1, CHECK))
+            arena.add_edge(pos, cfg(a, t1, left))
+            arena.add_edge(pos, cfg(t0, b, right))
+
+    return _expand_all(arena, expand)
+
+
+
+# --- Reference lattice check -------------------------------------------------
+#
+# Every edge on ``compute_relations``, then ``coincidence_check`` per notion,
+# which builds and solves each delayed arena a second time.
+
+
+def oracle_check_lattice(game: ParityGame) -> list[LatticeResult]:
+    rels = compute_relations(game)
+    results = [
+        LatticeResult(f"{finer} refines {coarser}", rels[finer].is_subrelation(rels[coarser]))
+        for finer, coarser in LATTICE_EDGES
+    ]
+    results += [
+        LatticeResult(f"game-based {notion} coincides", coincidence_check(game, notion))
+        for notion in COINCIDENCE_NOTIONS
+    ]
+    return results
 
 # --- Reference Zielonka solver ---------------------------------------------
 #

@@ -1,9 +1,12 @@
+import pgreduce.simgames
 from conftest import small_random_games
+from oracles import oracle_check_lattice
 from pgreduce import random_game
 from pgreduce.lattice import (
     COINCIDENCE_NOTIONS,
     LATTICE_EDGES,
     RELATION_ORDER,
+    LatticeResult,
     check_lattice,
     compute_relations,
 )
@@ -37,3 +40,26 @@ def test_inclusion_edges_on_random_games_up_to_ten_vertices():
 def test_full_check_on_larger_game():
     game = small_random_games(1, max_n=12, start_n=12)[0]
     assert all(r.passed for r in check_lattice(game))
+
+
+def test_check_lattice_builds_one_delayed_arena_per_bias(monkeypatch, exhaustive_corpus, random_corpus):
+    calls = 0
+    original = pgreduce.simgames.build_delayed_sim_arena
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(pgreduce.simgames, "build_delayed_sim_arena", counting)
+    game = small_random_games(1, max_n=8, start_n=8)[0]
+    assert all(r.passed for r in check_lattice(game))
+    assert calls == 3
+    # The earlier check, which built every delayed arena twice, passes every
+    # edge and coincidence on the exhaustive corpus (acceptance criteria 2
+    # and 3); it is re-run here on a slice of the random corpus.
+    names = [r.name for r in oracle_check_lattice(game)]
+    for i, game in enumerate(exhaustive_corpus):
+        assert check_lattice(game) == [LatticeResult(name, True) for name in names], i
+    for i, game in enumerate(random_corpus[:25]):
+        assert check_lattice(game) == oracle_check_lattice(game), i

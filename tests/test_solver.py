@@ -6,6 +6,7 @@ import oracles
 import pgreduce.solver as solver_module
 from conftest import small_random_games
 from oracles import (
+    InterningArena,
     arena_as_parity_game,
     oracle_buchi_rank,
     oracle_solve_buchi,
@@ -13,7 +14,6 @@ from oracles import (
     oracle_winner,
 )
 from pgreduce import (
-    Arena,
     ArenaPlayer,
     ParityGame,
     Player,
@@ -130,7 +130,7 @@ def test_zielonka_agrees_with_strategy_enumeration():
 
 
 def _two_position_cycle(accepting_first):
-    arena = Arena()
+    arena = InterningArena()
     a = arena.position("a", D, accepting=accepting_first)
     b = arena.position("b", D)
     arena.add_edge(a, b)
@@ -156,7 +156,7 @@ def test_buchi_two_position_cycle_ranks():
 
 
 def test_buchi_rank_rejects_losing_positions():
-    arena = Arena()
+    arena = InterningArena()
     a = arena.position("a", D)
     arena.add_edge(a, a)
     assert solve_buchi(arena) == frozenset()
@@ -165,7 +165,7 @@ def test_buchi_rank_rejects_losing_positions():
 
 
 def test_buchi_spoiler_can_avoid():
-    arena = Arena()
+    arena = InterningArena()
     a = arena.position("a", S)
     good = arena.position("good", D, accepting=True)
     bad = arena.position("bad", D)
@@ -223,7 +223,7 @@ def test_buchi_matches_reference(build):
 
 
 def test_arena_validate_rejects_dead_positions():
-    arena = Arena()
+    arena = InterningArena()
     arena.position("stuck", D)
     with pytest.raises(ValueError, match="no moves"):
         solve_buchi(arena)
