@@ -37,7 +37,12 @@ class Player(IntEnum):
 
     @property
     def opponent(self) -> "Player":
-        return Player(1 - self.value)
+        return _OPPONENT[self]
+
+
+_OPPONENT = (Player.ODD, Player.EVEN)
+# Owner values ParityGame accepts: 0 and 1, as ints or players.
+_OWNER = {0: Player.EVEN, 1: Player.ODD}
 
 
 @dataclass(frozen=True)
@@ -57,9 +62,12 @@ class ParityGame:
     labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self) -> None:
-        prios = tuple(int(p) for p in self.priorities)
-        owners = tuple(Player(o) for o in self.owners)
-        succs = tuple(tuple(sorted(set(int(u) for u in row))) for row in self.successors)
+        prios = tuple(map(int, self.priorities))
+        try:
+            owners = tuple(map(_OWNER.__getitem__, self.owners))
+        except (KeyError, TypeError):
+            raise ValueError("every owner must be 0 (even) or 1 (odd)") from None
+        succs = tuple(tuple(sorted(set(map(int, row)))) for row in self.successors)
         object.__setattr__(self, "priorities", prios)
         object.__setattr__(self, "owners", owners)
         object.__setattr__(self, "successors", succs)

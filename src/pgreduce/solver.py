@@ -1,21 +1,25 @@
 """Parity and Buchi game solving.
 
-``solve_zielonka`` computes exact winning regions with Zielonka's attractor
-decomposition, run on an explicit stack over one bitmask per priority.
-``solve_buchi`` solves the explicit two-player arenas used for the
-(bi)simulation games; its one-step predecessor visits the accepting
-positions only, and its nested-attractor layering also yields the progress
-ranks consumed by the well-foundedness checks.  Both use the
-attractor kernel :func:`pgreduce.forcing.attractor_layers`: Zielonka
-counts only the successors inside the current subgame and allows only its
-vertices, the arena solver counts every move and allows every position.
+``solve_zielonka`` computes exact winning regions in two decomposition
+steps around Zielonka's attractor decomposition.  It first decides the
+vertices whose owner can stay on a self-loop of its own parity, with their
+attractors, and then solves the strongly connected components of the rest
+bottom-up; Zielonka's core runs on each component's unsolved part, on an
+explicit stack over one bitmask per priority.  ``solve_buchi`` solves the
+explicit two-player arenas used for the (bi)simulation games; its one-step
+predecessor visits the accepting positions only, and its nested-attractor
+layering also yields the progress ranks consumed by the well-foundedness
+checks.  Both use the attractor kernel
+:func:`pgreduce.forcing.attractor_layers`: Zielonka counts only the
+successors inside the current subgame and allows only its vertices, the
+arena solver counts every move and allows every position.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
-from typing import Hashable
+from typing import Hashable, Sequence
 
 from .forcing import attractor_layers, iter_bits
 from .game import ParityGame, Player, WinningRegions
@@ -55,6 +59,11 @@ class Arena:
         """Position of each payload, built from ``payload`` on first use."""
         return {p: i for i, p in enumerate(self.payload)}
 
+    @cached_property
+    def predecessors(self) -> list[list[int]]:
+        """Predecessor lists, built from ``edges`` on first use."""
+        return _arena_preds(self)
+
     @property
     def size(self) -> int:
         return len(self.owners)
@@ -65,66 +74,171 @@ class Arena:
                 raise ValueError(f"arena position {p} ({self.payload[p]!r}) has no moves")
 
 
-def solve_zielonka(game: ParityGame) -> WinningRegions:
-    """Exact winner partition by Zielonka's attractor decomposition.
+class _Zielonka:
+    """Zielonka's attractor decomposition on the subgames of one game.
 
-    The recursion runs on an explicit stack, so its depth is bounded by
-    memory, not by the interpreter's recursion limit, and no call scans
-    the vertices.  A frame ``(alive, cursor, player, owed)`` waits for the
-    subgame left after ``player``'s attractor to the lowest priority of
-    ``alive``; ``owed`` holds the vertices its earlier tail calls gave to
-    each player.  ``cursor`` indexes the per-priority masks and only moves
-    forward, because no subgame holds a priority below its parent's lowest.
+    A subgame is a bitmask of vertices in which every vertex keeps a
+    successor; its edges are those of the game between its vertices.
     """
-    preds = game.predecessors()
-    succ_masks = [sum(1 << u for u in row) for row in game.successors]
-    levels = sorted(set(game.priorities))
-    rank = {p: k for k, p in enumerate(levels)}
-    masks = [0] * len(levels)
-    for v, p in enumerate(game.priorities):
-        masks[rank[p]] |= 1 << v
 
-    def attract(player: Player, targets: int, alive: int) -> int:
+    def __init__(self, game: ParityGame):
+        self.owners = game.owners
+        self.preds = game.predecessors()
+        self.succ_masks = [sum(1 << u for u in row) for row in game.successors]
+        self.levels = sorted(set(game.priorities))
+        self.rank = {p: k for k, p in enumerate(self.levels)}
+        self.masks = [0] * len(self.levels)
+        for v, p in enumerate(game.priorities):
+            self.masks[self.rank[p]] |= 1 << v
+
+    def attract(self, player: Player, targets: int, alive: int) -> int:
+        """``player``'s attractor to ``targets`` in the subgame ``alive``."""
+        succ_masks = self.succ_masks
+
         # Edges leaving the subgame do not exist in it, unlike in the
         # constrained attractor of the forcing module.
         def degree(v: int) -> int:
             return (succ_masks[v] & alive).bit_count()
 
         out = 0
-        for v in attractor_layers(game.owners, preds, degree, player, iter_bits(targets), alive):
+        for v in attractor_layers(self.owners, self.preds, degree, player, iter_bits(targets), alive):
             out |= 1 << v
         return out
 
-    frames: list[tuple[int, int, Player, list[int]]] = []
-    alive = (1 << game.vertex_count) - 1
-    cursor = 0
-    owed = [0, 0]
-    while True:
-        # Descend: peel the lowest priority's attractor off each subgame.
-        while alive:
-            while not masks[cursor] & alive:
-                cursor += 1
-            i = Player(levels[cursor] % 2)
-            a = attract(i, masks[cursor] & alive, alive)
-            frames.append((alive, cursor, i, owed))
-            alive &= ~a
-            owed = [0, 0]
-        won = owed
-        # Ascend: a frame whose opponent won nothing below is won by its
-        # player; otherwise it continues on the rest, owing ``b``.
+    def solve(self, alive: int, cursor: int = 0) -> list[int]:
+        """Each player's region of the subgame ``alive``, as ``[even, odd]``.
+
+        The recursion runs on an explicit stack, so its depth is bounded by
+        memory, not by the interpreter's recursion limit, and no call scans
+        the vertices.  A frame ``(alive, cursor, player, owed)`` waits for
+        the subgame left after ``player``'s attractor to the lowest priority
+        of ``alive``; ``owed`` holds the vertices its earlier tail calls gave
+        to each player.  ``cursor`` indexes the per-priority masks and only
+        moves forward, because no subgame holds a priority below its
+        parent's lowest; it starts at most at the rank of the lowest
+        priority in ``alive``.
+        """
+        masks, levels, attract = self.masks, self.levels, self.attract
+        frames: list[tuple[int, int, Player, list[int]]] = []
+        owed = [0, 0]
+        while True:
+            # Descend: peel the lowest priority's attractor off each subgame.
+            while alive:
+                while not masks[cursor] & alive:
+                    cursor += 1
+                i = Player(levels[cursor] % 2)
+                a = attract(i, masks[cursor] & alive, alive)
+                frames.append((alive, cursor, i, owed))
+                alive &= ~a
+                owed = [0, 0]
+            won = owed
+            # Ascend: a frame whose opponent won nothing below is won by its
+            # player; otherwise it continues on the rest, owing ``b``.
+            while frames:
+                alive, cursor, i, owed = frames.pop()
+                o = i.opponent
+                if not won[o]:
+                    owed[i] |= alive
+                    won = owed
+                    continue
+                b = attract(o, won[o], alive)
+                owed[o] |= b
+                alive &= ~b
+                break
+            else:
+                return won
+
+
+def _bottom_up_sccs(successors: Sequence[Sequence[int]], alive: int) -> list[list[int]]:
+    """Strongly connected components of the graph induced by ``alive``,
+    each listed after every component it reaches.
+
+    Tarjan's algorithm on an explicit stack of (vertex, successor iterator)
+    frames, so a path of any length needs no interpreter recursion.
+    """
+    n = len(successors)
+    # Depth-first numbers count from 1; 0 marks unvisited vertices and n + 1
+    # those already listed, which then never lower a ``low``.
+    order = [0] * n
+    low = [0] * n
+    stack: list[int] = []
+    out: list[list[int]] = []
+    count = 0
+    for root in iter_bits(alive):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        frames = [(root, iter(successors[root]))]
         while frames:
-            alive, cursor, i, owed = frames.pop()
-            o = i.opponent
-            if not won[o]:
-                owed[i] |= alive
-                won = owed
-                continue
-            b = attract(o, won[o], alive)
-            owed[o] |= b
-            alive &= ~b
-            break
-        else:
-            return WinningRegions(frozenset(iter_bits(won[0])), frozenset(iter_bits(won[1])))
+            v, it = frames[-1]
+            for u in it:
+                if not alive >> u & 1:
+                    continue
+                if not order[u]:
+                    count += 1
+                    order[u] = low[u] = count
+                    stack.append(u)
+                    frames.append((u, iter(successors[u])))
+                    break
+                if order[u] < low[v]:
+                    low[v] = order[u]
+            else:
+                frames.pop()
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for u in component:
+                        order[u] = n + 1
+                    out.append(component)
+    return out
+
+
+def solve_zielonka(game: ParityGame) -> WinningRegions:
+    """Exact winner partition: Zielonka's algorithm behind two decomposition steps.
+
+    1. A vertex whose owner has a self-loop on a priority of the owner's
+       parity is won by its owner, who can stay there forever.  Each
+       player's attractor to those vertices is decided first.
+    2. The strongly connected components of the rest are visited bottom-up,
+       each after every component it reaches.  A component's unsolved part
+       is then a total subgame that no unsolved edge leaves, so the regions
+       Zielonka's core finds in it are winning in the whole game; each
+       player's attractor to its region is decided.  A component without a
+       cycle is always decided before it is reached.
+
+    Every decided attractor is taken within the unsolved vertices, whose
+    remainder therefore stays a total subgame (Friedmann & Lange, "Solving
+    parity games in practice", ATVA 2009).
+    """
+    zielonka = _Zielonka(game)
+    prios = game.priorities
+    won = [0, 0]
+    unsolved = (1 << game.vertex_count) - 1
+
+    def decide(regions: list[int]) -> None:
+        nonlocal unsolved
+        for i in (Player.EVEN, Player.ODD):
+            if regions[i]:
+                a = zielonka.attract(i, regions[i], unsolved)
+                won[i] |= a
+                unsolved &= ~a
+
+    loops = [0, 0]
+    for v, row in enumerate(game.successors):
+        p = prios[v] % 2
+        if game.owners[v] == p and v in row:
+            loops[p] |= 1 << v
+    decide(loops)
+    for component in _bottom_up_sccs(game.successors, unsolved):
+        part = sum(1 << v for v in component) & unsolved
+        if part:
+            decide(zielonka.solve(part, zielonka.rank[min(prios[v] for v in component)]))
+    return WinningRegions(frozenset(iter_bits(won[0])), frozenset(iter_bits(won[1])))
 
 
 def _arena_preds(arena: Arena) -> list[list[int]]:
@@ -157,7 +271,7 @@ def solve_buchi(arena: Arena) -> frozenset[int]:
     step, until stable.
     """
     arena.validate()
-    preds = _arena_preds(arena)
+    preds = arena.predecessors
     y = set(range(arena.size))
     while True:
         t = _cpre_duplicator(arena, y)
@@ -180,7 +294,7 @@ def buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
     """
     t = _cpre_duplicator(arena, set(won))
     layers = attractor_layers(
-        arena.owners, _arena_preds(arena), lambda p: len(arena.edges[p]),
+        arena.owners, arena.predecessors, lambda p: len(arena.edges[p]),
         ArenaPlayer.DUPLICATOR, sorted(t),
     )
     if set(layers) != set(won):

@@ -387,12 +387,14 @@ _LOSE = ("lose",)
 
 class InterningArena(Arena):
     """An arena that interns positions by payload, so builders can freely
-    re-request them."""
+    re-request them.  Adding a position or an edge drops the cached
+    predecessor lists."""
 
     def position(self, payload, owner: ArenaPlayer, accepting: bool = False) -> int:
         pos = self.index.get(payload)
         if pos is not None:
             return pos
+        self.__dict__.pop("predecessors", None)
         pos = len(self.owners)
         self.index[payload] = pos
         self.owners.append(owner)
@@ -403,6 +405,7 @@ class InterningArena(Arena):
         return pos
 
     def add_edge(self, src: int, dst: int) -> None:
+        self.__dict__.pop("predecessors", None)
         self.edges[src].append(dst)
 
 

@@ -282,6 +282,31 @@ def test_game_normalises_successors():
     assert g.successors == ((0, 1), (0,))
 
 
+def test_game_rejects_owners_other_than_players():
+    for owner in (2, -1, "0", None, 0.5, [0]):
+        with pytest.raises(ValueError, match="owner"):
+            ParityGame((0,), (owner,), ((0,),))
+
+
+def test_game_normalisation_matches_enum_construction():
+    # The constructor looks owners up in a table instead of calling
+    # Player(...) per vertex: games, parsed or built, must come out equal,
+    # with Player owners and int priorities and successors.
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        prios = [rng.randint(0, 5) for _ in range(n)]
+        owners = [rng.choice((0, 1, Player.EVEN, Player.ODD, False, True)) for _ in range(n)]
+        succs = [[rng.randrange(n) for _ in range(rng.randint(1, 4))] for _ in range(n)]
+        built = ParityGame(prios, owners, succs)
+        for g in (built, parse_pgsolver(serialize_pgsolver(built))):
+            assert g.priorities == tuple(int(p) for p in prios)
+            assert g.owners == tuple(Player(o) for o in owners)
+            assert g.successors == tuple(tuple(sorted(set(int(u) for u in row))) for row in succs)
+            assert all(type(o) is Player for o in g.owners)
+            assert all(type(x) is int for x in g.priorities + sum(g.successors, ()))
+
+
 def test_random_game_is_deterministic():
     a = random_game(8, 3, (1, 3), 42)
     b = random_game(8, 3, (1, 3), 42)

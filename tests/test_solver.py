@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import oracles
 import pgreduce.solver as solver_module
 from conftest import small_random_games
+from inflation import inflate
 from oracles import (
     InterningArena,
     arena_as_parity_game,
@@ -25,7 +27,9 @@ from pgreduce import (
     random_game,
     solve_buchi,
     solve_zielonka,
+    wf_rank_check,
 )
+from pgreduce.forcing import iter_bits
 
 D = ArenaPlayer.DUPLICATOR
 S = ArenaPlayer.SPOILER
@@ -59,6 +63,24 @@ def _self_loops(n):
     return ParityGame(tuple(range(n)), tuple(i % 2 for i in range(n)), tuple((i,) for i in range(n)))
 
 
+def _loser_loop_cycle(n):
+    """A cycle ``i -> i + 1 (mod n)`` whose vertex ``i`` has priority ``i``
+    and a self-loop owned by the player ``i`` is bad for.  No self-loop is
+    winner-owned and the cycle is one component, so the core solves it,
+    peeling one priority per level."""
+    return ParityGame(
+        tuple(range(n)), tuple(1 - i % 2 for i in range(n)), tuple((i, (i + 1) % n) for i in range(n))
+    )
+
+
+def _path(n):
+    """``0 -> 1 -> ... -> n - 1``, which loops on an even priority that odd
+    owns, so that the self-loop step leaves the whole path to the
+    components."""
+    succs = tuple((min(i + 1, n - 1),) for i in range(n))
+    return ParityGame((1,) * (n - 1) + (0,), (0,) * (n - 1) + (1,), succs)
+
+
 def test_solver_leaves_recursion_limit_alone(monkeypatch):
     def refuse(limit):
         raise AssertionError("solve_zielonka changed the recursion limit")
@@ -68,6 +90,28 @@ def test_solver_leaves_recursion_limit_alone(monkeypatch):
     regions = solve_zielonka(_chain_loop(n))
     assert regions.won_by_even == frozenset(range(0, n, 2))
     assert regions.won_by_odd == frozenset(range(1, n, 2))
+
+    # Neither step decides the loser-loop cycle, and the core's frames nest
+    # deeper than the recursion limit: each descending call works on a
+    # strict subset of the previous call's subgame.
+    original = solver_module.attractor_layers
+    subgames = []
+
+    def recording(owners, preds, degree, player, targets, allowed=None):
+        subgames.append(allowed)
+        return original(owners, preds, degree, player, targets, allowed)
+
+    monkeypatch.setattr(solver_module, "attractor_layers", recording)
+    assert solve_zielonka(_loser_loop_cycle(n)).won_by_even == frozenset(range(n))
+    depth = 1
+    while subgames[depth] != subgames[depth - 1] and subgames[depth] & ~subgames[depth - 1] == 0:
+        depth += 1
+    assert depth > sys.getrecursionlimit()
+
+    # Tarjan's depth-first search follows the whole path.
+    path = _path(n)
+    assert solver_module._bottom_up_sccs(path.successors, (1 << n) - 1) == [[v] for v in reversed(range(n))]
+    assert solve_zielonka(path).won_by_even == frozenset(range(n))
 
 
 def _zielonka_corpus():
@@ -82,7 +126,8 @@ def _zielonka_corpus():
 
 
 def test_zielonka_matches_reference(monkeypatch):
-    """Same regions and the same attractor calls, in order, as the recursive form."""
+    """The core on the full vertex set makes the same attractor calls, in
+    order, as the recursive form; the solver finds the same regions."""
     original = solver_module.attractor_layers
     calls = []
 
@@ -95,12 +140,63 @@ def test_zielonka_matches_reference(monkeypatch):
     monkeypatch.setattr(oracles, "attractor_layers", recording)
     for k, game in enumerate(_zielonka_corpus()):
         calls.clear()
-        regions = solve_zielonka(game)
+        even, odd = solver_module._Zielonka(game).solve((1 << game.vertex_count) - 1)
         ours = list(calls)
         calls.clear()
-        assert regions == oracle_solve_zielonka(game), k
+        expected = oracle_solve_zielonka(game)
+        assert set(iter_bits(even)) == expected.won_by_even, k
+        assert set(iter_bits(odd)) == expected.won_by_odd, k
         assert ours == calls, k
         assert all(list(targets) == sorted(targets) for _, targets, _ in ours), k
+        assert solve_zielonka(game) == expected, k
+
+
+def _oracle_cases():
+    # The solve-deep benchmark's shape: as many priorities as vertices.
+    for n in range(100, 276, 25):
+        for seed in range(4):
+            yield random_game(n, n, (1, 2), 1000 + 10 * n + seed)
+    for n in range(5, 120, 7):
+        for max_priority in (0, 1, 2):
+            yield random_game(n, max_priority, (1, 3), 7 * n + max_priority)
+    for seed in range(12):
+        core = random_game(12 + seed, 4, (1, 3), 300 + seed)
+        yield inflate(core, duplicates=10, chains=15, seed=seed)[0]
+
+
+def test_solver_matches_recursive_reference():
+    for k, game in enumerate(_oracle_cases()):
+        assert solve_zielonka(game) == oracle_solve_zielonka(game), k
+
+
+def test_bottom_up_sccs_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for seed in range(60):
+        n = 1 + seed % 40
+        game = random_game(n, 3, (1, min(1 + seed % 3, n)), 50 + seed)
+        alive = random.Random(seed).getrandbits(n) if seed % 2 else (1 << n) - 1
+        sccs = solver_module._bottom_up_sccs(game.successors, alive)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(v for v in game.vertices if alive >> v & 1)
+        graph.add_edges_from([(v, u) for v in graph for u in game.successors[v] if alive >> u & 1])
+        assert sorted(map(sorted, sccs)) == sorted(map(sorted, nx.strongly_connected_components(graph))), seed
+        where = {v: k for k, scc in enumerate(sccs) for v in scc}
+        assert all(where[v] >= where[u] for v, u in graph.edges), seed
+
+
+def test_isolated_self_loops_take_two_attractor_calls(monkeypatch):
+    original = solver_module.attractor_layers
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver_module, "attractor_layers", counting)
+    regions = solve_zielonka(_self_loops(1600))
+    assert regions.won_by_even == frozenset(range(0, 1600, 2))
+    assert regions.won_by_odd == frozenset(range(1, 1600, 2))
+    assert len(calls) <= 2
 
 
 def test_escape_edge_regions(escape_edge):
@@ -220,6 +316,29 @@ def test_buchi_matches_reference(build):
         won = solve_buchi(arena)
         assert won == oracle_solve_buchi(arena), i
         assert buchi_rank(arena, won) == oracle_buchi_rank(arena, won), i
+
+
+def test_rank_check_builds_predecessor_lists_once(monkeypatch):
+    original = solver_module._arena_preds
+    built = []
+
+    def counting(arena):
+        built.append(arena)
+        return original(arena)
+
+    monkeypatch.setattr(solver_module, "_arena_preds", counting)
+    assert wf_rank_check(random_game(6, 3, (1, 2), 4), bias="none")
+    assert len(built) == 1
+
+
+def test_interning_arena_drops_stale_predecessors():
+    arena, a, b = _two_position_cycle(accepting_first=True)
+    assert solve_buchi(arena) == {a, b}
+    c = arena.position("c", S)
+    arena.add_edge(c, c)
+    arena.add_edge(b, c)
+    assert arena.predecessors[c] == [b, c]
+    assert solve_buchi(arena) == oracle_solve_buchi(arena)
 
 
 def test_arena_validate_rejects_dead_positions():
