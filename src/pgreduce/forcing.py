@@ -143,9 +143,9 @@ def attractor(game: ParityGame, player: Player, U: VertexSet, T: VertexSet) -> V
     """Least fixpoint of the constrained attractor: force into ``T`` via ``U``.
 
     Every edge counts, so an opponent vertex with a successor outside ``U``
-    and ``T`` never joins.  Stuttering refinement makes one call per class,
-    player and successor class, with the target cut down to the class's
-    successors.
+    and ``T`` never joins.  Stuttering refinement computes these attractors
+    from a class without calling this function: one class-local fixpoint
+    per player in ``relations._sign_class`` yields them all at once.
     """
     succs = game.successors
     layers = attractor_layers(

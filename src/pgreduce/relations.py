@@ -1,18 +1,25 @@
 """Coinductive/fixpoint computation of the simulation preorders and bisimulations.
 
-The simulation preorders are greatest fixpoints computed by pair deletion.
-The four bisimilarities share one signature-based partition refinement:
-governed and strong bisimilarity sign a vertex by its successor classes,
-the stuttering variants by forcing and divergence predicates.  The delayed
-simulation family lives in :mod:`pgreduce.simgames` because its natural
-home is the obligation game.
+The simulation preorders are greatest fixpoints computed by pair deletion,
+re-checking only the rows whose successors' rows shrank.  The four
+bisimilarities share one signature-based partition refinement: governed
+and strong bisimilarity sign a vertex by its successor classes, the
+stuttering variants by forcing and divergence predicates.  Those
+predicates are constrained attractors from the signed class, and the
+signer computes all of them for one player in a single least fixpoint over
+the class, one bit per successor class plus one for leaving the class;
+each bit is an independent monotone operator, so each is exactly its
+attractor.  The delayed simulation family lives in :mod:`pgreduce.simgames`
+because its natural home is the obligation game.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .forcing import VertexSet, attractor, iter_bits
+# attractor is not called here, but bench/tracing.py wraps this name in
+# this module, so it stays bound.
+from .forcing import VertexSet, attractor, iter_bits  # noqa: F401
 from .game import ParityGame, Player
 
 __all__ = [
@@ -78,17 +85,33 @@ class VertexRelation:
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
 
     def validate(self) -> None:
-        """Check reflexivity and transitivity, plus symmetry for equivalences."""
-        for v in range(self.universe):
-            if not self.holds(v, v):
+        """Check reflexivity and transitivity, plus symmetry for equivalences.
+
+        Errors name the first failing pair in ``(v, w)`` order.  Whether a
+        row passes the transitivity check depends only on the row.  Once the
+        relation is transitive, so does symmetry: ``v R w`` and ``w R v``
+        together mean equal rows.  So each check walks each distinct row
+        once, at its first vertex.
+        """
+        rows = self.rows
+        for v, row in enumerate(rows):
+            if not row >> v & 1:
                 raise ValueError(f"relation not reflexive at {v}")
-        for v, w in self.pairs():
-            if self.rows[w] & ~self.rows[v]:
-                raise ValueError(f"relation not transitive through ({v}, {w})")
+        seen: set[int] = set()
+        for v, row in enumerate(rows):
+            if row not in seen:
+                seen.add(row)
+                for w in iter_bits(row):
+                    if rows[w] & ~row:
+                        raise ValueError(f"relation not transitive through ({v}, {w})")
         if self.kind == "equivalence":
-            for v, w in self.pairs():
-                if not self.holds(w, v):
-                    raise ValueError(f"relation not symmetric at ({v}, {w})")
+            seen.clear()
+            for v, row in enumerate(rows):
+                if row not in seen:
+                    seen.add(row)
+                    for w in iter_bits(row):
+                        if not rows[w] >> v & 1:
+                            raise ValueError(f"relation not symmetric at ({v}, {w})")
 
 
 @dataclass(frozen=True)
@@ -156,41 +179,64 @@ def _succ_masks(game: ParityGame) -> list[int]:
     return [sum(1 << u for u in row) for row in game.successors]
 
 
-def _steps_even_mask(game: ParityGame, succ_masks: list[int], w: int, target_mask: int) -> bool:
-    # One-step controlled move for player even, on bitmasks.
-    if game.owners[w] is Player.EVEN:
-        return succ_masks[w] & target_mask != 0
-    return succ_masks[w] & ~target_mask == 0
-
-
 def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
-    """Delete pairs violating the direct-simulation transfer until stable."""
+    """Delete pairs violating the direct-simulation transfer until stable.
+
+    Whether ``(v, w)`` may stay depends only on the rows of ``v``'s
+    successors.  So the first round checks every row, and each later round
+    only the rows of predecessors of rows that lost a pair in the round
+    before.  The greatest fixpoint does not depend on the order in which
+    violating pairs go, so this deletes down to the same rows as sweeping
+    every row until none changes.
+    """
     succ_masks = _succ_masks(game)
-    n = game.vertex_count
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
+    even = [owner is Player.EVEN for owner in game.owners]
+    succs = game.successors
+    preds = game.predecessors()
+    dirty: Iterable[int] = range(game.vertex_count)
+    while dirty:
+        shrunk = []
+        for v in dirty:
             row = rows[v]
-            w_bits = row
-            while w_bits:
-                low = w_bits & -w_bits
-                w = low.bit_length() - 1
-                w_bits ^= low
-                ok = True
-                if game.owners[v] is Player.EVEN:
-                    for vp in game.successors[v]:
-                        if not _steps_even_mask(game, succ_masks, w, rows[vp]):
-                            ok = False
-                            break
-                else:
-                    target = 0
-                    for vp in game.successors[v]:
-                        target |= rows[vp]
-                    ok = _steps_even_mask(game, succ_masks, w, target)
-                if not ok:
-                    rows[v] &= ~(1 << w)
-                    changed = True
+            keep = row
+            bits = row
+            if even[v]:
+                # w must answer every move of v: even at w with a successor
+                # in each successor's row, odd at w with all its successors
+                # in all of those rows.
+                targets = [rows[vp] for vp in succs[v]]
+                meet = -1
+                for t in targets:
+                    meet &= t
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    w = low.bit_length() - 1
+                    if even[w]:
+                        for t in targets:
+                            if not succ_masks[w] & t:
+                                keep ^= low
+                                break
+                    elif succ_masks[w] & ~meet:
+                        keep ^= low
+            else:
+                # Odd picks v's move, so w must answer any one of them.
+                target = 0
+                for vp in succs[v]:
+                    target |= rows[vp]
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    w = low.bit_length() - 1
+                    if even[w]:
+                        if not succ_masks[w] & target:
+                            keep ^= low
+                    elif succ_masks[w] & ~target:
+                        keep ^= low
+            if keep != row:
+                rows[v] = keep
+                shrunk.append(v)
+        dirty = {u for v in shrunk for u in preds[v]}
     return tuple(rows)
 
 
@@ -247,37 +293,71 @@ def _sign_class(
     The item ``(i, cj)`` says that player ``i`` forces the member into class
     ``cj`` through ``cid``; ``(i, -1)`` says that ``i`` can keep every play
     from it inside ``cid`` forever.  Items appear in the same order for every
-    member.  An attractor from ``cid`` can only take in a member that has a
-    successor in the target, so only successor classes are tried, each with
-    its target cut down to the members' successors.  This leaves the
-    attractor's intersection with ``cid`` unchanged.
+    member: even's items before odd's, each player's forcing items in the
+    order in which the members' successor classes are first met, then its
+    divergence item.
+
+    Both predicates come from one least fixpoint per player over the class.
+    Bit 0 of a member's mask stands for leaving the class, bit ``b`` for the
+    ``b``-th successor class.  A successor in class ``cj`` contributes bit 0
+    and ``cj``'s bit; one inside contributes its current mask.  A member
+    owned by the player ORs what its successors contribute, any other member
+    ANDs it.  Each bit is its own monotone operator, so bit ``b`` of player
+    ``i``'s fixpoint is ``i``'s attractor from ``cid`` to the successors in
+    class ``cj`` (an attractor from ``cid`` can only take in a member with a
+    successor in the target), and bit 0 is ``i``'s attractor from ``cid`` to
+    all successors outside.  Player ``i`` diverges exactly where the
+    opponent's bit 0 is clear, by the duality of forcing and divergence.
+    Members with equal masks have equal items, so the masks group them.
     """
-    n = game.vertex_count
-    mask = 0
-    targets: dict[int, int] = {}
+    succs = game.successors
+    bit: dict[int, int] = {}
+    some: dict[int, int] = {}
+    every: dict[int, int] = {}
+    inner: dict[int, list[int]] = {v: [] for v in members}
+    inner_preds: dict[int, list[int]] = {v: [] for v in members}
     for v in members:
-        mask |= 1 << v
-        for u in game.successors[v]:
+        some[v], every[v] = 0, -1
+        for u in succs[v]:
             cj = class_of[u]
-            if cj != cid:
-                targets[cj] = targets.get(cj, 0) | 1 << u
-    outside = 0
-    for t in targets.values():
-        outside |= t
-    inside = VertexSet(n, mask)
-    items: dict[int, list[tuple[int, int]]] = {v: [] for v in members}
-    for player in (Player.EVEN, Player.ODD):
-        for cj, target in targets.items():
-            hit = attractor(game, player, inside, VertexSet(n, target)).mask & mask
-            for v in iter_bits(hit):
-                items[v].append((int(player), cj))
-        # diverges(i, v, [v]) through the forcing duality.
-        esc = attractor(game, player.opponent, inside, VertexSet(n, outside)).mask
-        for v in iter_bits(mask & ~esc):
-            items[v].append((int(player), -1))
-    groups: dict[tuple, list[int]] = {}
+            if cj == cid:
+                inner[v].append(u)
+                inner_preds[u].append(v)
+            else:
+                c = 1 << bit.setdefault(cj, len(bit) + 1) | 1
+                some[v] |= c
+                every[v] &= c
+
+    def fixpoint(player: Player) -> dict[int, int]:
+        mask = dict.fromkeys(members, 0)
+        work = list(members)
+        while work:
+            v = work.pop()
+            if game.owners[v] is player:
+                new = some[v]
+                for u in inner[v]:
+                    new |= mask[u]
+            else:
+                new = every[v]
+                for u in inner[v]:
+                    new &= mask[u]
+            if new != mask[v]:
+                mask[v] = new
+                work.extend(inner_preds[v])
+        return mask
+
+    even, odd = fixpoint(Player.EVEN), fixpoint(Player.ODD)
+    by_mask: dict[tuple[int, int], list[int]] = {}
     for v in members:
-        groups.setdefault(tuple(items[v]), []).append(v)
+        by_mask.setdefault((even[v], odd[v]), []).append(v)
+    groups: dict[tuple, list[int]] = {}
+    for (m_even, m_odd), group in by_mask.items():
+        items = []
+        for player, forced, opponent in ((0, m_even, m_odd), (1, m_odd, m_even)):
+            items += [(player, cj) for cj, b in bit.items() if forced >> b & 1]
+            if not opponent & 1:
+                items.append((player, -1))
+        groups[tuple(items)] = group
     return groups
 
 

@@ -3,9 +3,10 @@
 The winner and forcing oracles enumerate memoryless strategies explicitly
 and evaluate plays on the strategy-restricted graph, so a bug in the
 attractor or in the Zielonka recursion cannot hide in them.  The stuttering,
-bisimulation, delayed-simulation, Buchi, Zielonka and parser references at
-the end keep the library's earlier, direct constructions, and so do the
-arena builders, which intern every position by its payload tuple.
+signer, direct-simulation, validator, bisimulation, delayed-simulation,
+Buchi, Zielonka and parser references at the end keep the library's
+earlier, direct constructions, and so do the arena builders, which intern
+every position by its payload tuple.
 """
 from itertools import product
 
@@ -20,12 +21,13 @@ from pgreduce import (
     Player,
     QuotientResult,
     VertexRelation,
+    VertexSet,
     WinningRegions,
     attractor,
     diverges,
     steps,
 )
-from pgreduce.forcing import attractor_layers
+from pgreduce.forcing import attractor_layers, iter_bits
 from pgreduce.lattice import COINCIDENCE_NOTIONS, LATTICE_EDGES, LatticeResult, compute_relations
 from pgreduce.simgames import CHECK, DAGGER, _UPDATERS, _delayed_transfer, coincidence_check
 
@@ -234,6 +236,87 @@ def oracle_quotient_stut(game: ParityGame) -> QuotientResult:
     owners = tuple(game.owners[next(iter(cls))] for cls in part.classes)
     quotient = ParityGame(base.quotient.priorities, owners, base.quotient.successors)
     return QuotientResult(quotient, base.class_map, "stut")
+
+
+# --- Reference stuttering signer and direct-simulation deletion ------------
+#
+# The signer makes one constrained attractor call per player and successor
+# class, plus one escape attractor per player; the deletion sweeps every
+# row until none changes.  The library's per-player class-local fixpoint
+# and its predecessor worklist must give the same signatures and rows.
+
+
+def oracle_sign_class(game: ParityGame, class_of: list[int], cid: int, members: list[int]) -> dict[tuple, list[int]]:
+    """``relations._sign_class`` by attractors, with the same signature."""
+    n = game.vertex_count
+    mask = 0
+    targets: dict[int, int] = {}
+    for v in members:
+        mask |= 1 << v
+        for u in game.successors[v]:
+            cj = class_of[u]
+            if cj != cid:
+                targets[cj] = targets.get(cj, 0) | 1 << u
+    outside = 0
+    for t in targets.values():
+        outside |= t
+    inside = VertexSet(n, mask)
+    items: dict[int, list[tuple[int, int]]] = {v: [] for v in members}
+    for player in (Player.EVEN, Player.ODD):
+        for cj, target in targets.items():
+            hit = attractor(game, player, inside, VertexSet(n, target)).mask & mask
+            for v in iter_bits(hit):
+                items[v].append((int(player), cj))
+        # diverges(i, v, [v]) through the forcing duality.
+        esc = attractor(game, player.opponent, inside, VertexSet(n, outside)).mask
+        for v in iter_bits(mask & ~esc):
+            items[v].append((int(player), -1))
+    groups: dict[tuple, list[int]] = {}
+    for v in members:
+        groups.setdefault(tuple(items[v]), []).append(v)
+    return groups
+
+
+def oracle_direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
+    """``relations._direct_sim_fixpoint`` by sweeping every row until stable."""
+    succ_masks = [sum(1 << u for u in row) for row in game.successors]
+
+    def steps_even(w: int, target: int) -> bool:
+        if game.owners[w] is Player.EVEN:
+            return succ_masks[w] & target != 0
+        return succ_masks[w] & ~target == 0
+
+    changed = True
+    while changed:
+        changed = False
+        for v in game.vertices:
+            for w in iter_bits(rows[v]):
+                if game.owners[v] is Player.EVEN:
+                    ok = all(steps_even(w, rows[vp]) for vp in game.successors[v])
+                else:
+                    target = 0
+                    for vp in game.successors[v]:
+                        target |= rows[vp]
+                    ok = steps_even(w, target)
+                if not ok:
+                    rows[v] &= ~(1 << w)
+                    changed = True
+    return tuple(rows)
+
+
+def oracle_validate(relation: VertexRelation) -> None:
+    """``VertexRelation.validate`` over every pair, with the same messages."""
+    pairs = [(v, w) for v in range(relation.universe) for w in iter_bits(relation.rows[v])]
+    for v in range(relation.universe):
+        if not relation.holds(v, v):
+            raise ValueError(f"relation not reflexive at {v}")
+    for v, w in pairs:
+        if relation.rows[w] & ~relation.rows[v]:
+            raise ValueError(f"relation not transitive through ({v}, {w})")
+    if relation.kind == "equivalence":
+        for v, w in pairs:
+            if not relation.holds(w, v):
+                raise ValueError(f"relation not symmetric at ({v}, {w})")
 
 
 # --- Reference governed and strong bisimilarity ----------------------------

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from pgreduce import (
@@ -15,29 +18,87 @@ from pgreduce import (
     stut_bisim,
 )
 from inflation import inflate
-from oracles import oracle_governed_bisim, oracle_strong_bisim
-from pgreduce.relations import _direct_sim_fixpoint, _refine, _sign_class, _sign_successors
+from oracles import (
+    oracle_direct_sim_fixpoint,
+    oracle_governed_bisim,
+    oracle_sign_class,
+    oracle_strong_bisim,
+    oracle_validate,
+)
+from pgreduce.relations import (
+    _direct_sim_fixpoint,
+    _initial_partition,
+    _refine,
+    _refine_classes,
+    _sign_class,
+    _sign_successors,
+)
+
+
+def _larger_games() -> list[ParityGame]:
+    # Random games of 20-80 vertices barely reduce, so each is paired with
+    # an inflated game of about that size, whose duplicates are strongly
+    # bisimilar and whose chains stutter-equivalent to their origins.
+    larger = []
+    for seed in range(30):
+        larger.append(random_game(20 + 2 * seed, 1 + seed % 3, (1, 3), seed))
+        core = random_game(10 + seed, 1 + seed % 3, (1, 3), seed)
+        larger.append(inflate(core, 10 + seed, seed % 4, seed)[0])
+    return larger
+
+
+def _message(relation: VertexRelation, validate) -> str | None:
+    try:
+        validate(relation)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestValidator:
+    # The error names the first failing pair in (v, w) order.
     def test_rejects_irreflexive(self):
         rel = VertexRelation(2, (0b01, 0b00), "preorder")
-        with pytest.raises(ValueError, match="reflexive"):
+        with pytest.raises(ValueError, match=r"^relation not reflexive at 1$"):
             rel.validate()
 
     def test_rejects_intransitive(self):
         rel = VertexRelation(3, (0b011, 0b110, 0b100), "preorder")
-        with pytest.raises(ValueError, match="transitive"):
+        with pytest.raises(ValueError, match=r"^relation not transitive through \(0, 1\)$"):
             rel.validate()
 
     def test_rejects_asymmetric_equivalence(self):
         rel = VertexRelation(2, (0b11, 0b10), "equivalence")
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match=r"^relation not symmetric at \(0, 1\)$"):
             rel.validate()
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             VertexRelation(1, (1,), "poset")
+
+    def test_matches_pairwise_reference(self):
+        # Every relation on three vertices, and relations on six vertices
+        # one bit away from a preorder or a partition, including rows that
+        # repeat: each check walks a repeated row only once.
+        relations = [
+            VertexRelation(3, rows, kind)
+            for rows in product(range(8), repeat=3)
+            for kind in ("preorder", "equivalence")
+        ]
+        rng = random.Random(5)
+        for _ in range(300):
+            game = random_game(6, 2, (1, 3), rng.randrange(10**6))
+            for rel in (direct_sim(game), gstut_bisim(game).as_relation()):
+                rows = list(rel.rows)
+                v, w = rng.randrange(6), rng.randrange(6)
+                rows[v] ^= 1 << w
+                relations.append(VertexRelation(6, tuple(rows), rel.kind))
+        failures = set()
+        for rel in relations:
+            want = _message(rel, oracle_validate)
+            assert _message(rel, VertexRelation.validate) == want, rel
+            failures.add(want.split()[2] if want else None)
+        assert failures == {"reflexive", "transitive", "symmetric", None}
 
 
 class TestPartition:
@@ -189,16 +250,32 @@ def test_fixpoints_are_stable(random_corpus):
 def test_bisim_refinement_matches_pair_deletion(bisim, oracle, exhaustive_corpus, random_corpus):
     # Signature refinement against the largest symmetric direct simulation,
     # computed by pair deletion; strong bisimilarity has no game route, so
-    # this is its independent check.  Random games of 20-80 vertices barely
-    # reduce, so each is paired with an inflated game of that size, whose
-    # duplicates are strongly bisimilar to their origins.
-    larger = []
-    for seed in range(30):
-        larger.append(random_game(20 + 2 * seed, 1 + seed % 3, (1, 3), seed))
-        core = random_game(10 + seed, 1 + seed % 3, (1, 3), seed)
-        larger.append(inflate(core, 10 + seed, seed % 4, seed)[0])
-    for game in exhaustive_corpus + random_corpus + larger:
+    # this is its independent check.
+    for game in exhaustive_corpus + random_corpus + _larger_games():
         assert bisim(game) == oracle(game)
+
+
+@pytest.mark.parametrize("by_owner", [False, True], ids=["gstut", "stut"])
+def test_stuttering_signer_matches_attractors(by_owner, exhaustive_corpus, random_corpus):
+    # The per-player class-local fixpoint against one attractor per player
+    # and successor class: the same classes, ids and stable signatures.
+    for i, game in enumerate(exhaustive_corpus + random_corpus + _larger_games()):
+        initial = _initial_partition(game, by_owner).class_of
+        got, want = list(initial), list(initial)
+        got_sigs = _refine_classes(game, got, _sign_class)
+        want_sigs = _refine_classes(game, want, oracle_sign_class)
+        assert got == want, i
+        assert list(got_sigs.items()) == list(want_sigs.items()), i
+
+
+@pytest.mark.parametrize(
+    "relation, by_owner", [(direct_sim, False), (strong_direct_sim, True)], ids=["direct", "strong"]
+)
+def test_direct_sim_matches_full_sweeps(relation, by_owner, exhaustive_corpus, random_corpus):
+    # The predecessor worklist against sweeping every row until stable.
+    for i, game in enumerate(exhaustive_corpus + random_corpus + _larger_games()):
+        rows = list(_initial_partition(game, by_owner).as_relation().rows)
+        assert relation(game).rows == oracle_direct_sim_fixpoint(game, rows), i
 
 
 def test_gstut_set_of_classes_transfer():

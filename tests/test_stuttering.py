@@ -68,18 +68,18 @@ def test_inflation_keeps_core_classes(relation, seed):
             assert got.same_class(v, w) == want.same_class(v, w)
 
 
-def _count_attractor_calls(monkeypatch, game):
+def _count_sign_calls(monkeypatch, game):
     calls = 0
-    original = pgreduce.relations.attractor
+    original = pgreduce.relations._sign_class
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(pgreduce.relations, "attractor", counting)
+    monkeypatch.setattr(pgreduce.relations, "_sign_class", counting)
     part = gstut_bisim(game)
-    monkeypatch.setattr(pgreduce.relations, "attractor", original)
+    monkeypatch.setattr(pgreduce.relations, "_sign_class", original)
     return calls, part
 
 
@@ -105,23 +105,23 @@ def _stutter_blocks(blocks: int) -> ParityGame:
     return ParityGame(tuple(prios), (Player.EVEN,) * n, tuple(succs))
 
 
-def test_attractor_calls_linear_on_one_round_family(monkeypatch):
+def test_sign_calls_linear_on_one_round_family(monkeypatch):
     for k in (10, 20, 40):
-        calls, part = _count_attractor_calls(monkeypatch, _cycle_pairs(k))
+        calls, part = _count_sign_calls(monkeypatch, _cycle_pairs(k))
         assert part.class_count == k
-        # Two players, each one successor class plus the divergence check.
-        # Signing every class against every other class would need 2k^2.
-        assert calls == 4 * k
+        # The first round is stable, so each class is signed once.
+        assert calls == k
 
 
-def test_attractor_calls_linear_over_many_rounds(monkeypatch):
+def test_sign_calls_linear_over_many_rounds(monkeypatch):
     counts = {}
     for blocks in (8, 16, 32):
-        calls, part = _count_attractor_calls(monkeypatch, _stutter_blocks(blocks))
+        calls, part = _count_sign_calls(monkeypatch, _stutter_blocks(blocks))
         assert part.class_count == blocks
         counts[blocks] = calls
     # One block splits per round and only its neighbours are signed again,
     # so doubling the length about doubles the calls.  Re-signing every
-    # class against every other class each round would grow them eightfold.
+    # class each round would grow them fourfold.
+    assert counts[8] > 0
     assert counts[16] <= 2.5 * counts[8]
     assert counts[32] <= 2.5 * counts[16]
