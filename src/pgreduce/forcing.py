@@ -5,11 +5,12 @@ These are the vocabulary every equivalence in this package is phrased in:
 can force the play into ``T`` while staying inside ``U`` beforehand, and
 ``forces``/``diverges``/``steps`` are the derived predicates.
 
-``attractor_layers`` is the one attractor loop of the package.  Besides the
-constrained attractor here, Zielonka's subgame attractor and the Buchi
-arena solver of :mod:`pgreduce.solver` call it; they differ only in which
-edges count, which they express through the out-degree and the optional
-``allowed`` mask they pass.
+``attractor_layers`` is the attractor loop on game vertices.  Besides the
+constrained attractor here, Zielonka's subgame attractor in
+:mod:`pgreduce.solver` calls it; the two differ only in which edges count,
+which they express through the out-degree and the optional ``allowed``
+mask they pass.  The Buchi arena solver, which counts every move and
+allows every position, runs the same layering on flat per-position lists.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .game import ParityGame
-from .quotient import EQUIVALENCES, find_isomorphism
+from .quotient import EQUIVALENCES, ISO_SIZE_LIMIT, _iso_invariants, find_isomorphism
 
 # direct_sim and the four bisimulation partitions are reached through
 # EQUIVALENCES, but bench/tracing.py wraps these names in this module, so
@@ -81,17 +81,31 @@ COINCIDENCE_NOTIONS = [
 
 
 def _iso_relation(game: ParityGame) -> VertexRelation:
-    """Vertex-level isomorphism: an automorphism maps one vertex to the other."""
+    """Vertex-level isomorphism: an automorphism maps one vertex to the other.
+
+    Automorphisms form a group, so the relation is the partition into
+    orbits.  Each orbit is searched from its least vertex ``v``: a later
+    vertex not yet in an orbit joins ``v``'s when its isomorphism invariants
+    equal ``v``'s and an automorphism maps ``v`` to it.
+    """
     n = game.vertex_count
+    if n > ISO_SIZE_LIMIT:
+        raise ValueError(f"isomorphism check limited to {ISO_SIZE_LIMIT} vertices")
+    invariants = _iso_invariants(game)
     rows = [0] * n
     for v in game.vertices:
-        rows[v] |= 1 << v
-        for w in game.vertices:
-            if w <= v:
-                continue
-            if find_isomorphism(game, game, pin=(v, w)) is not None:
-                rows[v] |= 1 << w
-                rows[w] |= 1 << v
+        if rows[v]:
+            continue
+        orbit = [v] + [
+            w
+            for w in range(v + 1, n)
+            if not rows[w]
+            and invariants[w] == invariants[v]
+            and find_isomorphism(game, game, pin=(v, w)) is not None
+        ]
+        mask = sum(1 << w for w in orbit)
+        for w in orbit:
+            rows[w] = mask
     return VertexRelation(n, tuple(rows), "equivalence")
 
 
@@ -121,9 +135,10 @@ def compute_relations(
     ``_preorders`` lets ``check_lattice`` pass in the delayed preorders it
     has already computed.
     """
+    # The isomorphism relation comes first: its size limit fails fast.
+    rels = {"iso": _iso_relation(game)}
     pre = _preorders if _preorders is not None else _delayed_preorders(game)
-    rels = {
-        "iso": _iso_relation(game),
+    rels |= {
         "strong-direct-sim-equiv": equivalence_from_preorder(strong_direct_sim(game)).as_relation(),
         "delayed-even-equiv": equivalence_from_preorder(pre["even"]).as_relation(),
         "delayed-odd-equiv": equivalence_from_preorder(pre["odd"]).as_relation(),

@@ -29,6 +29,9 @@ priority pair (``_gamma_table``), which the delayed fixpoint shares.
 ``delayed_sim_fixpoint`` computes delayed simulation without an arena, so
 it cross-checks the arena route.  Its greatest fixpoint carries the stages
 of each least fixpoint into the next round instead of recomputing them.
+It evaluates a triple's transfer on a per-pair table built once per call
+(``_transfer_groups``): the successor pairs, grouped by the owners, each
+with its triple base and its row in the γ table.
 """
 from __future__ import annotations
 
@@ -439,22 +442,40 @@ def delayed_sim(game: ParityGame, bias: str = "none") -> VertexRelation:
     return _pair_relation_from_arena(game, build_delayed_sim_arena(game, bias))
 
 
-def _delayed_transfer(
-    game: ParityGame, v: int, w: int, matched: Callable[[int, int], bool]
-) -> bool:
-    """One round of the delayed simulation transfer condition from (v, w).
+def _transfer_groups(game: ParityGame, kk: int, prow: list[int]) -> list[list[list[tuple[int, int]]]]:
+    """Each vertex pair's transfer condition, as ``all(any(...))`` over groups.
 
-    ``matched(v', w')`` says whether the configuration a round reaches at
-    the pair (v', w'), with its updated obligation, is related.
+    Entry ``j = v * n + w`` lists groups of successor pairs ``j'``, each
+    given by its triple base ``j' * K`` and its row in the γ table: one
+    round of the delayed simulation game from (v, w, k) can be answered
+    when every group has a pair whose configuration ``j' * K + table[row +
+    k]`` is related.  The owners fix the grouping, after the move table of
+    the module docstring: one group per left successor when both are
+    even-owned (Duplicator answers each of Spoiler's moves on v), one per
+    successor pair when only v is (Spoiler moves on both sides), a single
+    group when only w is (Duplicator moves on both sides), and one group
+    per right successor when both are odd-owned.
     """
-    sv, sw = game.successors[v], game.successors[w]
-    if game.owners[v] is Player.EVEN:
-        if game.owners[w] is Player.EVEN:
-            return all(any(matched(vp, wp) for wp in sw) for vp in sv)
-        return all(matched(vp, wp) for vp in sv for wp in sw)
-    if game.owners[w] is Player.EVEN:
-        return any(matched(vp, wp) for wp in sw for vp in sv)
-    return all(any(matched(vp, wp) for vp in sv) for wp in sw)
+    n = game.vertex_count
+    succ = game.successors
+    even = _movers(game)[0]
+    cell = [(j * kk, prow[j]) for j in range(n * n)]
+    out = []
+    for v in game.vertices:
+        sv = succ[v]
+        for w in game.vertices:
+            sw = succ[w]
+            if even[v]:
+                if even[w]:
+                    groups = [[cell[a * n + b] for b in sw] for a in sv]
+                else:
+                    groups = [[cell[a * n + b]] for a in sv for b in sw]
+            elif even[w]:
+                groups = [[cell[a * n + b] for b in sw for a in sv]]
+            else:
+                groups = [[cell[a * n + b] for a in sv] for b in sw]
+            out.append(groups)
+    return out
 
 
 def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation:
@@ -463,10 +484,12 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation
     Double fixpoint over the triples ``t = (v * n + w) * K + k``: the outer
     greatest fixpoint ``y`` keeps the triples Duplicator can sustain
     forever, the inner least fixpoint ``x`` demands finite progress towards
-    a ✓ obligation, exactly the well-founded formulation of
-    ``_delayed_transfer``.  Transfers read ``y`` at ✓ and ``x`` elsewhere.
+    a ✓ obligation, exactly the well-founded formulation of the transfer
+    condition.  Transfers read ``y`` at ✓ and ``x`` elsewhere, through
+    per-pair tables built once per call (``_transfer_groups``).
     The readers of a triple (v, w, k) are the triples (a, b, kk) with
-    a ∈ pred(v), b ∈ pred(w) and update(p(v), p(w), kk) = k.
+    a ∈ pred(v), b ∈ pred(w) and update(p(v), p(w), kk) = k; the pairs
+    (a, b) are listed once per pair (v, w).
 
     Invariants:
 
@@ -497,26 +520,31 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation
     for r in range(0, len(table), kk):
         for k in range(kk):
             sources[r + table[r + k]].append(k)
-
-    def readers(t: int) -> list[int]:
-        j, k = divmod(t, kk)
-        v, w = divmod(j, n)
-        return [
-            (a * n + b) * kk + s
-            for s in sources[prow[j] + k]
-            for a in preds[v]
-            for b in preds[w]
-        ]
+    transfer = _transfer_groups(game, kk, prow)
+    # The triple bases of the predecessor pairs of each pair.
+    pred_bases = [
+        [(a * n + b) * kk for a in preds[v] for b in preds[w]]
+        for v in game.vertices
+        for w in game.vertices
+    ]
 
     def holds(t: int) -> bool:
         j, k = divmod(t, kk)
+        for group in transfer[j]:
+            for base, row in group:
+                kp = table[row + k]
+                if (x if kp else y)[base + kp]:
+                    break
+            else:
+                return False
+        return True
 
-        def matched(vp: int, wp: int) -> bool:
-            jp = vp * n + wp
-            kp = table[prow[jp] + k]
-            return (x if kp else y)[jp * kk + kp] == 1
-
-        return _delayed_transfer(game, j // n, j % n, matched)
+    def mark_readers(t: int, flags: bytearray) -> None:
+        j, k = divmod(t, kk)
+        bases = pred_bases[j]
+        for s in sources[prow[j] + k]:
+            for base in bases:
+                flags[base + s] = 1
 
     def climb(todo: list[int]) -> None:
         queued = bytearray(total)
@@ -530,11 +558,15 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation
                 continue
             x[t] = 1
             order.append(t)
-            if t % kk:
-                for r in readers(t):
-                    if y[r] and not x[r] and not queued[r]:
-                        queued[r] = 1
-                        work.append(r)
+            j, k = divmod(t, kk)
+            if k:
+                bases = pred_bases[j]
+                for s in sources[prow[j] + k]:
+                    for base in bases:
+                        r = base + s
+                        if y[r] and not x[r] and not queued[r]:
+                            queued[r] = 1
+                            work.append(r)
 
     y = bytearray(b"\x01") * total
     x = bytearray(total)
@@ -546,8 +578,7 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation
             break
         dirty = bytearray(total)
         for t in left:
-            for r in readers(t):
-                dirty[r] = 1
+            mark_readers(t, dirty)
         y, x = x, bytearray(total)
         joined, order = order, []
         removed = []
@@ -555,8 +586,7 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation
             if dirty[t] and not holds(t):
                 removed.append(t)
                 if t % kk:
-                    for r in readers(t):
-                        dirty[r] = 1
+                    mark_readers(t, dirty)
             else:
                 x[t] = 1
                 order.append(t)
@@ -590,18 +620,18 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
             _, v, w, k = payload
             rank[(v * n + w) * kk + where[k]] = ranks[pos]
 
+    transfer = _transfer_groups(game, kk, prow)
     for t, r in enumerate(rank):
         if r < 0:
             continue
         j, k = divmod(t, kk)
-
-        def matched(vp: int, wp: int) -> bool:
-            jp = vp * n + wp
-            s = rank[jp * kk + table[prow[jp] + k]]
-            return s >= 0 and (k == 0 or s < r)
-
-        if not _delayed_transfer(game, j // n, j % n, matched):
-            return False
+        for group in transfer[j]:
+            for base, row in group:
+                s = rank[base + table[row + k]]
+                if s >= 0 and (k == 0 or s < r):
+                    break
+            else:
+                return False
     return True
 
 

@@ -5,14 +5,17 @@ steps around Zielonka's attractor decomposition.  It first decides the
 vertices whose owner can stay on a self-loop of its own parity, with their
 attractors, and then solves the strongly connected components of the rest
 bottom-up; Zielonka's core runs on each component's unsolved part, on an
-explicit stack over one bitmask per priority.  ``solve_buchi`` solves the
-explicit two-player arenas used for the (bi)simulation games; its one-step
-predecessor visits the accepting positions only, and its nested-attractor
-layering also yields the progress ranks consumed by the well-foundedness
-checks.  Both use the attractor kernel
-:func:`pgreduce.forcing.attractor_layers`: Zielonka counts only the
-successors inside the current subgame and allows only its vertices, the
-arena solver counts every move and allows every position.
+explicit stack over one bitmask per priority, with the attractor kernel
+:func:`pgreduce.forcing.attractor_layers` counting only the successors
+inside the current subgame.
+
+``solve_buchi`` solves the explicit two-player arenas used for the
+(bi)simulation games; its one-step predecessor visits the accepting
+positions only, and its nested-attractor layering also yields the progress
+ranks (``buchi_rank``) consumed by the well-foundedness checks.  An arena
+attractor counts every move and allows every position, so both run one
+breadth-first attractor on flat per-position lists: owner flags,
+out-degrees, a ``bytearray`` membership and a list of remaining counts.
 """
 from __future__ import annotations
 
@@ -249,18 +252,74 @@ def _arena_preds(arena: Arena) -> list[list[int]]:
     return preds
 
 
-def _cpre_duplicator(arena: Arena, target: set[int]) -> set[int]:
-    """Accepting positions in ``target`` from which Duplicator forces
-    re-entering ``target`` in one move."""
-    out = set()
-    for p in arena.accepting & target:
-        row = arena.edges[p]
-        if arena.owners[p] is ArenaPlayer.DUPLICATOR:
-            if any(q in target for q in row):
-                out.add(p)
-        elif row and all(q in target for q in row):
-            out.add(p)
+def _flat(arena: Arena) -> tuple[bytearray, list[int], list[int]]:
+    """Duplicator-owned flags, out-degrees and accepting positions of an arena.
+
+    Raises, through ``Arena.validate``, when a position has no moves.
+    """
+    degree = [len(row) for row in arena.edges]
+    if 0 in degree:
+        arena.validate()
+    return bytearray(arena.owners), degree, list(arena.accepting)
+
+
+def _cpre_duplicator(
+    edges: list[list[int]], dup: bytearray, accepting: list[int], inside: bytearray
+) -> list[int]:
+    """Accepting positions ``inside`` from which Duplicator forces
+    re-entering ``inside`` in one move."""
+    out = []
+    for p in accepting:
+        if not inside[p]:
+            continue
+        if dup[p]:
+            for q in edges[p]:
+                if inside[q]:
+                    out.append(p)
+                    break
+        else:
+            for q in edges[p]:
+                if not inside[q]:
+                    break
+            else:
+                out.append(p)
     return out
+
+
+def _duplicator_attractor(
+    dup: bytearray, degree: list[int], preds: list[list[int]], targets: list[int]
+) -> tuple[bytearray, list[int], list[int]]:
+    """Duplicator's attractor to ``targets``, counting every move.
+
+    Breadth-first, as ``attractor_layers``: a Duplicator position joins one
+    layer after its first successor, a Spoiler position one layer after the
+    last of its ``degree`` successors.  Returns the membership, the
+    positions in the order they joined, and where each layer ends in that
+    order (layer 0 is ``targets``).
+    """
+    member = bytearray(len(dup))
+    for p in targets:
+        member[p] = 1
+    remaining = degree[:]
+    order = list(targets)
+    ends = []
+    start = 0
+    while start < len(order):
+        end = len(order)
+        for u in order[start:end]:
+            for p in preds[u]:
+                if member[p]:
+                    continue
+                if not dup[p]:
+                    r = remaining[p] - 1
+                    remaining[p] = r
+                    if r:
+                        continue
+                member[p] = 1
+                order.append(p)
+        ends.append(end)
+        start = end
+    return member, order, ends
 
 
 def solve_buchi(arena: Arena) -> frozenset[int]:
@@ -268,21 +327,19 @@ def solve_buchi(arena: Arena) -> frozenset[int]:
 
     Standard nested fixpoint: shrink a candidate set Y to the attractor of
     those accepting positions from which Duplicator can re-enter Y in one
-    step, until stable.
+    step, until stable.  The attractor is monotone in Y, so Y only shrinks
+    and is stable once its size is.
     """
-    arena.validate()
+    dup, degree, accepting = _flat(arena)
     preds = arena.predecessors
-    y = set(range(arena.size))
+    inside = bytearray(b"\x01") * arena.size
+    count = arena.size
     while True:
-        t = _cpre_duplicator(arena, y)
-        new_y = set(
-            attractor_layers(
-                arena.owners, preds, lambda p: len(arena.edges[p]), ArenaPlayer.DUPLICATOR, sorted(t)
-            )
-        )
-        if new_y == y:
-            return frozenset(y)
-        y = new_y
+        targets = _cpre_duplicator(arena.edges, dup, accepting, inside)
+        inside, order, _ = _duplicator_attractor(dup, degree, preds, targets)
+        if len(order) == count:
+            return frozenset(order)
+        count = len(order)
 
 
 def buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
@@ -292,11 +349,18 @@ def buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
     from a non-accepting won position the rank strictly decreases, so the
     ranks realise a well-founded progress order towards the acceptance set.
     """
-    t = _cpre_duplicator(arena, set(won))
-    layers = attractor_layers(
-        arena.owners, arena.predecessors, lambda p: len(arena.edges[p]),
-        ArenaPlayer.DUPLICATOR, sorted(t),
-    )
-    if set(layers) != set(won):
+    dup, degree, accepting = _flat(arena)
+    inside = bytearray(arena.size)
+    for p in won:
+        inside[p] = 1
+    targets = _cpre_duplicator(arena.edges, dup, accepting, inside)
+    _, order, ends = _duplicator_attractor(dup, degree, arena.predecessors, targets)
+    if set(order) != set(won):
         raise ValueError("rank queried for positions not won by Duplicator")
-    return layers
+    ranks = {}
+    start = 0
+    for layer, end in enumerate(ends):
+        for p in order[start:end]:
+            ranks[p] = layer
+        start = end
+    return ranks

@@ -4,10 +4,13 @@ The winner and forcing oracles enumerate memoryless strategies explicitly
 and evaluate plays on the strategy-restricted graph, so a bug in the
 attractor or in the Zielonka recursion cannot hide in them.  The stuttering,
 signer, direct-simulation, validator, bisimulation, delayed-simulation,
-Buchi, Zielonka and parser references at the end keep the library's
-earlier, direct constructions, and so do the arena builders, which intern
-every position by its payload tuple.
+Buchi, Zielonka, parser and isomorphism-relation references at the end
+keep the library's earlier, direct constructions, and so do the arena
+builders, which intern every position by its payload tuple.
+``is_isomorphism`` checks a given vertex mapping, for the idempotence
+tests.
 """
+from collections import deque
 from itertools import product
 
 import networkx as nx
@@ -29,7 +32,8 @@ from pgreduce import (
 )
 from pgreduce.forcing import attractor_layers, iter_bits
 from pgreduce.lattice import COINCIDENCE_NOTIONS, LATTICE_EDGES, LatticeResult, compute_relations
-from pgreduce.simgames import CHECK, DAGGER, _UPDATERS, _delayed_transfer, coincidence_check
+from pgreduce.quotient import find_isomorphism
+from pgreduce.simgames import CHECK, DAGGER, _UPDATERS, _obligations, coincidence_check
 
 
 def strategies(game: ParityGame, player: Player):
@@ -375,7 +379,25 @@ def oracle_strong_bisim(game: ParityGame) -> Partition:
 # Direct constructions: every inner round re-evaluates every obligation
 # triple, and the one-step predecessor walks every arena position.  The
 # library's worklist fixpoint and accepting-only predecessor step must agree
-# with them exactly.
+# with them exactly.  The worklist reference evaluates each transfer through
+# ``delayed_transfer`` with one closure per evaluation; it scales to the
+# games the full rescan is too slow for.
+
+
+def delayed_transfer(game: ParityGame, v: int, w: int, matched) -> bool:
+    """One round of the delayed simulation transfer condition from (v, w).
+
+    ``matched(v', w')`` says whether the configuration a round reaches at
+    the pair (v', w'), with its updated obligation, is related.
+    """
+    sv, sw = game.successors[v], game.successors[w]
+    if game.owners[v] is Player.EVEN:
+        if game.owners[w] is Player.EVEN:
+            return all(any(matched(vp, wp) for wp in sw) for vp in sv)
+        return all(matched(vp, wp) for vp in sv for wp in sw)
+    if game.owners[w] is Player.EVEN:
+        return any(matched(vp, wp) for wp in sw for vp in sv)
+    return all(any(matched(vp, wp) for vp in sv) for wp in sw)
 
 
 def oracle_delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation:
@@ -398,7 +420,7 @@ def oracle_delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexR
                     kp = update(game.priorities[vp], game.priorities[wp], k)
                     return (vp, wp, kp) in (y if kp == CHECK else x)
 
-                if _delayed_transfer(game, v, w, matched):
+                if delayed_transfer(game, v, w, matched):
                     x.add(t)
                     grew = True
         if x == y:
@@ -411,6 +433,110 @@ def oracle_delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexR
             if (v, w, update(game.priorities[v], game.priorities[w], CHECK)) in y:
                 rows[v] |= 1 << w
     return VertexRelation(n, tuple(rows), "preorder")
+
+
+def oracle_delayed_sim_worklist(game: ParityGame, bias: str = "none") -> VertexRelation:
+    """The stage-carrying worklist fixpoint with one ``matched`` closure per
+    evaluation, passed to ``delayed_transfer``, and readers computed per
+    triple.  The library's version must join the same triples."""
+    n = game.vertex_count
+    obligations, table, prow = _obligations(game, bias)
+    kk = len(obligations)
+    total = n * n * kk
+    preds = game.predecessors()
+    sources: list[list[int]] = [[] for _ in table]
+    for r in range(0, len(table), kk):
+        for k in range(kk):
+            sources[r + table[r + k]].append(k)
+
+    def readers(t: int) -> list[int]:
+        j, k = divmod(t, kk)
+        v, w = divmod(j, n)
+        return [
+            (a * n + b) * kk + s
+            for s in sources[prow[j] + k]
+            for a in preds[v]
+            for b in preds[w]
+        ]
+
+    def holds(t: int) -> bool:
+        j, k = divmod(t, kk)
+
+        def matched(vp: int, wp: int) -> bool:
+            jp = vp * n + wp
+            kp = table[prow[jp] + k]
+            return (x if kp else y)[jp * kk + kp] == 1
+
+        return delayed_transfer(game, j // n, j % n, matched)
+
+    def climb(todo: list[int]) -> None:
+        queued = bytearray(total)
+        for t in todo:
+            queued[t] = 1
+        work = deque(todo)
+        while work:
+            t = work.popleft()
+            queued[t] = 0
+            if not holds(t):
+                continue
+            x[t] = 1
+            order.append(t)
+            if t % kk:
+                for r in readers(t):
+                    if y[r] and not x[r] and not queued[r]:
+                        queued[r] = 1
+                        work.append(r)
+
+    y = bytearray(b"\x01") * total
+    x = bytearray(total)
+    order: list[int] = []
+    climb(list(range(total)))
+    while True:
+        left = [t for t in range(0, total, kk) if y[t] and not x[t]]
+        if not left:
+            break
+        dirty = bytearray(total)
+        for t in left:
+            for r in readers(t):
+                dirty[r] = 1
+        y, x = x, bytearray(total)
+        joined, order = order, []
+        removed = []
+        for t in joined:
+            if dirty[t] and not holds(t):
+                removed.append(t)
+                if t % kk:
+                    for r in readers(t):
+                        dirty[r] = 1
+            else:
+                x[t] = 1
+                order.append(t)
+        climb(removed)
+    rows = [0] * n
+    for j in range(n * n):
+        if x[j * kk + table[prow[j]]]:
+            rows[j // n] |= 1 << (j % n)
+    return VertexRelation(n, tuple(rows), "preorder")
+
+
+def oracle_rank_check(game: ParityGame, bias: str, arena: Arena, ranks: dict[int, int]) -> bool:
+    """``wf_rank_check`` on given ranks, read by payload: every transfer from
+    a ranked configuration reaches ranked ones, of smaller rank unless the
+    obligation is ✓."""
+    update = _UPDATERS[bias]
+    prio = game.priorities
+    rank = {arena.payload[p][1:]: r for p, r in ranks.items() if arena.payload[p][0] == "cfg"}
+    for (v, w, k), r in rank.items():
+        if r < 0:
+            continue
+
+        def matched(vp, wp):
+            s = rank.get((vp, wp, update(prio[vp], prio[wp], k)), -1)
+            return s >= 0 and (k == CHECK or s < r)
+
+        if not delayed_transfer(game, v, w, matched):
+            return False
+    return True
 
 
 def _oracle_arena_preds(arena: Arena) -> list[list[int]]:
@@ -736,3 +862,40 @@ def oracle_split_statements(text: str) -> list[tuple[str, int]]:
     if "".join(buf).strip():
         raise PgSolverFormatError("missing ';' at end of input", buf_line)
     return statements
+
+
+# --- Reference isomorphism relation and check --------------------------------
+#
+# The pairwise relation pins every pair of vertices, where the library
+# searches once per orbit.  ``is_isomorphism`` checks a given mapping in
+# linear time, so idempotence tests need no search and no size limit.
+
+
+def oracle_iso_relation(game: ParityGame) -> VertexRelation:
+    n = game.vertex_count
+    rows = [0] * n
+    for v in game.vertices:
+        rows[v] |= 1 << v
+        for w in game.vertices:
+            if w <= v:
+                continue
+            if find_isomorphism(game, game, pin=(v, w)) is not None:
+                rows[v] |= 1 << w
+                rows[w] |= 1 << v
+    return VertexRelation(n, tuple(rows), "equivalence")
+
+
+def is_isomorphism(g1: ParityGame, g2: ParityGame, mapping) -> bool:
+    """``mapping[v]`` is a bijection from g1's vertices onto g2's that keeps
+    every priority, owner and successor set."""
+    n = g1.vertex_count
+    if g2.vertex_count != n or len(mapping) != n:
+        return False
+    if sorted(mapping[v] for v in g1.vertices) != list(range(n)):
+        return False
+    return all(
+        g1.priorities[v] == g2.priorities[mapping[v]]
+        and g1.owners[v] == g2.owners[mapping[v]]
+        and {mapping[u] for u in g1.successors[v]} == set(g2.successors[mapping[v]])
+        for v in g1.vertices
+    )

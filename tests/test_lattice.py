@@ -1,7 +1,10 @@
+import pytest
+
+import pgreduce.lattice
 import pgreduce.simgames
 from conftest import small_random_games
-from oracles import oracle_check_lattice
-from pgreduce import random_game
+from oracles import oracle_check_lattice, oracle_iso_relation
+from pgreduce import ParityGame, disjoint_union, random_game
 from pgreduce.lattice import (
     COINCIDENCE_NOTIONS,
     LATTICE_EDGES,
@@ -63,3 +66,38 @@ def test_check_lattice_builds_one_delayed_arena_per_bias(monkeypatch, exhaustive
         assert check_lattice(game) == [LatticeResult(name, True) for name in names], i
     for i, game in enumerate(random_corpus[:25]):
         assert check_lattice(game) == oracle_check_lattice(game), i
+
+
+def _cycle(n, priorities):
+    return ParityGame(tuple(priorities), (0,) * n, tuple(((v + 1) % n,) for v in range(n)))
+
+
+def test_iso_relation_matches_pairwise_reference(exhaustive_corpus, random_corpus):
+    # Games with non-trivial orbits: two copies of one game, and cycles whose
+    # vertices are all alike or alike up to a rotation by two.
+    orbits = [disjoint_union(g, g) for g in random_corpus[:40]]
+    orbits += [_cycle(n, [0] * n) for n in (1, 5, 12)] + [_cycle(8, [1, 2] * 4)]
+    for i, game in enumerate(exhaustive_corpus + random_corpus + orbits):
+        assert pgreduce.lattice._iso_relation(game) == oracle_iso_relation(game), i
+    assert pgreduce.lattice._iso_relation(_cycle(8, [1, 2] * 4)).rows[0] == 0b01010101
+
+
+def test_iso_relation_searches_only_alike_vertices(monkeypatch):
+    calls = []
+    original = pgreduce.lattice.find_isomorphism
+
+    def counting(g1, g2, pin=None):
+        calls.append(pin)
+        return original(g1, g2, pin)
+
+    monkeypatch.setattr(pgreduce.lattice, "find_isomorphism", counting)
+    pgreduce.lattice._iso_relation(_cycle(10, range(10)))
+    assert calls == []
+    # One search per vertex outside its orbit's least vertex.
+    pgreduce.lattice._iso_relation(_cycle(10, [0] * 10))
+    assert calls == [(0, w) for w in range(1, 10)]
+
+
+def test_compute_relations_enforces_isomorphism_limit():
+    with pytest.raises(ValueError, match="isomorphism check limited to 64 vertices"):
+        compute_relations(_cycle(65, range(65)))

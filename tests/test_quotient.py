@@ -23,6 +23,8 @@ from pgreduce import (
     verify_preservation,
 )
 from fixture_games import CYCLE_VS_LOOP
+from inflation import inflate
+from oracles import is_isomorphism
 from pgreduce.cli import main
 
 
@@ -89,7 +91,7 @@ def test_governed_quotient_preserves_winner_random(random_corpus):
 def test_governed_quotient_identity_when_minimal(single_move_owners):
     result = quotient_governed_bisim(single_move_owners)
     again = quotient_governed_bisim(result.quotient)
-    assert iso_check(result.quotient, again.quotient)
+    assert is_isomorphism(result.quotient, again.quotient, again.class_map)
 
 
 def test_gstut_quotient_fake_divergence(fake_divergence):
@@ -125,7 +127,7 @@ def test_stut_and_strong_quotients(all_fixture_games):
             assert verify_preservation(game, result)
             assert quotient_equivalent(game, result)
             again = fn(result.quotient)
-            assert iso_check(result.quotient, again.quotient)
+            assert is_isomorphism(result.quotient, again.quotient, again.class_map)
 
 
 def test_strong_quotient_single_move_owners_is_identity(single_move_owners):
@@ -151,6 +153,14 @@ class TestIsoCheck:
         assert mapping is not None
         assert all(mapping[v] == perm[v] for v in range(4))
 
+    def test_linear_check_of_a_given_mapping(self, escape_edge):
+        # The test-only ``is_isomorphism`` accepts exactly the mappings that
+        # are isomorphisms.
+        perm = find_isomorphism(escape_edge, escape_edge)
+        assert is_isomorphism(escape_edge, escape_edge, perm)
+        for mapping in ((1, 0, 2, 3), (0, 0, 2, 3), (0, 1, 2)):
+            assert not is_isomorphism(escape_edge, escape_edge, mapping), mapping
+
     def test_cycle_vs_loop_halves(self):
         parts = CYCLE_VS_LOOP.strip().splitlines()
         cycle = parse_pgsolver("parity 1;\n" + "\n".join(parts[1:3]))
@@ -174,7 +184,20 @@ def test_quotient_idempotent_on_random_games(random_corpus):
         for fn in (quotient_direct_sim, quotient_governed_bisim, quotient_gstut):
             result = fn(game)
             again = fn(result.quotient)
-            assert iso_check(result.quotient, again.quotient)
+            assert is_isomorphism(result.quotient, again.quotient, again.class_map)
+
+
+def test_quotient_idempotent_above_isomorphism_limit():
+    # The second quotient's class map is the isomorphism, so idempotence is
+    # checked on quotients larger than iso_check accepts.
+    core = random_game(90, 6, (1, 3), 23)
+    games = [random_game(150, 6, (1, 3), 7), inflate(core, 40, 40, 5)[0]]
+    for game in games:
+        for name, equivalence in EQUIVALENCES.items():
+            q = equivalence.quotient(game).quotient
+            assert q.vertex_count > 64, name
+            again = equivalence.quotient(q)
+            assert is_isomorphism(q, again.quotient, again.class_map), name
 
 
 def test_identity_quotient_preserves(escape_edge):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import pgreduce.simgames
@@ -8,6 +10,8 @@ from oracles import (
     oracle_build_governed_bisim_arena,
     oracle_build_gstut_arena,
     oracle_delayed_sim_fixpoint,
+    oracle_delayed_sim_worklist,
+    oracle_rank_check,
 )
 from pgreduce import (
     CHECK,
@@ -285,22 +289,66 @@ def test_delayed_fixpoint_matches_reference(bias):
         assert delayed_sim_fixpoint(game, bias).rows == oracle_delayed_sim_fixpoint(game, bias).rows, i
 
 
+@pytest.mark.parametrize("bias", ["none", "even", "odd"])
+def test_delayed_fixpoint_matches_closure_worklist(bias):
+    # Games of 12-40 vertices, beyond what the full rescan handles quickly.
+    for i in range(40):
+        game = random_game(12 + i * 28 // 39, 2 + i % 4, (1, 1 + i % 3), 9_100 + i)
+        assert delayed_sim_fixpoint(game, bias).rows == oracle_delayed_sim_worklist(game, bias).rows, i
+
+
+def test_rank_check_matches_closure_transfer(monkeypatch):
+    # Perturbed ranks make some checks fail; the per-pair tables must judge
+    # every set of ranks as the closure-based transfer does.
+    original = pgreduce.simgames.buchi_rank
+    checked = []
+
+    def perturbed(arena, won):
+        ranks = original(arena, won)
+        rng = random.Random(len(checked))
+        for pos in rng.sample(sorted(ranks), min(len(checked) % 4, len(ranks))):
+            ranks[pos] = rng.randrange(-1, max(ranks.values()) + 2)
+        checked.append((arena, ranks))
+        return ranks
+
+    monkeypatch.setattr(pgreduce.simgames, "buchi_rank", perturbed)
+    outcomes = set()
+    for i, game in enumerate(small_random_games(60, max_n=7, max_priority=4, start_n=2)):
+        for bias in ("none", "even", "odd"):
+            got = wf_rank_check(game, bias)
+            arena, ranks = checked[-1]
+            assert got == oracle_rank_check(game, bias, arena, ranks), (i, bias)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+class _CountingReads(list):
+    """A list that counts how often an entry is read."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 def test_delayed_fixpoint_evaluation_count(monkeypatch):
-    calls = 0
-    original = pgreduce.simgames._delayed_transfer
+    # An evaluation of a triple reads its pair's transfer table once.
+    original = pgreduce.simgames._transfer_groups
+    tables = []
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
+        tables.append(_CountingReads(original(*args)))
+        return tables[-1]
 
-    monkeypatch.setattr(pgreduce.simgames, "_delayed_transfer", counting)
+    monkeypatch.setattr(pgreduce.simgames, "_transfer_groups", counting)
     game = random_game(50, 5, (1, 3), 1)
     delayed_sim_fixpoint(game, "none")
     triples = game.vertex_count ** 2 * (1 + len(set(game.priorities)))
     # The full-rescan reference evaluates each triple about 56 times here,
     # the stage-carrying fixpoint about 2.7 times (47,959 evaluations).
-    assert calls <= 4 * triples
+    [table] = tables
+    assert 0 < table.reads <= 4 * triples
 
 
 _UPDATES = {"none": gamma, "even": gamma_even, "odd": gamma_odd}
