@@ -25,7 +25,6 @@ from .quotient import (
     Equivalence,
     QuotientResult,
     find_isomorphism,
-    iso_check,
     max_successors,
     min_successors,
     quotient_direct_sim,

@@ -98,15 +98,6 @@ class ParityGame:
     def vertices(self) -> range:
         return range(len(self.priorities))
 
-    def priority(self, v: int) -> int:
-        return self.priorities[v]
-
-    def owner(self, v: int) -> Player:
-        return self.owners[v]
-
-    def max_priority(self) -> int:
-        return max(self.priorities)
-
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         """Predecessor lists, ascending; computed once and cached."""
         cached = getattr(self, "_predecessors", None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .game import ParityGame
-from .quotient import EQUIVALENCES, ISO_SIZE_LIMIT, _iso_invariants, find_isomorphism
+from .quotient import EQUIVALENCES, _check_iso_size, _iso_invariants, find_isomorphism
 
 # direct_sim and the four bisimulation partitions are reached through
 # EQUIVALENCES, but bench/tracing.py wraps these names in this module, so
@@ -88,9 +88,8 @@ def _iso_relation(game: ParityGame) -> VertexRelation:
     vertex not yet in an orbit joins ``v``'s when its isomorphism invariants
     equal ``v``'s and an automorphism maps ``v`` to it.
     """
+    _check_iso_size(game)
     n = game.vertex_count
-    if n > ISO_SIZE_LIMIT:
-        raise ValueError(f"isomorphism check limited to {ISO_SIZE_LIMIT} vertices")
     invariants = _iso_invariants(game)
     rows = [0] * n
     for v in game.vertices:
@@ -169,6 +168,9 @@ def check_lattice(
     fixpoint.  ``relations`` exists as a test hook: a doctored bundle makes
     the run report the violated edge by name.
     """
+    if relations is None:
+        # The isomorphism size limit fails before any arena is built.
+        _check_iso_size(game)
     pre = _delayed_preorders(game) if relations is None or coincidences else None
     rels = relations if relations is not None else compute_relations(game, _preorders=pre)
     results = []

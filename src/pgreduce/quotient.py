@@ -40,7 +40,6 @@ __all__ = [
     "quotient_gstut",
     "quotient_strong_bisim",
     "quotient_stut",
-    "iso_check",
     "find_isomorphism",
     "verify_preservation",
     "quotient_equivalent",
@@ -259,6 +258,11 @@ def _iso_invariants(game: ParityGame) -> list[tuple]:
     return refined
 
 
+def _check_iso_size(game: ParityGame) -> None:
+    if game.vertex_count > ISO_SIZE_LIMIT:
+        raise ValueError(f"isomorphism check limited to {ISO_SIZE_LIMIT} vertices")
+
+
 def find_isomorphism(
     g1: ParityGame, g2: ParityGame, pin: tuple[int, int] | None = None
 ) -> dict[int, int] | None:
@@ -269,8 +273,7 @@ def find_isomorphism(
     """
     if g1.vertex_count != g2.vertex_count:
         return None
-    if g1.vertex_count > ISO_SIZE_LIMIT:
-        raise ValueError(f"isomorphism check limited to {ISO_SIZE_LIMIT} vertices")
+    _check_iso_size(g1)
     inv1 = _iso_invariants(g1)
     inv2 = _iso_invariants(g2)
     if sorted(inv1) != sorted(inv2):
@@ -315,11 +318,6 @@ def find_isomorphism(
     if search(0):
         return dict(mapping)
     return None
-
-
-def iso_check(g1: ParityGame, g2: ParityGame) -> bool:
-    """True iff the two games are isomorphic.  Intended for quotient-sized games."""
-    return find_isomorphism(g1, g2) is not None
 
 
 def verify_preservation(game: ParityGame, result: QuotientResult) -> bool:

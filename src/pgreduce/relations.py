@@ -15,7 +15,7 @@ because its natural home is the obligation game.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # attractor is not called here, but bench/tracing.py wraps this name in
 # this module, so it stays bound.
@@ -58,24 +58,6 @@ class VertexRelation:
 
     def holds(self, v: int, w: int) -> bool:
         return self.rows[v] >> w & 1 == 1
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for v in range(self.universe):
-            row = self.rows[v]
-            while row:
-                low = row & -row
-                yield v, low.bit_length() - 1
-                row ^= low
-
-    def right_set(self, v: int) -> int:
-        """Bitmask of ``{w | v R w}``."""
-        return self.rows[v]
-
-    def transpose(self) -> "VertexRelation":
-        rows = [0] * self.universe
-        for v, w in self.pairs():
-            rows[w] |= 1 << v
-        return VertexRelation(self.universe, tuple(rows), self.kind)
 
     def intersection(self, other: "VertexRelation", kind: str | None = None) -> "VertexRelation":
         rows = tuple(a & b for a, b in zip(self.rows, other.rows))

@@ -16,13 +16,14 @@ encoded with an intermediate arena position per half move; this encoding is
 validated against the coinductive fixpoints by ``coincidence_check``.
 
 Positions are numbered in the order a breadth-first expansion discovers
-them.  A builder finds a position by an integer id computed from its
-fields, never by hashing its payload: a delayed configuration (v, w, k) has
-id ``(v * n + w) * K + k``, where obligation 0 is ✓ and obligation i ≥ 1 is
-the i-th smallest priority of the game, and ``K`` counts the obligations.
-A list maps the ids of the configurations and half-move positions to
-positions; the stuttering game's half-move and pick positions, whose id
-spaces hold 2n³(2n + 2) and 2n⁴(2n + 2) ids, use an int-keyed dict.  Round order comes from
+them.  A position is its integer id, computed from its fields and kept in
+``Arena.ids``: a delayed configuration (v, w, k) has id ``(v * n + w) * K +
+k``, where obligation 0 is ✓ and obligation i ≥ 1 is the i-th smallest
+priority of the game, and ``K`` counts the obligations.  A list maps the
+ids of the configurations and half-move positions to positions; the
+stuttering game's half-move and pick positions, whose id spaces hold
+2n³(2n + 2) and 2n⁴(2n + 2) ids, use an int-keyed dict.  Each builder reads
+a position's owner and acceptance off its id.  Round order comes from
 per-vertex mover tables and the obligation update from one table per
 priority pair (``_gamma_table``), which the delayed fixpoint shares.
 
@@ -68,7 +69,6 @@ CHECK = "✓"
 DAGGER = "†"
 
 Obligation = int | str
-_LOSE = ("lose",)
 _SPOILER = ArenaPlayer.SPOILER
 _DUPLICATOR = ArenaPlayer.DUPLICATOR
 
@@ -132,8 +132,8 @@ def _gamma_table(levels: list[int], bias: str) -> list[int]:
     return [where[update(pv, pw, k)] for pv in levels for pw in levels for k in obligations]
 
 
-def _obligations(game: ParityGame, bias: str) -> tuple[list[Obligation], list[int], list[int]]:
-    """Obligations of the game, the γ table and each vertex pair's row in it.
+def _obligations(game: ParityGame, bias: str) -> tuple[int, list[int], list[int]]:
+    """Number of obligations ``K``, the γ table and each vertex pair's row in it.
 
     The update of obligation k on entering the pair ``j = v * n + w`` is
     ``table[row[j] + k]``.
@@ -143,7 +143,7 @@ def _obligations(game: ParityGame, bias: str) -> tuple[list[Obligation], list[in
     kk = len(levels) + 1
     lv = [level[p] * len(levels) for p in game.priorities]
     row = [(lv[v] + level[pw]) * kk for v in game.vertices for pw in game.priorities]
-    return [CHECK, *levels], _gamma_table(levels, bias), row
+    return kk, _gamma_table(levels, bias), row
 
 
 def _movers(game: ParityGame) -> tuple[list[bool], list[ArenaPlayer], list[ArenaPlayer]]:
@@ -154,16 +154,14 @@ def _movers(game: ParityGame) -> tuple[list[bool], list[ArenaPlayer], list[Arena
     return even, left, right
 
 
-def _explore(
-    listed: int, starts: list[int], successors: Callable[[int], list[int]]
-) -> tuple[Arena, list[int]]:
+def _explore(listed: int, starts: list[int], successors: Callable[[int], list[int]]) -> Arena:
     """Moves of a breadth-first arena over integer position ids.
 
     Positions are numbered in discovery order, from the ids in ``starts``
     on; ``successors(id)`` gives the ids of a position's moves.  Ids below
     ``listed`` are found through a list, the rest through a dict.  Returns
-    the arena with its ``edges`` and ``start`` filled in, and the id of
-    each position; the caller describes the positions.
+    the arena with its ``edges``, ``start`` and ``ids`` filled in; the
+    caller adds owners and acceptance.
     """
     pos_of = [-1] * listed
     far: dict[int, int] = {}
@@ -188,7 +186,7 @@ def _explore(
             break
         keys = successors(ids[expanded])
         expanded += 1
-    return Arena(edges=rows[1:], start=rows[0]), ids
+    return Arena(edges=rows[1:], start=rows[0], ids=ids)
 
 
 def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
@@ -225,21 +223,18 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
         return [cfg(u, b) for u in succ[a]] if side == 0 else [cfg(a, u) for u in succ[b]]
 
     starts = [cfg(v, w) for v in game.vertices for w in game.vertices]
-    arena, ids = _explore(sink + 1, starts, successors)
-    for pos, key in enumerate(ids):
+    arena = _explore(sink + 1, starts, successors)
+    for pos, key in enumerate(arena.ids):
         if key == sink:
-            arena.payload.append(_LOSE)
             arena.owners.append(_DUPLICATOR)
         elif key < 2 * nn:
             a, b = key % nn // n, key % n
-            arena.payload.append(("cfg" if key < nn else "ori", a, b))
             arena.owners.append(_SPOILER if (swap and key < nn) or even[a] else right[b])
             if key < nn:
                 arena.accepting.add(pos)
         else:
             j, side = divmod(key - 2 * nn, 2)
             a, b = j // n, j % n
-            arena.payload.append(("mid", a, b, side))
             arena.owners.append(left[a] if side == 0 else right[b])
     return arena
 
@@ -264,8 +259,7 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     """
     n = game.vertex_count
     succ = game.successors
-    obligations, table, prow = _obligations(game, bias)
-    kk = len(obligations)
+    kk, table, prow = _obligations(game, bias)
     cfgs = n * n * kk
     even, left, right = _movers(game)
 
@@ -287,20 +281,18 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
             return [cfg(u * n + b, k) for u in succ[a]]
         return [cfg(a * n + u, k) for u in succ[b]]
 
-    arena, ids = _explore(3 * cfgs, [cfg(j, 0) for j in range(n * n)], successors)
-    for pos, key in enumerate(ids):
+    arena = _explore(3 * cfgs, [cfg(j, 0) for j in range(n * n)], successors)
+    for pos, key in enumerate(arena.ids):
         if key < cfgs:
             j, k = key // kk, key % kk
             v, w = j // n, j % n
-            arena.payload.append(("cfg", v, w, obligations[k]))
             arena.owners.append(_SPOILER if even[v] else right[w])
             if k == 0:
                 arena.accepting.add(pos)
         else:
             t, side = divmod(key - cfgs, 2)
-            j, k = t // kk, t % kk
+            j = t // kk
             a, b = j // n, j % n
-            arena.payload.append(("mid", a, b, obligations[k], side))
             arena.owners.append(left[a] if side == 0 else right[b])
     return arena
 
@@ -344,7 +336,6 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     picks = mids + 2 * oris * n
     prio, succ = game.priorities, game.successors
     even, left, right = _movers(game)
-    challenges = [CHECK, DAGGER, *((0, t) for t in game.vertices), *((1, t) for t in game.vertices)]
 
     def cfg(v: int, w: int, c: int) -> int:
         return (v * n + w) * cc + c if prio[v] == prio[w] else sink
@@ -386,31 +377,21 @@ def build_gstut_arena(game: ParityGame) -> Arena:
         ]
 
     starts = [cfg(v, w, 0) for v in game.vertices for w in game.vertices]
-    arena, ids = _explore(mids, starts, successors)
-    for pos, key in enumerate(ids):
+    arena = _explore(mids, starts, successors)
+    for pos, key in enumerate(arena.ids):
         if key < oris:
-            j, c = key // cc, key % cc
-            arena.payload.append(("cfg", j // n, j % n, challenges[c]))
             arena.owners.append(_SPOILER)
-            if c == 0:
+            if key % cc == 0:
                 arena.accepting.add(pos)
         elif key < sink:
-            a, b, c, swap = orientation(key - oris)
-            arena.payload.append(("ori", a, b, challenges[c], swap))
+            a, b = orientation(key - oris)[:2]
             arena.owners.append(_SPOILER if even[a] else right[b])
-        elif key == sink:
-            arena.payload.append(_LOSE)
+        elif key == sink or key >= picks:
             arena.owners.append(_DUPLICATOR)
-        elif key < picks:
-            a, b, c, swap = orientation((key - mids) // n)
-            moved = 0 if even[a] else 1
-            arena.payload.append(("mid", a, b, challenges[c], swap, moved, (key - mids) % n))
-            arena.owners.append(right[b] if moved == 0 else left[a])
         else:
-            key -= picks
-            a, b, c, swap = orientation(key // (n * n))
-            arena.payload.append(("pick", a, b, key // n % n, key % n, challenges[c], swap))
-            arena.owners.append(_DUPLICATOR)
+            # A half move waits for the side that did not move first.
+            a, b = orientation((key - mids) // n)[:2]
+            arena.owners.append(right[b] if even[a] else left[a])
     return arena
 
 
@@ -511,8 +492,7 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation
     arena encoding of ``delayed_sim`` independently.
     """
     n = game.vertex_count
-    obligations, table, prow = _obligations(game, bias)
-    kk = len(obligations)
+    kk, table, prow = _obligations(game, bias)
     total = n * n * kk
     preds = game.predecessors()
     # sources[table row + k]: the obligations whose update lands on k.
@@ -607,18 +587,17 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
     smaller rank until a ✓ is reached.
     """
     n = game.vertex_count
-    obligations, table, prow = _obligations(game, bias)
-    kk = len(obligations)
+    kk, table, prow = _obligations(game, bias)
+    total = n * n * kk
     arena = build_delayed_sim_arena(game, bias)
-    won = solve_buchi(arena)
-    ranks = buchi_rank(arena, won)
-    where = {k: i for i, k in enumerate(obligations)}
-    rank = [-1] * (n * n * kk)
-    for pos in won:
-        payload = arena.payload[pos]
-        if payload[0] == "cfg":
-            _, v, w, k = payload
-            rank[(v * n + w) * kk + where[k]] = ranks[pos]
+    ranks = buchi_rank(arena, solve_buchi(arena))
+    # A configuration's id is its triple (v * n + w) * K + k.
+    rank = [-1] * total
+    ids = arena.ids
+    for pos, r in ranks.items():
+        t = ids[pos]
+        if t < total:
+            rank[t] = r
 
     transfer = _transfer_groups(game, kk, prow)
     for t, r in enumerate(rank):

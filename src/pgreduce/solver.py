@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from .forcing import attractor_layers, iter_bits
 from .game import ParityGame, Player, WinningRegions
@@ -45,22 +45,19 @@ class ArenaPlayer(IntEnum):
 class Arena:
     """Explicit turn-based game arena with a Buchi acceptance set.
 
-    Positions are dense indices; ``payload`` maps a position back to the
-    source tuple it encodes and ``index`` maps it the other way.  ``start``
-    lists, for the pair games of :mod:`pgreduce.simgames`, the position at
-    which a play from the vertex pair (v, w) starts, at ``v * n + w``.
+    Positions are dense indices.  For the pair games of
+    :mod:`pgreduce.simgames`, ``ids[p]`` is the integer id from which the
+    builder computed position ``p`` (a delayed configuration (v, w, k) has
+    id ``(v * n + w) * K + k``), and ``start[v * n + w]`` is the position
+    at which a play from the vertex pair (v, w) starts.  A hand-built arena
+    may leave both empty.
     """
 
     owners: list[ArenaPlayer] = field(default_factory=list)
     edges: list[list[int]] = field(default_factory=list)
     accepting: set[int] = field(default_factory=set)
-    payload: list[Hashable] = field(default_factory=list)
+    ids: list[int] = field(default_factory=list)
     start: list[int] = field(default_factory=list)
-
-    @cached_property
-    def index(self) -> dict[Hashable, int]:
-        """Position of each payload, built from ``payload`` on first use."""
-        return {p: i for i, p in enumerate(self.payload)}
 
     @cached_property
     def predecessors(self) -> list[list[int]]:
@@ -74,7 +71,8 @@ class Arena:
     def validate(self) -> None:
         for p, row in enumerate(self.edges):
             if not row:
-                raise ValueError(f"arena position {p} ({self.payload[p]!r}) has no moves")
+                where = f" (id {self.ids[p]})" if self.ids else ""
+                raise ValueError(f"arena position {p}{where} has no moves")
 
 
 class _Zielonka:

@@ -7,10 +7,12 @@ signer, direct-simulation, validator, bisimulation, delayed-simulation,
 Buchi, Zielonka, parser and isomorphism-relation references at the end
 keep the library's earlier, direct constructions, and so do the arena
 builders, which intern every position by its payload tuple.
+``iso_check`` decides whether two whole games are isomorphic, and
 ``is_isomorphism`` checks a given vertex mapping, for the idempotence
 tests.
 """
 from collections import deque
+from dataclasses import dataclass, field
 from itertools import product
 
 import networkx as nx
@@ -440,8 +442,7 @@ def oracle_delayed_sim_worklist(game: ParityGame, bias: str = "none") -> VertexR
     evaluation, passed to ``delayed_transfer``, and readers computed per
     triple.  The library's version must join the same triples."""
     n = game.vertex_count
-    obligations, table, prow = _obligations(game, bias)
-    kk = len(obligations)
+    kk, table, prow = _obligations(game, bias)
     total = n * n * kk
     preds = game.predecessors()
     sources: list[list[int]] = [[] for _ in table]
@@ -519,13 +520,16 @@ def oracle_delayed_sim_worklist(game: ParityGame, bias: str = "none") -> VertexR
     return VertexRelation(n, tuple(rows), "preorder")
 
 
-def oracle_rank_check(game: ParityGame, bias: str, arena: Arena, ranks: dict[int, int]) -> bool:
-    """``wf_rank_check`` on given ranks, read by payload: every transfer from
-    a ranked configuration reaches ranked ones, of smaller rank unless the
-    obligation is ✓."""
+def oracle_rank_check(game: ParityGame, bias: str, ranks: dict[int, int]) -> bool:
+    """``wf_rank_check`` on given ranks of the delayed arena's positions:
+    every transfer from a ranked configuration reaches ranked ones, of
+    smaller rank unless the obligation is ✓.  Each position is read by its
+    payload in the interning builder's arena, whose positions are the
+    library's, in the same order."""
     update = _UPDATERS[bias]
     prio = game.priorities
-    rank = {arena.payload[p][1:]: r for p, r in ranks.items() if arena.payload[p][0] == "cfg"}
+    payload = oracle_build_delayed_sim_arena(game, bias).payload
+    rank = {payload[p][1:]: r for p, r in ranks.items() if payload[p][0] == "cfg"}
     for (v, w, k), r in rank.items():
         if r < 0:
             continue
@@ -587,17 +591,22 @@ def oracle_buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
 #
 # The interning builders: every half move builds its payload tuple and looks
 # it up in the arena's payload index.  The library's builders find positions
-# by arithmetic on their fields and must produce the same arenas: the same
-# positions in the same order, with the same owners, edges, acceptance and
-# payloads.
+# by arithmetic on their integer ids and must produce the same arenas: the
+# same positions in the same order, with the same owners, edges, acceptance
+# and start positions.
 
 _LOSE = ("lose",)
 
 
+@dataclass
 class InterningArena(Arena):
     """An arena that interns positions by payload, so builders can freely
-    re-request them.  Adding a position or an edge drops the cached
-    predecessor lists."""
+    re-request them: ``payload[p]`` describes position ``p`` and ``index``
+    maps a payload back to its position.  Adding a position or an edge drops
+    the cached predecessor lists."""
+
+    payload: list = field(default_factory=list)
+    index: dict = field(default_factory=dict)
 
     def position(self, payload, owner: ArenaPlayer, accepting: bool = False) -> int:
         pos = self.index.get(payload)
@@ -631,7 +640,7 @@ def _first_mover(game: ParityGame, a: int, b: int) -> ArenaPlayer:
     return mover0 if first == 0 else mover1
 
 
-def _expand_all(arena: Arena, expand) -> Arena:
+def _expand_all(arena: InterningArena, expand) -> InterningArena:
     # Positions appended during expansion are expanded in turn.
     i = 0
     while i < arena.size:
@@ -864,11 +873,12 @@ def oracle_split_statements(text: str) -> list[tuple[str, int]]:
     return statements
 
 
-# --- Reference isomorphism relation and check --------------------------------
+# --- Reference isomorphism relation and checks -------------------------------
 #
 # The pairwise relation pins every pair of vertices, where the library
-# searches once per orbit.  ``is_isomorphism`` checks a given mapping in
-# linear time, so idempotence tests need no search and no size limit.
+# searches once per orbit.  ``iso_check`` runs the library's search on two
+# whole games.  ``is_isomorphism`` checks a given mapping in linear time, so
+# idempotence tests need no search and no size limit.
 
 
 def oracle_iso_relation(game: ParityGame) -> VertexRelation:
@@ -883,6 +893,11 @@ def oracle_iso_relation(game: ParityGame) -> VertexRelation:
                 rows[v] |= 1 << w
                 rows[w] |= 1 << v
     return VertexRelation(n, tuple(rows), "equivalence")
+
+
+def iso_check(g1: ParityGame, g2: ParityGame) -> bool:
+    """True iff the two games are isomorphic.  Intended for quotient-sized games."""
+    return find_isomorphism(g1, g2) is not None
 
 
 def is_isomorphism(g1: ParityGame, g2: ParityGame, mapping) -> bool:

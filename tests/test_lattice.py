@@ -101,3 +101,18 @@ def test_iso_relation_searches_only_alike_vertices(monkeypatch):
 def test_compute_relations_enforces_isomorphism_limit():
     with pytest.raises(ValueError, match="isomorphism check limited to 64 vertices"):
         compute_relations(_cycle(65, range(65)))
+
+
+def test_check_lattice_enforces_isomorphism_limit_before_building_arenas(monkeypatch):
+    builds = 0
+    original = pgreduce.simgames.build_delayed_sim_arena
+
+    def counting(*args):
+        nonlocal builds
+        builds += 1
+        return original(*args)
+
+    monkeypatch.setattr(pgreduce.simgames, "build_delayed_sim_arena", counting)
+    with pytest.raises(ValueError, match="isomorphism check limited to 64 vertices"):
+        check_lattice(random_game(65, 3, (1, 3), 1))
+    assert builds == 0

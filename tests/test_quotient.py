@@ -7,7 +7,6 @@ from pgreduce import (
     QuotientResult,
     direct_sim,
     find_isomorphism,
-    iso_check,
     max_successors,
     min_successors,
     parse_pgsolver,
@@ -24,7 +23,7 @@ from pgreduce import (
 )
 from fixture_games import CYCLE_VS_LOOP
 from inflation import inflate
-from oracles import is_isomorphism
+from oracles import is_isomorphism, iso_check
 from pgreduce.cli import main
 
 

@@ -95,22 +95,25 @@ class TestDirectSimArena:
     def test_diagonal_positions_won(self, escape_edge):
         arena = build_direct_sim_arena(escape_edge)
         won = solve_buchi(arena)
+        n = escape_edge.vertex_count
         for v in escape_edge.vertices:
-            assert arena.index[("cfg", v, v)] in won
+            assert arena.start[v * n + v] in won
 
     def test_escape_edge_asymmetry(self, escape_edge):
         arena = build_direct_sim_arena(escape_edge)
         won = solve_buchi(arena)
-        assert arena.index[("cfg", 0, 1)] in won
-        assert arena.index[("cfg", 1, 0)] not in won
+        n = escape_edge.vertex_count
+        assert arena.start[0 * n + 1] in won
+        assert arena.start[1 * n + 0] not in won
 
     def test_position_counts(self, escape_edge):
+        # Ids: configurations below n², half moves from 2n² up to the sink at 4n².
         game = escape_edge
         arena = build_direct_sim_arena(game)
         n = game.vertex_count
         max_deg = max(len(row) for row in game.successors)
-        full = [p for p in arena.payload if p[0] == "cfg"]
-        mids = [p for p in arena.payload if p[0] == "mid"]
+        full = [key for key in arena.ids if key < n * n]
+        mids = [key for key in arena.ids if 2 * n * n <= key < 4 * n * n]
         pairs_with_equal_prio = sum(
             1
             for v in game.vertices
@@ -126,13 +129,14 @@ class TestGovernedArena:
     def test_diagonal_won(self, cross_owner):
         arena = build_governed_bisim_arena(cross_owner)
         won = solve_buchi(arena)
-        assert arena.index[("cfg", 0, 0)] in won
+        assert arena.start[0] in won
 
     def test_cross_owner_pairs(self, cross_owner):
         arena = build_governed_bisim_arena(cross_owner)
         won = solve_buchi(arena)
-        assert arena.index[("cfg", 0, 6)] in won
-        assert arena.index[("cfg", 0, 1)] not in won
+        n = cross_owner.vertex_count
+        assert arena.start[0 * n + 6] in won
+        assert arena.start[0 * n + 1] not in won
 
     def test_winning_set_symmetric(self):
         for seed in range(10):
@@ -155,12 +159,21 @@ class TestDelayedArena:
         assert all(rel.holds(v, v) for v in escape_edge.vertices)
 
     def test_obligation_alphabet(self, random_corpus):
+        # A configuration's id is (v * n + w) * K + k, where obligation k
+        # indexes ✓ and the sorted priorities; the interning oracle's
+        # arena, position for position the same, names each one.
         for game in random_corpus[:15]:
+            n = game.vertex_count
+            obligations = [CHECK, *sorted(set(game.priorities))]
+            kk = len(obligations)
             arena = build_delayed_sim_arena(game)
-            allowed = {CHECK} | set(game.priorities)
-            for payload in arena.payload:
-                if payload[0] == "cfg":
-                    assert payload[3] in allowed
+            payload = oracle_build_delayed_sim_arena(game).payload
+            for pos, key in enumerate(arena.ids):
+                if key < n * n * kk:
+                    j, k = divmod(key, kk)
+                    assert payload[pos] == ("cfg", j // n, j % n, obligations[k])
+                else:
+                    assert payload[pos][0] == "mid"
 
     def test_contains_direct(self, escape_edge, random_corpus):
         for game in [escape_edge] + random_corpus[:15]:
@@ -202,16 +215,21 @@ class TestGstutGame:
     def test_diagonal_configuration_won(self, escape_edge):
         arena = build_gstut_arena(escape_edge)
         won = solve_buchi(arena)
+        n = escape_edge.vertex_count
         for v in escape_edge.vertices:
-            assert arena.index[("cfg", v, v, CHECK)] in won
+            assert arena.start[v * n + v] in won
 
     def test_fake_divergence_challenge_roundtrip(self, fake_divergence):
         arena = build_gstut_arena(fake_divergence)
         won = solve_buchi(arena)
-        assert arena.index[("cfg", 1, 3, CHECK)] in won
+        n = fake_divergence.vertex_count
+        assert arena.start[1 * n + 3] in won
         # priorities differ: collapses to the losing sink
-        assert ("cfg", 0, 2, CHECK) not in arena.index
-        assert arena.index[("lose",)] not in won
+        oracle = oracle_build_gstut_arena(fake_divergence)
+        assert ("cfg", 0, 2, CHECK) not in oracle.index
+        sink = oracle.index[("lose",)]
+        assert arena.start[0 * n + 2] == sink
+        assert sink not in won
 
     def test_partition_matches_refinement(self, fake_divergence):
         assert gstut_via_game(fake_divergence) == gstut_bisim(fake_divergence)
@@ -308,7 +326,7 @@ def test_rank_check_matches_closure_transfer(monkeypatch):
         rng = random.Random(len(checked))
         for pos in rng.sample(sorted(ranks), min(len(checked) % 4, len(ranks))):
             ranks[pos] = rng.randrange(-1, max(ranks.values()) + 2)
-        checked.append((arena, ranks))
+        checked.append(ranks)
         return ranks
 
     monkeypatch.setattr(pgreduce.simgames, "buchi_rank", perturbed)
@@ -316,8 +334,7 @@ def test_rank_check_matches_closure_transfer(monkeypatch):
     for i, game in enumerate(small_random_games(60, max_n=7, max_priority=4, start_n=2)):
         for bias in ("none", "even", "odd"):
             got = wf_rank_check(game, bias)
-            arena, ranks = checked[-1]
-            assert got == oracle_rank_check(game, bias, arena, ranks), (i, bias)
+            assert got == oracle_rank_check(game, bias, checked[-1]), (i, bias)
             outcomes.add(got)
     assert outcomes == {True, False}
 
@@ -388,7 +405,6 @@ def test_arena_builders_match_interning_oracle(kind, exhaustive_corpus, random_c
             assert arena.owners == expected.owners, (i, bias)
             assert arena.edges == expected.edges, (i, bias)
             assert arena.accepting == expected.accepting, (i, bias)
-            assert arena.payload == expected.payload, (i, bias)
             assert arena.start == _start_positions(kind, game, bias, expected), (i, bias)
 
 

@@ -16,6 +16,7 @@ from oracles import (
     oracle_winner,
 )
 from pgreduce import (
+    Arena,
     ArenaPlayer,
     ParityGame,
     Player,
@@ -345,4 +346,11 @@ def test_arena_validate_rejects_dead_positions():
     arena = InterningArena()
     arena.position("stuck", D)
     with pytest.raises(ValueError, match="no moves"):
+        solve_buchi(arena)
+
+
+def test_solve_buchi_names_dead_end_position():
+    # Position 1 has no moves; the error names it and its id.
+    arena = Arena(owners=[D, S, D], edges=[[1], [], [0]], accepting={0}, ids=[7, 42, 9])
+    with pytest.raises(ValueError, match=r"arena position 1 \(id 42\) has no moves"):
         solve_buchi(arena)
