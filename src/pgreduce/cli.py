@@ -52,21 +52,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pgreduce", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # Only the commands that produce a game take --dot.
+    def common(p, dot=False):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings")
-        p.add_argument("--dot", type=Path, help="also write the produced game as DOT")
+        if dot:
+            p.add_argument("--dot", type=Path, help="also write the produced game as DOT")
 
     p = sub.add_parser("solve", help="print the winning regions")
     p.add_argument("input", type=Path)
-    common(p)
+    common(p, dot=True)
 
     p = sub.add_parser("minimize", help="write the quotient game and class map")
     p.add_argument("input", type=Path)
     p.add_argument("--equiv", required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--map", dest="map_path", type=Path, required=True)
-    common(p)
+    common(p, dot=True)
 
     p = sub.add_parser("compare", help="relate two vertices under every relation")
     p.add_argument("input", type=Path)
@@ -93,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", default="1:2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path)
-    common(p)
+    common(p, dot=True)
 
     return parser
 
@@ -144,12 +146,9 @@ class _Report:
             for text in self.lines:
                 print(text)
 
-    def all_passed(self) -> bool:
-        return all(v == "pass" for v in self.data["verdicts"].values())
-
 
 def _maybe_dot(args, game: ParityGame) -> None:
-    if getattr(args, "dot", None):
+    if args.dot:
         args.dot.write_text(to_dot(game))
 
 

@@ -59,10 +59,6 @@ class VertexRelation:
     def holds(self, v: int, w: int) -> bool:
         return self.rows[v] >> w & 1 == 1
 
-    def intersection(self, other: "VertexRelation", kind: str | None = None) -> "VertexRelation":
-        rows = tuple(a & b for a, b in zip(self.rows, other.rows))
-        return VertexRelation(self.universe, rows, kind or self.kind)
-
     def is_subrelation(self, other: "VertexRelation") -> bool:
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
 

@@ -22,8 +22,10 @@ k``, where obligation 0 is ✓ and obligation i ≥ 1 is the i-th smallest
 priority of the game, and ``K`` counts the obligations.  A list maps the
 ids of the configurations and half-move positions to positions; the
 stuttering game's half-move and pick positions, whose id spaces hold
-2n³(2n + 2) and 2n⁴(2n + 2) ids, use an int-keyed dict.  Each builder reads
-a position's owner and acceptance off its id.  Round order comes from
+2n³(2n + 2) and 2n⁴(2n + 2) ids, use an int-keyed dict.  Each builder
+decodes a position's id in one place, its ``expand`` function, which gives
+the position's owner, its acceptance and the ids of its moves; ``_explore``
+calls it once per position.  Round order comes from
 per-vertex mover tables and the obligation update from one table per
 priority pair (``_gamma_table``), which the delayed fixpoint shares.
 
@@ -154,19 +156,23 @@ def _movers(game: ParityGame) -> tuple[list[bool], list[ArenaPlayer], list[Arena
     return even, left, right
 
 
-def _explore(listed: int, starts: list[int], successors: Callable[[int], list[int]]) -> Arena:
-    """Moves of a breadth-first arena over integer position ids.
+def _explore(
+    listed: int, starts: list[int], expand: Callable[[int], tuple[ArenaPlayer, bool, list[int]]]
+) -> Arena:
+    """A breadth-first arena over integer position ids.
 
     Positions are numbered in discovery order, from the ids in ``starts``
-    on; ``successors(id)`` gives the ids of a position's moves.  Ids below
+    on; ``expand(id)`` gives a position's owner, whether it is accepting
+    and the ids of its moves, and is called once per position.  Ids below
     ``listed`` are found through a list, the rest through a dict.  Returns
-    the arena with its ``edges``, ``start`` and ``ids`` filled in; the
-    caller adds owners and acceptance.
+    the arena with every field filled in.
     """
     pos_of = [-1] * listed
     far: dict[int, int] = {}
     ids: list[int] = []
     rows: list[list[int]] = []
+    owners: list[ArenaPlayer] = []
+    accepting: set[int] = set()
     keys = starts
     expanded = 0
     while True:
@@ -184,9 +190,12 @@ def _explore(listed: int, starts: list[int], successors: Callable[[int], list[in
         rows.append(row)
         if expanded == len(ids):
             break
-        keys = successors(ids[expanded])
+        owner, accept, keys = expand(ids[expanded])
+        owners.append(owner)
+        if accept:
+            accepting.add(expanded)
         expanded += 1
-    return Arena(edges=rows[1:], start=rows[0], ids=ids)
+    return Arena(owners=owners, edges=rows[1:], accepting=accepting, ids=ids, start=rows[0])
 
 
 def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
@@ -208,35 +217,24 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
     def cfg(v: int, w: int) -> int:
         return v * n + w if prio[v] == prio[w] else sink
 
-    def successors(key: int) -> list[int]:
+    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
         if key == sink:
-            return [sink]
+            return _DUPLICATOR, False, [sink]
         if key < nn and swap:
-            return [nn + key, nn + (key % n) * n + key // n]
+            return _SPOILER, True, [nn + key, nn + (key % n) * n + key // n]
         if key < 2 * nn:
             a, b = divmod(key % nn, n)
             if even[a]:
-                return [2 * nn + 2 * (t * n + b) + 1 for t in succ[a]]
-            return [2 * nn + 2 * (a * n + t) for t in succ[b]]
+                return _SPOILER, key < nn, [2 * nn + 2 * (t * n + b) + 1 for t in succ[a]]
+            return right[b], key < nn, [2 * nn + 2 * (a * n + t) for t in succ[b]]
         j, side = divmod(key - 2 * nn, 2)
         a, b = divmod(j, n)
-        return [cfg(u, b) for u in succ[a]] if side == 0 else [cfg(a, u) for u in succ[b]]
+        if side == 0:
+            return left[a], False, [cfg(u, b) for u in succ[a]]
+        return right[b], False, [cfg(a, u) for u in succ[b]]
 
     starts = [cfg(v, w) for v in game.vertices for w in game.vertices]
-    arena = _explore(sink + 1, starts, successors)
-    for pos, key in enumerate(arena.ids):
-        if key == sink:
-            arena.owners.append(_DUPLICATOR)
-        elif key < 2 * nn:
-            a, b = key % nn // n, key % n
-            arena.owners.append(_SPOILER if (swap and key < nn) or even[a] else right[b])
-            if key < nn:
-                arena.accepting.add(pos)
-        else:
-            j, side = divmod(key - 2 * nn, 2)
-            a, b = j // n, j % n
-            arena.owners.append(left[a] if side == 0 else right[b])
-    return arena
+    return _explore(sink + 1, starts, expand)
 
 
 def build_direct_sim_arena(game: ParityGame) -> Arena:
@@ -267,34 +265,21 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
         # The configuration reached at pair j from obligation k.
         return j * kk + table[prow[j] + k]
 
-    def successors(key: int) -> list[int]:
+    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
         if key < cfgs:
             j, k = divmod(key, kk)
             v, w = divmod(j, n)
             if even[v]:
-                return [cfgs + 2 * ((t * n + w) * kk + k) + 1 for t in succ[v]]
-            return [cfgs + 2 * ((v * n + t) * kk + k) for t in succ[w]]
+                return _SPOILER, k == 0, [cfgs + 2 * ((t * n + w) * kk + k) + 1 for t in succ[v]]
+            return right[w], k == 0, [cfgs + 2 * ((v * n + t) * kk + k) for t in succ[w]]
         t, side = divmod(key - cfgs, 2)
         j, k = divmod(t, kk)
         a, b = divmod(j, n)
         if side == 0:
-            return [cfg(u * n + b, k) for u in succ[a]]
-        return [cfg(a * n + u, k) for u in succ[b]]
+            return left[a], False, [cfg(u * n + b, k) for u in succ[a]]
+        return right[b], False, [cfg(a * n + u, k) for u in succ[b]]
 
-    arena = _explore(3 * cfgs, [cfg(j, 0) for j in range(n * n)], successors)
-    for pos, key in enumerate(arena.ids):
-        if key < cfgs:
-            j, k = key // kk, key % kk
-            v, w = j // n, j % n
-            arena.owners.append(_SPOILER if even[v] else right[w])
-            if k == 0:
-                arena.accepting.add(pos)
-        else:
-            t, side = divmod(key - cfgs, 2)
-            j = t // kk
-            a, b = j // n, j % n
-            arena.owners.append(left[a] if side == 0 else right[b])
-    return arena
+    return _explore(3 * cfgs, [cfg(j, 0) for j in range(n * n)], expand)
 
 
 def _challenge(c: int, cprime: int, same_vertex: bool, spoiler_moved: bool) -> int:
@@ -340,59 +325,43 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     def cfg(v: int, w: int, c: int) -> int:
         return (v * n + w) * cc + c if prio[v] == prio[w] else sink
 
-    def orientation(o: int) -> tuple[int, int, int, int]:
-        j = o // (2 * cc)
-        return j // n, j % n, o // 2 % cc, o % 2
-
-    def successors(key: int) -> list[int]:
+    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
         if key < oris:
-            j, c = key // cc, key % cc
-            v, w = j // n, j % n
-            return [oris + 2 * key, oris + 2 * ((w * n + v) * cc + c) + 1]
+            j, c = divmod(key, cc)
+            v, w = divmod(j, n)
+            return _SPOILER, c == 0, [oris + 2 * key, oris + 2 * ((w * n + v) * cc + c) + 1]
         if key < sink:
             o = key - oris
-            j = o // (2 * cc)
-            a, b = j // n, j % n
-            return [mids + o * n + t for t in (succ[a] if even[a] else succ[b])]
-        if key == sink:
-            return [sink]
-        if key < picks:
-            m = key - mids
-            j = m // (2 * cc * n)
-            a, b = j // n, j % n
+            a, b = divmod(o // (2 * cc), n)
             if even[a]:
-                return [picks + m * n + u for u in succ[b]]
-            o, t = m // n, m % n
-            return [picks + (o * n + u) * n + t for u in succ[a]]
-        key -= picks
-        a, b, c, swap = orientation(key // (n * n))
-        t0, t1 = key // n % n, key % n
+                return _SPOILER, False, [mids + o * n + t for t in succ[a]]
+            return right[b], False, [mids + o * n + t for t in succ[b]]
+        if key == sink:
+            return _DUPLICATOR, False, [sink]
+        if key < picks:
+            # A half move waits for the side that did not move first.
+            m = key - mids
+            a, b = divmod(m // (2 * cc * n), n)
+            if even[a]:
+                return right[b], False, [picks + m * n + u for u in succ[b]]
+            o, t = divmod(m, n)
+            return left[a], False, [picks + (o * n + u) * n + t for u in succ[a]]
+        o, pick = divmod(key - picks, n * n)
+        t0, t1 = divmod(pick, n)
+        j, oc = divmod(o, 2 * cc)
+        a, b = divmod(j, n)
+        c, swap = divmod(oc, 2)
         # With a swap the rolled-back vertex differs from the one the
         # round started on, which always yields a ✓ reward.
         same = (not swap) or a == b
-        return [
+        return _DUPLICATOR, False, [
             cfg(t0, t1, 0),
             cfg(a, t1, _challenge(c, 2 + t0, same, even[a])),
             cfg(t0, b, _challenge(c, 2 + n + t1, same, not even[b])),
         ]
 
     starts = [cfg(v, w, 0) for v in game.vertices for w in game.vertices]
-    arena = _explore(mids, starts, successors)
-    for pos, key in enumerate(arena.ids):
-        if key < oris:
-            arena.owners.append(_SPOILER)
-            if key % cc == 0:
-                arena.accepting.add(pos)
-        elif key < sink:
-            a, b = orientation(key - oris)[:2]
-            arena.owners.append(_SPOILER if even[a] else right[b])
-        elif key == sink or key >= picks:
-            arena.owners.append(_DUPLICATOR)
-        else:
-            # A half move waits for the side that did not move first.
-            a, b = orientation((key - mids) // n)[:2]
-            arena.owners.append(right[b] if even[a] else left[a])
-    return arena
+    return _explore(mids, starts, expand)
 
 
 def _pair_relation_from_arena(

@@ -212,6 +212,20 @@ class TestVerify:
             assert code == 0, equiv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--equiv", "gstut"), ("compare", "0", "1"), ("lattice-check",)],
+    ids=lambda argv: argv[0],
+)
+def test_dot_rejected_where_no_game_is_produced(argv, capsys, write_fixture, tmp_path):
+    command, *rest = argv
+    dot = tmp_path / "p"
+    code, _, err = run(capsys, command, write_fixture("escape_edge"), *rest, "--dot", dot)
+    assert code == 1
+    assert "--dot" in err
+    assert not dot.exists()
+
+
 class TestRandom:
     def test_deterministic_output(self, capsys):
         code, out1, _ = run(capsys, "random", "--vertices", "6", "--seed", "9")

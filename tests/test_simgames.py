@@ -15,6 +15,7 @@ from oracles import (
 )
 from pgreduce import (
     CHECK,
+    ArenaPlayer,
     ParityGame,
     build_delayed_sim_arena,
     build_direct_sim_arena,
@@ -366,6 +367,31 @@ def test_delayed_fixpoint_evaluation_count(monkeypatch):
     # the stage-carrying fixpoint about 2.7 times (47,959 evaluations).
     [table] = tables
     assert 0 < table.reads <= 4 * triples
+
+
+def test_explore_builds_the_arena_in_one_pass():
+    # Ids 0..4 are found through the list, 7 and 10 through the dict.
+    spoiler, duplicator = ArenaPlayer.SPOILER, ArenaPlayer.DUPLICATOR
+    moves = {
+        3: (spoiler, True, [7, 10]),
+        7: (duplicator, False, [0, 3]),
+        0: (spoiler, False, [10, 0]),
+        10: (duplicator, True, [10]),
+    }
+    calls = []
+
+    def expand(key):
+        calls.append(key)
+        return moves[key]
+
+    arena = pgreduce.simgames._explore(5, [3, 7, 3, 0], expand)
+    assert arena.ids == [3, 7, 0, 10]
+    assert arena.start == [0, 1, 0, 2]
+    assert arena.edges == [[1, 3], [2, 0], [3, 2], [3]]
+    assert arena.owners == [spoiler, duplicator, spoiler, duplicator]
+    assert arena.accepting == {0, 3}
+    assert calls == arena.ids
+    assert len(calls) == arena.size
 
 
 _UPDATES = {"none": gamma, "even": gamma_even, "odd": gamma_odd}
