@@ -211,22 +211,20 @@ def _cmd_compare(args) -> int:
     report.stamp("relations")
     table = {}
     for name in RELATION_ORDER:
-        related = relations[name].holds(args.v, args.w)
+        related = relations[name].same_class(args.v, args.w)
         table[name] = related
-        report.data["classes"][name] = _class_count(relations[name])
+        report.data["classes"][name] = relations[name].class_count
         report.line(f"{name}: {'yes' if related else 'no'}")
     report.data["related"] = table
     report.emit()
     return 0
 
 
-def _class_count(relation) -> int:
-    return len({relation.rows[v] for v in range(relation.universe)})
-
-
 def _cmd_lattice_check(args) -> int:
     report = _Report("lattice-check", args)
     games: list[tuple[str, ParityGame]] = []
+    if args.input is not None and args.random is not None:
+        raise _UsageError("lattice-check takes an input file or --random N, not both")
     if args.input is not None:
         game, digest = _read_game(args.input)
         report.data["input"] = digest

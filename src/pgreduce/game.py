@@ -315,6 +315,8 @@ def random_game(
         raise ValueError("need at least one vertex")
     if lo > hi or lo < 1 or hi > n:
         raise ValueError(f"out-degree range [{lo}, {hi}] not within [1, {n}]")
+    if max_priority < 0:
+        raise ValueError(f"max priority {max_priority} is negative")
     rng = random.Random(seed)
     priorities = tuple(rng.randint(0, max_priority) for _ in range(n))
     owners = tuple(Player(rng.randint(0, 1)) for _ in range(n))

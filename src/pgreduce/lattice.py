@@ -1,8 +1,10 @@
 """The lattice of parity game relations and its machine-checkable edges.
 
-``compute_relations`` evaluates every relation of the lattice on a game;
-``check_lattice`` verifies all inclusion edges plus the coincidence of the
-game-based and fixpoint characterisations.  The CLI and the test suite
+Every relation of the lattice is an equivalence, so ``compute_relations``
+gives each as a ``Partition``, and an inclusion edge holds when the finer
+partition refines the coarser one.  ``check_lattice`` checks every edge and
+every coincidence of a game-based characterisation with its fixpoint, one
+entry of ``simgames.COINCIDENCES`` per notion.  The CLI and the test suite
 share this module.
 """
 from __future__ import annotations
@@ -10,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .game import ParityGame
-from .quotient import EQUIVALENCES, _check_iso_size, _iso_invariants, find_isomorphism
-
-# direct_sim and the four bisimulation partitions are reached through
-# EQUIVALENCES, but bench/tracing.py wraps these names in this module, so
-# they stay bound.
-from .relations import (  # noqa: F401
-    VertexRelation,
+from .quotient import _check_iso_size, _iso_invariants, find_isomorphism
+from .relations import (
+    Partition,
     direct_sim,
     equivalence_from_preorder,
     governed_bisim,
@@ -25,7 +23,7 @@ from .relations import (  # noqa: F401
     strong_direct_sim,
     stut_bisim,
 )
-from .simgames import DELAYED_BIAS, coincidence_check, delayed_coincides, delayed_sim
+from .simgames import COINCIDENCES, DELAYED_BIAS, coincidence_check, delayed_sim
 from .solver import solve_zielonka
 
 __all__ = [
@@ -33,6 +31,7 @@ __all__ = [
     "LATTICE_EDGES",
     "COINCIDENCE_NOTIONS",
     "compute_relations",
+    "lattice_edges",
     "check_lattice",
     "LatticeResult",
 ]
@@ -70,17 +69,10 @@ LATTICE_EDGES = [
     ("gstut", "winner"),
 ]
 
-COINCIDENCE_NOTIONS = [
-    "direct",
-    "governed_bisim",
-    "gstut",
-    "delayed",
-    "delayed_even",
-    "delayed_odd",
-]
+COINCIDENCE_NOTIONS = list(COINCIDENCES)
 
 
-def _iso_relation(game: ParityGame) -> VertexRelation:
+def _iso_partition(game: ParityGame) -> Partition:
     """Vertex-level isomorphism: an automorphism maps one vertex to the other.
 
     Automorphisms form a group, so the relation is the partition into
@@ -91,63 +83,50 @@ def _iso_relation(game: ParityGame) -> VertexRelation:
     _check_iso_size(game)
     n = game.vertex_count
     invariants = _iso_invariants(game)
-    rows = [0] * n
+    class_of = [-1] * n
     for v in game.vertices:
-        if rows[v]:
+        if class_of[v] >= 0:
             continue
-        orbit = [v] + [
-            w
-            for w in range(v + 1, n)
-            if not rows[w]
-            and invariants[w] == invariants[v]
-            and find_isomorphism(game, game, pin=(v, w)) is not None
-        ]
-        mask = sum(1 << w for w in orbit)
-        for w in orbit:
-            rows[w] = mask
-    return VertexRelation(n, tuple(rows), "equivalence")
+        class_of[v] = v
+        for w in range(v + 1, n):
+            if class_of[w] < 0 and invariants[w] == invariants[v]:
+                if find_isomorphism(game, game, pin=(v, w)) is not None:
+                    class_of[w] = v
+    return Partition.from_class_of(n, class_of)
 
 
-def _winner_relation(game: ParityGame) -> VertexRelation:
-    regions = solve_zielonka(game)
-    n = game.vertex_count
-    even_mask = 0
-    for v in regions.won_by_even:
-        even_mask |= 1 << v
-    odd_mask = ((1 << n) - 1) & ~even_mask
-    rows = tuple(even_mask if v in regions.won_by_even else odd_mask for v in game.vertices)
-    return VertexRelation(n, rows, "equivalence")
+def _winner_partition(game: ParityGame) -> Partition:
+    won_by_even = solve_zielonka(game).won_by_even
+    return Partition.from_class_of(game.vertex_count, [v in won_by_even for v in game.vertices])
 
 
-def _delayed_preorders(game: ParityGame) -> dict[str, VertexRelation]:
+def _delayed_preorders(game: ParityGame) -> dict:
     """The delayed simulation preorder of each bias, by the arena route."""
     return {bias: delayed_sim(game, bias) for bias in ("even", "odd", "none")}
 
 
-def compute_relations(
-    game: ParityGame, *, _preorders: dict[str, VertexRelation] | None = None
-) -> dict[str, VertexRelation]:
-    """All lattice relations of a game, as vertex relations.
+def compute_relations(game: ParityGame, *, _preorders: dict | None = None) -> dict[str, Partition]:
+    """All lattice relations of a game, as partitions in ``RELATION_ORDER``.
 
-    The five equivalences with a unique quotient come from ``EQUIVALENCES``;
-    the direct simulation kernel is named ``direct-sim-equiv`` here.
-    ``_preorders`` lets ``check_lattice`` pass in the delayed preorders it
-    has already computed.
+    ``_preorders`` lets ``check_lattice`` pass in the delayed preorders, by
+    bias, that it has already computed.
     """
-    # The isomorphism relation comes first: its size limit fails fast.
-    rels = {"iso": _iso_relation(game)}
+    # The isomorphism partition comes first: its size limit fails fast.
+    iso = _iso_partition(game)
     pre = _preorders if _preorders is not None else _delayed_preorders(game)
-    rels |= {
-        "strong-direct-sim-equiv": equivalence_from_preorder(strong_direct_sim(game)).as_relation(),
-        "delayed-even-equiv": equivalence_from_preorder(pre["even"]).as_relation(),
-        "delayed-odd-equiv": equivalence_from_preorder(pre["odd"]).as_relation(),
-        "delayed-equiv": equivalence_from_preorder(pre["none"]).as_relation(),
-        "winner": _winner_relation(game),
+    return {
+        "iso": iso,
+        "strong-bisim": strong_bisim(game),
+        "stut": stut_bisim(game),
+        "strong-direct-sim-equiv": equivalence_from_preorder(strong_direct_sim(game)),
+        "governed-bisim": governed_bisim(game),
+        "gstut": gstut_bisim(game),
+        "direct-sim-equiv": equivalence_from_preorder(direct_sim(game)),
+        "delayed-even-equiv": equivalence_from_preorder(pre["even"]),
+        "delayed-odd-equiv": equivalence_from_preorder(pre["odd"]),
+        "delayed-equiv": equivalence_from_preorder(pre["none"]),
+        "winner": _winner_partition(game),
     }
-    for name, equivalence in EQUIVALENCES.items():
-        key = "direct-sim-equiv" if name == "direct-sim" else name
-        rels[key] = equivalence.partition(game).as_relation()
-    return {name: rels[name] for name in RELATION_ORDER}
 
 
 @dataclass(frozen=True)
@@ -156,33 +135,29 @@ class LatticeResult:
     passed: bool
 
 
-def check_lattice(
-    game: ParityGame,
-    relations: dict[str, VertexRelation] | None = None,
-    coincidences: bool = True,
-) -> list[LatticeResult]:
-    """Check every inclusion edge (and optionally every coincidence property).
+def lattice_edges(relations: dict[str, Partition]) -> list[LatticeResult]:
+    """Whether each inclusion edge holds on the given relations, by name."""
+    return [
+        LatticeResult(f"{finer} refines {coarser}", relations[finer].refines(relations[coarser]))
+        for finer, coarser in LATTICE_EDGES
+    ]
+
+
+def check_lattice(game: ParityGame) -> list[LatticeResult]:
+    """Check every inclusion edge, then every coincidence of ``COINCIDENCES``.
 
     Each delayed preorder is computed once, on one arena per bias, and
-    serves both the lattice relations and its coincidence with the
-    fixpoint.  ``relations`` exists as a test hook: a doctored bundle makes
-    the run report the violated edge by name.
+    serves both the lattice relations and, as its game route, its
+    coincidence with the fixpoint.
     """
-    if relations is None:
-        # The isomorphism size limit fails before any arena is built.
-        _check_iso_size(game)
-    pre = _delayed_preorders(game) if relations is None or coincidences else None
-    rels = relations if relations is not None else compute_relations(game, _preorders=pre)
-    results = []
-    for finer, coarser in LATTICE_EDGES:
-        ok = rels[finer].is_subrelation(rels[coarser])
-        results.append(LatticeResult(f"{finer} refines {coarser}", ok))
-    if coincidences:
-        for notion in COINCIDENCE_NOTIONS:
-            if notion in DELAYED_BIAS:
-                bias = DELAYED_BIAS[notion]
-                ok = delayed_coincides(game, bias, pre[bias])
-            else:
-                ok = coincidence_check(game, notion)
-            results.append(LatticeResult(f"game-based {notion} coincides", ok))
+    # The isomorphism size limit fails before any arena is built.
+    _check_iso_size(game)
+    pre = _delayed_preorders(game)
+    results = lattice_edges(compute_relations(game, _preorders=pre))
+    for notion, (_, fixpoint_route) in COINCIDENCES.items():
+        if notion in DELAYED_BIAS:
+            ok = pre[DELAYED_BIAS[notion]].rows == fixpoint_route(game)
+        else:
+            ok = coincidence_check(game, notion)
+        results.append(LatticeResult(f"game-based {notion} coincides", ok))
     return results

@@ -150,7 +150,14 @@ class Partition:
         return VertexRelation(self.universe, rows, "equivalence")
 
     def refines(self, other: "Partition") -> bool:
-        return self.as_relation().is_subrelation(other.as_relation())
+        """Every class lies inside one class of ``other``."""
+        image = [-1] * self.class_count
+        for c, d in zip(self.class_of, other.class_of):
+            if image[c] != d:
+                if image[c] >= 0:
+                    return False
+                image[c] = d
+        return True
 
 
 def _succ_masks(game: ParityGame) -> list[int]:

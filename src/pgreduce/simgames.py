@@ -13,7 +13,8 @@ tracked vertices:
 so Spoiler moves on even-owned left vertices and odd-owned right vertices,
 and the left side moves first exactly when it is even-owned.  The round is
 encoded with an intermediate arena position per half move; this encoding is
-validated against the coinductive fixpoints by ``coincidence_check``.
+validated against the coinductive fixpoints by ``coincidence_check``, which
+reads each notion's pair of routes from ``COINCIDENCES``.
 
 Positions are numbered in the order a breadth-first expansion discovers
 them.  A position is its integer id, computed from its fields and kept in
@@ -41,6 +42,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
+from . import relations
 from .forcing import iter_bits
 from .game import ParityGame, Player, reward_leq
 from .relations import Partition, VertexRelation, gstut_bisim
@@ -62,6 +64,7 @@ __all__ = [
     "delayed_sim_fixpoint",
     "wf_rank_check",
     "gstut_via_game",
+    "COINCIDENCES",
     "coincidence_check",
 ]
 
@@ -604,25 +607,27 @@ def gstut_via_game(game: ParityGame) -> Partition:
 DELAYED_BIAS = {"delayed": "none", "delayed_even": "even", "delayed_odd": "odd"}
 
 
-def delayed_coincides(game: ParityGame, bias: str, preorder: VertexRelation) -> bool:
-    """The arena route's delayed preorder equals the fixpoint's."""
-    return preorder.rows == delayed_sim_fixpoint(game, bias).rows
+def _delayed_routes(bias: str) -> tuple[Callable, Callable]:
+    return lambda g: delayed_sim(g, bias).rows, lambda g: delayed_sim_fixpoint(g, bias).rows
+
+
+# Each notion's (game route, fixpoint route), whose results the paper proves
+# equal: rows, or partitions for ``gstut``.  Routes look this module's and
+# ``relations``'s names up when called, so a wrapper bound over one sees it.
+COINCIDENCES: dict[str, tuple[Callable, Callable]] = {
+    "direct": (lambda g: direct_sim_via_game(g).rows, lambda g: relations.direct_sim(g).rows),
+    "governed_bisim": (
+        lambda g: governed_bisim_via_game(g).rows,
+        lambda g: relations.governed_bisim(g).as_relation().rows,
+    ),
+    "gstut": (lambda g: gstut_via_game(g), lambda g: gstut_bisim(g)),
+    **{notion: _delayed_routes(bias) for notion, bias in DELAYED_BIAS.items()},
+}
 
 
 def coincidence_check(game: ParityGame, notion: str) -> bool:
     """Game-based relation equals the coinductive/fixpoint relation."""
-    from . import relations
-
-    if notion == "direct":
-        return direct_sim_via_game(game).rows == relations.direct_sim(game).rows
-    if notion == "governed_bisim":
-        return (
-            governed_bisim_via_game(game).rows
-            == relations.governed_bisim(game).as_relation().rows
-        )
-    if notion == "gstut":
-        return gstut_via_game(game) == gstut_bisim(game)
-    if notion in DELAYED_BIAS:
-        bias = DELAYED_BIAS[notion]
-        return delayed_coincides(game, bias, delayed_sim(game, bias))
-    raise ValueError(f"unknown notion {notion!r}")
+    if notion not in COINCIDENCES:
+        raise ValueError(f"unknown notion {notion!r}")
+    game_route, fixpoint_route = COINCIDENCES[notion]
+    return game_route(game) == fixpoint_route(game)

@@ -111,7 +111,7 @@ def test_criterion_3_lattice(exhaustive_corpus, random_corpus, all_fixture_games
     for game in exhaustive_corpus + random_corpus:
         rels = compute_relations(game)
         for finer, coarser in LATTICE_EDGES:
-            assert rels[finer].is_subrelation(rels[coarser]), (game, finer, coarser)
+            assert rels[finer].refines(rels[coarser]), (game, finer, coarser)
 
     # strictness witnesses, one fixture per lattice edge
     fake = all_fixture_games["fake_divergence"]
@@ -139,15 +139,15 @@ def test_criterion_3_lattice(exhaustive_corpus, random_corpus, all_fixture_games
     assert set(witnesses) == set(LATTICE_EDGES)
     for (finer, coarser), (game, v, w) in witnesses.items():
         rels = compute_relations(game)
-        assert rels[coarser].holds(v, w), (finer, coarser)
-        assert not rels[finer].holds(v, w), (finer, coarser)
+        assert rels[coarser].same_class(v, w), (finer, coarser)
+        assert not rels[finer].same_class(v, w), (finer, coarser)
 
     # incomparability witnesses
     rels = compute_relations(fake)
-    assert rels["stut"].holds(3, 4) and not rels["direct-sim-equiv"].holds(3, 4)
+    assert rels["stut"].same_class(3, 4) and not rels["direct-sim-equiv"].same_class(3, 4)
     rels = compute_relations(cross)
-    assert rels["governed-bisim"].holds(0, 6)
-    assert not rels["strong-direct-sim-equiv"].holds(0, 6)
+    assert rels["governed-bisim"].same_class(0, 6)
+    assert not rels["strong-direct-sim-equiv"].same_class(0, 6)
     _report(3, "all inclusion edges hold; every strict edge witnessed", started)
 
 

@@ -3,9 +3,9 @@ import json
 import pytest
 
 import fixture_games
-from pgreduce import parse_pgsolver, random_game, serialize_pgsolver
+from pgreduce import Partition, parse_pgsolver, random_game, serialize_pgsolver
 from pgreduce.cli import main
-from pgreduce.lattice import check_lattice, compute_relations
+from pgreduce.lattice import compute_relations, lattice_edges
 
 
 @pytest.fixture
@@ -168,6 +168,12 @@ class TestLatticeCheck:
         assert code == 1
         assert "needs" in err
 
+    def test_input_and_random_together_rejected(self, capsys, write_fixture):
+        code, out, err = run(capsys, "lattice-check", write_fixture("cross_owner"), "--random", 3)
+        assert code == 1
+        assert out == ""
+        assert "not both" in err
+
     def test_isomorphism_size_limit(self, capsys, tmp_path):
         path = tmp_path / "big.gm"
         path.write_bytes(serialize_pgsolver(random_game(65, 3, (1, 3), 1)))
@@ -177,12 +183,10 @@ class TestLatticeCheck:
 
     def test_corrupted_relation_names_the_edge(self, escape_edge):
         relations = compute_relations(escape_edge)
-        rows = list(relations["winner"].rows)
-        rows[0] = 1  # winner now misses pairs that delayed equivalence has
-        relations["winner"] = type(relations["winner"])(
-            relations["winner"].universe, tuple(rows), "equivalence"
-        )
-        results = check_lattice(escape_edge, relations, coincidences=False)
+        # Vertex 0 alone: winner now misses pairs that delayed equivalence has.
+        winner = relations["winner"]
+        relations["winner"] = Partition.from_class_of(winner.universe, [-1, *winner.class_of[1:]])
+        results = lattice_edges(relations)
         failed = [r.name for r in results if not r.passed]
         assert failed == ["delayed-equiv refines winner", "gstut refines winner"]
 
@@ -224,6 +228,14 @@ def test_dot_rejected_where_no_game_is_produced(argv, capsys, write_fixture, tmp
     assert code == 1
     assert "--dot" in err
     assert not dot.exists()
+
+
+@pytest.mark.parametrize("argv", [("random", "--vertices", 3), ("lattice-check", "--random", 3)])
+def test_negative_max_priority_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-priority", -1)
+    assert code == 1
+    assert out == ""
+    assert "max priority -1 is negative" in err
 
 
 class TestRandom:

@@ -320,6 +320,12 @@ def test_random_game_single_vertex_forces_loop():
     assert g.successors == ((0,),)
 
 
+def test_random_game_rejects_negative_max_priority():
+    with pytest.raises(ValueError, match="max priority -1 is negative"):
+        random_game(3, -1, (1, 3), 0)
+    assert random_game(3, 0, (1, 3), 0).priorities == (0, 0, 0)
+
+
 def test_random_game_invariants():
     for seed in range(30):
         g = random_game(6, 4, (2, 4), seed)

@@ -1,10 +1,21 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 import pgreduce.lattice
 import pgreduce.simgames
 from conftest import small_random_games
 from oracles import oracle_check_lattice, oracle_iso_relation
-from pgreduce import ParityGame, disjoint_union, random_game
+from pgreduce import (
+    ParityGame,
+    Partition,
+    VertexRelation,
+    coincidence_check,
+    disjoint_union,
+    equivalence_from_preorder,
+    random_game,
+)
 from pgreduce.lattice import (
     COINCIDENCE_NOTIONS,
     LATTICE_EDGES,
@@ -12,7 +23,9 @@ from pgreduce.lattice import (
     LatticeResult,
     check_lattice,
     compute_relations,
+    lattice_edges,
 )
+from pgreduce.simgames import COINCIDENCES, DELAYED_BIAS
 
 
 def test_relation_order_covers_every_computed_relation(escape_edge):
@@ -36,7 +49,7 @@ def test_inclusion_edges_on_random_games_up_to_ten_vertices():
     for seed in range(200):
         n = 2 + seed % 9
         game = random_game(n, 3, (1, min(3, n)), 31_000 + seed)
-        for result in check_lattice(game, coincidences=False):
+        for result in lattice_edges(compute_relations(game)):
             assert result.passed, (seed, result.name)
 
 
@@ -68,6 +81,68 @@ def test_check_lattice_builds_one_delayed_arena_per_bias(monkeypatch, exhaustive
         assert check_lattice(game) == oracle_check_lattice(game), i
 
 
+# The module-level function that each notion's (game route, fixpoint route)
+# calls.  ``check_lattice`` computes the delayed preorders through its own
+# ``delayed_sim`` binding, so a doctored delayed game route is bound in both
+# modules.
+ROUTE_CALLS = {
+    "direct": (("simgames", "direct_sim_via_game"), ("relations", "direct_sim")),
+    "governed_bisim": (("simgames", "governed_bisim_via_game"), ("relations", "governed_bisim")),
+    "gstut": (("simgames", "gstut_via_game"), ("simgames", "gstut_bisim")),
+    **{
+        notion: (("simgames", "delayed_sim"), ("simgames", "delayed_sim_fixpoint"))
+        for notion in ("delayed", "delayed_even", "delayed_odd")
+    },
+}
+
+
+def test_coincidence_table_covers_the_benchmark_notions(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    assert set(COINCIDENCES) == set(workloads.Crosscheck.NOTIONS) == set(ROUTE_CALLS)
+    assert COINCIDENCE_NOTIONS == list(COINCIDENCES)
+
+
+def _doctored(result):
+    """A result unlike ``result`` that leaves every lattice relation as it was.
+
+    A partition merges into one class, or splits into singletons if it has
+    one.  A preorder that is not symmetric becomes its own kernel, so its
+    kernel stays the same; a symmetric one becomes the full relation.
+    """
+    if isinstance(result, Partition):
+        n = result.universe
+        return Partition.from_class_of(n, [0] * n if result.class_count > 1 else range(n))
+    rows = equivalence_from_preorder(result).as_relation().rows
+    if rows == result.rows:
+        rows = ((1 << result.universe) - 1,) * result.universe
+    return VertexRelation(result.universe, rows, result.kind)
+
+
+@pytest.mark.parametrize("route", ["game", "fixpoint"])
+@pytest.mark.parametrize("notion", list(ROUTE_CALLS))
+def test_each_coincidence_fails_on_a_doctored_route(monkeypatch, escape_edge, notion, route):
+    module_name, attr = ROUTE_CALLS[notion][route == "fixpoint"]
+    original = getattr(importlib.import_module(f"pgreduce.{module_name}"), attr)
+    # The delayed routes share one function; only this notion's bias is doctored.
+    target = (DELAYED_BIAS[notion],) if notion in DELAYED_BIAS else ()
+
+    def doctored(game, *args):
+        result = original(game, *args)
+        if args != target:
+            return result
+        wrong = _doctored(result)
+        assert wrong != result
+        return wrong
+
+    modules = {module_name} | ({"lattice"} if attr == "delayed_sim" else set())
+    for name in modules:
+        monkeypatch.setattr(importlib.import_module(f"pgreduce.{name}"), attr, doctored)
+    assert not coincidence_check(escape_edge, notion)
+    failed = [r.name for r in check_lattice(escape_edge) if not r.passed]
+    assert failed == [f"game-based {notion} coincides"]
+
+
 def _cycle(n, priorities):
     return ParityGame(tuple(priorities), (0,) * n, tuple(((v + 1) % n,) for v in range(n)))
 
@@ -78,8 +153,8 @@ def test_iso_relation_matches_pairwise_reference(exhaustive_corpus, random_corpu
     orbits = [disjoint_union(g, g) for g in random_corpus[:40]]
     orbits += [_cycle(n, [0] * n) for n in (1, 5, 12)] + [_cycle(8, [1, 2] * 4)]
     for i, game in enumerate(exhaustive_corpus + random_corpus + orbits):
-        assert pgreduce.lattice._iso_relation(game) == oracle_iso_relation(game), i
-    assert pgreduce.lattice._iso_relation(_cycle(8, [1, 2] * 4)).rows[0] == 0b01010101
+        assert pgreduce.lattice._iso_partition(game).as_relation() == oracle_iso_relation(game), i
+    assert pgreduce.lattice._iso_partition(_cycle(8, [1, 2] * 4)).as_relation().rows[0] == 0b01010101
 
 
 def test_iso_relation_searches_only_alike_vertices(monkeypatch):
@@ -91,10 +166,10 @@ def test_iso_relation_searches_only_alike_vertices(monkeypatch):
         return original(g1, g2, pin)
 
     monkeypatch.setattr(pgreduce.lattice, "find_isomorphism", counting)
-    pgreduce.lattice._iso_relation(_cycle(10, range(10)))
+    pgreduce.lattice._iso_partition(_cycle(10, range(10)))
     assert calls == []
     # One search per vertex outside its orbit's least vertex.
-    pgreduce.lattice._iso_relation(_cycle(10, [0] * 10))
+    pgreduce.lattice._iso_partition(_cycle(10, [0] * 10))
     assert calls == [(0, w) for w in range(1, 10)]
 
 

@@ -21,10 +21,12 @@ from inflation import inflate
 from oracles import (
     oracle_direct_sim_fixpoint,
     oracle_governed_bisim,
+    oracle_refines,
     oracle_sign_class,
     oracle_strong_bisim,
     oracle_validate,
 )
+from pgreduce.lattice import compute_relations
 from pgreduce.relations import (
     _direct_sim_fixpoint,
     _initial_partition,
@@ -112,6 +114,34 @@ class TestPartition:
         part = Partition.from_blocks(4, [[3, 1], [2, 0]])
         assert [list(c) for c in part.classes] == [[0, 2], [1, 3]]
         assert part.class_of == (0, 1, 0, 1)
+
+    def test_refines_matches_relation_route_on_lattice_relations(self, exhaustive_corpus, random_corpus):
+        # Equal partitions give equal answers, so each distinct ordered pair
+        # is compared once.
+        pairs = set()
+        for game in exhaustive_corpus + random_corpus:
+            distinct = set(compute_relations(game).values())
+            pairs |= {(a, b) for a in distinct for b in distinct}
+        outcomes = {(a.refines(b), oracle_refines(a, b)) for a, b in pairs}
+        assert outcomes == {(True, True), (False, False)}
+
+    def test_refines_matches_relation_route_on_random_partitions(self):
+        rng = random.Random(13)
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            part = Partition.from_class_of(n, [rng.randrange(n) for _ in range(n)])
+            # Merging classes gives a coarser partition; a fresh draw usually
+            # gives an incomparable one.
+            merge = [rng.randrange(3) for _ in range(n)]
+            for other in (
+                Partition.from_class_of(n, [merge[c] for c in part.class_of]),
+                Partition.from_class_of(n, [rng.randrange(n) for _ in range(n)]),
+            ):
+                for a, b in ((part, other), (other, part)):
+                    assert a.refines(b) == oracle_refines(a, b), (a, b)
+                    outcomes.add(a.refines(b))
+        assert outcomes == {True, False}
 
 
 def test_direct_sim_escape_edge(escape_edge):

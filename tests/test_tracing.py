@@ -48,3 +48,16 @@ def test_install_then_uninstall_restores_originals():
         tracer.uninstall()
     assert sorted(swapped) == sorted(before)
     assert all(getattr(mods[mod], attr) is fn for (mod, attr), fn in before.items())
+
+
+def test_traced_check_lattice_sees_every_relation():
+    tracing = _load_tracing()
+    mods = {name: importlib.import_module(f"pgreduce.{name}") for name in tracing.LAYERS}
+    tracer = tracing.Tracer(mods)
+    tracer.install()
+    try:
+        mods["lattice"].check_lattice(mods["game"].random_game(6, 3, (1, 3), 1))
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()["calls"]
+    assert {name for name in calls if name.startswith("relations.")} == set(tracing._RELATIONS.values())
