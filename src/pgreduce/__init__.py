@@ -1,12 +1,6 @@
 """Parity game preorders, equivalences, quotients and a solving pipeline."""
 
-from .forcing import (
-    VertexSet,
-    attractor,
-    diverges,
-    forces,
-    steps,
-)
+from .forcing import attractor, diverges, forces, steps
 from .game import (
     ParityGame,
     PgSolverFormatError,

@@ -3,25 +3,25 @@
 These are the vocabulary every equivalence in this package is phrased in:
 ``attractor(game, i, U, T)`` is the set of vertices from which player ``i``
 can force the play into ``T`` while staying inside ``U`` beforehand, and
-``forces``/``diverges``/``steps`` are the derived predicates.
+``forces``/``diverges``/``steps`` are the derived predicates.  A vertex
+set is an int bitmask, bit ``v`` for vertex ``v``, here as in every other
+module of the package.
 
 ``attractor_layers`` is the attractor loop on game vertices.  Besides the
 constrained attractor here, Zielonka's subgame attractor in
 :mod:`pgreduce.solver` calls it; the two differ only in which edges count,
-which they express through the out-degree and the optional ``allowed``
-mask they pass.  The Buchi arena solver, which counts every move and
-allows every position, runs the same layering on flat per-position lists.
+which they express through the out-degree and the ``allowed`` mask they
+pass.  The Buchi arena solver, which counts every move and allows every
+position, runs the same layering on flat per-position lists.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .game import ParityGame, Player
 
 __all__ = [
-    "VertexSet",
     "attractor",
     "attractor_layers",
     "forces",
@@ -38,72 +38,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """An immutable subset of ``0..universe-1`` with bit-set semantics."""
-
-    universe: int
-    mask: int
-    count: int = -1
-
-    def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask >> self.universe:
-            raise ValueError("mask has bits outside the universe")
-        object.__setattr__(self, "count", self.mask.bit_count())
-
-    @classmethod
-    def from_indices(cls, universe: int, indices: Iterable[int]) -> "VertexSet":
-        mask = 0
-        for v in indices:
-            if not 0 <= v < universe:
-                raise ValueError(f"vertex {v} outside universe 0..{universe - 1}")
-            mask |= 1 << v
-        return cls(universe, mask)
-
-    @classmethod
-    def empty(cls, universe: int) -> "VertexSet":
-        return cls(universe, 0)
-
-    @classmethod
-    def full(cls, universe: int) -> "VertexSet":
-        return cls(universe, (1 << universe) - 1)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.universe and self.mask >> v & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.universe, self.mask | other.mask)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.universe, self.mask & other.mask)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.universe, self.mask & ~other.mask)
-
-    def complement(self) -> "VertexSet":
-        """Complement relative to the full universe."""
-        return VertexSet(self.universe, ~self.mask & ((1 << self.universe) - 1))
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return self.mask & ~other.mask == 0
-
-
 def attractor_layers(
     owners: Sequence,
     preds: Sequence[Sequence[int]],
     degree: Callable[[int], int],
     player,
     targets: Iterable[int],
-    allowed: int | None = None,
+    allowed: int,
 ) -> dict[int, int]:
     """BFS layers of ``player``'s attractor to ``targets``.
 
@@ -115,11 +56,9 @@ def attractor_layers(
     leave ``allowed`` as well, as the constrained attractor does, lets them
     block an opponent vertex; leaving them out, as Zielonka does, removes
     them from the game.  Only vertices in the ``allowed`` bitmask join;
-    ``None`` allows every vertex.  Work is proportional to the target plus
-    the edges into the attractor.
+    ``-1`` has every bit set and allows every vertex.  Work is proportional
+    to the target plus the edges into the attractor.
     """
-    if allowed is None:
-        allowed = -1  # every bit set, and shifting it costs nothing
     layers = dict.fromkeys(targets, 0)
     queue = deque(layers)
     remaining: dict[int, int] = {}
@@ -140,7 +79,7 @@ def attractor_layers(
     return layers
 
 
-def attractor(game: ParityGame, player: Player, U: VertexSet, T: VertexSet) -> VertexSet:
+def attractor(game: ParityGame, player: Player, U: int, T: int) -> int:
     """Least fixpoint of the constrained attractor: force into ``T`` via ``U``.
 
     Every edge counts, so an opponent vertex with a successor outside ``U``
@@ -150,31 +89,32 @@ def attractor(game: ParityGame, player: Player, U: VertexSet, T: VertexSet) -> V
     """
     succs = game.successors
     layers = attractor_layers(
-        game.owners, game.predecessors(), lambda v: len(succs[v]), player, T, U.mask
+        game.owners, game.predecessors(), lambda v: len(succs[v]), player, iter_bits(T), U
     )
     mask = 0
     for v in layers:
         mask |= 1 << v
-    return VertexSet(game.vertex_count, mask)
+    return mask
 
 
-def forces(game: ParityGame, player: Player, v: int, U: VertexSet, T: VertexSet) -> bool:
+def forces(game: ParityGame, player: Player, v: int, U: int, T: int) -> bool:
     """Can ``player`` force every play from ``v`` to reach ``T``, via ``U`` before?"""
-    return v in attractor(game, player, U, T)
+    return attractor(game, player, U, T) >> v & 1 == 1
 
 
-def diverges(game: ParityGame, player: Player, v: int, U: VertexSet) -> bool:
+def diverges(game: ParityGame, player: Player, v: int, U: int) -> bool:
     """Can ``player`` keep every play from ``v`` inside ``U`` forever?
 
     Computed through the duality with forcing: the player diverges in ``U``
     exactly when the opponent cannot force the play out of ``U``.
     """
-    return not forces(game, player.opponent, v, U, U.complement())
+    outside = ~U & ((1 << game.vertex_count) - 1)
+    return not forces(game, player.opponent, v, U, outside)
 
 
-def steps(game: ParityGame, player: Player, v: int, T: VertexSet) -> bool:
+def steps(game: ParityGame, player: Player, v: int, T: int) -> bool:
     """One-step controlled move: can ``player`` ensure the next vertex is in ``T``?"""
     succs = game.successors[v]
     if game.owners[v] is player:
-        return any(u in T for u in succs)
-    return all(u in T for u in succs)
+        return any(T >> u & 1 for u in succs)
+    return all(T >> u & 1 for u in succs)

@@ -272,8 +272,12 @@ def serialize_pgsolver(game: ParityGame) -> bytes:
     """Canonical PGSolver serialisation: header, vertices and successors ascending."""
     out = [f"parity {game.vertex_count - 1};"]
     for v in game.vertices:
+        prio = game.priorities[v]
+        # The parser rejects larger priorities, so such a file could not be read back.
+        if prio > MAX_FILE_PRIORITY:
+            raise ValueError(f"vertex {v} has priority {prio} above {MAX_FILE_PRIORITY}")
         succs = ",".join(str(u) for u in game.successors[v])
-        line = f"{v} {game.priorities[v]} {int(game.owners[v])} {succs}"
+        line = f"{v} {prio} {int(game.owners[v])} {succs}"
         if game.labels is not None and game.labels[v] is not None:
             label = game.labels[v]
             # The format has no escape sequences, so such labels cannot

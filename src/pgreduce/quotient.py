@@ -5,7 +5,7 @@ Three quotients have unique results: by direct simulation equivalence
 bisimilarity and by governed stuttering bisimilarity.  The delayed
 simulation family admits no unique quotient and is deliberately absent.
 ``EQUIVALENCES`` maps each equivalence name to its partition and its
-quotient; the CLI, ``quotient_equivalent`` and the lattice read it.
+quotient; the CLI and ``quotient_equivalent`` read it.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Callable
 
 # attractor, diverges and steps are not called here, but bench/tracing.py
 # wraps these names in this module, so they stay bound.
-from .forcing import VertexSet, attractor, diverges, steps  # noqa: F401
+from .forcing import attractor, diverges, iter_bits, steps  # noqa: F401
 from .game import ParityGame, Player, disjoint_union
 from .relations import (
     Partition,
@@ -58,19 +58,19 @@ class QuotientResult:
     kind: str
 
 
-def min_successors(game: ParityGame, preorder: VertexRelation, v: int) -> VertexSet:
+def min_successors(game: ParityGame, preorder: VertexRelation, v: int) -> int:
     """Successors of ``v`` minimal in the given direct-simulation preorder."""
     return _extremal_successors(game, preorder, v, minimal=True)
 
 
-def max_successors(game: ParityGame, preorder: VertexRelation, v: int) -> VertexSet:
+def max_successors(game: ParityGame, preorder: VertexRelation, v: int) -> int:
     """Successors of ``v`` maximal in the given direct-simulation preorder."""
     return _extremal_successors(game, preorder, v, minimal=False)
 
 
 def _extremal_successors(
     game: ParityGame, preorder: VertexRelation, v: int, minimal: bool
-) -> VertexSet:
+) -> int:
     succs = game.successors[v]
 
     def beaten(cand: int, other: int) -> bool:
@@ -78,14 +78,17 @@ def _extremal_successors(
         lo, hi = (other, cand) if minimal else (cand, other)
         return preorder.holds(lo, hi) and not preorder.holds(hi, lo)
 
-    out = [cand for cand in succs if not any(beaten(cand, other) for other in succs)]
-    return VertexSet.from_indices(game.vertex_count, out)
+    out = 0
+    for cand in succs:
+        if not any(beaten(cand, other) for other in succs):
+            out |= 1 << cand
+    return out
 
 
 def _class_priorities(game: ParityGame, part: Partition) -> tuple[int, ...]:
     prios = []
     for cls in part.classes:
-        members = list(cls)
+        members = list(iter_bits(cls))
         p = min(game.priorities[v] for v in members)
         if any(game.priorities[v] != p for v in members):
             raise RuntimeError("equivalence class mixes priorities; refinement bug")
@@ -108,14 +111,15 @@ def quotient_direct_sim(game: ParityGame) -> QuotientResult:
     priorities = _class_priorities(game, part)
     min_cls: dict[int, frozenset[int]] = {}
     max_cls: dict[int, frozenset[int]] = {}
+    class_of = part.class_of
     for v in game.vertices:
-        min_cls[v] = frozenset(part.class_of[u] for u in min_successors(game, preorder, v))
-        max_cls[v] = frozenset(part.class_of[u] for u in max_successors(game, preorder, v))
+        min_cls[v] = frozenset(class_of[u] for u in iter_bits(min_successors(game, preorder, v)))
+        max_cls[v] = frozenset(class_of[u] for u in iter_bits(max_successors(game, preorder, v)))
 
     owners = []
     succs: list[tuple[int, ...]] = []
     for ci, cls in enumerate(part.classes):
-        members = list(cls)
+        members = list(iter_bits(cls))
         all_odd = all(game.owners[v] is Player.ODD for v in members)
         if all_odd and all(len(min_cls[v]) > 1 for v in members):
             owners.append(Player.ODD)
@@ -147,7 +151,7 @@ def _bisim_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
     owners = []
     succs = []
     for cls in part.classes:
-        members = list(cls)
+        members = list(iter_bits(cls))
         succ_classes = [frozenset(part.class_of[u] for u in game.successors[v]) for v in members]
         targets = succ_classes[0]
         # Members of a (governed) bisimulation class reach the same classes.
@@ -181,9 +185,9 @@ def quotient_strong_bisim(game: ParityGame) -> QuotientResult:
     return _bisim_quotient(game, by_owner=True)
 
 
-def _even_escapes(game: ParityGame, class_of: tuple[int, ...], ci: int, cls: VertexSet) -> bool:
+def _even_escapes(game: ParityGame, class_of: tuple[int, ...], ci: int, cls: int) -> bool:
     # steps(EVEN, v, C) for some member v and some other class C.
-    for v in cls:
+    for v in iter_bits(cls):
         classes = {class_of[u] for u in game.successors[v]}
         if game.owners[v] is Player.EVEN:
             if classes != {ci}:
@@ -206,7 +210,7 @@ def _stuttering_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
             raise RuntimeError("stuttering quotient class without successors")
         succs.append(tuple(sorted(targets)))
         if by_owner:
-            owners.append(game.owners[next(iter(cls))])
+            owners.append(game.owners[(cls & -cls).bit_length() - 1])
         elif (int(Player.EVEN), -1) in sig or _even_escapes(game, part.class_of, ci, cls):
             owners.append(Player.EVEN)
         else:
@@ -346,10 +350,6 @@ def serialize_class_map(result: QuotientResult) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _direct_sim_equivalence(game: ParityGame) -> Partition:
-    return equivalence_from_preorder(direct_sim(game))
-
-
 @dataclass(frozen=True)
 class Equivalence:
     """An equivalence with a unique quotient: its partition and its quotient builder."""
@@ -358,10 +358,14 @@ class Equivalence:
     quotient: Callable[[ParityGame], QuotientResult]
 
 
+# Partitions look this module's names up when called, so a wrapper bound
+# over one sees the calls that ``quotient_equivalent`` makes through it.
 EQUIVALENCES: dict[str, Equivalence] = {
-    "strong-bisim": Equivalence(strong_bisim, quotient_strong_bisim),
-    "governed-bisim": Equivalence(governed_bisim, quotient_governed_bisim),
-    "stut": Equivalence(stut_bisim, quotient_stut),
-    "gstut": Equivalence(gstut_bisim, quotient_gstut),
-    "direct-sim": Equivalence(_direct_sim_equivalence, quotient_direct_sim),
+    "strong-bisim": Equivalence(lambda g: strong_bisim(g), quotient_strong_bisim),
+    "governed-bisim": Equivalence(lambda g: governed_bisim(g), quotient_governed_bisim),
+    "stut": Equivalence(lambda g: stut_bisim(g), quotient_stut),
+    "gstut": Equivalence(lambda g: gstut_bisim(g), quotient_gstut),
+    "direct-sim": Equivalence(
+        lambda g: equivalence_from_preorder(direct_sim(g)), quotient_direct_sim
+    ),
 }

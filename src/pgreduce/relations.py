@@ -19,7 +19,7 @@ from typing import Iterable
 
 # attractor is not called here, but bench/tracing.py wraps this name in
 # this module, so it stays bound.
-from .forcing import VertexSet, attractor, iter_bits  # noqa: F401
+from .forcing import attractor, iter_bits  # noqa: F401
 from .game import ParityGame, Player
 
 __all__ = [
@@ -96,12 +96,13 @@ class VertexRelation:
 class Partition:
     """Disjoint non-empty classes covering the vertex set.
 
-    Classes are indexed by their least member, ascending, so equal
-    partitions have equal representations.
+    ``classes[c]`` is the bitmask of class ``c``.  Classes are indexed by
+    their least member, ascending, so equal partitions have equal
+    representations.
     """
 
     class_of: tuple[int, ...]
-    classes: tuple[VertexSet, ...]
+    classes: tuple[int, ...]
 
     @classmethod
     def from_class_of(cls, n: int, class_of: Iterable[int]) -> "Partition":
@@ -116,20 +117,7 @@ class Partition:
         masks = [0] * len(order)
         for v, c in enumerate(canonical):
             masks[c] |= 1 << v
-        classes = tuple(VertexSet(n, m) for m in masks)
-        return cls(tuple(canonical), classes)
-
-    @classmethod
-    def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        class_of = [-1] * n
-        for i, block in enumerate(blocks):
-            for v in block:
-                if class_of[v] != -1:
-                    raise ValueError(f"vertex {v} in two blocks")
-                class_of[v] = i
-        if any(c == -1 for c in class_of):
-            raise ValueError("blocks do not cover the vertex set")
-        return cls.from_class_of(n, class_of)
+        return cls(tuple(canonical), tuple(masks))
 
     @property
     def universe(self) -> int:
@@ -142,11 +130,8 @@ class Partition:
     def same_class(self, v: int, w: int) -> bool:
         return self.class_of[v] == self.class_of[w]
 
-    def class_containing(self, v: int) -> VertexSet:
-        return self.classes[self.class_of[v]]
-
     def as_relation(self) -> VertexRelation:
-        rows = tuple(self.classes[self.class_of[v]].mask for v in range(self.universe))
+        rows = tuple(self.classes[c] for c in self.class_of)
         return VertexRelation(self.universe, rows, "equivalence")
 
     def refines(self, other: "Partition") -> bool:
@@ -428,7 +413,7 @@ def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, li
     index = dict(zip(class_of, part.class_of))
     out = []
     for cls in part.classes:
-        v = (cls.mask & -cls.mask).bit_length() - 1
+        v = (cls & -cls).bit_length() - 1
         sig = signatures.get(class_of[v])
         if sig is None:
             (sig,) = _sign_class(game, class_of, class_of[v], [v])

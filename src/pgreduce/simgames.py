@@ -562,7 +562,7 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
     kk, table, prow = _obligations(game, bias)
     total = n * n * kk
     arena = build_delayed_sim_arena(game, bias)
-    ranks = buchi_rank(arena, solve_buchi(arena))
+    ranks = buchi_rank(arena)
     # A configuration's id is its triple (v * n + w) * K + k.
     rank = [-1] * total
     ids = arena.ids

@@ -320,13 +320,15 @@ def _duplicator_attractor(
     return member, order, ends
 
 
-def solve_buchi(arena: Arena) -> frozenset[int]:
-    """Positions from which Duplicator forces visiting ``accepting`` infinitely often.
+def _buchi_layers(arena: Arena) -> tuple[list[int], list[int]]:
+    """The last round of the Buchi fixpoint: Duplicator's won positions in
+    the order they joined, and where each attractor layer ends in it.
 
     Standard nested fixpoint: shrink a candidate set Y to the attractor of
     those accepting positions from which Duplicator can re-enter Y in one
     step, until stable.  The attractor is monotone in Y, so Y only shrinks
-    and is stable once its size is.
+    and is stable once its size is; the round that finds it stable has
+    layered Y itself.
     """
     dup, degree, accepting = _flat(arena)
     preds = arena.predecessors
@@ -334,27 +336,27 @@ def solve_buchi(arena: Arena) -> frozenset[int]:
     count = arena.size
     while True:
         targets = _cpre_duplicator(arena.edges, dup, accepting, inside)
-        inside, order, _ = _duplicator_attractor(dup, degree, preds, targets)
+        inside, order, ends = _duplicator_attractor(dup, degree, preds, targets)
         if len(order) == count:
-            return frozenset(order)
+            return order, ends
         count = len(order)
 
 
-def buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
+def solve_buchi(arena: Arena) -> frozenset[int]:
+    """Positions from which Duplicator forces visiting ``accepting`` infinitely often."""
+    order, _ = _buchi_layers(arena)
+    return frozenset(order)
+
+
+def buchi_rank(arena: Arena) -> dict[int, int]:
     """Nested-attractor layer of each Duplicator-won position.
 
-    Accepting won positions have rank 0; along any Duplicator strategy move
-    from a non-accepting won position the rank strictly decreases, so the
-    ranks realise a well-founded progress order towards the acceptance set.
+    The keys are exactly the positions ``solve_buchi`` returns.  Accepting
+    won positions have rank 0; along any Duplicator strategy move from a
+    non-accepting won position the rank strictly decreases, so the ranks
+    realise a well-founded progress order towards the acceptance set.
     """
-    dup, degree, accepting = _flat(arena)
-    inside = bytearray(arena.size)
-    for p in won:
-        inside[p] = 1
-    targets = _cpre_duplicator(arena.edges, dup, accepting, inside)
-    _, order, ends = _duplicator_attractor(dup, degree, arena.predecessors, targets)
-    if set(order) != set(won):
-        raise ValueError("rank queried for positions not won by Duplicator")
+    order, ends = _buchi_layers(arena)
     ranks = {}
     start = 0
     for layer, end in enumerate(ends):

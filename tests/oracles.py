@@ -26,7 +26,6 @@ from pgreduce import (
     Player,
     QuotientResult,
     VertexRelation,
-    VertexSet,
     WinningRegions,
     attractor,
     diverges,
@@ -66,17 +65,17 @@ def _all_plays_reach(succ, v: int, inside: set[int], target: set[int]) -> bool:
     return v in good
 
 
-def oracle_forces(game: ParityGame, player: Player, v: int, U, T) -> bool:
-    inside = set(U)
-    target = set(T)
+def oracle_forces(game: ParityGame, player: Player, v: int, U: int, T: int) -> bool:
+    inside = set(iter_bits(U))
+    target = set(iter_bits(T))
     return any(
         _all_plays_reach(restricted_successors(game, s), v, inside, target)
         for s in strategies(game, player)
     )
 
 
-def oracle_diverges(game: ParityGame, player: Player, v: int, U) -> bool:
-    inside = set(U)
+def oracle_diverges(game: ParityGame, player: Player, v: int, U: int) -> bool:
+    inside = set(iter_bits(U))
     for s in strategies(game, player):
         succ = restricted_successors(game, s)
         seen = {v}
@@ -165,24 +164,23 @@ def arena_as_parity_game(arena: Arena) -> ParityGame:
 def oracle_gstut_refine(game: ParityGame, initial: Partition) -> Partition:
     """Re-sign every non-singleton class against all classes each round."""
     n = game.vertex_count
+    full = (1 << n) - 1
     part = initial
     while True:
         items: list[list] = [[] for _ in range(n)]
         for ci, cls in enumerate(part.classes):
-            if len(cls) == 1:
+            if cls.bit_count() == 1:
                 continue
             for player in (Player.EVEN, Player.ODD):
                 for cj, target in enumerate(part.classes):
                     if ci == cj:
                         continue
                     attr = attractor(game, player, cls, target)
-                    for v in cls:
-                        if v in attr:
-                            items[v].append((int(player), cj))
-                esc = attractor(game, player.opponent, cls, cls.complement())
-                for v in cls:
-                    if v not in esc:
-                        items[v].append((int(player), -1))
+                    for v in iter_bits(cls & attr):
+                        items[v].append((int(player), cj))
+                esc = attractor(game, player.opponent, cls, full & ~cls)
+                for v in iter_bits(cls & ~esc):
+                    items[v].append((int(player), -1))
         keys = [(part.class_of[v], tuple(sorted(items[v]))) for v in range(n)]
         distinct: dict[tuple, int] = {}
         new = Partition.from_class_of(n, [distinct.setdefault(k, len(distinct)) for k in keys])
@@ -206,11 +204,11 @@ def oracle_stut_bisim(game: ParityGame) -> Partition:
 
 
 def _oracle_stuttering_quotient(game: ParityGame, part: Partition, kind: str) -> QuotientResult:
-    priorities = tuple(game.priorities[next(iter(cls))] for cls in part.classes)
+    priorities = tuple(game.priorities[next(iter_bits(cls))] for cls in part.classes)
     owners = []
     succs = []
     for ci, cls in enumerate(part.classes):
-        members = list(cls)
+        members = list(iter_bits(cls))
         even_divergent = all(diverges(game, Player.EVEN, v, cls) for v in members)
         even_escape = any(
             steps(game, Player.EVEN, v, part.classes[cj])
@@ -224,7 +222,7 @@ def _oracle_stuttering_quotient(game: ParityGame, part: Partition, kind: str) ->
             if cj == ci:
                 facts = [[diverges(game, p, v, cls) for v in members] for p in Player]
             else:
-                facts = [[v in attractor(game, p, cls, target) for v in members] for p in Player]
+                facts = [[attractor(game, p, cls, target) >> v & 1 for v in members] for p in Player]
             if any(all(row) for row in facts):
                 targets.append(cj)
         succs.append(tuple(targets))
@@ -239,7 +237,7 @@ def oracle_quotient_stut(game: ParityGame) -> QuotientResult:
     """Edges as for gstut; classes are single-owner and keep their owner."""
     part = oracle_stut_bisim(game)
     base = _oracle_stuttering_quotient(game, part, "stut")
-    owners = tuple(game.owners[next(iter(cls))] for cls in part.classes)
+    owners = tuple(game.owners[next(iter_bits(cls))] for cls in part.classes)
     quotient = ParityGame(base.quotient.priorities, owners, base.quotient.successors)
     return QuotientResult(quotient, base.class_map, "stut")
 
@@ -254,7 +252,6 @@ def oracle_quotient_stut(game: ParityGame) -> QuotientResult:
 
 def oracle_sign_class(game: ParityGame, class_of: list[int], cid: int, members: list[int]) -> dict[tuple, list[int]]:
     """``relations._sign_class`` by attractors, with the same signature."""
-    n = game.vertex_count
     mask = 0
     targets: dict[int, int] = {}
     for v in members:
@@ -266,15 +263,14 @@ def oracle_sign_class(game: ParityGame, class_of: list[int], cid: int, members: 
     outside = 0
     for t in targets.values():
         outside |= t
-    inside = VertexSet(n, mask)
     items: dict[int, list[tuple[int, int]]] = {v: [] for v in members}
     for player in (Player.EVEN, Player.ODD):
         for cj, target in targets.items():
-            hit = attractor(game, player, inside, VertexSet(n, target)).mask & mask
+            hit = attractor(game, player, mask, target) & mask
             for v in iter_bits(hit):
                 items[v].append((int(player), cj))
         # diverges(i, v, [v]) through the forcing duality.
-        esc = attractor(game, player.opponent, inside, VertexSet(n, outside)).mask
+        esc = attractor(game, player.opponent, mask, outside)
         for v in iter_bits(mask & ~esc):
             items[v].append((int(player), -1))
     groups: dict[tuple, list[int]] = {}
@@ -566,7 +562,7 @@ def _oracle_cpre_duplicator(arena: Arena, target: set[int]) -> set[int]:
 def _oracle_duplicator_layers(arena: Arena, targets: set[int]) -> dict[int, int]:
     return attractor_layers(
         arena.owners, _oracle_arena_preds(arena), lambda p: len(arena.edges[p]),
-        ArenaPlayer.DUPLICATOR, sorted(targets),
+        ArenaPlayer.DUPLICATOR, sorted(targets), -1,
     )
 
 
@@ -580,11 +576,9 @@ def oracle_solve_buchi(arena: Arena) -> frozenset[int]:
         y = new_y
 
 
-def oracle_buchi_rank(arena: Arena, won: frozenset[int]) -> dict[int, int]:
-    layers = _oracle_duplicator_layers(arena, arena.accepting & _oracle_cpre_duplicator(arena, set(won)))
-    if set(layers) != set(won):
-        raise ValueError("rank queried for positions not won by Duplicator")
-    return layers
+def oracle_buchi_rank(arena: Arena) -> dict[int, int]:
+    won = set(oracle_solve_buchi(arena))
+    return _oracle_duplicator_layers(arena, arena.accepting & _oracle_cpre_duplicator(arena, won))
 
 
 # --- Reference arena builders ------------------------------------------------

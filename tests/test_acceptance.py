@@ -15,7 +15,6 @@ from conftest import small_random_games
 from oracles import is_isomorphism, oracle_diverges, oracle_forces, oracle_winner
 from pgreduce import (
     Player,
-    VertexSet,
     coincidence_check,
     delayed_sim,
     direct_sim,
@@ -37,6 +36,7 @@ from pgreduce import (
     verify_preservation,
     wf_rank_check,
 )
+from pgreduce.forcing import iter_bits
 from pgreduce.lattice import LATTICE_EDGES, compute_relations
 
 NOTIONS = ("direct", "governed_bisim", "gstut", "delayed", "delayed_even", "delayed_odd")
@@ -76,9 +76,9 @@ def test_criterion_1_fixture_facts(all_fixture_games):
 
     # fake divergence: the priority-0 cluster is one class, nobody diverges
     part = gstut_bisim(fake)
-    assert sorted(part.class_containing(0)) == [0, 1, 3, 4]
-    assert sorted(part.class_containing(2)) == [2]
-    prio0 = VertexSet.from_indices(5, [0, 1, 3, 4])
+    prio0 = 0b11011
+    assert part.classes[part.class_of[0]] == prio0
+    assert part.classes[part.class_of[2]] == 0b00100
     for v in (0, 1, 3, 4):
         for player in Player:
             assert not diverges(fake, player, v, prio0)
@@ -179,48 +179,50 @@ def test_criterion_5_forcing_properties():
         game = random_game(n, 3, (1, min(2, n)), seed)
         rng = stdlib_random.Random(seed)
         full = (1 << n) - 1
-        everything = VertexSet(n, full)
         for _ in range(4):
-            u = VertexSet(n, rng.randrange(full + 1))
-            t = VertexSet(n, rng.randrange(full + 1))
+            u = rng.randrange(full + 1)
+            t = rng.randrange(full + 1)
+            u_set, t_set = set(iter_bits(u)), set(iter_bits(t))
             for v in rng.sample(range(n), min(3, n)):
                 for player in Player:
                     # attractor membership matches strategy enumeration
                     lib = forces(game, player, v, u, t)
                     assert lib == oracle_forces(game, player, v, u, t)
                     # one of the players can always force
-                    assert lib or forces(game, player.opponent, v, u, t.complement())
+                    assert lib or forces(game, player.opponent, v, u, full & ~t)
                     # divergence duality, grounded in the oracle
                     div = diverges(game, player, v, u)
-                    assert div == (not forces(game, player.opponent, v, u, u.complement()))
+                    assert div == (not forces(game, player.opponent, v, u, full & ~u))
                     assert div == oracle_diverges(game, player, v, u)
                     # gluing through an intermediate target
-                    t2 = VertexSet(n, rng.randrange(full + 1))
-                    if lib and all(forces(game, player, x, u, t2) for x in t):
+                    t2 = rng.randrange(full + 1)
+                    if lib and all(forces(game, player, x, u, t2) for x in t_set):
                         assert forces(game, player, v, u, t2)
                     # players forcing to disjoint far targets is impossible
-                    t_opp = VertexSet(n, rng.randrange(full + 1))
+                    t_opp = rng.randrange(full + 1)
                     if forces(game, player, v, u, t) and forces(
                         game, player.opponent, v, u, t_opp
                     ):
                         assert any(
-                            a == b or a in u or b in u for a in t for b in t_opp
+                            a == b or a in u_set or b in u_set
+                            for a in t_set
+                            for b in iter_bits(t_opp)
                         )
                     # forcing needs an exit the player controls or owns fully
-                    exits = [x for x in u if set(game.successors[x]) & set(t)]
-                    if lib and v not in t:
+                    exits = [x for x in u_set if set(game.successors[x]) & t_set]
+                    if lib and v not in t_set:
                         assert any(game.owners[x] is player for x in exits) or any(
-                            set(game.successors[x]) <= set(t) for x in exits
+                            set(game.successors[x]) <= t_set for x in exits
                         )
                     # shrinking a disjoint target below all one-step exits
                     # is harmless (only sound for targets disjoint from U)
-                    t_d = t.difference(u)
+                    t_d = t & ~u
                     t_min = {
-                        s for x in u for s in game.successors[x] if s not in u
+                        s for x in u_set for s in game.successors[x] if s not in u_set
                     }
-                    if v in u and t_min <= set(t_d):
-                        extra = {x for x in t_d if rng.random() < 0.5}
-                        t_small = VertexSet.from_indices(n, t_min | extra)
+                    if v in u_set and t_min <= set(iter_bits(t_d)):
+                        extra = {x for x in iter_bits(t_d) if rng.random() < 0.5}
+                        t_small = sum(1 << x for x in t_min | extra)
                         if forces(game, player, v, u, t_d):
                             assert forces(game, player, v, u, t_small)
     _report(5, "forcing-layer properties vs brute-force oracles, 200 seeds", started)

@@ -251,5 +251,15 @@ class TestRandom:
         assert code == 1
         assert "lo:hi" in err
 
+    def test_priority_beyond_file_format_rejected(self, capsys, tmp_path):
+        path = tmp_path / "g.gm"
+        code, out, err = run(
+            capsys, "random", "--vertices", 3, "--max-priority", 10**20, "--out", path
+        )
+        assert code == 1
+        assert out == ""
+        assert "above 2147483647" in err
+        assert not path.exists()
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["minimize"]) == 1

@@ -115,6 +115,14 @@ def test_serialize_rejects_unrepresentable_labels():
         serialize_pgsolver(g)
 
 
+def test_serialize_round_trips_largest_file_priority_and_rejects_larger():
+    top = ParityGame((2**31 - 1,), (0,), ((0,),))
+    assert parse_pgsolver(serialize_pgsolver(top)) == top
+    over = ParityGame((0, 2**31), (0, 1), ((1,), (0,)))
+    with pytest.raises(ValueError, match=r"^vertex 1 has priority 2147483648 above 2147483647$"):
+        serialize_pgsolver(over)
+
+
 def test_parse_accepts_start_statement():
     g = parse_pgsolver("parity 1;\nstart 1;\n0 0 0 1;\n1 1 1 0;\n")
     assert g == parse_pgsolver("parity 1;\n0 0 0 1;\n1 1 1 0;\n")

@@ -26,6 +26,7 @@ from oracles import (
     oracle_strong_bisim,
     oracle_validate,
 )
+from pgreduce.forcing import iter_bits
 from pgreduce.lattice import compute_relations
 from pgreduce.relations import (
     _direct_sim_fixpoint,
@@ -104,15 +105,9 @@ class TestValidator:
 
 
 class TestPartition:
-    def test_from_blocks_checks_cover_and_disjoint(self):
-        with pytest.raises(ValueError):
-            Partition.from_blocks(3, [[0, 1]])
-        with pytest.raises(ValueError):
-            Partition.from_blocks(2, [[0, 1], [1]])
-
     def test_classes_ordered_by_least_vertex(self):
-        part = Partition.from_blocks(4, [[3, 1], [2, 0]])
-        assert [list(c) for c in part.classes] == [[0, 2], [1, 3]]
+        part = Partition.from_class_of(4, [7, 3, 7, 3])
+        assert part.classes == (0b0101, 0b1010)
         assert part.class_of == (0, 1, 0, 1)
 
     def test_refines_matches_relation_route_on_lattice_relations(self, exhaustive_corpus, random_corpus):
@@ -191,7 +186,7 @@ def test_governed_classes_respect_priorities(random_corpus):
     for game in random_corpus[:30]:
         part = governed_bisim(game)
         for cls in part.classes:
-            prios = {game.priorities[v] for v in cls}
+            prios = {game.priorities[v] for v in iter_bits(cls)}
             assert len(prios) == 1
 
 
@@ -251,7 +246,7 @@ def test_kernel_of_identity_preorder():
 
 def test_kernel_escape_edge(escape_edge):
     part = equivalence_from_preorder(direct_sim(escape_edge))
-    assert [sorted(c) for c in part.classes] == [[0, 2], [1], [3]]
+    assert part.classes == (0b0101, 0b0010, 0b1000)
 
 
 def test_kernel_rejects_non_preorder():
@@ -313,23 +308,22 @@ def test_gstut_set_of_classes_transfer():
     # condition over arbitrary sets of target classes.
     from itertools import combinations
 
-    from pgreduce import VertexSet, forces, random_game
+    from pgreduce import forces, random_game
 
     for seed in range(40):
         n = 2 + seed % 6  # up to 7 vertices
         game = random_game(n, 3, (1, min(3, n)), 77 + seed)
         part = gstut_bisim(game)
         for ci, cls in enumerate(part.classes):
-            members = list(cls)
+            members = list(iter_bits(cls))
             if len(members) < 2:
                 continue
             others = [j for j in range(part.class_count) if j != ci]
             for size in range(len(others) + 1):
                 for subset in combinations(others, size):
-                    mask = 0
+                    target = 0
                     for j in subset:
-                        mask |= part.classes[j].mask
-                    target = VertexSet(n, mask)
+                        target |= part.classes[j]
                     for player in Player:
                         answers = {
                             forces(game, player, v, cls, target) for v in members

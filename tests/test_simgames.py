@@ -322,8 +322,8 @@ def test_rank_check_matches_closure_transfer(monkeypatch):
     original = pgreduce.simgames.buchi_rank
     checked = []
 
-    def perturbed(arena, won):
-        ranks = original(arena, won)
+    def perturbed(arena):
+        ranks = original(arena)
         rng = random.Random(len(checked))
         for pos in rng.sample(sorted(ranks), min(len(checked) % 4, len(ranks))):
             ranks[pos] = rng.randrange(-1, max(ranks.values()) + 2)

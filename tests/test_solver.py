@@ -245,20 +245,18 @@ def test_buchi_accepting_everywhere_and_nowhere():
 
 def test_buchi_two_position_cycle_ranks():
     arena, a, b = _two_position_cycle(accepting_first=True)
-    won = solve_buchi(arena)
-    assert won == {a, b}
-    ranks = buchi_rank(arena, won)
+    assert solve_buchi(arena) == {a, b}
+    ranks = buchi_rank(arena)
     assert ranks[a] == 0
     assert ranks[b] == 1
 
 
-def test_buchi_rank_rejects_losing_positions():
-    arena = InterningArena()
-    a = arena.position("a", D)
-    arena.add_edge(a, a)
-    assert solve_buchi(arena) == frozenset()
-    with pytest.raises(ValueError):
-        buchi_rank(arena, frozenset({a}))
+def test_buchi_ranks_cover_exactly_the_won_positions(random_corpus):
+    builds = (build_direct_sim_arena, build_governed_bisim_arena, build_delayed_sim_arena, build_gstut_arena)
+    for game in random_corpus:
+        for build in builds:
+            arena = build(game)
+            assert set(buchi_rank(arena)) == solve_buchi(arena)
 
 
 def test_buchi_spoiler_can_avoid():
@@ -287,7 +285,7 @@ def test_buchi_ranks_decrease_along_duplicator_strategy(random_corpus):
     for game in random_corpus[:25]:
         arena = build_delayed_sim_arena(game)
         won = solve_buchi(arena)
-        ranks = buchi_rank(arena, won)
+        ranks = buchi_rank(arena)
         for p in won:
             if p in arena.accepting:
                 continue
@@ -316,7 +314,7 @@ def test_buchi_matches_reference(build):
         arena = build(game)
         won = solve_buchi(arena)
         assert won == oracle_solve_buchi(arena), i
-        assert buchi_rank(arena, won) == oracle_buchi_rank(arena, won), i
+        assert buchi_rank(arena) == oracle_buchi_rank(arena), i
 
 
 def test_rank_check_builds_predecessor_lists_once(monkeypatch):

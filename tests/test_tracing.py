@@ -61,3 +61,26 @@ def test_traced_check_lattice_sees_every_relation():
         tracer.uninstall()
     calls = tracer.summary()["calls"]
     assert {name for name in calls if name.startswith("relations.")} == set(tracing._RELATIONS.values())
+
+
+def test_traced_quotient_equivalent_sees_every_relation():
+    tracing = _load_tracing()
+    mods = {name: importlib.import_module(f"pgreduce.{name}") for name in tracing.LAYERS}
+    game = mods["game"].random_game(6, 3, (1, 3), 1)
+    results = [eq.quotient(game) for eq in mods["quotient"].EQUIVALENCES.values()]
+    tracer = tracing.Tracer(mods)
+    tracer.install()
+    try:
+        for result in results:
+            mods["quotient"].quotient_equivalent(game, result)
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()["calls"]
+    assert {name for name in calls if name.startswith("relations.")} == {
+        "relations.strong_bisim",
+        "relations.governed_bisim",
+        "relations.stut_bisim",
+        "relations.gstut_bisim",
+        "relations.direct_sim",
+        "relations.kernel",
+    }
