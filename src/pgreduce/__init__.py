@@ -32,7 +32,6 @@ from .quotient import (
 )
 from .relations import (
     Partition,
-    VertexRelation,
     direct_sim,
     equivalence_from_preorder,
     governed_bisim,

@@ -270,11 +270,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    # The JSON report takes the place of the game on stdout.
+    if args.json and not args.out:
+        raise _UsageError("random --json needs --out for the game")
     report = _Report("random", args)
     degree = _parse_degree(args.degree)
     game = random_game(args.vertices, args.max_priority, degree, args.seed)
     report.data["sizes"]["original"] = game.vertex_count
     data = serialize_pgsolver(game)
+    report.stamp("random")
     if args.out:
         args.out.write_bytes(data)
         report.line(f"wrote {args.out}")

@@ -156,7 +156,7 @@ def check_lattice(game: ParityGame) -> list[LatticeResult]:
     results = lattice_edges(compute_relations(game, _preorders=pre))
     for notion, (_, fixpoint_route) in COINCIDENCES.items():
         if notion in DELAYED_BIAS:
-            ok = pre[DELAYED_BIAS[notion]].rows == fixpoint_route(game)
+            ok = pre[DELAYED_BIAS[notion]] == fixpoint_route(game)
         else:
             ok = coincidence_check(game, notion)
         results.append(LatticeResult(f"game-based {notion} coincides", ok))

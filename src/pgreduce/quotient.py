@@ -18,7 +18,6 @@ from .forcing import attractor, diverges, iter_bits, steps  # noqa: F401
 from .game import ParityGame, Player, disjoint_union
 from .relations import (
     Partition,
-    VertexRelation,
     direct_sim,
     equivalence_from_preorder,
     governed_bisim,
@@ -58,25 +57,23 @@ class QuotientResult:
     kind: str
 
 
-def min_successors(game: ParityGame, preorder: VertexRelation, v: int) -> int:
+def min_successors(game: ParityGame, preorder: tuple[int, ...], v: int) -> int:
     """Successors of ``v`` minimal in the given direct-simulation preorder."""
     return _extremal_successors(game, preorder, v, minimal=True)
 
 
-def max_successors(game: ParityGame, preorder: VertexRelation, v: int) -> int:
+def max_successors(game: ParityGame, preorder: tuple[int, ...], v: int) -> int:
     """Successors of ``v`` maximal in the given direct-simulation preorder."""
     return _extremal_successors(game, preorder, v, minimal=False)
 
 
-def _extremal_successors(
-    game: ParityGame, preorder: VertexRelation, v: int, minimal: bool
-) -> int:
+def _extremal_successors(game: ParityGame, preorder: tuple[int, ...], v: int, minimal: bool) -> int:
     succs = game.successors[v]
 
     def beaten(cand: int, other: int) -> bool:
         # ``other`` lies strictly below (minimal) or above (maximal) ``cand``.
         lo, hi = (other, cand) if minimal else (cand, other)
-        return preorder.holds(lo, hi) and not preorder.holds(hi, lo)
+        return preorder[lo] >> hi & 1 == 1 and not preorder[hi] >> lo & 1
 
     out = 0
     for cand in succs:

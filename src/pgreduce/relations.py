@@ -11,6 +11,9 @@ the class, one bit per successor class plus one for leaving the class;
 each bit is an independent monotone operator, so each is exactly its
 attractor.  The delayed simulation family lives in :mod:`pgreduce.simgames`
 because its natural home is the obligation game.
+
+A preorder is the tuple of its rows: ``rows[v]`` is the bitmask of every
+``w`` with ``v ≤ w``.  An equivalence is a :class:`Partition`.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from .forcing import attractor, iter_bits  # noqa: F401
 from .game import ParityGame, Player
 
 __all__ = [
-    "VertexRelation",
     "Partition",
     "direct_sim",
     "strong_direct_sim",
@@ -33,63 +35,6 @@ __all__ = [
     "stut_bisim",
     "equivalence_from_preorder",
 ]
-
-
-@dataclass(frozen=True)
-class VertexRelation:
-    """A binary relation over vertices, one bit-row per left element.
-
-    ``rows[v]`` is the bitmask of all ``w`` with ``v R w``.  The ``kind``
-    tag states the intended shape; :meth:`validate` checks it.
-    """
-
-    universe: int
-    rows: tuple[int, ...]
-    kind: str = "preorder"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("preorder", "equivalence"):
-            raise ValueError(f"unknown relation kind {self.kind!r}")
-        if len(self.rows) != self.universe:
-            raise ValueError("one row per vertex required")
-        full = (1 << self.universe) - 1
-        if any(row & ~full for row in self.rows):
-            raise ValueError("row has bits outside the universe")
-
-    def holds(self, v: int, w: int) -> bool:
-        return self.rows[v] >> w & 1 == 1
-
-    def is_subrelation(self, other: "VertexRelation") -> bool:
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
-    def validate(self) -> None:
-        """Check reflexivity and transitivity, plus symmetry for equivalences.
-
-        Errors name the first failing pair in ``(v, w)`` order.  Whether a
-        row passes the transitivity check depends only on the row.  Once the
-        relation is transitive, so does symmetry: ``v R w`` and ``w R v``
-        together mean equal rows.  So each check walks each distinct row
-        once, at its first vertex.
-        """
-        rows = self.rows
-        for v, row in enumerate(rows):
-            if not row >> v & 1:
-                raise ValueError(f"relation not reflexive at {v}")
-        seen: set[int] = set()
-        for v, row in enumerate(rows):
-            if row not in seen:
-                seen.add(row)
-                for w in iter_bits(row):
-                    if rows[w] & ~row:
-                        raise ValueError(f"relation not transitive through ({v}, {w})")
-        if self.kind == "equivalence":
-            seen.clear()
-            for v, row in enumerate(rows):
-                if row not in seen:
-                    seen.add(row)
-                    for w in iter_bits(row):
-                        if not rows[w] >> v & 1:
-                            raise ValueError(f"relation not symmetric at ({v}, {w})")
 
 
 @dataclass(frozen=True)
@@ -130,12 +75,14 @@ class Partition:
     def same_class(self, v: int, w: int) -> bool:
         return self.class_of[v] == self.class_of[w]
 
-    def as_relation(self) -> VertexRelation:
-        rows = tuple(self.classes[c] for c in self.class_of)
-        return VertexRelation(self.universe, rows, "equivalence")
+    def as_relation(self) -> tuple[int, ...]:
+        """The rows of the equivalence: ``rows[v]`` is the mask of ``v``'s class."""
+        return tuple(self.classes[c] for c in self.class_of)
 
     def refines(self, other: "Partition") -> bool:
-        """Every class lies inside one class of ``other``."""
+        """Every class lies inside one class of ``other``, over the same vertices."""
+        if self.universe != other.universe:
+            raise ValueError(f"partitions of {self.universe} and {other.universe} vertices")
         image = [-1] * self.class_count
         for c, d in zip(self.class_of, other.class_of):
             if image[c] != d:
@@ -210,16 +157,14 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def direct_sim(game: ParityGame) -> VertexRelation:
+def direct_sim(game: ParityGame) -> tuple[int, ...]:
     """Greatest direct simulation preorder: even helps the simulating side."""
-    rows = _initial_partition(game, by_owner=False).as_relation().rows
-    return VertexRelation(game.vertex_count, _direct_sim_fixpoint(game, list(rows)), "preorder")
+    return _direct_sim_fixpoint(game, list(_initial_partition(game, by_owner=False).as_relation()))
 
 
-def strong_direct_sim(game: ParityGame) -> VertexRelation:
+def strong_direct_sim(game: ParityGame) -> tuple[int, ...]:
     """Direct simulation that never relates vertices owned by different players."""
-    rows = _initial_partition(game, by_owner=True).as_relation().rows
-    return VertexRelation(game.vertex_count, _direct_sim_fixpoint(game, list(rows)), "preorder")
+    return _direct_sim_fixpoint(game, list(_initial_partition(game, by_owner=True).as_relation()))
 
 
 def governed_bisim(game: ParityGame) -> Partition:
@@ -439,10 +384,29 @@ def _dense_keys(keys: Iterable) -> list[int]:
     return out
 
 
-def equivalence_from_preorder(relation: VertexRelation) -> Partition:
-    """Kernel of a preorder: the classes of ``R`` intersected with its converse."""
-    if relation.kind != "preorder":
-        raise ValueError("kernel is only defined for preorders")
-    relation.validate()
+def equivalence_from_preorder(rows: tuple[int, ...]) -> Partition:
+    """Kernel of a preorder: the classes of ``≤`` intersected with its converse.
+
+    Checks that ``rows`` is a preorder over ``range(len(rows))``: no bits
+    outside, then reflexivity, then transitivity.  Errors name the first
+    failing pair in ``(v, w)`` order.  Whether a row passes the
+    transitivity check depends only on the row, so each distinct row is
+    walked once, at its first vertex.
+    """
+    n = len(rows)
+    if any(row >> n for row in rows):
+        raise ValueError("row has bits outside the universe")
+    for v, row in enumerate(rows):
+        if not row >> v & 1:
+            raise ValueError(f"relation not reflexive at {v}")
     # In a preorder, v and w are equivalent exactly when their up-sets are equal.
-    return Partition.from_class_of(relation.universe, _dense_keys(relation.rows))
+    keys: dict[int, int] = {}
+    class_of = []
+    for v, row in enumerate(rows):
+        if row not in keys:
+            keys[row] = len(keys)
+            for w in iter_bits(row):
+                if rows[w] & ~row:
+                    raise ValueError(f"relation not transitive through ({v}, {w})")
+        class_of.append(keys[row])
+    return Partition.from_class_of(n, class_of)

@@ -43,9 +43,8 @@ from collections import deque
 from typing import Callable
 
 from . import relations
-from .forcing import iter_bits
 from .game import ParityGame, Player, reward_leq
-from .relations import Partition, VertexRelation, gstut_bisim
+from .relations import Partition, equivalence_from_preorder, gstut_bisim
 from .solver import Arena, ArenaPlayer, buchi_rank, solve_buchi
 
 __all__ = [
@@ -367,30 +366,44 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     return _explore(mids, starts, expand)
 
 
-def _pair_relation_from_arena(
-    game: ParityGame, arena: Arena, kind: str = "preorder"
-) -> VertexRelation:
-    """Pairs whose start position Duplicator wins."""
+def _pair_relation_from_arena(game: ParityGame, arena: Arena) -> tuple[int, ...]:
+    """Rows of the pairs whose start position Duplicator wins."""
     won = solve_buchi(arena)
     n = game.vertex_count
     rows = [0] * n
     for j, pos in enumerate(arena.start):
         if pos in won:
             rows[j // n] |= 1 << (j % n)
-    return VertexRelation(n, tuple(rows), kind)
+    return tuple(rows)
 
 
-def direct_sim_via_game(game: ParityGame) -> VertexRelation:
+def _equivalence_from_arena(game: ParityGame, arena: Arena, name: str) -> Partition:
+    """Partition of a bisimulation game's winning pairs.
+
+    The winning set is guaranteed to be an equivalence, so its kernel must
+    equal it; anything else signals an arena encoding bug and raises.
+    """
+    rows = _pair_relation_from_arena(game, arena)
+    try:
+        part = equivalence_from_preorder(rows)
+    except ValueError as exc:
+        raise RuntimeError(f"{name} game winning set is not an equivalence: {exc}") from exc
+    if part.as_relation() != rows:
+        raise RuntimeError(f"{name} game winning set is not an equivalence: relation not symmetric")
+    return part
+
+
+def direct_sim_via_game(game: ParityGame) -> tuple[int, ...]:
     """Pairs from which Duplicator wins the direct simulation game."""
     return _pair_relation_from_arena(game, build_direct_sim_arena(game))
 
 
-def governed_bisim_via_game(game: ParityGame) -> VertexRelation:
-    """Winning set of the governed bisimulation game; symmetric by the swap move."""
-    return _pair_relation_from_arena(game, build_governed_bisim_arena(game))
+def governed_bisim_via_game(game: ParityGame) -> Partition:
+    """Partition of the governed bisimulation game's winning pairs, symmetric by the swap move."""
+    return _equivalence_from_arena(game, build_governed_bisim_arena(game), "governed bisimulation")
 
 
-def delayed_sim(game: ParityGame, bias: str = "none") -> VertexRelation:
+def delayed_sim(game: ParityGame, bias: str = "none") -> tuple[int, ...]:
     """Delayed simulation preorder: Duplicator wins from (v, w, γ(v, w, ✓))."""
     return _pair_relation_from_arena(game, build_delayed_sim_arena(game, bias))
 
@@ -431,7 +444,7 @@ def _transfer_groups(game: ParityGame, kk: int, prow: list[int]) -> list[list[li
     return out
 
 
-def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation:
+def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...]:
     """Delayed simulation computed directly on obligation triples.
 
     Double fixpoint over the triples ``t = (v * n + w) * K + k``: the outer
@@ -547,7 +560,7 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation
     for j in range(n * n):
         if x[j * kk + table[prow[j]]]:
             rows[j // n] |= 1 << (j % n)
-    return VertexRelation(n, tuple(rows), "preorder")
+    return tuple(rows)
 
 
 def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
@@ -587,20 +600,8 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
 
 
 def gstut_via_game(game: ParityGame) -> Partition:
-    """Partition of the governed stuttering game's winning pairs.
-
-    The winning set is guaranteed to be an equivalence; anything else
-    signals an arena encoding bug and raises.
-    """
-    rel = _pair_relation_from_arena(game, build_gstut_arena(game), "equivalence")
-    try:
-        rel.validate()
-    except ValueError as exc:
-        raise RuntimeError(
-            f"stuttering game winning set is not an equivalence: {exc}"
-        ) from exc
-    class_of = [min(iter_bits(rel.rows[v])) for v in game.vertices]
-    return Partition.from_class_of(game.vertex_count, class_of)
+    """Partition of the governed stuttering game's winning pairs."""
+    return _equivalence_from_arena(game, build_gstut_arena(game), "stuttering")
 
 
 # The delayed coincidence notions and the bias of each.
@@ -608,18 +609,16 @@ DELAYED_BIAS = {"delayed": "none", "delayed_even": "even", "delayed_odd": "odd"}
 
 
 def _delayed_routes(bias: str) -> tuple[Callable, Callable]:
-    return lambda g: delayed_sim(g, bias).rows, lambda g: delayed_sim_fixpoint(g, bias).rows
+    return lambda g: delayed_sim(g, bias), lambda g: delayed_sim_fixpoint(g, bias)
 
 
 # Each notion's (game route, fixpoint route), whose results the paper proves
-# equal: rows, or partitions for ``gstut``.  Routes look this module's and
-# ``relations``'s names up when called, so a wrapper bound over one sees it.
+# equal: preorder rows, or partitions for the bisimilarities.  Routes look
+# this module's and ``relations``'s names up when called, so a wrapper bound
+# over one sees it.
 COINCIDENCES: dict[str, tuple[Callable, Callable]] = {
-    "direct": (lambda g: direct_sim_via_game(g).rows, lambda g: relations.direct_sim(g).rows),
-    "governed_bisim": (
-        lambda g: governed_bisim_via_game(g).rows,
-        lambda g: relations.governed_bisim(g).as_relation().rows,
-    ),
+    "direct": (lambda g: direct_sim_via_game(g), lambda g: relations.direct_sim(g)),
+    "governed_bisim": (lambda g: governed_bisim_via_game(g), lambda g: relations.governed_bisim(g)),
     "gstut": (lambda g: gstut_via_game(g), lambda g: gstut_bisim(g)),
     **{notion: _delayed_routes(bias) for notion, bias in DELAYED_BIAS.items()},
 }

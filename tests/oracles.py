@@ -25,7 +25,6 @@ from pgreduce import (
     PgSolverFormatError,
     Player,
     QuotientResult,
-    VertexRelation,
     WinningRegions,
     attractor,
     diverges,
@@ -306,19 +305,23 @@ def oracle_direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, 
     return tuple(rows)
 
 
-def oracle_validate(relation: VertexRelation) -> None:
-    """``VertexRelation.validate`` over every pair, with the same messages."""
-    pairs = [(v, w) for v in range(relation.universe) for w in iter_bits(relation.rows[v])]
-    for v in range(relation.universe):
-        if not relation.holds(v, v):
+def oracle_validate(rows: tuple[int, ...]) -> None:
+    """The preorder check of ``equivalence_from_preorder`` over every pair,
+    with the same messages."""
+    n = len(rows)
+    pairs = [(v, w) for v in range(n) for w in iter_bits(rows[v])]
+    for v in range(n):
+        if not rows[v] >> v & 1:
             raise ValueError(f"relation not reflexive at {v}")
     for v, w in pairs:
-        if relation.rows[w] & ~relation.rows[v]:
+        if rows[w] & ~rows[v]:
             raise ValueError(f"relation not transitive through ({v}, {w})")
-    if relation.kind == "equivalence":
-        for v, w in pairs:
-            if not relation.holds(w, v):
-                raise ValueError(f"relation not symmetric at ({v}, {w})")
+
+
+def is_subrelation(finer: tuple[int, ...], coarser: tuple[int, ...]) -> bool:
+    """Every pair of ``finer``'s rows is a pair of ``coarser``'s."""
+    assert len(finer) == len(coarser)
+    return all(a & ~b == 0 for a, b in zip(finer, coarser))
 
 
 # --- Reference governed and strong bisimilarity ----------------------------
@@ -360,7 +363,8 @@ def _oracle_symmetric_direct_sim(game: ParityGame, by_owner: bool) -> Partition:
                 rows[v] &= ~(1 << w)
                 rows[w] &= ~(1 << v)
                 changed = True
-    VertexRelation(n, tuple(rows), "equivalence").validate()
+    oracle_validate(rows)
+    assert all(rows[w] >> v & 1 for v in range(n) for w in iter_bits(rows[v]))
     return Partition.from_class_of(n, [(row & -row).bit_length() for row in rows])
 
 
@@ -398,7 +402,7 @@ def delayed_transfer(game: ParityGame, v: int, w: int, matched) -> bool:
     return all(any(matched(vp, wp) for vp in sv) for wp in sw)
 
 
-def oracle_delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexRelation:
+def oracle_delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...]:
     """Double fixpoint over (v, w, k), rescanning all triples until stable."""
     update = _UPDATERS[bias]
     obligations = [CHECK] + sorted(set(game.priorities))
@@ -430,10 +434,10 @@ def oracle_delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> VertexR
         for w in game.vertices:
             if (v, w, update(game.priorities[v], game.priorities[w], CHECK)) in y:
                 rows[v] |= 1 << w
-    return VertexRelation(n, tuple(rows), "preorder")
+    return tuple(rows)
 
 
-def oracle_delayed_sim_worklist(game: ParityGame, bias: str = "none") -> VertexRelation:
+def oracle_delayed_sim_worklist(game: ParityGame, bias: str = "none") -> tuple[int, ...]:
     """The stage-carrying worklist fixpoint with one ``matched`` closure per
     evaluation, passed to ``delayed_transfer``, and readers computed per
     triple.  The library's version must join the same triples."""
@@ -513,7 +517,7 @@ def oracle_delayed_sim_worklist(game: ParityGame, bias: str = "none") -> VertexR
     for j in range(n * n):
         if x[j * kk + table[prow[j]]]:
             rows[j // n] |= 1 << (j % n)
-    return VertexRelation(n, tuple(rows), "preorder")
+    return tuple(rows)
 
 
 def oracle_rank_check(game: ParityGame, bias: str, ranks: dict[int, int]) -> bool:
@@ -786,7 +790,7 @@ def oracle_build_gstut_arena(game: ParityGame) -> Arena:
 
 def oracle_refines(finer: Partition, coarser: Partition) -> bool:
     """Inclusion of the two equivalences, row by row."""
-    return finer.as_relation().is_subrelation(coarser.as_relation())
+    return is_subrelation(finer.as_relation(), coarser.as_relation())
 
 
 def oracle_check_lattice(game: ParityGame) -> list[LatticeResult]:
@@ -881,7 +885,7 @@ def oracle_split_statements(text: str) -> list[tuple[str, int]]:
 # idempotence tests need no search and no size limit.
 
 
-def oracle_iso_relation(game: ParityGame) -> VertexRelation:
+def oracle_iso_relation(game: ParityGame) -> tuple[int, ...]:
     n = game.vertex_count
     rows = [0] * n
     for v in game.vertices:
@@ -892,7 +896,7 @@ def oracle_iso_relation(game: ParityGame) -> VertexRelation:
             if find_isomorphism(game, game, pin=(v, w)) is not None:
                 rows[v] |= 1 << w
                 rows[w] |= 1 << v
-    return VertexRelation(n, tuple(rows), "equivalence")
+    return tuple(rows)
 
 
 def iso_check(g1: ParityGame, g2: ParityGame) -> bool:

@@ -261,5 +261,20 @@ class TestRandom:
         assert "above 2147483647" in err
         assert not path.exists()
 
+    def test_json_without_out_rejected(self, capsys):
+        # The report would take the game's place on stdout, so the game
+        # would be written nowhere.
+        code, out, err = run(capsys, "random", "--vertices", 3, "--json")
+        assert code == 1
+        assert out == ""
+        assert "--out" in err
+
+    def test_timings_stamp_random(self, capsys, tmp_path):
+        path = tmp_path / "g.gm"
+        code, out, _ = run(capsys, "random", "--vertices", 3, "--out", path, "--json", "--timings")
+        assert code == 0
+        assert list(json.loads(out)["timings"]) == ["random"]
+        assert parse_pgsolver(path.read_bytes()).vertex_count == 3
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["minimize"]) == 1

@@ -7,7 +7,6 @@ from pgreduce import (
     ParityGame,
     Partition,
     Player,
-    VertexRelation,
     direct_sim,
     equivalence_from_preorder,
     governed_bisim,
@@ -19,6 +18,7 @@ from pgreduce import (
 )
 from inflation import inflate
 from oracles import (
+    is_subrelation,
     oracle_direct_sim_fixpoint,
     oracle_governed_bisim,
     oracle_refines,
@@ -50,61 +50,57 @@ def _larger_games() -> list[ParityGame]:
     return larger
 
 
-def _message(relation: VertexRelation, validate) -> str | None:
+def _message(rows: tuple[int, ...], validate) -> str | None:
     try:
-        validate(relation)
+        validate(rows)
     except ValueError as exc:
         return str(exc)
     return None
 
 
 class TestValidator:
-    # The error names the first failing pair in (v, w) order.
+    # equivalence_from_preorder is the one preorder check.  The error names
+    # the first failing pair in (v, w) order.
     def test_rejects_irreflexive(self):
-        rel = VertexRelation(2, (0b01, 0b00), "preorder")
         with pytest.raises(ValueError, match=r"^relation not reflexive at 1$"):
-            rel.validate()
+            equivalence_from_preorder((0b01, 0b00))
 
     def test_rejects_intransitive(self):
-        rel = VertexRelation(3, (0b011, 0b110, 0b100), "preorder")
         with pytest.raises(ValueError, match=r"^relation not transitive through \(0, 1\)$"):
-            rel.validate()
+            equivalence_from_preorder((0b011, 0b110, 0b100))
 
-    def test_rejects_asymmetric_equivalence(self):
-        rel = VertexRelation(2, (0b11, 0b10), "equivalence")
-        with pytest.raises(ValueError, match=r"^relation not symmetric at \(0, 1\)$"):
-            rel.validate()
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            VertexRelation(1, (1,), "poset")
+    @pytest.mark.parametrize("rows", [(0b11, 0b110), (0b01, -0b10)], ids=["high", "negative"])
+    def test_rejects_bits_outside_the_universe(self, rows):
+        with pytest.raises(ValueError, match=r"^row has bits outside the universe$"):
+            equivalence_from_preorder(rows)
 
     def test_matches_pairwise_reference(self):
         # Every relation on three vertices, and relations on six vertices
         # one bit away from a preorder or a partition, including rows that
         # repeat: each check walks a repeated row only once.
-        relations = [
-            VertexRelation(3, rows, kind)
-            for rows in product(range(8), repeat=3)
-            for kind in ("preorder", "equivalence")
-        ]
+        relations = list(product(range(8), repeat=3))
         rng = random.Random(5)
         for _ in range(300):
             game = random_game(6, 2, (1, 3), rng.randrange(10**6))
-            for rel in (direct_sim(game), gstut_bisim(game).as_relation()):
-                rows = list(rel.rows)
+            for rows in (direct_sim(game), gstut_bisim(game).as_relation()):
+                rows = list(rows)
                 v, w = rng.randrange(6), rng.randrange(6)
                 rows[v] ^= 1 << w
-                relations.append(VertexRelation(6, tuple(rows), rel.kind))
+                relations.append(tuple(rows))
         failures = set()
-        for rel in relations:
-            want = _message(rel, oracle_validate)
-            assert _message(rel, VertexRelation.validate) == want, rel
+        for rows in relations:
+            want = _message(rows, oracle_validate)
+            assert _message(rows, equivalence_from_preorder) == want, rows
             failures.add(want.split()[2] if want else None)
-        assert failures == {"reflexive", "transitive", "symmetric", None}
+        assert failures == {"reflexive", "transitive", None}
 
 
 class TestPartition:
+    def test_refines_rejects_another_universe(self):
+        # Zipping the class maps would compare only the first two vertices.
+        with pytest.raises(ValueError, match="3 and 2 vertices"):
+            Partition.from_class_of(3, [0, 1, 2]).refines(Partition.from_class_of(2, [0, 0]))
+
     def test_classes_ordered_by_least_vertex(self):
         part = Partition.from_class_of(4, [7, 3, 7, 3])
         assert part.classes == (0b0101, 0b1010)
@@ -140,17 +136,17 @@ class TestPartition:
 
 
 def test_direct_sim_escape_edge(escape_edge):
-    rel = direct_sim(escape_edge)
-    assert rel.holds(0, 1)
-    assert rel.holds(0, 2) and rel.holds(2, 0)
-    assert not rel.holds(1, 0)
-    rel.validate()
+    rows = direct_sim(escape_edge)
+    assert rows[0] >> 1 & 1
+    assert rows[0] >> 2 & 1 and rows[2] >> 0 & 1
+    assert not rows[1] >> 0 & 1
+    equivalence_from_preorder(rows)
 
 
 def test_direct_sim_reflexive_everywhere(random_corpus):
     for game in random_corpus[:20]:
-        rel = direct_sim(game)
-        assert all(rel.holds(v, v) for v in game.vertices)
+        rows = direct_sim(game)
+        assert all(rows[v] >> v & 1 for v in game.vertices)
 
 
 def test_direct_sim_cross_owner_triangle(cross_owner):
@@ -159,14 +155,14 @@ def test_direct_sim_cross_owner_triangle(cross_owner):
 
 
 def test_strong_direct_sim_cross_owner(cross_owner):
-    rel = strong_direct_sim(cross_owner)
-    assert rel.holds(0, 1) and rel.holds(1, 0)
-    assert not rel.holds(0, 6)
+    rows = strong_direct_sim(cross_owner)
+    assert rows[0] >> 1 & 1 and rows[1] >> 0 & 1
+    assert not rows[0] >> 6 & 1
 
 
 def test_strong_direct_refines_direct(random_corpus):
     for game in random_corpus[:30]:
-        assert strong_direct_sim(game).is_subrelation(direct_sim(game))
+        assert is_subrelation(strong_direct_sim(game), direct_sim(game))
 
 
 def test_governed_bisim_cross_owner(cross_owner):
@@ -239,8 +235,7 @@ def test_stut_refines_gstut(random_corpus):
 
 
 def test_kernel_of_identity_preorder():
-    rel = VertexRelation(3, (0b001, 0b010, 0b100), "preorder")
-    part = equivalence_from_preorder(rel)
+    part = equivalence_from_preorder((0b001, 0b010, 0b100))
     assert part.class_count == 3
 
 
@@ -250,16 +245,15 @@ def test_kernel_escape_edge(escape_edge):
 
 
 def test_kernel_rejects_non_preorder():
-    rel = VertexRelation(1, (1,), "equivalence")
-    with pytest.raises(ValueError):
-        equivalence_from_preorder(rel)
+    with pytest.raises(ValueError, match="not reflexive at 0"):
+        equivalence_from_preorder((0b10, 0b10))
 
 
 def test_fixpoints_are_stable(random_corpus):
     # Re-running one refinement/deletion pass must change nothing.
     for game in random_corpus[:20]:
-        rel = direct_sim(game)
-        assert _direct_sim_fixpoint(game, list(rel.rows)) == rel.rows
+        rows = direct_sim(game)
+        assert _direct_sim_fixpoint(game, list(rows)) == rows
         part = gstut_bisim(game)
         assert _refine(game, part, _sign_class) == part
         for bisim in (governed_bisim, strong_bisim):
@@ -299,8 +293,8 @@ def test_stuttering_signer_matches_attractors(by_owner, exhaustive_corpus, rando
 def test_direct_sim_matches_full_sweeps(relation, by_owner, exhaustive_corpus, random_corpus):
     # The predecessor worklist against sweeping every row until stable.
     for i, game in enumerate(exhaustive_corpus + random_corpus + _larger_games()):
-        rows = list(_initial_partition(game, by_owner).as_relation().rows)
-        assert relation(game).rows == oracle_direct_sim_fixpoint(game, rows), i
+        rows = list(_initial_partition(game, by_owner).as_relation())
+        assert relation(game) == oracle_direct_sim_fixpoint(game, rows), i
 
 
 def test_gstut_set_of_classes_transfer():
@@ -333,9 +327,9 @@ def test_gstut_set_of_classes_transfer():
 
 def test_all_relations_validate(random_corpus):
     for game in random_corpus[:20]:
-        direct_sim(game).validate()
-        strong_direct_sim(game).validate()
-        governed_bisim(game).as_relation().validate()
-        strong_bisim(game).as_relation().validate()
-        gstut_bisim(game).as_relation().validate()
-        stut_bisim(game).as_relation().validate()
+        equivalence_from_preorder(direct_sim(game))
+        equivalence_from_preorder(strong_direct_sim(game))
+        # A partition's rows are a preorder whose kernel is the partition.
+        for bisim in (governed_bisim, strong_bisim, gstut_bisim, stut_bisim):
+            part = bisim(game)
+            assert equivalence_from_preorder(part.as_relation()) == part

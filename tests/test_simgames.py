@@ -5,6 +5,7 @@ import pytest
 import pgreduce.simgames
 from conftest import small_random_games
 from oracles import (
+    is_subrelation,
     oracle_build_delayed_sim_arena,
     oracle_build_direct_sim_arena,
     oracle_build_governed_bisim_arena,
@@ -142,22 +143,23 @@ class TestGovernedArena:
     def test_winning_set_symmetric(self):
         for seed in range(10):
             game = random_game(2 + seed % 4, 2, (1, 2), seed)
-            rel = governed_bisim_via_game(game)
+            rows = pgreduce.simgames._pair_relation_from_arena(game, build_governed_bisim_arena(game))
             for v in game.vertices:
                 for w in game.vertices:
-                    assert rel.holds(v, w) == rel.holds(w, v)
+                    assert rows[v] >> w & 1 == rows[w] >> v & 1
+            assert governed_bisim_via_game(game).as_relation() == rows
 
 
 class TestDelayedArena:
     def test_delayed_chain_universal(self, delayed_chain):
-        rel = delayed_sim(delayed_chain)
+        rows = delayed_sim(delayed_chain)
         assert all(
-            rel.holds(v, w) for v in delayed_chain.vertices for w in delayed_chain.vertices
+            rows[v] >> w & 1 for v in delayed_chain.vertices for w in delayed_chain.vertices
         )
 
     def test_diagonal_with_check_reachable(self, escape_edge):
-        rel = delayed_sim(escape_edge)
-        assert all(rel.holds(v, v) for v in escape_edge.vertices)
+        rows = delayed_sim(escape_edge)
+        assert all(rows[v] >> v & 1 for v in escape_edge.vertices)
 
     def test_obligation_alphabet(self, random_corpus):
         # A configuration's id is (v * n + w) * K + k, where obligation k
@@ -180,17 +182,17 @@ class TestDelayedArena:
         for game in [escape_edge] + random_corpus[:15]:
             d = direct_sim(game)
             for bias in ("none", "even", "odd"):
-                assert d.is_subrelation(delayed_sim(game, bias))
+                assert is_subrelation(d, delayed_sim(game, bias))
 
     def test_preorder_on_random_games(self, random_corpus):
         for game in random_corpus[:15]:
-            delayed_sim(game).validate()
+            equivalence_from_preorder(delayed_sim(game))
 
     def test_delayed_contains_both_biases(self, random_corpus):
         for game in random_corpus[:15]:
             full_rel = delayed_sim(game)
             for bias in ("even", "odd"):
-                assert delayed_sim(game, bias).is_subrelation(full_rel)
+                assert is_subrelation(delayed_sim(game, bias), full_rel)
 
 
 class TestWellFoundedRanks:
@@ -202,7 +204,7 @@ class TestWellFoundedRanks:
     def test_direct_equals_delayed_case(self):
         # All priorities equal: obligations are ✓ everywhere, rank 0.
         g = ParityGame((2, 2), (0, 1), ((1,), (0, 1)))
-        assert delayed_sim(g).rows == direct_sim(g).rows
+        assert delayed_sim(g) == direct_sim(g)
         assert wf_rank_check(g)
 
     def test_random_games(self):
@@ -240,6 +242,33 @@ class TestGstutGame:
         assert gstut_via_game(g).class_count == 1
 
 
+def _drop_won_pair(monkeypatch, game, v, w):
+    """Make ``solve_buchi`` lose the start position of the pair (v, w)."""
+    n = game.vertex_count
+
+    def doctored(arena):
+        return solve_buchi(arena) - {arena.start[v * n + w]}
+
+    monkeypatch.setattr(pgreduce.simgames, "solve_buchi", doctored)
+
+
+@pytest.mark.parametrize("route", [governed_bisim_via_game, gstut_via_game], ids=["governed", "gstut"])
+def test_bisim_game_route_rejects_asymmetric_won_set(monkeypatch, escape_edge, route):
+    # Without (0, 2) the won pairs are still a preorder, but 2 ≤ 0 alone
+    # splits the class {0, 2} in the kernel.
+    _drop_won_pair(monkeypatch, escape_edge, 0, 2)
+    with pytest.raises(RuntimeError, match=r"winning set is not an equivalence: relation not symmetric$"):
+        route(escape_edge)
+
+
+def test_gstut_game_route_rejects_won_set_that_is_no_preorder(monkeypatch, fake_divergence):
+    # The class {0, 1, 3, 4} without (0, 1): 0 ≤ 3 and 3 ≤ 1, but not 0 ≤ 1.
+    _drop_won_pair(monkeypatch, fake_divergence, 0, 1)
+    with pytest.raises(RuntimeError, match=r"^stuttering game winning set is not an equivalence: "
+                       r"relation not transitive through \(0, 3\)$"):
+        gstut_via_game(fake_divergence)
+
+
 class TestCoincidence:
     @pytest.mark.parametrize("notion", ALL_NOTIONS)
     def test_fixtures(self, all_fixture_games, notion):
@@ -247,10 +276,10 @@ class TestCoincidence:
             assert coincidence_check(game, notion), notion
 
     def test_identity_memberships(self, escape_edge):
-        rel_game = direct_sim_via_game(escape_edge)
-        rel_fix = direct_sim(escape_edge)
+        rows_game = direct_sim_via_game(escape_edge)
+        rows_fix = direct_sim(escape_edge)
         for v in escape_edge.vertices:
-            assert rel_game.holds(v, v) and rel_fix.holds(v, v)
+            assert rows_game[v] >> v & 1 and rows_fix[v] >> v & 1
 
     def test_random_games(self):
         for seed in range(20):
@@ -267,7 +296,7 @@ class TestCoincidence:
 def test_delayed_fixpoint_agrees_on_fixtures(all_fixture_games):
     for game in all_fixture_games.values():
         for bias in ("none", "even", "odd"):
-            assert delayed_sim(game, bias).rows == delayed_sim_fixpoint(game, bias).rows
+            assert delayed_sim(game, bias) == delayed_sim_fixpoint(game, bias)
 
 
 def test_biased_gap_fixture(biased_gap, delayed_chain):
@@ -305,7 +334,7 @@ def _tail_games():
 def test_delayed_fixpoint_matches_reference(bias):
     small = small_random_games(300, max_n=12, max_priority=4, start_n=2)
     for i, game in enumerate(small + _tail_games()):
-        assert delayed_sim_fixpoint(game, bias).rows == oracle_delayed_sim_fixpoint(game, bias).rows, i
+        assert delayed_sim_fixpoint(game, bias) == oracle_delayed_sim_fixpoint(game, bias), i
 
 
 @pytest.mark.parametrize("bias", ["none", "even", "odd"])
@@ -313,7 +342,7 @@ def test_delayed_fixpoint_matches_closure_worklist(bias):
     # Games of 12-40 vertices, beyond what the full rescan handles quickly.
     for i in range(40):
         game = random_game(12 + i * 28 // 39, 2 + i % 4, (1, 1 + i % 3), 9_100 + i)
-        assert delayed_sim_fixpoint(game, bias).rows == oracle_delayed_sim_worklist(game, bias).rows, i
+        assert delayed_sim_fixpoint(game, bias) == oracle_delayed_sim_worklist(game, bias), i
 
 
 def test_rank_check_matches_closure_transfer(monkeypatch):
