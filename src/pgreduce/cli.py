@@ -5,7 +5,8 @@ errors (including parse errors), 2 on I/O errors.  With ``--json`` every
 command emits a single JSON object with the fixed keys ``command``,
 ``input``, ``sizes``, ``classes``, ``timings`` and ``verdicts``; timing
 figures are only filled in under ``--timings`` so that reports stay
-byte-deterministic by default.
+byte-deterministic by default.  In text mode ``--timings`` writes one
+``timing <stage> <ms> ms`` line per stage to stderr.
 """
 from __future__ import annotations
 
@@ -145,6 +146,9 @@ class _Report:
         else:
             for text in self.lines:
                 print(text)
+            # On stderr, so that stdout stays byte-identical with or without --timings.
+            for stage, ms in self.data["timings"].items():
+                print(f"timing {stage} {ms} ms", file=sys.stderr)
 
 
 def _maybe_dot(args, game: ParityGame) -> None:

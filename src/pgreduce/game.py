@@ -3,6 +3,11 @@
 Vertices are dense 0-based indices.  External names, when present, live in
 an optional label map; every algorithm in this package iterates vertices in
 ascending index order, which makes all derived outputs deterministic.
+
+Canonical PGSolver text, the shape ``serialize_pgsolver`` writes, is read in
+one regular-expression match; anything else, and every input that turns out
+to be malformed, goes through the statement-by-statement parser.  Both give
+the same game, and the statement parser reports every error.
 """
 from __future__ import annotations
 
@@ -67,7 +72,7 @@ class ParityGame:
             owners = tuple(map(_OWNER.__getitem__, self.owners))
         except (KeyError, TypeError):
             raise ValueError("every owner must be 0 (even) or 1 (odd)") from None
-        succs = tuple(tuple(sorted(set(map(int, row)))) for row in self.successors)
+        succs = tuple(map(_normal_row, self.successors))
         object.__setattr__(self, "priorities", prios)
         object.__setattr__(self, "owners", owners)
         object.__setattr__(self, "successors", succs)
@@ -109,6 +114,10 @@ class ParityGame:
             cached = tuple(tuple(p) for p in preds)
             object.__setattr__(self, "_predecessors", cached)
         return cached
+
+
+def _normal_row(row) -> tuple[int, ...]:
+    return tuple(sorted(set(map(int, row))))
 
 
 @dataclass(frozen=True)
@@ -182,6 +191,48 @@ def _split_statements(text: str) -> list[tuple[str, int]]:
     return statements
 
 
+# The canonical text serialize_pgsolver writes: ASCII digits, single spaces,
+# owner 0 or 1, no labels, whitespace only between statements.  Every token
+# ends at a character it cannot contain, so a failed match backtracks in
+# linear time.
+_CANONICAL_RE = re.compile(
+    r"\s*(?:parity (?P<max>[0-9]+);\s*)?(?:start (?P<start>[0-9]+);\s*)?"
+    r"(?P<body>(?:[0-9]+ [0-9]+ [01] [0-9]+(?:,[0-9]+)*;\s*)+)",
+    re.ASCII,
+)
+_CANONICAL_VERTEX_RE = re.compile(r"([0-9]+) ([0-9]+) ([01]) ([0-9,]+);", re.ASCII)
+
+
+def _parse_canonical(text: str) -> ParityGame | None:
+    """The game of canonical text, or None when the statement parser must
+    decide: on any other shape, and on every input it would reject."""
+    m = _CANONICAL_RE.fullmatch(text)
+    if m is None:
+        return None
+    ids, prios, owners, fields = zip(*_CANONICAL_VERTEX_RE.findall(text, m.start("body")))
+    n = len(ids)
+    try:
+        if list(map(int, ids)) != list(range(n)):
+            return None
+        if m["max"] is not None and int(m["max"]) != n - 1:
+            return None
+        if m["start"] is not None and int(m["start"]) >= n:
+            return None
+        prios = list(map(int, prios))
+        flat = list(map(int, ",".join(fields).split(",")))
+    except ValueError:  # a number longer than int() reads
+        return None
+    if max(prios) > MAX_FILE_PRIORITY or max(flat) >= n:
+        return None
+    successors = []
+    at = 0
+    for field in fields:
+        end = at + field.count(",") + 1
+        successors.append(flat[at:end])
+        at = end
+    return ParityGame(prios, list(map(int, owners)), successors)
+
+
 def parse_pgsolver(text: bytes | str) -> ParityGame:
     """Parse PGSolver format into a game.
 
@@ -198,6 +249,9 @@ def parse_pgsolver(text: bytes | str) -> ParityGame:
         except UnicodeDecodeError as exc:
             raise PgSolverFormatError(f"input is not UTF-8 text: {exc.reason}") from None
 
+    game = _parse_canonical(text)
+    if game is not None:
+        return game
     statements = _split_statements(text)
 
     max_id: int | None = None

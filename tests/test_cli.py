@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -66,6 +67,15 @@ class TestSolve:
         assert report["command"] == "solve"
         assert report["regions"] == {"even": [1, 3], "odd": [0, 2]}
         assert set(report) >= {"command", "input", "sizes", "classes", "timings", "verdicts"}
+
+    def test_text_timings_go_to_stderr(self, capsys, write_fixture):
+        path = write_fixture("escape_edge")
+        _, plain, plain_err = run(capsys, "solve", path)
+        code, out, err = run(capsys, "solve", path, "--timings")
+        assert code == 0
+        assert out == plain
+        assert plain_err == ""
+        assert re.fullmatch(r"timing solve \d+(\.\d+)? ms\n", err)
 
     def test_dot_output(self, capsys, write_fixture, tmp_path):
         dot = tmp_path / "g.dot"

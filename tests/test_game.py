@@ -164,6 +164,14 @@ def test_parse_time_linear_in_unmatched_statement():
         with pytest.raises(PgSolverFormatError, match="cannot parse"):
             parse_pgsolver(text)
     assert time.perf_counter() - start < 2.0
+    # Nor may the canonical match, on a long canonical prefix that ends in a
+    # malformed statement.
+    text = "".join(f"{v} 0 0 {v};\n" for v in range(100_000)) + "0 0 0 x;"
+    start = time.perf_counter()
+    assert game_module._parse_canonical(text) is None
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(PgSolverFormatError, match="line 100001: cannot parse"):
+        parse_pgsolver(text)
 
 
 _TOKENS = [b"parity ", b"start ", b";", b",", b" ", b"\n", b'"', b"0", b"1", b"\xc2\xb2", b"\xd9\xa3"]
@@ -199,17 +207,21 @@ def test_parse_arbitrary_bytes_gives_game_or_format_error(data):
 def _outcome(fn, text):
     try:
         return fn(text)
-    except PgSolverFormatError as exc:
-        return ("error", str(exc), exc.line)
+    except ValueError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None))
 
 
 def _assert_splitter_matches_reference(text):
-    """The statements, or the error, and the parse result, or its error, are
-    those of the per-character splitter."""
+    """The statements, or the error, are those of the per-character splitter;
+    the parse result, or its error's type, message and line, is the same with
+    that splitter and with the canonical one-match path switched off."""
     assert _outcome(game_module._split_statements, text) == _outcome(oracle_split_statements, text)
     ours = _outcome(parse_pgsolver, text)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(game_module, "_split_statements", oracle_split_statements)
+        assert ours == _outcome(parse_pgsolver, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game_module, "_parse_canonical", lambda text: None)
         assert ours == _outcome(parse_pgsolver, text)
 
 
@@ -235,6 +247,10 @@ def test_statement_splitter_matches_reference_on_mutated_games():
     for seed in range(3000):
         n = rng.randint(1, 8)
         text = serialize_pgsolver(random_game(n, rng.randint(0, 5), (1, min(3, n)), seed)).decode()
+        if seed % 4 == 0:
+            # A start statement, declared or one past the last vertex.
+            header, _, rest = text.partition("\n")
+            text = f"{header}\nstart {seed % (n + 1)};\n{rest}"
         for _ in range(rng.randint(0, 3)):
             at = rng.randrange(len(text) + 1)
             edit = rng.randrange(3)
@@ -256,6 +272,14 @@ def test_serialize_canonical_bytes():
 def test_serialize_round_trip_on_fixtures(all_fixture_games):
     for game in all_fixture_games.values():
         assert parse_pgsolver(serialize_pgsolver(game)) == game
+
+
+def test_canonical_path_reads_serialized_games(all_fixture_games):
+    # Unlabelled games serialise to canonical text, which must never fall
+    # back to the statement parser.
+    randoms = [random_game(n, n, (1, min(3, n)), seed) for seed, n in enumerate(range(1, 60))]
+    for game in [*all_fixture_games.values(), *randoms]:
+        assert game_module._parse_canonical(serialize_pgsolver(game).decode()) == game
 
 
 @st.composite
