@@ -5,9 +5,10 @@ an optional label map; every algorithm in this package iterates vertices in
 ascending index order, which makes all derived outputs deterministic.
 
 Canonical PGSolver text, the shape ``serialize_pgsolver`` writes, is read in
-one regular-expression match; anything else, and every input that turns out
-to be malformed, goes through the statement-by-statement parser.  Both give
-the same game, and the statement parser reports every error.
+one pass of a compiled pattern, one match per statement; anything else, and
+every input that turns out to be malformed, goes through the
+statement-by-statement parser.  Both give the same game, and the statement
+parser reports every error.
 """
 from __future__ import annotations
 
@@ -191,46 +192,41 @@ def _split_statements(text: str) -> list[tuple[str, int]]:
     return statements
 
 
-# The canonical text serialize_pgsolver writes: ASCII digits, single spaces,
-# owner 0 or 1, no labels, whitespace only between statements.  Every token
-# ends at a character it cannot contain, so a failed match backtracks in
-# linear time.
-_CANONICAL_RE = re.compile(
-    r"\s*(?:parity (?P<max>[0-9]+);\s*)?(?:start (?P<start>[0-9]+);\s*)?"
-    r"(?P<body>(?:[0-9]+ [0-9]+ [01] [0-9]+(?:,[0-9]+)*;\s*)+)",
-    re.ASCII,
-)
-_CANONICAL_VERTEX_RE = re.compile(r"([0-9]+) ([0-9]+) ([01]) ([0-9,]+);", re.ASCII)
+# The canonical text serialize_pgsolver writes: an optional header, then
+# vertex statements of ASCII digits, single spaces, owner 0 or 1 and no
+# label, with whitespace only between statements.  Each vertex match ends in
+# the whitespace before the next statement, so the matches tile the text: at
+# the first statement of any other shape the second branch takes the rest of
+# the text, as one last match whose fields are empty.  No match backtracks
+# beyond one statement, and none holds state for the statements before it.
+_CANONICAL_HEADER_RE = re.compile(r"\s*(?:parity ([0-9]+);\s*)?(?:start ([0-9]+);\s*)?", re.ASCII)
+_CANONICAL_VERTEX_RE = re.compile(r"(?:([0-9]+) ([0-9]+) ([01]) ([0-9,]+);|[\s\S]+)\s*", re.ASCII)
 
 
 def _parse_canonical(text: str) -> ParityGame | None:
     """The game of canonical text, or None when the statement parser must
     decide: on any other shape, and on every input it would reject."""
-    m = _CANONICAL_RE.fullmatch(text)
-    if m is None:
-        return None
-    ids, prios, owners, fields = zip(*_CANONICAL_VERTEX_RE.findall(text, m.start("body")))
-    n = len(ids)
+    header = _CANONICAL_HEADER_RE.match(text)
+    max_id, start = header.groups()
+    # The unpacking raises on text without vertex statements; int("") on the
+    # empty fields of a statement of any other shape and on an empty
+    # successor; int() on a number too long to read; and ParityGame on a
+    # successor of n or more.
     try:
+        ids, prios, owners, fields = zip(*_CANONICAL_VERTEX_RE.findall(text, header.end()))
+        n = len(ids)
         if list(map(int, ids)) != list(range(n)):
             return None
-        if m["max"] is not None and int(m["max"]) != n - 1:
+        if max_id is not None and int(max_id) != n - 1:
             return None
-        if m["start"] is not None and int(m["start"]) >= n:
+        if start is not None and int(start) >= n:
             return None
-        prios = list(map(int, prios))
-        flat = list(map(int, ",".join(fields).split(",")))
-    except ValueError:  # a number longer than int() reads
+        game = ParityGame(prios, list(map(int, owners)), [f.split(",") for f in fields])
+    except ValueError:
         return None
-    if max(prios) > MAX_FILE_PRIORITY or max(flat) >= n:
+    if max(game.priorities) > MAX_FILE_PRIORITY:
         return None
-    successors = []
-    at = 0
-    for field in fields:
-        end = at + field.count(",") + 1
-        successors.append(flat[at:end])
-        at = end
-    return ParityGame(prios, list(map(int, owners)), successors)
+    return game
 
 
 def parse_pgsolver(text: bytes | str) -> ParityGame:

@@ -164,14 +164,15 @@ def test_parse_time_linear_in_unmatched_statement():
         with pytest.raises(PgSolverFormatError, match="cannot parse"):
             parse_pgsolver(text)
     assert time.perf_counter() - start < 2.0
-    # Nor may the canonical match, on a long canonical prefix that ends in a
-    # malformed statement.
-    text = "".join(f"{v} 0 0 {v};\n" for v in range(100_000)) + "0 0 0 x;"
-    start = time.perf_counter()
-    assert game_module._parse_canonical(text) is None
-    assert time.perf_counter() - start < 2.0
-    with pytest.raises(PgSolverFormatError, match="line 100001: cannot parse"):
-        parse_pgsolver(text)
+    # Nor may the canonical path, on a long canonical prefix that ends in a
+    # malformed statement or in a long run of digits.
+    prefix = "".join(f"{v} 0 0 {v};\n" for v in range(100_000))
+    for tail in ("0 0 0 x;", "1" * 100_000 + ";"):
+        start = time.perf_counter()
+        assert game_module._parse_canonical(prefix + tail) is None
+        assert time.perf_counter() - start < 2.0
+        with pytest.raises(PgSolverFormatError, match="line 100001: cannot parse"):
+            parse_pgsolver(prefix + tail)
 
 
 _TOKENS = [b"parity ", b"start ", b";", b",", b" ", b"\n", b'"', b"0", b"1", b"\xc2\xb2", b"\xd9\xa3"]
@@ -207,8 +208,8 @@ def test_parse_arbitrary_bytes_gives_game_or_format_error(data):
 def _outcome(fn, text):
     try:
         return fn(text)
-    except ValueError as exc:
-        return (type(exc), str(exc), getattr(exc, "line", None))
+    except PgSolverFormatError as exc:
+        return (type(exc), str(exc), exc.line)
 
 
 def _assert_splitter_matches_reference(text):
