@@ -24,6 +24,11 @@ from .relations import (
     gstut_bisim,
     strong_bisim,
     stut_bisim,
+    _direct_sim_fixpoint,
+    _initial_partition,
+    _refine,
+    _sign_class,
+    _sign_successors,
     _stutter_signatures,
 )
 from .solver import solve_zielonka
@@ -59,37 +64,55 @@ class QuotientResult:
 
 def min_successors(game: ParityGame, preorder: tuple[int, ...], v: int) -> int:
     """Successors of ``v`` minimal in the given direct-simulation preorder."""
-    return _extremal_successors(game, preorder, v, minimal=True)
+    return _extremal_successors(game.successors[v], preorder, _transpose(preorder))[0]
 
 
 def max_successors(game: ParityGame, preorder: tuple[int, ...], v: int) -> int:
     """Successors of ``v`` maximal in the given direct-simulation preorder."""
-    return _extremal_successors(game, preorder, v, minimal=False)
+    return _extremal_successors(game.successors[v], preorder, _transpose(preorder))[1]
 
 
-def _extremal_successors(game: ParityGame, preorder: tuple[int, ...], v: int, minimal: bool) -> int:
-    succs = game.successors[v]
+def _transpose(rows: tuple[int, ...]) -> list[int]:
+    """``cols[w]`` is the mask of every ``v`` with ``w`` in ``rows[v]``."""
+    # Equal rows are walked once, for all the vertices that hold them.
+    holders: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        holders[row] = holders.get(row, 0) | 1 << v
+    cols = [0] * len(rows)
+    for row, vs in holders.items():
+        for w in iter_bits(row):
+            cols[w] |= vs
+    return cols
 
-    def beaten(cand: int, other: int) -> bool:
-        # ``other`` lies strictly below (minimal) or above (maximal) ``cand``.
-        lo, hi = (other, cand) if minimal else (cand, other)
-        return preorder[lo] >> hi & 1 == 1 and not preorder[hi] >> lo & 1
 
-    out = 0
-    for cand in succs:
-        if not any(beaten(cand, other) for other in succs):
-            out |= 1 << cand
-    return out
+def _extremal_successors(
+    succs: tuple[int, ...], rows: tuple[int, ...], cols: list[int]
+) -> tuple[int, int]:
+    """Masks of the minimal and of the maximal members of ``succs``.
+
+    ``rows`` is a preorder and ``cols`` its transpose, so ``cols[u] & ~rows[u]``
+    holds what lies strictly below ``u`` and ``rows[u] & ~cols[u]`` what
+    lies strictly above.
+    """
+    among = 0
+    for u in succs:
+        among |= 1 << u
+    low = high = 0
+    for u in succs:
+        if not among & cols[u] & ~rows[u]:
+            low |= 1 << u
+        if not among & rows[u] & ~cols[u]:
+            high |= 1 << u
+    return low, high
 
 
 def _class_priorities(game: ParityGame, part: Partition) -> tuple[int, ...]:
-    prios = []
-    for cls in part.classes:
-        members = list(iter_bits(cls))
-        p = min(game.priorities[v] for v in members)
-        if any(game.priorities[v] != p for v in members):
-            raise RuntimeError("equivalence class mixes priorities; refinement bug")
-        prios.append(p)
+    prios: list[int | None] = [None] * part.class_count
+    for p, c in zip(game.priorities, part.class_of):
+        if prios[c] != p:
+            if prios[c] is not None:
+                raise RuntimeError("equivalence class mixes priorities; refinement bug")
+            prios[c] = p
     return tuple(prios)
 
 
@@ -109,9 +132,11 @@ def quotient_direct_sim(game: ParityGame) -> QuotientResult:
     min_cls: dict[int, frozenset[int]] = {}
     max_cls: dict[int, frozenset[int]] = {}
     class_of = part.class_of
+    cols = _transpose(preorder)
     for v in game.vertices:
-        min_cls[v] = frozenset(class_of[u] for u in iter_bits(min_successors(game, preorder, v)))
-        max_cls[v] = frozenset(class_of[u] for u in iter_bits(max_successors(game, preorder, v)))
+        low, high = _extremal_successors(game.successors[v], preorder, cols)
+        min_cls[v] = frozenset(class_of[u] for u in iter_bits(low))
+        max_cls[v] = frozenset(class_of[u] for u in iter_bits(high))
 
     owners = []
     succs: list[tuple[int, ...]] = []
@@ -330,15 +355,64 @@ def verify_preservation(game: ParityGame, result: QuotientResult) -> bool:
     )
 
 
+# The initial partition (by owner or not) and the signer of each
+# bisimilarity's refinement, as in :mod:`pgreduce.relations`.
+_REFINEMENTS = {
+    "strong-bisim": (True, _sign_successors),
+    "governed-bisim": (False, _sign_successors),
+    "stut": (True, _sign_class),
+    "gstut": (False, _sign_class),
+}
+
+
 def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     """Each vertex is equivalent to its class in the disjoint union of both games,
-    under the defining equivalence of the quotient kind."""
+    under the defining equivalence of the quotient kind.
+
+    The union's greatest fixpoint starts from the relation the quotient
+    claims, not from scratch.  Let ``c(x)`` be ``class_map[x]`` for a game
+    vertex ``x`` and ``x - n`` for a quotient vertex, with ``n`` game
+    vertices.  The kind's relation on the quotient alone, read through
+    ``c`` and cut down to the union's initial partition (equal priority,
+    and equal owner for ``strong-bisim`` and ``stut``), is refined with the
+    kind's own signer, or for ``direct-sim`` by pair deletion.  Then ``v``
+    must end related both ways to ``n + c(v)``.
+
+    Sound: whatever the fixpoint keeps is a bisimulation (a direct
+    simulation) of the union inside its initial relation, so it lies inside
+    the largest one.  Exact on every quotient, minimal or not: the union
+    has no edge between its two parts, so the largest relation on the
+    quotient's part is the quotient's own.  If every vertex is equivalent
+    to its class, ``x`` and ``y`` are related in the union exactly when
+    ``n + c(x)`` and ``n + c(y)`` are, that is, when ``c(x)`` and ``c(y)``
+    are related in the quotient.  The start is then the union's largest
+    relation, and the first round confirms it without a split.
+    """
     if result.kind not in EQUIVALENCES:
         raise ValueError(f"unknown quotient kind {result.kind!r}")
-    union = disjoint_union(game, result.quotient)
-    part = EQUIVALENCES[result.kind].partition(union)
-    off = game.vertex_count
-    return all(part.same_class(v, off + result.class_map[v]) for v in game.vertices)
+    quotient, class_map = result.quotient, result.class_map
+    n = game.vertex_count
+    union = disjoint_union(game, quotient)
+    lift = (*class_map, *quotient.vertices)
+    if result.kind == "direct-sim":
+        # x <= y in the start exactly when c(y) is in the quotient row of c(x).
+        members = [0] * quotient.vertex_count
+        for x, c in enumerate(lift):
+            members[c] |= 1 << x
+        up = [0] * quotient.vertex_count
+        for c, row in enumerate(direct_sim(quotient)):
+            for d in iter_bits(row):
+                up[c] |= members[d]
+        prio = _initial_partition(union, by_owner=False)
+        start = [up[c] & prio.classes[p] for c, p in zip(lift, prio.class_of)]
+        rows = _direct_sim_fixpoint(union, start)
+        return all(rows[v] >> (n + c) & 1 and rows[n + c] >> v & 1 for v, c in enumerate(class_map))
+    by_owner, sign = _REFINEMENTS[result.kind]
+    classes = EQUIVALENCES[result.kind].partition(quotient).class_of
+    initial = _initial_partition(union, by_owner).class_of
+    start = Partition.from_class_of(len(lift), zip(initial, (classes[c] for c in lift)))
+    part = _refine(union, start, sign)
+    return all(part.same_class(v, n + c) for v, c in enumerate(class_map))
 
 
 def serialize_class_map(result: QuotientResult) -> bytes:

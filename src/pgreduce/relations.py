@@ -109,7 +109,6 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     succ_masks = _succ_masks(game)
     even = [owner is Player.EVEN for owner in game.owners]
     succs = game.successors
-    preds = game.predecessors()
     dirty: Iterable[int] = range(game.vertex_count)
     while dirty:
         shrunk = []
@@ -153,6 +152,9 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
             if keep != row:
                 rows[v] = keep
                 shrunk.append(v)
+        if not shrunk:
+            break
+        preds = game.predecessors()
         dirty = {u for v in shrunk for u in preds[v]}
     return tuple(rows)
 
@@ -289,9 +291,9 @@ def _refine_classes(game: ParityGame, class_of: list[int], sign) -> dict[int, tu
     over.  The rounds are therefore the same as re-signing every class each
     round.  The result maps the id of every class with more than one member
     to the signature all its members share.  Singleton classes cannot split
-    and are never signed.
+    and are never signed.  Predecessor lists are built only once a class
+    splits, so a partition that is stable from the start never needs them.
     """
-    preds = game.predecessors()
     members: dict[int, list[int]] = {}
     for v, c in enumerate(class_of):
         members.setdefault(c, []).append(v)
@@ -308,6 +310,9 @@ def _refine_classes(game: ParityGame, class_of: list[int], sign) -> dict[int, tu
                 (signatures[cid],) = groups
             else:
                 splits.append((cid, list(groups.values())))
+        if not splits:
+            break
+        preds = game.predecessors()
         dirty = set()
         for cid, pieces in splits:
             del members[cid]

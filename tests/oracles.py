@@ -4,8 +4,8 @@ The winner and forcing oracles enumerate memoryless strategies explicitly
 and evaluate plays on the strategy-restricted graph, so a bug in the
 attractor or in the Zielonka recursion cannot hide in them.  The stuttering,
 signer, direct-simulation, validator, bisimulation, delayed-simulation,
-Buchi, Zielonka, parser and isomorphism-relation references at the end
-keep the library's earlier, direct constructions, and so do the arena
+Buchi, Zielonka, parser, isomorphism-relation and quotient-certificate
+references at the end keep the library's earlier, direct constructions, and so do the arena
 builders, which intern every position by its payload tuple.
 ``iso_check`` decides whether two whole games are isomorphic, and
 ``is_isomorphism`` checks a given vertex mapping, for the idempotence
@@ -27,12 +27,13 @@ from pgreduce import (
     QuotientResult,
     WinningRegions,
     attractor,
+    disjoint_union,
     diverges,
     steps,
 )
 from pgreduce.forcing import attractor_layers, iter_bits
 from pgreduce.lattice import COINCIDENCE_NOTIONS, LATTICE_EDGES, LatticeResult, compute_relations
-from pgreduce.quotient import find_isomorphism
+from pgreduce.quotient import EQUIVALENCES, find_isomorphism
 from pgreduce.simgames import CHECK, DAGGER, _UPDATERS, _obligations, coincidence_check
 
 
@@ -918,3 +919,18 @@ def is_isomorphism(g1: ParityGame, g2: ParityGame, mapping) -> bool:
         and {mapping[u] for u in g1.successors[v]} == set(g2.successors[mapping[v]])
         for v in g1.vertices
     )
+
+
+# --- Reference quotient certificate -----------------------------------------
+
+
+def oracle_quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
+    """Refine the disjoint union of the game and its quotient from scratch.
+
+    The union's own partition, from the kind's initial one, must put every
+    vertex in the class of its quotient vertex.
+    """
+    union = disjoint_union(game, result.quotient)
+    part = EQUIVALENCES[result.kind].partition(union)
+    off = game.vertex_count
+    return all(part.same_class(v, off + result.class_map[v]) for v in game.vertices)

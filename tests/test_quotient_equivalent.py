@@ -1,0 +1,78 @@
+"""The quotient certificate against the full re-refinement of the union.
+
+``quotient_equivalent`` starts the union's fixpoint from the relation the
+quotient claims; ``oracle_quotient_equivalent`` refines the union from the
+kind's initial partition.  Both must give the same verdict on right
+quotients, on non-minimal ones and on class maps with one vertex moved.
+"""
+import random
+
+import pytest
+
+import test_byte_identity
+from inflation import inflate
+from oracles import oracle_quotient_equivalent
+from pgreduce import (
+    EQUIVALENCES,
+    ParityGame,
+    QuotientResult,
+    parse_pgsolver,
+    quotient_equivalent,
+    random_game,
+)
+
+MUTATIONS_PER_GAME = 6
+
+
+def _corpus() -> list[ParityGame]:
+    games = [parse_pgsolver(data) for data in test_byte_identity._games().values()]
+    for seed in range(4):
+        core = random_game(20, 4, (1, 3), 700 + seed)
+        games.append(inflate(core, duplicates=20, chains=10, seed=seed)[0])
+    return games
+
+
+def _verdict(game: ParityGame, result: QuotientResult) -> bool:
+    got = quotient_equivalent(game, result)
+    assert got == oracle_quotient_equivalent(game, result), (game, result)
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(EQUIVALENCES))
+def test_agrees_with_full_refinement(kind):
+    rng = random.Random(kind)
+    rejected = 0
+    for game in _corpus():
+        result = EQUIVALENCES[kind].quotient(game)
+        assert _verdict(game, result)
+        identity = QuotientResult(game, tuple(game.vertices), kind)
+        assert _verdict(game, identity)
+        q = result.quotient.vertex_count
+        if q < 2:
+            continue
+        # The quotient's vertices are pairwise inequivalent, so a vertex is
+        # equivalent to its own class only, and a map that moves it is wrong.
+        for _ in range(MUTATIONS_PER_GAME):
+            class_map = list(result.class_map)
+            v = rng.randrange(game.vertex_count)
+            class_map[v] = rng.choice([c for c in range(q) if c != class_map[v]])
+            assert not _verdict(game, QuotientResult(result.quotient, tuple(class_map), kind))
+            rejected += 1
+    assert rejected >= 40
+
+
+@pytest.mark.parametrize("kind", sorted(EQUIVALENCES))
+def test_non_minimal_quotient_onto_itself(kind):
+    # Vertex 2 maps onto vertex 0, which it is bisimilar to: both have
+    # priority 1 and move to one of the two equivalent priority-0 loops.
+    # A start that kept the quotient's vertices apart would split {0, 2}.
+    game = ParityGame((1, 0, 1, 0), (0, 0, 0, 0), ((1,), (1,), (3,), (3,)))
+    assert _verdict(game, QuotientResult(game, (0, 1, 0, 3), kind))
+
+
+@pytest.mark.parametrize("kind", sorted(EQUIVALENCES))
+def test_class_of_another_priority_rejected(kind):
+    # Two self-loops that differ only in priority: mapping both onto the
+    # priority-1 loop keeps every edge, so only the priorities tell.
+    game = ParityGame((0, 1), (0, 0), ((0,), (1,)))
+    assert not _verdict(game, QuotientResult(game, (1, 1), kind))

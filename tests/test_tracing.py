@@ -82,5 +82,4 @@ def test_traced_quotient_equivalent_sees_every_relation():
         "relations.stut_bisim",
         "relations.gstut_bisim",
         "relations.direct_sim",
-        "relations.kernel",
     }
