@@ -11,10 +11,28 @@ tracked vertices:
     odd       odd        Spoiler    b     Duplicator  a
 
 so Spoiler moves on even-owned left vertices and odd-owned right vertices,
-and the left side moves first exactly when it is even-owned.  The round is
-encoded with an intermediate arena position per half move; this encoding is
-validated against the coinductive fixpoints by ``coincidence_check``, which
-reads each notion's pair of routes from ``COINCIDENCES``.
+and the left side moves first exactly when it is even-owned.  The direct,
+governed and delayed arenas encode the round with an intermediate position
+per half move.  The governed stuttering round ends with Duplicator picking
+whether both moves stand or one side rolls back, and its arena plays the
+round as one Spoiler position, the configuration, and one Duplicator
+position, which follows all of Spoiler's moves in orientation o:
+
+    Spoiler moves on   Duplicator position   its picks (t0, t1)
+    a only             half move (o, t)      (t, u), u a successor of b
+    b only             half move (o, t)      (u, t), u a successor of a
+    both               pick (o, t0, t1)      that pick
+    neither            orientation o         every successor pair
+
+Each pick stands for the three configurations it can choose, and each is
+listed once.  This is the arena with a position per orientation, half move
+and pick, after merging each position into the one that moves to it when
+it is non-accepting, has that position as its only predecessor and the same
+owner: that owner then makes both choices at once, so every play visits the
+same configurations in the same order and every start keeps its Buchi
+winner.  The encodings are validated against the coinductive fixpoints by
+``coincidence_check``, which reads each notion's pair of routes from
+``COINCIDENCES``.
 
 Positions are numbered in the order a breadth-first expansion discovers
 them.  A position is its integer id, computed from its fields and kept in
@@ -26,9 +44,11 @@ stuttering game's half-move and pick positions, whose id spaces hold
 2n³(2n + 2) and 2n⁴(2n + 2) ids, use an int-keyed dict.  Each builder
 decodes a position's id in one place, its ``expand`` function, which gives
 the position's owner, its acceptance and the ids of its moves; ``_explore``
-calls it once per position.  Round order comes from
-per-vertex mover tables and the obligation update from one table per
-priority pair (``_gamma_table``), which the delayed fixpoint shares.
+calls it once per position and records the predecessor lists as it appends
+the moves, so the Buchi solver never derives them again.  Round order comes
+from per-vertex mover tables and the obligation update from one table per
+priority set and bias (``_gamma_table``, cached), which the delayed
+fixpoint shares.
 
 ``delayed_sim_fixpoint`` computes delayed simulation without an arena, so
 it cross-checks the arena route.  Its greatest fixpoint carries the stages
@@ -40,6 +60,7 @@ with its triple base and its row in the γ table.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Callable
 
 from . import relations
@@ -123,8 +144,13 @@ def _updater(bias: str) -> Callable[[int, int, Obligation], Obligation]:
     return _UPDATERS[bias]
 
 
-def _gamma_table(levels: list[int], bias: str) -> list[int]:
-    """The obligation update on obligation indices.
+# Priority sets whose γ tables stay cached, per bias.
+_GAMMA_TABLES = 64
+
+
+@lru_cache(maxsize=_GAMMA_TABLES)
+def _gamma_table(levels: tuple[int, ...], bias: str) -> tuple[int, ...]:
+    """The obligation update on obligation indices, built once per priority set.
 
     With ``P = len(levels)`` and ``K = P + 1`` obligations (0 is ✓, i ≥ 1
     is ``levels[i - 1]``), entry ``(i * P + j) * K + k`` is the index of
@@ -133,16 +159,16 @@ def _gamma_table(levels: list[int], bias: str) -> list[int]:
     update = _updater(bias)
     obligations = [CHECK, *levels]
     where = {k: i for i, k in enumerate(obligations)}
-    return [where[update(pv, pw, k)] for pv in levels for pw in levels for k in obligations]
+    return tuple(where[update(pv, pw, k)] for pv in levels for pw in levels for k in obligations)
 
 
-def _obligations(game: ParityGame, bias: str) -> tuple[int, list[int], list[int]]:
+def _obligations(game: ParityGame, bias: str) -> tuple[int, tuple[int, ...], list[int]]:
     """Number of obligations ``K``, the γ table and each vertex pair's row in it.
 
     The update of obligation k on entering the pair ``j = v * n + w`` is
     ``table[row[j] + k]``.
     """
-    levels = sorted(set(game.priorities))
+    levels = tuple(sorted(set(game.priorities)))
     level = {p: i for i, p in enumerate(levels)}
     kk = len(levels) + 1
     lv = [level[p] * len(levels) for p in game.priorities]
@@ -167,12 +193,14 @@ def _explore(
     on; ``expand(id)`` gives a position's owner, whether it is accepting
     and the ids of its moves, and is called once per position.  Ids below
     ``listed`` are found through a list, the rest through a dict.  Returns
-    the arena with every field filled in.
+    the arena with every field filled in, and with the predecessor lists
+    recorded as each move is appended, in the order ``_arena_preds`` gives.
     """
     pos_of = [-1] * listed
     far: dict[int, int] = {}
     ids: list[int] = []
     rows: list[list[int]] = []
+    preds: list[list[int]] = []
     owners: list[ArenaPlayer] = []
     accepting: set[int] = set()
     keys = starts
@@ -184,12 +212,17 @@ def _explore(
             if pos < 0:
                 pos = len(ids)
                 ids.append(key)
+                preds.append([])
                 if key < listed:
                     pos_of[key] = pos
                 else:
                     far[key] = pos
             row.append(pos)
+            preds[pos].append(expanded - 1)
         rows.append(row)
+        if not expanded:
+            # The start row is no position's moves: only starts exist yet.
+            preds = [[] for _ in ids]
         if expanded == len(ids):
             break
         owner, accept, keys = expand(ids[expanded])
@@ -197,7 +230,10 @@ def _explore(
         if accept:
             accepting.add(expanded)
         expanded += 1
-    return Arena(owners=owners, edges=rows[1:], accepting=accepting, ids=ids, start=rows[0])
+    arena = Arena(owners=owners, edges=rows[1:], accepting=accepting, ids=ids, start=rows[0])
+    # Fills the cached property, so the solver never derives the lists.
+    vars(arena)["predecessors"] = preds
+    return arena
 
 
 def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
@@ -305,15 +341,22 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     A round from ((v, w), c): Spoiler picks an orientation, the usual two
     half moves follow, then Duplicator picks the next configuration from
     accepting both moves (reward ✓) or rolling back either side (challenge
-    update).  Accepting positions are configurations with reward ✓.
+    update).  Accepting positions are configurations with reward ✓.  The
+    round is played as one Spoiler choice, from the configuration, and one
+    Duplicator choice, after the module docstring's table: the orientation,
+    the half moves and the picks are non-accepting, each has exactly one
+    predecessor, and each is merged into it when both have the same owner,
+    so the winner of every configuration stays that of the arena with a
+    position for each of them.
 
     Challenges are indexed: 0 is ✓, 1 is †, ``2 + t`` is (0, t) and
     ``2 + n + t`` is (1, t), so ``C = 2n + 2``.  Ids, listed: configuration
     ``(v * n + w) * C + c``, orientation ``o = 2((a * n + b) * C + c) +
     swap`` at ``n²C + o``, the sink at ``3n²C``; in a dict: the half move
     to t after o at ``M + o * n + t`` and the pick of (t0, t1) after o at
-    ``M + 2n³C + (o * n + t0) * n + t1``, with ``M = 3n²C + 1``.  Which side
-    moves first, and so the half move's side, follows from the owner of a.
+    ``M + 2n³C + (o * n + t0) * n + t1``, with ``M = 3n²C + 1``.  Only the
+    Duplicator-owned ones among orientations, half moves and picks are
+    positions; the other ids are never discovered.
     """
     n = game.vertex_count
     cc = 2 * n + 2
@@ -322,45 +365,60 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     mids = sink + 1
     picks = mids + 2 * oris * n
     prio, succ = game.priorities, game.successors
-    even, left, right = _movers(game)
+    even = _movers(game)[0]
 
     def cfg(v: int, w: int, c: int) -> int:
         return (v * n + w) * cc + c if prio[v] == prio[w] else sink
 
-    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
-        if key < oris:
-            j, c = divmod(key, cc)
-            v, w = divmod(j, n)
-            return _SPOILER, c == 0, [oris + 2 * key, oris + 2 * ((w * n + v) * cc + c) + 1]
-        if key < sink:
-            o = key - oris
-            a, b = divmod(o // (2 * cc), n)
-            if even[a]:
-                return _SPOILER, False, [mids + o * n + t for t in succ[a]]
-            return right[b], False, [mids + o * n + t for t in succ[b]]
-        if key == sink:
-            return _DUPLICATOR, False, [sink]
-        if key < picks:
-            # A half move waits for the side that did not move first.
-            m = key - mids
-            a, b = divmod(m // (2 * cc * n), n)
-            if even[a]:
-                return right[b], False, [picks + m * n + u for u in succ[b]]
-            o, t = divmod(m, n)
-            return left[a], False, [picks + (o * n + u) * n + t for u in succ[a]]
-        o, pick = divmod(key - picks, n * n)
-        t0, t1 = divmod(pick, n)
+    def spoiler_moves(o: int, a: int, b: int) -> list[int]:
+        # The Duplicator positions that Spoiler's moves in orientation o reach.
+        if even[a]:
+            if even[b]:
+                return [mids + o * n + t for t in succ[a]]
+            return [picks + (o * n + t) * n + u for t in succ[a] for u in succ[b]]
+        if even[b]:
+            return [oris + o]
+        return [mids + o * n + t for t in succ[b]]
+
+    def answers(o: int, pairs: list[tuple[int, int]]) -> list[int]:
+        # The three configurations of each pick (t0, t1) after o, each once.
         j, oc = divmod(o, 2 * cc)
         a, b = divmod(j, n)
         c, swap = divmod(oc, 2)
         # With a swap the rolled-back vertex differs from the one the
         # round started on, which always yields a ✓ reward.
         same = (not swap) or a == b
-        return _DUPLICATOR, False, [
-            cfg(t0, t1, 0),
-            cfg(a, t1, _challenge(c, 2 + t0, same, even[a])),
-            cfg(t0, b, _challenge(c, 2 + n + t1, same, not even[b])),
-        ]
+        out = []
+        for t0, t1 in pairs:
+            out += (
+                cfg(t0, t1, 0),
+                cfg(a, t1, _challenge(c, 2 + t0, same, even[a])),
+                cfg(t0, b, _challenge(c, 2 + n + t1, same, not even[b])),
+            )
+        return list(dict.fromkeys(out))
+
+    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
+        if key < oris:
+            j, c = divmod(key, cc)
+            v, w = divmod(j, n)
+            swapped = 2 * ((w * n + v) * cc + c) + 1
+            return _SPOILER, c == 0, spoiler_moves(2 * key, v, w) + spoiler_moves(swapped, w, v)
+        if key == sink:
+            return _DUPLICATOR, False, [sink]
+        if key < sink:
+            # Duplicator moves on both sides: b first, then a.
+            o = key - oris
+            a, b = divmod(o // (2 * cc), n)
+            return _DUPLICATOR, False, answers(o, [(u, t) for t in succ[b] for u in succ[a]])
+        if key < picks:
+            # Spoiler moved one side to t; Duplicator answers on the other.
+            o, t = divmod(key - mids, n)
+            a, b = divmod(o // (2 * cc), n)
+            if even[a]:
+                return _DUPLICATOR, False, answers(o, [(t, u) for u in succ[b]])
+            return _DUPLICATOR, False, answers(o, [(u, t) for u in succ[a]])
+        o, pick = divmod(key - picks, n * n)
+        return _DUPLICATOR, False, answers(o, [divmod(pick, n)])
 
     starts = [cfg(v, w, 0) for v in game.vertices for w in game.vertices]
     return _explore(mids, starts, expand)

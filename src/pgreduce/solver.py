@@ -16,6 +16,9 @@ ranks (``buchi_rank``) consumed by the well-foundedness checks.  An arena
 attractor counts every move and allows every position, so both run one
 breadth-first attractor on flat per-position lists: owner flags,
 out-degrees, a ``bytearray`` membership and a list of remaining counts.
+The predecessor lists come with the arena: the builders of
+:mod:`pgreduce.simgames` record them while they explore, and a hand-built
+arena derives them from its edges on first use.
 """
 from __future__ import annotations
 
@@ -61,7 +64,8 @@ class Arena:
 
     @cached_property
     def predecessors(self) -> list[list[int]]:
-        """Predecessor lists, built from ``edges`` on first use."""
+        """Predecessor lists, built from ``edges`` on first use unless the
+        arena's builder recorded them."""
         return _arena_preds(self)
 
     @property

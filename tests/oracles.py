@@ -781,6 +781,51 @@ def oracle_build_gstut_arena(game: ParityGame) -> Arena:
     return _expand_all(arena, expand)
 
 
+def collapse_same_owner_chains(arena: Arena, start: list[int]) -> Arena:
+    """``arena`` with each position merged into the one that moves to it,
+    when it is non-accepting, is no start, has that position as its only
+    predecessor and has the same owner.
+
+    A merged position's moves replace the move to it, each move is then
+    listed once, and the positions reachable from ``start`` are renumbered
+    breadth-first; ``start`` maps to the new arena's ``start``.  The
+    player who owned the merged position chooses its move together with
+    the move to it, so every position kept has the same Buchi winner.
+    """
+    preds = _oracle_arena_preds(arena)
+    starts = set(start)
+
+    def merged(p: int, q: int) -> bool:
+        return (
+            q not in arena.accepting
+            and q not in starts
+            and preds[q] == [p]
+            and arena.owners[q] == arena.owners[p]
+        )
+
+    def moves(p: int) -> list[int]:
+        out = []
+        for q in arena.edges[p]:
+            out += moves(q) if merged(p, q) else [q]
+        return out
+
+    order = list(dict.fromkeys(start))
+    new = {p: i for i, p in enumerate(order)}
+    edges = []
+    for p in order:
+        row = list(dict.fromkeys(moves(p)))
+        for q in row:
+            if q not in new:
+                new[q] = len(order)
+                order.append(q)
+        edges.append([new[q] for q in row])
+    return Arena(
+        owners=[arena.owners[p] for p in order],
+        edges=edges,
+        accepting={new[p] for p in arena.accepting if p in new},
+        start=[new[p] for p in start],
+    )
+
 
 # --- Reference lattice check -------------------------------------------------
 #

@@ -5,6 +5,7 @@ import pytest
 import pgreduce.simgames
 from conftest import small_random_games
 from oracles import (
+    collapse_same_owner_chains,
     is_subrelation,
     oracle_build_delayed_sim_arena,
     oracle_build_direct_sim_arena,
@@ -417,6 +418,7 @@ def test_explore_builds_the_arena_in_one_pass():
     assert arena.ids == [3, 7, 0, 10]
     assert arena.start == [0, 1, 0, 2]
     assert arena.edges == [[1, 3], [2, 0], [3, 2], [3]]
+    assert arena.predecessors == [[1], [0], [1, 2], [0, 2, 3]]
     assert arena.owners == [spoiler, duplicator, spoiler, duplicator]
     assert arena.accepting == {0, 3}
     assert calls == arena.ids
@@ -429,9 +431,11 @@ _UPDATES = {"none": gamma, "even": gamma_even, "odd": gamma_odd}
 @pytest.mark.parametrize("bias", ["none", "even", "odd"])
 def test_gamma_table_matches_update_functions(bias):
     update = _UPDATES[bias]
-    for levels in (list(range(7)), [1, 4, 6], [3]):
+    for levels in (tuple(range(7)), (1, 4, 6), (3,)):
         obligations = [CHECK, *levels]
         table = pgreduce.simgames._gamma_table(levels, bias)
+        assert pgreduce.simgames._gamma_table(levels, bias) is table
+        assert isinstance(table, tuple)
         p, kk = len(levels), len(obligations)
         assert len(table) == p * p * kk
         for i, pv in enumerate(levels):
@@ -451,16 +455,31 @@ _BUILDERS = {
 @pytest.mark.parametrize("kind", list(_BUILDERS))
 def test_arena_builders_match_interning_oracle(kind, exhaustive_corpus, random_corpus):
     # Same positions in the same order, hence also the same position and
-    # edge counts; ``start`` holds each pair's initial position.
+    # edge counts; ``start`` holds each pair's initial position.  The
+    # stuttering builder plays a round as one Spoiler and one Duplicator
+    # position, so it must match the oracle's arena after the same collapse.
     build, oracle, biases = _BUILDERS[kind]
     for i, game in enumerate(exhaustive_corpus + random_corpus + _tail_games()):
         for bias in biases:
             args = (game,) if bias is None else (game, bias)
             arena, expected = build(*args), oracle(*args)
+            start = _start_positions(kind, game, bias, expected)
+            if kind == "gstut":
+                expected = collapse_same_owner_chains(expected, start)
+                start = expected.start
             assert arena.owners == expected.owners, (i, bias)
             assert arena.edges == expected.edges, (i, bias)
             assert arena.accepting == expected.accepting, (i, bias)
-            assert arena.start == _start_positions(kind, game, bias, expected), (i, bias)
+            assert arena.start == start, (i, bias)
+
+
+def test_gstut_arena_keeps_every_start_winner(exhaustive_corpus, random_corpus):
+    # The collapsed arena against the oracle's, one position per half move.
+    for i, game in enumerate(exhaustive_corpus + random_corpus + _tail_games()):
+        arena, expected = build_gstut_arena(game), oracle_build_gstut_arena(game)
+        won, expected_won = solve_buchi(arena), solve_buchi(expected)
+        start = _start_positions("gstut", game, None, expected)
+        assert [p in won for p in arena.start] == [p in expected_won for p in start], i
 
 
 def _start_positions(kind, game, bias, arena):

@@ -297,18 +297,17 @@ def test_buchi_ranks_decrease_along_duplicator_strategy(random_corpus):
                 assert all(r < ranks[p] for r in succ_ranks)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        build_direct_sim_arena,
-        build_governed_bisim_arena,
-        lambda g: build_delayed_sim_arena(g, "none"),
-        lambda g: build_delayed_sim_arena(g, "even"),
-        lambda g: build_delayed_sim_arena(g, "odd"),
-        build_gstut_arena,
-    ],
-    ids=["direct", "governed", "delayed", "delayed_even", "delayed_odd", "gstut"],
-)
+_BUILDS = {
+    "direct": build_direct_sim_arena,
+    "governed": build_governed_bisim_arena,
+    "delayed": lambda g: build_delayed_sim_arena(g, "none"),
+    "delayed_even": lambda g: build_delayed_sim_arena(g, "even"),
+    "delayed_odd": lambda g: build_delayed_sim_arena(g, "odd"),
+    "gstut": build_gstut_arena,
+}
+
+
+@pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
 def test_buchi_matches_reference(build):
     for i, game in enumerate(small_random_games(150, max_n=10, max_priority=3, start_n=2)):
         arena = build(game)
@@ -317,17 +316,21 @@ def test_buchi_matches_reference(build):
         assert buchi_rank(arena) == oracle_buchi_rank(arena), i
 
 
-def test_rank_check_builds_predecessor_lists_once(monkeypatch):
-    original = solver_module._arena_preds
-    built = []
+def test_builders_carry_predecessor_lists(monkeypatch, random_corpus):
+    # Each builder records the lists ``_arena_preds`` would build, in the
+    # same order, so solving and ranking its arena never builds them again.
+    arenas = [(kind, i, build(g)) for kind, build in _BUILDS.items() for i, g in enumerate(random_corpus)]
+    for kind, i, arena in arenas:
+        assert arena.predecessors == solver_module._arena_preds(arena), (kind, i)
 
-    def counting(arena):
-        built.append(arena)
-        return original(arena)
+    def rebuilt(arena):
+        raise AssertionError("predecessor lists built again")
 
-    monkeypatch.setattr(solver_module, "_arena_preds", counting)
+    monkeypatch.setattr(solver_module, "_arena_preds", rebuilt)
+    for _, _, arena in arenas:
+        solve_buchi(arena)
+        buchi_rank(arena)
     assert wf_rank_check(random_game(6, 3, (1, 2), 4), bias="none")
-    assert len(built) == 1
 
 
 def test_interning_arena_drops_stale_predecessors():
