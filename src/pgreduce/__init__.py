@@ -19,8 +19,6 @@ from .quotient import (
     Equivalence,
     QuotientResult,
     find_isomorphism,
-    max_successors,
-    min_successors,
     quotient_direct_sim,
     quotient_equivalent,
     quotient_governed_bisim,

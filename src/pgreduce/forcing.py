@@ -86,7 +86,10 @@ def attractor(game: ParityGame, player: Player, U: int, T: int) -> int:
     and ``T`` never joins.  Stuttering refinement computes these attractors
     from a class without calling this function: one class-local fixpoint
     per player in ``relations._sign_class`` yields them all at once.
+    ``T`` must be a mask of vertices; ``U = -1`` allows every vertex.
     """
+    if T < 0 or T >> game.vertex_count:
+        raise ValueError(f"target mask {T} has bits outside the {game.vertex_count} vertices")
     succs = game.successors
     layers = attractor_layers(
         game.owners, game.predecessors(), lambda v: len(succs[v]), player, iter_bits(T), U

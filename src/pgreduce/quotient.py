@@ -37,8 +37,6 @@ __all__ = [
     "EQUIVALENCES",
     "Equivalence",
     "QuotientResult",
-    "min_successors",
-    "max_successors",
     "quotient_direct_sim",
     "quotient_governed_bisim",
     "quotient_gstut",
@@ -60,16 +58,6 @@ class QuotientResult:
     quotient: ParityGame
     class_map: tuple[int, ...]
     kind: str
-
-
-def min_successors(game: ParityGame, preorder: tuple[int, ...], v: int) -> int:
-    """Successors of ``v`` minimal in the given direct-simulation preorder."""
-    return _extremal_successors(game.successors[v], preorder, _transpose(preorder))[0]
-
-
-def max_successors(game: ParityGame, preorder: tuple[int, ...], v: int) -> int:
-    """Successors of ``v`` maximal in the given direct-simulation preorder."""
-    return _extremal_successors(game.successors[v], preorder, _transpose(preorder))[1]
 
 
 def _transpose(rows: tuple[int, ...]) -> list[int]:
@@ -119,51 +107,42 @@ def _class_priorities(game: ParityGame, part: Partition) -> tuple[int, ...]:
 def quotient_direct_sim(game: ParityGame) -> QuotientResult:
     """Quotient by direct simulation equivalence.
 
-    Odd-only classes whose members all see more than one class of minimal
-    successors stay odd and keep edges to the minimal successor classes;
-    every other class is assigned even and keeps the edges to the maximal
-    successor classes of its even members.  Mixed-owner classes provably
-    have a unique successor class, so the owner choice is immaterial.
+    A class's movers are all its members when every member is odd, and its
+    even members otherwise.  The movers must agree on their minimal
+    successor classes (all odd) or their maximal ones (otherwise), and those
+    are the class's successors.  An all-odd class with more than one
+    successor class stays odd; every other class is even.  Mixed-owner
+    classes provably have a unique successor class, so the owner choice is
+    immaterial.
     """
     preorder = direct_sim(game)
     part = equivalence_from_preorder(preorder)
-    n_classes = part.class_count
     priorities = _class_priorities(game, part)
-    min_cls: dict[int, frozenset[int]] = {}
-    max_cls: dict[int, frozenset[int]] = {}
     class_of = part.class_of
     cols = _transpose(preorder)
-    for v in game.vertices:
-        low, high = _extremal_successors(game.successors[v], preorder, cols)
-        min_cls[v] = frozenset(class_of[u] for u in iter_bits(low))
-        max_cls[v] = frozenset(class_of[u] for u in iter_bits(high))
-
     owners = []
     succs: list[tuple[int, ...]] = []
-    for ci, cls in enumerate(part.classes):
+    for cls in part.classes:
         members = list(iter_bits(cls))
-        all_odd = all(game.owners[v] is Player.ODD for v in members)
-        if all_odd and all(len(min_cls[v]) > 1 for v in members):
-            owners.append(Player.ODD)
-        else:
-            owners.append(Player.EVEN)
-        if all_odd:
-            targets = min_cls[members[0]]
-            if any(min_cls[v] != targets for v in members):
-                raise RuntimeError("minimal successor classes differ inside a class")
-        else:
-            evens = [v for v in members if game.owners[v] is Player.EVEN]
-            targets = max_cls[evens[0]]
-            if any(max_cls[v] != targets for v in evens):
-                raise RuntimeError("maximal successor classes differ inside a class")
-            if len(evens) != len(members) and len(targets) != 1:
-                raise RuntimeError("mixed-owner class without unique successor class")
+        evens = [v for v in members if game.owners[v] is Player.EVEN]
+        movers = evens or members
+        side = 1 if evens else 0  # index of the maximal or the minimal mask
+        seen = set()
+        for v in movers:
+            extremal = _extremal_successors(game.successors[v], preorder, cols)[side]
+            seen.add(frozenset(class_of[u] for u in iter_bits(extremal)))
+        if len(seen) > 1:
+            kind = ("minimal", "maximal")[side]
+            raise RuntimeError(f"{kind} successor classes differ inside a class")
+        (targets,) = seen
+        if len(movers) != len(members) and len(targets) != 1:
+            raise RuntimeError("mixed-owner class without unique successor class")
         if not targets:
             raise RuntimeError("quotient class without successors")
+        owners.append(Player.EVEN if evens or len(targets) == 1 else Player.ODD)
         succs.append(tuple(sorted(targets)))
 
     quotient = ParityGame(priorities, tuple(owners), tuple(succs))
-    assert quotient.vertex_count == n_classes
     return QuotientResult(quotient, part.class_of, "direct-sim")
 
 

@@ -18,7 +18,7 @@ A preorder is the tuple of its rows: ``rows[v]`` is the bitmask of every
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable
 
 # attractor is not called here, but bench/tracing.py wraps this name in
 # this module, so it stays bound.
@@ -50,11 +50,11 @@ class Partition:
     classes: tuple[int, ...]
 
     @classmethod
-    def from_class_of(cls, n: int, class_of: Iterable[int]) -> "Partition":
+    def from_class_of(cls, n: int, class_of: Iterable[Hashable]) -> "Partition":
         raw = list(class_of)
         if len(raw) != n:
             raise ValueError("class_of must cover every vertex")
-        order: dict[int, int] = {}
+        order: dict[Hashable, int] = {}
         for v in range(n):
             if raw[v] not in order:
                 order[raw[v]] = len(order)
@@ -113,42 +113,35 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     while dirty:
         shrunk = []
         for v in dirty:
-            row = rows[v]
-            keep = row
-            bits = row
+            # w must answer every group of v's moves.  Even at v, each move
+            # is a group; odd at v picks the move, so all its moves form one
+            # group, whose target is the union of their rows.
             if even[v]:
-                # w must answer every move of v: even at w with a successor
-                # in each successor's row, odd at w with all its successors
-                # in all of those rows.
                 targets = [rows[vp] for vp in succs[v]]
-                meet = -1
-                for t in targets:
-                    meet &= t
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    w = low.bit_length() - 1
-                    if even[w]:
-                        for t in targets:
-                            if not succ_masks[w] & t:
-                                keep ^= low
-                                break
-                    elif succ_masks[w] & ~meet:
-                        keep ^= low
             else:
-                # Odd picks v's move, so w must answer any one of them.
                 target = 0
                 for vp in succs[v]:
                     target |= rows[vp]
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    w = low.bit_length() - 1
-                    if even[w]:
-                        if not succ_masks[w] & target:
+                targets = [target]
+            meet = -1
+            for t in targets:
+                meet &= t
+            row = rows[v]
+            keep = row
+            bits = row
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                w = low.bit_length() - 1
+                if even[w]:
+                    # Even at w needs a successor in every group's target.
+                    for t in targets:
+                        if not succ_masks[w] & t:
                             keep ^= low
-                    elif succ_masks[w] & ~target:
-                        keep ^= low
+                            break
+                elif succ_masks[w] & ~meet:
+                    # Odd at w needs all its successors in their meet.
+                    keep ^= low
             if keep != row:
                 rows[v] = keep
                 shrunk.append(v)
@@ -345,7 +338,7 @@ def _refine(game: ParityGame, initial: Partition, sign) -> Partition:
 def _initial_partition(game: ParityGame, by_owner: bool) -> Partition:
     """Classes of equal priority, and with ``by_owner`` also of equal owner."""
     keys = zip(game.priorities, game.owners) if by_owner else game.priorities
-    return Partition.from_class_of(game.vertex_count, _dense_keys(keys))
+    return Partition.from_class_of(game.vertex_count, keys)
 
 
 def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, list[tuple]]:
@@ -379,14 +372,6 @@ def gstut_bisim(game: ParityGame) -> Partition:
 def stut_bisim(game: ParityGame) -> Partition:
     """Stuttering bisimilarity: the initial partition is additionally split by owner."""
     return _refine(game, _initial_partition(game, by_owner=True), _sign_class)
-
-
-def _dense_keys(keys: Iterable) -> list[int]:
-    seen: dict = {}
-    out = []
-    for k in keys:
-        out.append(seen.setdefault(k, len(seen)))
-    return out
 
 
 def equivalence_from_preorder(rows: tuple[int, ...]) -> Partition:

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,18 @@ def test_attractor_idempotent(escape_edge):
     t = vs(3)
     once = attractor(escape_edge, Player.EVEN, u, t)
     assert attractor(escape_edge, Player.EVEN, u, once) == once
+
+
+@pytest.mark.parametrize("target", [-1, -8, 1 << 4, 1 << 10])
+def test_attractor_rejects_target_outside_the_vertices(target):
+    # A negative mask has infinitely many bits, and one at or beyond n
+    # names no vertex; both are refused before any bit is read.
+    game = random_game(4, 3, (1, 2), 1)
+    with pytest.raises(ValueError, match=f"target mask {target} "):
+        attractor(game, Player.EVEN, -1, target)
+    with pytest.raises(ValueError, match=f"target mask {target} "):
+        forces(game, Player.ODD, 0, -1, target)
+    assert attractor(game, Player.EVEN, -1, full(game)) == full(game)
 
 
 def test_forces_target_membership_is_trivial(escape_edge):

@@ -3,12 +3,11 @@ import pytest
 from pgreduce import (
     EQUIVALENCES,
     ParityGame,
+    Partition,
     Player,
     QuotientResult,
     direct_sim,
     find_isomorphism,
-    max_successors,
-    min_successors,
     parse_pgsolver,
     quotient_direct_sim,
     quotient_equivalent,
@@ -24,24 +23,39 @@ from pgreduce import (
 from fixture_games import CYCLE_VS_LOOP
 from inflation import inflate
 from oracles import is_isomorphism, iso_check
+from pgreduce import quotient
 from pgreduce.cli import main
+
+
+def extremal(game, v):
+    rows = direct_sim(game)
+    return quotient._extremal_successors(game.successors[v], rows, quotient._transpose(rows))
 
 
 class TestExtremalSuccessors:
     def test_unrelated_successors(self, escape_edge):
-        rel = direct_sim(escape_edge)
-        assert min_successors(escape_edge, rel, 1) == 0b1100
-        assert max_successors(escape_edge, rel, 1) == 0b1100
+        assert extremal(escape_edge, 1) == (0b1100, 0b1100)
 
     def test_cross_owner_little_brother(self, cross_owner):
-        rel = direct_sim(cross_owner)
-        assert min_successors(cross_owner, rel, 1) == 1 << 4
-        assert max_successors(cross_owner, rel, 1) == 1 << 2
+        assert extremal(cross_owner, 1) == (1 << 4, 1 << 2)
 
     def test_single_successor(self, cross_owner):
-        rel = direct_sim(cross_owner)
-        assert min_successors(cross_owner, rel, 0) == 1 << 2
-        assert max_successors(cross_owner, rel, 0) == 1 << 2
+        assert extremal(cross_owner, 0) == (1 << 2, 1 << 2)
+
+    def test_pairwise_definition_on_corpora(self, exhaustive_corpus, random_corpus):
+        # u is minimal when no successor lies strictly below it, maximal
+        # when none lies strictly above.
+        for game in exhaustive_corpus + random_corpus:
+            rows = direct_sim(game)
+            cols = quotient._transpose(rows)
+
+            def below(a, b):  # a < b
+                return rows[a] >> b & 1 and not rows[b] >> a & 1
+
+            for succs in game.successors:
+                low = sum(1 << u for u in succs if not any(below(x, u) for x in succs))
+                high = sum(1 << u for u in succs if not any(below(u, x) for x in succs))
+                assert quotient._extremal_successors(succs, rows, cols) == (low, high)
 
 
 def test_direct_sim_quotient_escape_edge(escape_edge):
@@ -68,6 +82,57 @@ def test_direct_sim_quotient_equivalent_to_original(all_fixture_games):
     for game in all_fixture_games.values():
         result = quotient_direct_sim(game)
         assert quotient_equivalent(game, result)
+
+
+# Two vertices of priority 0 that each move to their own sink (2 or 3), with
+# owners given per case; the relation each builder reads is replaced by one
+# that merges 0 and 1 although no largest relation would.
+def two_sinks(owners, succs=((2,), (3,))):
+    return ParityGame((0, 0, 1, 2), (*owners, 0, 0), (*succs, (2,), (3,)))
+
+
+MERGE_01 = (0b0011, 0b0011, 0b0100, 0b1000)
+
+
+@pytest.mark.parametrize(
+    "builder, relation, game, value, message",
+    [
+        pytest.param(
+            "quotient_direct_sim", "direct_sim", two_sinks((1, 1)), MERGE_01,
+            "minimal successor classes differ inside a class", id="direct-minimal",
+        ),
+        pytest.param(
+            "quotient_direct_sim", "direct_sim", two_sinks((0, 0)), MERGE_01,
+            "maximal successor classes differ inside a class", id="direct-maximal",
+        ),
+        pytest.param(
+            "quotient_direct_sim", "direct_sim", two_sinks((0, 1), ((2, 3), (2, 3))), MERGE_01,
+            "mixed-owner class without unique successor class", id="direct-mixed-owner",
+        ),
+        pytest.param(
+            "quotient_governed_bisim", "governed_bisim", two_sinks((0, 0)),
+            Partition.from_class_of(4, (0, 0, 1, 2)),
+            "successor classes differ inside a bisimulation class", id="governed-successors",
+        ),
+        pytest.param(
+            "quotient_strong_bisim", "strong_bisim", two_sinks((0, 1), ((2,), (2,))),
+            Partition.from_class_of(4, (0, 0, 1, 2)),
+            "strong bisimulation class mixes owners", id="strong-owners",
+        ),
+        pytest.param(
+            "quotient_governed_bisim", "governed_bisim", two_sinks((0, 0)),
+            Partition.from_class_of(4, (0, 1, 1, 2)),
+            "equivalence class mixes priorities; refinement bug", id="governed-priorities",
+        ),
+    ],
+)
+def test_quotient_builders_reject_inconsistent_relations(
+    monkeypatch, builder, relation, game, value, message
+):
+    monkeypatch.setattr(quotient, relation, lambda g: value)
+    with pytest.raises(RuntimeError) as raised:
+        getattr(quotient, builder)(game)
+    assert str(raised.value) == message
 
 
 def test_governed_quotient_single_move_owners(single_move_owners):
