@@ -7,76 +7,126 @@ can force the play into ``T`` while staying inside ``U`` beforehand, and
 set is an int bitmask, bit ``v`` for vertex ``v``, here as in every other
 module of the package.
 
-``attractor_layers`` is the attractor loop on game vertices.  Besides the
-constrained attractor here, Zielonka's subgame attractor in
-:mod:`pgreduce.solver` calls it; the two differ only in which edges count,
-which they express through the out-degree and the ``allowed`` mask they
-pass.  The Buchi arena solver, which counts every move and allows every
-position, runs the same layering on flat per-position lists.
+Masks are read and written through the reversed digits of ``bin``, one
+pass of C code each: ``iter_bits`` walks them, ``byte_set`` spreads a mask
+over one byte per vertex and ``mask_of`` builds the mask of a vertex
+list.  No step per vertex or per edge shifts a bitmask, which would copy
+all of it.
+
+``mark_attractor`` is the attractor loop on game vertices, on one byte of
+state per vertex.  Besides the constrained attractor here, Zielonka's
+subgame attractor in :mod:`pgreduce.solver` calls it; the two differ only
+in which edges count.  The Buchi arena solver, which counts every move and
+allows every position, runs its own breadth-first attractor on flat
+per-position lists.
 """
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress, count
+from typing import Iterable, Iterator, Sequence
 
 from .game import ParityGame, Player
 
 __all__ = [
     "attractor",
-    "attractor_layers",
     "forces",
     "diverges",
     "steps",
 ]
 
+# The digits of ``bin``, reversed so that character ``v`` is bit ``v``, map
+# to bytes 0 and 1.
+_FROM_BIN = bytes.maketrans(b"01", b"\x00\x01")
+_ONE = ord("1")
+
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The set bits of ``mask``, ascending.  A negative mask has infinitely
+    many and is a ``ValueError``."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
+    bits = bin(mask)[:1:-1]
+    # Past one set bit in eight, one C pass over every bit beats a search
+    # per set bit.
+    if mask.bit_count() * 8 > len(bits):
+        return compress(count(), bits.encode().translate(_FROM_BIN))
+    return _ones(bits)
 
 
-def attractor_layers(
+def _ones(bits: str) -> Iterator[int]:
+    v = bits.find("1")
+    while v >= 0:
+        yield v
+        v = bits.find("1", v + 1)
+
+
+def byte_set(mask: int, n: int) -> bytearray:
+    """``n`` bytes, byte ``v`` 1 when ``mask`` has bit ``v`` and 0 otherwise.
+
+    ``mask`` must lie below ``1 << n``.
+    """
+    return bytearray(bin(mask)[:1:-1].encode().ljust(n, b"0").translate(_FROM_BIN))
+
+
+def mask_of(vertices: Sequence[int], n: int) -> int:
+    """The mask of the distinct ``vertices``, each below ``n``."""
+    # A shift per vertex costs less than a pass over n bytes, up to about
+    # this many vertices.
+    if len(vertices) < 64:
+        return sum(1 << v for v in vertices)
+    bits = bytearray(b"0") * n
+    for v in vertices:
+        bits[v] = _ONE
+    return int(bits[::-1], 2)
+
+
+def mark_attractor(
+    state: bytearray,
     owners: Sequence,
     preds: Sequence[Sequence[int]],
-    degree: Callable[[int], int],
+    succs: Sequence[Sequence[int]],
     player,
     targets: Iterable[int],
-    allowed: int,
-) -> dict[int, int]:
-    """BFS layers of ``player``'s attractor to ``targets``.
+    every_edge: bool = False,
+) -> list[int]:
+    """Mark ``player``'s attractor to ``targets`` in ``state``.
 
-    Layer 0 is the target set.  A vertex owned by ``player`` joins one layer
-    after its first successor, any other vertex one layer after the last of
-    its ``degree(v)`` counted successors.  ``degree`` is read once per
-    vertex, when an edge into the attractor first reaches it, and must count
-    every edge in ``preds`` whose target can join.  Counting the edges that
-    leave ``allowed`` as well, as the constrained attractor does, lets them
-    block an opponent vertex; leaving them out, as Zielonka does, removes
-    them from the game.  Only vertices in the ``allowed`` bitmask join;
-    ``-1`` has every bit set and allows every vertex.  Work is proportional
-    to the target plus the edges into the attractor.
+    ``state[v]`` is 0 for a vertex outside the subgame and 1 for one
+    inside; the targets, and every vertex that joins, become 2.  A vertex
+    owned by ``player`` joins after its first successor, any other vertex
+    after the last of its counted successors, breadth-first.  With
+    ``every_edge`` every successor counts, so an edge that leaves the
+    subgame blocks an opponent vertex, as in the constrained attractor;
+    without it only successors inside the subgame count, and the others do
+    not exist, as in Zielonka's subgames.  An opponent vertex counts its
+    successors the first time an edge into the attractor reaches it, so
+    work is proportional to the targets plus the edges into the attractor.
+    Returns the marked vertices, targets first, in the order they joined.
     """
-    layers = dict.fromkeys(targets, 0)
-    queue = deque(layers)
+    # The byte values are spelled out in the loop: a global costs a lookup.
+    queue = list(targets)
+    for t in queue:
+        state[t] = 2
+    at = state.__getitem__
     remaining: dict[int, int] = {}
-    while queue:
-        u = queue.popleft()
-        next_layer = layers[u] + 1
+    # The queue grows while it is walked, which makes the walk breadth-first.
+    for u in queue:
         for v in preds[u]:
-            if v in layers or not allowed >> v & 1:
+            if state[v] != 1:
                 continue
             if owners[v] is not player:
                 r = remaining.get(v)
-                r = (degree(v) if r is None else r) - 1
+                if r is None:
+                    r = len(succs[v])
+                    if r > 1 and not every_edge:
+                        r -= list(map(at, succs[v])).count(0)
+                r -= 1
                 remaining[v] = r
                 if r:
                     continue
-            layers[v] = next_layer
+            state[v] = 2
             queue.append(v)
-    return layers
+    return queue
 
 
 def attractor(game: ParityGame, player: Player, U: int, T: int) -> int:
@@ -88,16 +138,14 @@ def attractor(game: ParityGame, player: Player, U: int, T: int) -> int:
     per player in ``relations._sign_class`` yields them all at once.
     ``T`` must be a mask of vertices; ``U = -1`` allows every vertex.
     """
-    if T < 0 or T >> game.vertex_count:
-        raise ValueError(f"target mask {T} has bits outside the {game.vertex_count} vertices")
-    succs = game.successors
-    layers = attractor_layers(
-        game.owners, game.predecessors(), lambda v: len(succs[v]), player, iter_bits(T), U
+    n = game.vertex_count
+    if T < 0 or T >> n:
+        raise ValueError(f"target mask {T} has bits outside the {n} vertices")
+    state = byte_set(U & ((1 << n) - 1), n)
+    attracted = mark_attractor(
+        state, game.owners, game.predecessors(), game.successors, player, iter_bits(T), every_edge=True
     )
-    mask = 0
-    for v in layers:
-        mask |= 1 << v
-    return mask
+    return mask_of(attracted, n)
 
 
 def forces(game: ParityGame, player: Player, v: int, U: int, T: int) -> bool:

@@ -12,10 +12,12 @@ parser reports every error.
 """
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter, lt
 
 __all__ = [
     "Player",
@@ -47,8 +49,10 @@ class Player(IntEnum):
 
 
 _OPPONENT = (Player.ODD, Player.EVEN)
-# Owner values ParityGame accepts: 0 and 1, as ints or players.
+# Owner values ParityGame accepts: 0 and 1, as ints or players; and the
+# owner digits of canonical text.
 _OWNER = {0: Player.EVEN, 1: Player.ODD}
+_OWNER_DIGIT = {"0": Player.EVEN, "1": Player.ODD}
 
 
 @dataclass(frozen=True)
@@ -68,33 +72,48 @@ class ParityGame:
     labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self) -> None:
-        prios = tuple(map(int, self.priorities))
         try:
             owners = tuple(map(_OWNER.__getitem__, self.owners))
         except (KeyError, TypeError):
             raise ValueError("every owner must be 0 (even) or 1 (odd)") from None
         succs = tuple(map(_normal_row, self.successors))
+        self._freeze(tuple(map(int, self.priorities)), owners, succs, self.labels)
+
+    @classmethod
+    def _from_rows(cls, priorities, owners, rows, labels=None) -> "ParityGame":
+        """The game of int priorities, players and successor tuples of ints
+        that are mostly normal already: a strictly ascending row is kept as
+        it is, and only the others are sorted and de-duplicated.  The checks
+        are the public constructor's."""
+        game = object.__new__(cls)
+        succs = tuple(row if all(map(lt, row, row[1:])) else _normal_row(row) for row in rows)
+        game._freeze(tuple(priorities), tuple(owners), succs, labels)
+        return game
+
+    def _freeze(self, prios, owners, succs, labels) -> None:
         object.__setattr__(self, "priorities", prios)
         object.__setattr__(self, "owners", owners)
         object.__setattr__(self, "successors", succs)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+        if labels is not None:
+            labels = tuple(labels)
+        object.__setattr__(self, "labels", labels)
 
         n = len(prios)
         if n == 0:
             raise ValueError("a parity game needs at least one vertex")
         if len(owners) != n or len(succs) != n:
             raise ValueError("priorities, owners and successors must have equal length")
-        if self.labels is not None and len(self.labels) != n:
+        if labels is not None and len(labels) != n:
             raise ValueError("labels must cover every vertex")
-        for v, p in enumerate(prios):
-            if p < 0:
-                raise ValueError(f"vertex {v} has negative priority {p}")
-        for v, row in enumerate(succs):
+        # Whole-tuple checks first; a failure then names the first bad vertex.
+        if min(prios) < 0:
+            v = next(v for v, p in enumerate(prios) if p < 0)
+            raise ValueError(f"vertex {v} has negative priority {prios[v]}")
+        if not all(succs) or max(map(itemgetter(-1), succs)) >= n or min(map(itemgetter(0), succs)) < 0:
+            v, row = next((v, r) for v, r in enumerate(succs) if not r or r[-1] >= n or r[0] < 0)
             if not row:
                 raise ValueError(f"vertex {v} has no successors")
-            if row[-1] >= n or row[0] < 0:
-                raise ValueError(f"vertex {v} has a successor outside 0..{n - 1}")
+            raise ValueError(f"vertex {v} has a successor outside 0..{n - 1}")
 
     @property
     def vertex_count(self) -> int:
@@ -209,9 +228,10 @@ def _parse_canonical(text: str) -> ParityGame | None:
     header = _CANONICAL_HEADER_RE.match(text)
     max_id, start = header.groups()
     # The unpacking raises on text without vertex statements; int("") on the
-    # empty fields of a statement of any other shape and on an empty
-    # successor; int() on a number too long to read; and ParityGame on a
-    # successor of n or more.
+    # empty fields of a statement of any other shape; int() on a number too
+    # long to read; the JSON reader, which converts every successor list in
+    # one call, on an empty successor and on a leading zero; and the game on
+    # a successor of n or more.
     try:
         ids, prios, owners, fields = zip(*_CANONICAL_VERTEX_RE.findall(text, header.end()))
         n = len(ids)
@@ -221,7 +241,8 @@ def _parse_canonical(text: str) -> ParityGame | None:
             return None
         if start is not None and int(start) >= n:
             return None
-        game = ParityGame(prios, list(map(int, owners)), [f.split(",") for f in fields])
+        rows = map(tuple, json.loads("[[" + "],[".join(fields) + "]]"))
+        game = ParityGame._from_rows(map(int, prios), map(_OWNER_DIGIT.__getitem__, owners), rows)
     except ValueError:
         return None
     if max(game.priorities) > MAX_FILE_PRIORITY:
@@ -394,4 +415,4 @@ def disjoint_union(g1: ParityGame, g2: ParityGame) -> ParityGame:
         l1 = g1.labels if g1.labels is not None else (None,) * g1.vertex_count
         l2 = g2.labels if g2.labels is not None else (None,) * g2.vertex_count
         labels = l1 + l2
-    return ParityGame(priorities, owners, succs, labels)
+    return ParityGame._from_rows(priorities, owners, succs, labels)

@@ -137,12 +137,10 @@ def quotient_direct_sim(game: ParityGame) -> QuotientResult:
         (targets,) = seen
         if len(movers) != len(members) and len(targets) != 1:
             raise RuntimeError("mixed-owner class without unique successor class")
-        if not targets:
-            raise RuntimeError("quotient class without successors")
         owners.append(Player.EVEN if evens or len(targets) == 1 else Player.ODD)
         succs.append(tuple(sorted(targets)))
 
-    quotient = ParityGame(priorities, tuple(owners), tuple(succs))
+    quotient = ParityGame._from_rows(priorities, owners, succs)
     return QuotientResult(quotient, part.class_of, "direct-sim")
 
 
@@ -168,7 +166,7 @@ def _bisim_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
             owner = Player.EVEN
         owners.append(owner)
         succs.append(tuple(sorted(targets)))
-    quotient = ParityGame(priorities, tuple(owners), tuple(succs))
+    quotient = ParityGame._from_rows(priorities, owners, succs)
     return QuotientResult(quotient, part.class_of, "strong-bisim" if by_owner else "governed-bisim")
 
 
@@ -216,7 +214,7 @@ def _stuttering_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
             owners.append(Player.EVEN)
         else:
             owners.append(Player.ODD)
-    quotient = ParityGame(priorities, tuple(owners), tuple(succs))
+    quotient = ParityGame._from_rows(priorities, owners, succs)
     return QuotientResult(quotient, part.class_of, "stut" if by_owner else "gstut")
 
 

@@ -5,9 +5,12 @@ steps around Zielonka's attractor decomposition.  It first decides the
 vertices whose owner can stay on a self-loop of its own parity, with their
 attractors, and then solves the strongly connected components of the rest
 bottom-up; Zielonka's core runs on each component's unsolved part, on an
-explicit stack over one bitmask per priority, with the attractor kernel
-:func:`pgreduce.forcing.attractor_layers` counting only the successors
-inside the current subgame.
+explicit stack over one bitmask per priority.  Inside the core, subgames,
+priority levels and regions are bitmasks, but no per-vertex or per-edge
+step reads one: the attractor kernel :func:`pgreduce.forcing.mark_attractor`
+reads one byte per vertex, which each call spreads from its subgame mask
+in one pass of C code.  Around the core, the unsolved vertices are one
+byte each throughout, and the component pass reads the same bytes.
 
 ``solve_buchi`` solves the explicit two-player arenas used for the
 (bi)simulation games; its one-step predecessor visits the accepting
@@ -25,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
-from .forcing import attractor_layers, iter_bits
+from .forcing import byte_set, iter_bits, mark_attractor, mask_of
 from .game import ParityGame, Player, WinningRegions
 
 __all__ = [
@@ -87,45 +91,43 @@ class _Zielonka:
     """
 
     def __init__(self, game: ParityGame):
+        self.n = n = game.vertex_count
         self.owners = game.owners
         self.preds = game.predecessors()
-        self.succ_masks = [sum(1 << u for u in row) for row in game.successors]
-        self.levels = sorted(set(game.priorities))
-        self.rank = {p: k for k, p in enumerate(self.levels)}
-        self.masks = [0] * len(self.levels)
+        self.succs = game.successors
+        by_priority: dict[int, list[int]] = {}
         for v, p in enumerate(game.priorities):
-            self.masks[self.rank[p]] |= 1 << v
+            by_priority.setdefault(p, []).append(v)
+        self.levels = sorted(by_priority)
+        self.masks = [mask_of(by_priority[p], n) for p in self.levels]
 
     def attract(self, player: Player, targets: int, alive: int) -> int:
-        """``player``'s attractor to ``targets`` in the subgame ``alive``."""
-        succ_masks = self.succ_masks
+        """``player``'s attractor to ``targets`` in the subgame ``alive``.
 
-        # Edges leaving the subgame do not exist in it, unlike in the
-        # constrained attractor of the forcing module.
-        def degree(v: int) -> int:
-            return (succ_masks[v] & alive).bit_count()
+        Edges leaving the subgame do not exist in it, unlike in the
+        constrained attractor of the forcing module.
+        """
+        state = byte_set(alive, self.n)
+        targets = iter_bits(targets)
+        attracted = mark_attractor(state, self.owners, self.preds, self.succs, player, targets)
+        return mask_of(attracted, self.n)
 
-        out = 0
-        for v in attractor_layers(self.owners, self.preds, degree, player, iter_bits(targets), alive):
-            out |= 1 << v
-        return out
-
-    def solve(self, alive: int, cursor: int = 0) -> list[int]:
+    def solve(self, alive: int) -> list[int]:
         """Each player's region of the subgame ``alive``, as ``[even, odd]``.
 
         The recursion runs on an explicit stack, so its depth is bounded by
-        memory, not by the interpreter's recursion limit, and no call scans
-        the vertices.  A frame ``(alive, cursor, player, owed)`` waits for
-        the subgame left after ``player``'s attractor to the lowest priority
-        of ``alive``; ``owed`` holds the vertices its earlier tail calls gave
-        to each player.  ``cursor`` indexes the per-priority masks and only
-        moves forward, because no subgame holds a priority below its
-        parent's lowest; it starts at most at the rank of the lowest
-        priority in ``alive``.
+        memory, not by the interpreter's recursion limit, and no Python loop
+        scans the vertices.  A frame ``(alive, cursor, player, owed)`` waits
+        for the subgame left after ``player``'s attractor to the lowest
+        priority of ``alive``; ``owed`` holds the vertices its earlier tail
+        calls gave to each player.  ``cursor`` indexes the per-priority
+        masks and only moves forward, because no subgame holds a priority
+        below its parent's lowest.
         """
         masks, levels, attract = self.masks, self.levels, self.attract
         frames: list[tuple[int, int, Player, list[int]]] = []
         owed = [0, 0]
+        cursor = 0
         while True:
             # Descend: peel the lowest priority's attractor off each subgame.
             while alive:
@@ -154,9 +156,10 @@ class _Zielonka:
                 return won
 
 
-def _bottom_up_sccs(successors: Sequence[Sequence[int]], alive: int) -> list[list[int]]:
-    """Strongly connected components of the graph induced by ``alive``,
-    each listed after every component it reaches.
+def _bottom_up_sccs(successors: Sequence[Sequence[int]], inside: bytes) -> list[list[int]]:
+    """Strongly connected components of the graph induced by the vertices
+    ``v`` with ``inside[v]`` set, each listed after every component it
+    reaches.
 
     Tarjan's algorithm on an explicit stack of (vertex, successor iterator)
     frames, so a path of any length needs no interpreter recursion.
@@ -169,7 +172,7 @@ def _bottom_up_sccs(successors: Sequence[Sequence[int]], alive: int) -> list[lis
     stack: list[int] = []
     out: list[list[int]] = []
     count = 0
-    for root in iter_bits(alive):
+    for root in compress(range(n), inside):
         if order[root]:
             continue
         count += 1
@@ -179,7 +182,7 @@ def _bottom_up_sccs(successors: Sequence[Sequence[int]], alive: int) -> list[lis
         while frames:
             v, it = frames[-1]
             for u in it:
-                if not alive >> u & 1:
+                if not inside[u]:
                     continue
                 if not order[u]:
                     count += 1
@@ -203,6 +206,15 @@ def _bottom_up_sccs(successors: Sequence[Sequence[int]], alive: int) -> list[lis
     return out
 
 
+def _induced(game: ParityGame, part: list[int]) -> ParityGame:
+    """The subgame on the ascending vertices ``part``, renumbered in order;
+    every vertex must keep a successor in it."""
+    local = {v: k for k, v in enumerate(part)}
+    rows = [tuple([local[u] for u in game.successors[v] if u in local]) for v in part]
+    prios, owners = game.priorities, game.owners
+    return ParityGame._from_rows([prios[v] for v in part], [owners[v] for v in part], rows)
+
+
 def solve_zielonka(game: ParityGame) -> WinningRegions:
     """Exact winner partition: Zielonka's algorithm behind two decomposition steps.
 
@@ -218,32 +230,51 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
 
     Every decided attractor is taken within the unsolved vertices, whose
     remainder therefore stays a total subgame (Friedmann & Lange, "Solving
-    parity games in practice", ATVA 2009).
+    parity games in practice", ATVA 2009).  The unsolved vertices are one
+    byte each, so deciding costs the attractor's edges and no pass over the
+    game.  The core runs on the whole game for a part of at least a quarter
+    of the vertices, and on the part renumbered as a game of its own below
+    that, so that each of its calls costs the part and not the game.
     """
-    zielonka = _Zielonka(game)
-    prios = game.priorities
-    won = [0, 0]
-    unsolved = (1 << game.vertex_count) - 1
+    n = game.vertex_count
+    owners, succs, prios = game.owners, game.successors, game.priorities
+    preds = game.predecessors()
+    unsolved = bytearray(b"\x01") * n
+    won: list[list[int]] = [[], []]
 
-    def decide(regions: list[int]) -> None:
-        nonlocal unsolved
+    def decide(player: Player, region: list[int]) -> None:
+        attracted = mark_attractor(unsolved, owners, preds, succs, player, region)
+        for v in attracted:
+            unsolved[v] = 0
+        won[player] += attracted
+
+    loops: list[list[int]] = [[], []]
+    for v, row in enumerate(succs):
+        p = prios[v] % 2
+        if owners[v] == p and v in row:
+            loops[p].append(v)
+    for i in (Player.EVEN, Player.ODD):
+        if loops[i]:
+            decide(i, loops[i])
+    if len(won[0]) + len(won[1]) == n:
+        return WinningRegions(frozenset(won[0]), frozenset(won[1]))
+    whole = None
+    for component in _bottom_up_sccs(succs, unsolved):
+        part = [v for v in component if unsolved[v]]
+        if not part:
+            continue
+        part.sort()
+        if 4 * len(part) < n:
+            names = part
+            regions = _Zielonka(_induced(game, part)).solve((1 << len(part)) - 1)
+        else:
+            names = range(n)
+            whole = whole or _Zielonka(game)
+            regions = whole.solve(mask_of(part, n))
         for i in (Player.EVEN, Player.ODD):
             if regions[i]:
-                a = zielonka.attract(i, regions[i], unsolved)
-                won[i] |= a
-                unsolved &= ~a
-
-    loops = [0, 0]
-    for v, row in enumerate(game.successors):
-        p = prios[v] % 2
-        if game.owners[v] == p and v in row:
-            loops[p] |= 1 << v
-    decide(loops)
-    for component in _bottom_up_sccs(game.successors, unsolved):
-        part = sum(1 << v for v in component) & unsolved
-        if part:
-            decide(zielonka.solve(part, zielonka.rank[min(prios[v] for v in component)]))
-    return WinningRegions(frozenset(iter_bits(won[0])), frozenset(iter_bits(won[1])))
+                decide(i, [names[v] for v in iter_bits(regions[i])])
+    return WinningRegions(frozenset(won[0]), frozenset(won[1]))
 
 
 def _arena_preds(arena: Arena) -> list[list[int]]:
@@ -293,7 +324,7 @@ def _duplicator_attractor(
 ) -> tuple[bytearray, list[int], list[int]]:
     """Duplicator's attractor to ``targets``, counting every move.
 
-    Breadth-first, as ``attractor_layers``: a Duplicator position joins one
+    Breadth-first, as ``forcing.mark_attractor``: a Duplicator position joins one
     layer after its first successor, a Spoiler position one layer after the
     last of its ``degree`` successors.  Returns the membership, the
     positions in the order they joined, and where each layer ends in that

@@ -8,6 +8,11 @@ last one moving to ``v``.  Each takes over about half of ``v``'s in-edges.
 The classes of the grown game are therefore those of the core, with every
 new vertex in its origin's class: ground truth at sizes no brute-force
 oracle reaches.
+
+``chain_every_edge`` puts such a chain on every edge of the core instead.
+A play then sees the priorities of the core play it follows, each repeated,
+so every core vertex keeps its winner and every chain vertex is won by the
+winner of the vertex its chain ends in.
 """
 import random
 
@@ -50,3 +55,28 @@ def inflate(core: ParityGame, duplicates: int, chains: int, seed: int) -> tuple[
         # The chain's own edges and v's self-loop stay as they are.
         take_in_edges(v, first, {v, *range(first, first + length)})
     return ParityGame(tuple(prios), tuple(owners), tuple(succs)), origin
+
+
+def chain_every_edge(core: ParityGame, max_length: int, seed: int) -> tuple[ParityGame, list[int]]:
+    """Replace every edge ``u -> v`` of the core by a stutter chain of 1 to
+    ``max_length`` fresh vertices into ``v``.
+
+    Returns the chained game and ``end``, the core vertex each vertex's
+    chain ends in; core vertices keep their ids, so ``end[v] == v`` for them.
+    """
+    rng = random.Random(seed)
+    prios = list(core.priorities)
+    owners = list(core.owners)
+    succs: list[list[int]] = [[] for _ in core.vertices]
+    end = list(core.vertices)
+    for u in core.vertices:
+        for v in core.successors[u]:
+            length = rng.randint(1, max_length)
+            first = len(prios)
+            succs[u].append(first)
+            for i in range(length):
+                prios.append(core.priorities[v])
+                owners.append(core.owners[v])
+                succs.append([first + i + 1 if i < length - 1 else v])
+                end.append(v)
+    return ParityGame(tuple(prios), tuple(owners), tuple(succs)), end

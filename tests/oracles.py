@@ -4,7 +4,7 @@ The winner and forcing oracles enumerate memoryless strategies explicitly
 and evaluate plays on the strategy-restricted graph, so a bug in the
 attractor or in the Zielonka recursion cannot hide in them.  The stuttering,
 signer, direct-simulation, validator, bisimulation, delayed-simulation,
-Buchi, Zielonka, parser, isomorphism-relation and quotient-certificate
+layered attractor, Buchi, Zielonka, parser, isomorphism-relation and quotient-certificate
 references at the end keep the library's earlier, direct constructions, and so do the arena
 builders, which intern every position by its payload tuple.
 ``iso_check`` decides whether two whole games are isomorphic, and
@@ -12,6 +12,7 @@ builders, which intern every position by its payload tuple.
 tests.
 """
 from collections import deque
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -31,7 +32,7 @@ from pgreduce import (
     diverges,
     steps,
 )
-from pgreduce.forcing import attractor_layers, iter_bits
+from pgreduce.forcing import iter_bits
 from pgreduce.lattice import COINCIDENCE_NOTIONS, LATTICE_EDGES, LatticeResult, compute_relations
 from pgreduce.quotient import EQUIVALENCES, find_isomorphism
 from pgreduce.simgames import CHECK, DAGGER, _UPDATERS, _obligations, coincidence_check
@@ -542,6 +543,45 @@ def oracle_rank_check(game: ParityGame, bias: str, ranks: dict[int, int]) -> boo
         if not delayed_transfer(game, v, w, matched):
             return False
     return True
+
+
+def attractor_layers(
+    owners: Sequence,
+    preds: Sequence[Sequence[int]],
+    degree: Callable[[int], int],
+    player,
+    targets: Iterable[int],
+    allowed: int,
+) -> dict[int, int]:
+    """BFS layers of ``player``'s attractor to ``targets``: the layered
+    reference for the library's byte-state attractor kernel.
+
+    Layer 0 is the target set.  A vertex owned by ``player`` joins one layer
+    after its first successor, any other vertex one layer after the last of
+    its ``degree(v)`` counted successors.  ``degree`` is read once per
+    vertex, when an edge into the attractor first reaches it, and must count
+    every edge in ``preds`` whose target can join.  Only vertices in the
+    ``allowed`` bitmask join; ``-1`` has every bit set and allows every
+    vertex.
+    """
+    layers = dict.fromkeys(targets, 0)
+    queue = deque(layers)
+    remaining: dict[int, int] = {}
+    while queue:
+        u = queue.popleft()
+        next_layer = layers[u] + 1
+        for v in preds[u]:
+            if v in layers or not allowed >> v & 1:
+                continue
+            if owners[v] is not player:
+                r = remaining.get(v)
+                r = (degree(v) if r is None else r) - 1
+                remaining[v] = r
+                if r:
+                    continue
+            layers[v] = next_layer
+            queue.append(v)
+    return layers
 
 
 def _oracle_arena_preds(arena: Arena) -> list[list[int]]:

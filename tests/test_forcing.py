@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_diverges, oracle_forces
+import pgreduce.solver as solver_module
+from oracles import attractor_layers, oracle_diverges, oracle_forces
 from pgreduce import (
     ParityGame,
     Player,
@@ -53,6 +56,60 @@ def test_attractor_rejects_target_outside_the_vertices(target):
     with pytest.raises(ValueError, match=f"target mask {target} "):
         forces(game, Player.ODD, 0, -1, target)
     assert attractor(game, Player.EVEN, -1, full(game)) == full(game)
+
+
+def _scanned_bits(mask):
+    """The set bits of ``mask``, read one by one from its bytes."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * k + j for k, byte in enumerate(data) if byte for j in range(8) if byte >> j & 1]
+
+
+def test_iter_bits_matches_a_direct_scan():
+    rng = random.Random(17)
+    masks = [0, 1, *(1 << k for k in range(62, 66))]
+    for _ in range(3000):
+        # Widths up to 30k bits, most of them short; densities from one bit
+        # in sixteen to one in two.
+        width = int(30_000 ** rng.random())
+        mask = rng.getrandbits(width)
+        for _ in range(rng.randint(0, 3)):
+            mask &= rng.getrandbits(width)
+        masks.append(mask)
+    for mask in masks:
+        assert list(iter_bits(mask)) == _scanned_bits(mask), mask
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 70)])
+def test_iter_bits_rejects_negative_masks(mask):
+    # A negative mask has infinitely many set bits; the call itself raises.
+    with pytest.raises(ValueError, match="negative"):
+        iter_bits(mask)
+
+
+def _reference_attractor(game, player, allowed, targets, counted):
+    preds = game.predecessors()
+    layers = attractor_layers(game.owners, preds, counted, player, iter_bits(targets), allowed)
+    return sum(1 << v for v in layers)
+
+
+def test_attractors_match_the_layered_reference():
+    # The constrained attractor counts every edge; Zielonka's subgame
+    # attractor only the edges inside the subgame, to targets inside it.
+    rng = random.Random(3)
+    for seed in range(300):
+        n = 1 + seed % 30
+        game = random_game(n, 4, (1, min(3, n)), seed)
+        full_mask = full(game)
+        u = rng.choice([-1, rng.getrandbits(n), -1 - rng.getrandbits(n)])
+        t = rng.getrandbits(n)
+        player = Player(seed % 2)
+        every = _reference_attractor(game, player, u, t, lambda v: len(game.successors[v]))
+        assert attractor(game, player, u, t) == every, seed
+        alive = u & full_mask
+        inside = _reference_attractor(
+            game, player, alive, t & alive, lambda v: sum(alive >> w & 1 for w in game.successors[v])
+        )
+        assert solver_module._Zielonka(game).attract(player, t & alive, alive) == inside, seed
 
 
 def test_forces_target_membership_is_trivial(escape_edge):

@@ -283,6 +283,41 @@ def test_canonical_path_reads_serialized_games(all_fixture_games):
         assert game_module._parse_canonical(serialize_pgsolver(game).decode()) == game
 
 
+def test_canonical_path_normalises_unsorted_rows_like_the_statement_parser():
+    # Canonical in shape, but the first row is unsorted and lists 0 twice.
+    text = "parity 1;\n0 0 0 1,0,0;\n1 1 1 0;\n"
+    canonical = game_module._parse_canonical(text)
+    assert canonical is not None
+    assert canonical.successors == ((0, 1), (0,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game_module, "_parse_canonical", lambda text: None)
+        assert parse_pgsolver(text) == canonical
+
+
+def test_row_constructor_matches_the_public_one():
+    # Rows already in strictly ascending order are kept, any other row is
+    # normalised, and the checks reject what the public constructor rejects.
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        prios = [rng.randint(0, 5) for _ in range(n)]
+        owners = [Player(rng.randint(0, 1)) for _ in range(n)]
+        rows = [tuple(rng.randrange(n) for _ in range(rng.randint(1, 4))) for _ in range(n)]
+        rows = [tuple(sorted(set(row))) if rng.random() < 0.5 else row for row in rows]
+        built = ParityGame._from_rows(prios, owners, rows)
+        assert built == ParityGame(prios, owners, rows)
+        assert all(type(x) is int for x in sum(built.successors, ()))
+    for bad, message in [
+        (((0,), (Player.EVEN,), ((),)), "no successors"),
+        (((0,), (Player.EVEN,), ((1,),)), "outside"),
+        (((0,), (Player.EVEN,), ((0, -1),)), "outside"),
+        (((-1,), (Player.EVEN,), ((0,),)), "negative"),
+        (((0, 0), (Player.EVEN,), ((0,), (0,))), "equal length"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ParityGame._from_rows(*bad)
+
+
 @st.composite
 def games(draw, max_n=6, max_priority=4):
     n = draw(st.integers(min_value=1, max_value=max_n))

@@ -6,7 +6,7 @@ import pytest
 import oracles
 import pgreduce.solver as solver_module
 from conftest import small_random_games
-from inflation import inflate
+from inflation import chain_every_edge, inflate
 from oracles import (
     InterningArena,
     arena_as_parity_game,
@@ -30,7 +30,7 @@ from pgreduce import (
     solve_zielonka,
     wf_rank_check,
 )
-from pgreduce.forcing import iter_bits
+from pgreduce.forcing import byte_set, iter_bits
 
 D = ArenaPlayer.DUPLICATOR
 S = ArenaPlayer.SPOILER
@@ -82,6 +82,11 @@ def _path(n):
     return ParityGame((1,) * (n - 1) + (0,), (0,) * (n - 1) + (1,), succs)
 
 
+def _subgame(state):
+    """The subgame mask of an attractor kernel state, before it is marked."""
+    return sum(1 << v for v, inside in enumerate(state) if inside)
+
+
 def test_solver_leaves_recursion_limit_alone(monkeypatch):
     def refuse(limit):
         raise AssertionError("solve_zielonka changed the recursion limit")
@@ -95,14 +100,14 @@ def test_solver_leaves_recursion_limit_alone(monkeypatch):
     # Neither step decides the loser-loop cycle, and the core's frames nest
     # deeper than the recursion limit: each descending call works on a
     # strict subset of the previous call's subgame.
-    original = solver_module.attractor_layers
+    original = solver_module.mark_attractor
     subgames = []
 
-    def recording(owners, preds, degree, player, targets, allowed=None):
-        subgames.append(allowed)
-        return original(owners, preds, degree, player, targets, allowed)
+    def recording(state, *args, **kwargs):
+        subgames.append(_subgame(state))
+        return original(state, *args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "attractor_layers", recording)
+    monkeypatch.setattr(solver_module, "mark_attractor", recording)
     assert solve_zielonka(_loser_loop_cycle(n)).won_by_even == frozenset(range(n))
     depth = 1
     while subgames[depth] != subgames[depth - 1] and subgames[depth] & ~subgames[depth - 1] == 0:
@@ -111,7 +116,7 @@ def test_solver_leaves_recursion_limit_alone(monkeypatch):
 
     # Tarjan's depth-first search follows the whole path.
     path = _path(n)
-    assert solver_module._bottom_up_sccs(path.successors, (1 << n) - 1) == [[v] for v in reversed(range(n))]
+    assert solver_module._bottom_up_sccs(path.successors, b"\x01" * n) == [[v] for v in reversed(range(n))]
     assert solve_zielonka(path).won_by_even == frozenset(range(n))
 
 
@@ -129,16 +134,22 @@ def _zielonka_corpus():
 def test_zielonka_matches_reference(monkeypatch):
     """The core on the full vertex set makes the same attractor calls, in
     order, as the recursive form; the solver finds the same regions."""
-    original = solver_module.attractor_layers
+    original = solver_module.mark_attractor
+    reference = oracles.attractor_layers
     calls = []
 
-    def recording(owners, preds, degree, player, targets, allowed=None):
+    def recording(state, owners, preds, succs, player, targets, every_edge=False):
+        targets = list(targets)
+        calls.append((player, tuple(targets), _subgame(state)))
+        return original(state, owners, preds, succs, player, targets, every_edge)
+
+    def recording_reference(owners, preds, degree, player, targets, allowed):
         targets = list(targets)
         calls.append((player, tuple(targets), allowed))
-        return original(owners, preds, degree, player, targets, allowed)
+        return reference(owners, preds, degree, player, targets, allowed)
 
-    monkeypatch.setattr(solver_module, "attractor_layers", recording)
-    monkeypatch.setattr(oracles, "attractor_layers", recording)
+    monkeypatch.setattr(solver_module, "mark_attractor", recording)
+    monkeypatch.setattr(oracles, "attractor_layers", recording_reference)
     for k, game in enumerate(_zielonka_corpus()):
         calls.clear()
         even, odd = solver_module._Zielonka(game).solve((1 << game.vertex_count) - 1)
@@ -170,13 +181,70 @@ def test_solver_matches_recursive_reference():
         assert solve_zielonka(game) == oracle_solve_zielonka(game), k
 
 
+def _scattered_union(games, seed):
+    """The disjoint union of ``games``, its vertices renamed by a seeded
+    permutation so that no game's vertices are contiguous."""
+    prios, owners, succs = [], [], []
+    for game in games:
+        off = len(prios)
+        prios += game.priorities
+        owners += game.owners
+        succs += [[u + off for u in row] for row in game.successors]
+    n = len(prios)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    new_prios, new_owners, new_succs = [0] * n, [0] * n, [None] * n
+    for v in range(n):
+        new_prios[perm[v]] = prios[v]
+        new_owners[perm[v]] = owners[v]
+        new_succs[perm[v]] = [perm[u] for u in succs[v]]
+    return ParityGame(new_prios, new_owners, new_succs)
+
+
+def test_small_components_are_solved_as_games_of_their_own(monkeypatch):
+    # Twelve games side by side: each component is under a quarter of the
+    # vertices, so the core runs on it renumbered.  Some components' parts
+    # are split between the players, which checks the way back.
+    parts = []
+    original = solver_module._induced
+
+    def recording(game, part):
+        parts.append(part)
+        return original(game, part)
+
+    monkeypatch.setattr(solver_module, "_induced", recording)
+    split = 0
+    for seed in range(20):
+        games = [random_game(6 + k % 10, 20, (2, 3), 100 * seed + k) for k in range(12)]
+        game = _scattered_union(games, seed)
+        parts.clear()
+        expected = oracle_solve_zielonka(game)
+        assert solve_zielonka(game) == expected, seed
+        assert parts, seed
+        split += sum(1 for part in parts if expected.won_by_even & set(part) and expected.won_by_odd & set(part))
+    assert split >= 5
+
+
+def test_chained_cores_keep_their_winners():
+    # Ground truth by construction: a chain vertex has one successor, and a
+    # play sees the priorities of the core play it follows.
+    for seed in range(3):
+        core = random_game(40, 40, (1, 3), 900 + seed)
+        game, end = chain_every_edge(core, max_length=50, seed=seed)
+        assert game.vertex_count > 1000
+        expected = oracle_solve_zielonka(core)
+        regions = solve_zielonka(game)
+        assert all(regions.winner(v) == expected.winner(v) for v in core.vertices), seed
+        assert all(regions.winner(v) == regions.winner(end[v]) for v in game.vertices), seed
+
+
 def test_bottom_up_sccs_match_networkx():
     nx = pytest.importorskip("networkx")
     for seed in range(60):
         n = 1 + seed % 40
         game = random_game(n, 3, (1, min(1 + seed % 3, n)), 50 + seed)
         alive = random.Random(seed).getrandbits(n) if seed % 2 else (1 << n) - 1
-        sccs = solver_module._bottom_up_sccs(game.successors, alive)
+        sccs = solver_module._bottom_up_sccs(game.successors, byte_set(alive, n))
         graph = nx.DiGraph()
         graph.add_nodes_from(v for v in game.vertices if alive >> v & 1)
         graph.add_edges_from([(v, u) for v in graph for u in game.successors[v] if alive >> u & 1])
@@ -186,14 +254,14 @@ def test_bottom_up_sccs_match_networkx():
 
 
 def test_isolated_self_loops_take_two_attractor_calls(monkeypatch):
-    original = solver_module.attractor_layers
+    original = solver_module.mark_attractor
     calls = []
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(solver_module, "attractor_layers", counting)
+    monkeypatch.setattr(solver_module, "mark_attractor", counting)
     regions = solve_zielonka(_self_loops(1600))
     assert regions.won_by_even == frozenset(range(0, 1600, 2))
     assert regions.won_by_odd == frozenset(range(1, 1600, 2))
