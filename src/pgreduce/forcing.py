@@ -73,7 +73,7 @@ def mask_of(vertices: Sequence[int], n: int) -> int:
     # A shift per vertex costs less than a pass over n bytes, up to about
     # this many vertices.
     if len(vertices) < 64:
-        return sum(1 << v for v in vertices)
+        return sum(map((1).__lshift__, vertices))
     bits = bytearray(b"0") * n
     for v in vertices:
         bits[v] = _ONE

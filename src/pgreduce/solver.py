@@ -108,8 +108,9 @@ class _Zielonka:
         constrained attractor of the forcing module.
         """
         state = byte_set(alive, self.n)
-        targets = iter_bits(targets)
-        attracted = mark_attractor(state, self.owners, self.preds, self.succs, player, targets)
+        attracted = mark_attractor(
+            state, self.owners, self.preds, self.succs, player, iter_bits(targets)
+        )
         return mask_of(attracted, self.n)
 
     def solve(self, alive: int) -> list[int]:
@@ -273,7 +274,7 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
             regions = whole.solve(mask_of(part, n))
         for i in (Player.EVEN, Player.ODD):
             if regions[i]:
-                decide(i, [names[v] for v in iter_bits(regions[i])])
+                decide(i, list(map(names.__getitem__, iter_bits(regions[i]))))
     return WinningRegions(frozenset(won[0]), frozenset(won[1]))
 
 
