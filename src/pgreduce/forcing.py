@@ -11,7 +11,8 @@ Masks are read and written through the reversed digits of ``bin``, one
 pass of C code each: ``iter_bits`` walks them, ``byte_set`` spreads a mask
 over one byte per vertex and ``mask_of`` builds the mask of a vertex
 list.  No step per vertex or per edge shifts a bitmask, which would copy
-all of it.
+all of it, except that ``mask_of`` shifts once per vertex of a short
+list, where that costs less than a pass over n bytes.
 
 ``mark_attractor`` is the attractor loop on game vertices, on one byte of
 state per vertex.  Besides the constrained attractor here, Zielonka's
@@ -22,7 +23,6 @@ per-position lists.
 """
 from __future__ import annotations
 
-from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
 from .game import ParityGame, Player
@@ -45,12 +45,7 @@ def iter_bits(mask: int) -> Iterator[int]:
     many and is a ``ValueError``."""
     if mask < 0:
         raise ValueError(f"mask {mask} is negative")
-    bits = bin(mask)[:1:-1]
-    # Past one set bit in eight, one C pass over every bit beats a search
-    # per set bit.
-    if mask.bit_count() * 8 > len(bits):
-        return compress(count(), bits.encode().translate(_FROM_BIN))
-    return _ones(bits)
+    return _ones(bin(mask)[:1:-1])
 
 
 def _ones(bits: str) -> Iterator[int]:
@@ -70,8 +65,9 @@ def byte_set(mask: int, n: int) -> bytearray:
 
 def mask_of(vertices: Sequence[int], n: int) -> int:
     """The mask of the distinct ``vertices``, each below ``n``."""
-    # A shift per vertex costs less than a pass over n bytes, up to about
-    # this many vertices.
+    # Shifted ones cost about the list's length times n bits, the byte pass
+    # n bytes: the shifts are cheaper below roughly 10 (n = 100) to 150
+    # (n = 100,000) vertices.
     if len(vertices) < 64:
         return sum(map((1).__lshift__, vertices))
     bits = bytearray(b"0") * n

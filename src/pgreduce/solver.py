@@ -84,20 +84,25 @@ class Arena:
 
 
 class _Zielonka:
-    """Zielonka's attractor decomposition on the subgames of one game.
+    """Zielonka's attractor decomposition on the subgames of one part of a
+    game, renumbered in its order, so that each call costs the part and not
+    the game.
 
-    A subgame is a bitmask of vertices in which every vertex keeps a
-    successor; its edges are those of the game between its vertices.
+    A subgame is a bitmask of the part's vertices in which every vertex
+    keeps a successor; its edges are those of the game between its
+    vertices.
     """
 
-    def __init__(self, game: ParityGame):
-        self.n = n = game.vertex_count
-        self.owners = game.owners
-        self.preds = game.predecessors()
-        self.succs = game.successors
+    def __init__(self, game: ParityGame, part: Sequence[int]):
+        local = {v: k for k, v in enumerate(part)}
+        self.n = n = len(part)
+        owners, prios, succs, preds = game.owners, game.priorities, game.successors, game.predecessors()
+        self.owners = [owners[v] for v in part]
+        self.succs = [[local[u] for u in succs[v] if u in local] for v in part]
+        self.preds = [[local[u] for u in preds[v] if u in local] for v in part]
         by_priority: dict[int, list[int]] = {}
-        for v, p in enumerate(game.priorities):
-            by_priority.setdefault(p, []).append(v)
+        for k, v in enumerate(part):
+            by_priority.setdefault(prios[v], []).append(k)
         self.levels = sorted(by_priority)
         self.masks = [mask_of(by_priority[p], n) for p in self.levels]
 
@@ -207,15 +212,6 @@ def _bottom_up_sccs(successors: Sequence[Sequence[int]], inside: bytes) -> list[
     return out
 
 
-def _induced(game: ParityGame, part: list[int]) -> ParityGame:
-    """The subgame on the ascending vertices ``part``, renumbered in order;
-    every vertex must keep a successor in it."""
-    local = {v: k for k, v in enumerate(part)}
-    rows = [tuple([local[u] for u in game.successors[v] if u in local]) for v in part]
-    prios, owners = game.priorities, game.owners
-    return ParityGame._from_rows([prios[v] for v in part], [owners[v] for v in part], rows)
-
-
 def solve_zielonka(game: ParityGame) -> WinningRegions:
     """Exact winner partition: Zielonka's algorithm behind two decomposition steps.
 
@@ -233,9 +229,7 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
     remainder therefore stays a total subgame (Friedmann & Lange, "Solving
     parity games in practice", ATVA 2009).  The unsolved vertices are one
     byte each, so deciding costs the attractor's edges and no pass over the
-    game.  The core runs on the whole game for a part of at least a quarter
-    of the vertices, and on the part renumbered as a game of its own below
-    that, so that each of its calls costs the part and not the game.
+    game.  The core runs on each part renumbered on its own.
     """
     n = game.vertex_count
     owners, succs, prios = game.owners, game.successors, game.priorities
@@ -259,22 +253,14 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
             decide(i, loops[i])
     if len(won[0]) + len(won[1]) == n:
         return WinningRegions(frozenset(won[0]), frozenset(won[1]))
-    whole = None
     for component in _bottom_up_sccs(succs, unsolved):
         part = [v for v in component if unsolved[v]]
         if not part:
             continue
-        part.sort()
-        if 4 * len(part) < n:
-            names = part
-            regions = _Zielonka(_induced(game, part)).solve((1 << len(part)) - 1)
-        else:
-            names = range(n)
-            whole = whole or _Zielonka(game)
-            regions = whole.solve(mask_of(part, n))
+        regions = _Zielonka(game, part).solve((1 << len(part)) - 1)
         for i in (Player.EVEN, Player.ODD):
             if regions[i]:
-                decide(i, list(map(names.__getitem__, iter_bits(regions[i]))))
+                decide(i, list(map(part.__getitem__, iter_bits(regions[i]))))
     return WinningRegions(frozenset(won[0]), frozenset(won[1]))
 
 

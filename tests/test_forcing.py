@@ -109,7 +109,7 @@ def test_attractors_match_the_layered_reference():
         inside = _reference_attractor(
             game, player, alive, t & alive, lambda v: sum(alive >> w & 1 for w in game.successors[v])
         )
-        assert solver_module._Zielonka(game).attract(player, t & alive, alive) == inside, seed
+        assert solver_module._Zielonka(game, game.vertices).attract(player, t & alive, alive) == inside, seed
 
 
 def test_forces_target_membership_is_trivial(escape_edge):

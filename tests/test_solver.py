@@ -152,7 +152,7 @@ def test_zielonka_matches_reference(monkeypatch):
     monkeypatch.setattr(oracles, "attractor_layers", recording_reference)
     for k, game in enumerate(_zielonka_corpus()):
         calls.clear()
-        even, odd = solver_module._Zielonka(game).solve((1 << game.vertex_count) - 1)
+        even, odd = solver_module._Zielonka(game, game.vertices).solve((1 << game.vertex_count) - 1)
         ours = list(calls)
         calls.clear()
         expected = oracle_solve_zielonka(game)
@@ -202,17 +202,17 @@ def _scattered_union(games, seed):
 
 
 def test_small_components_are_solved_as_games_of_their_own(monkeypatch):
-    # Twelve games side by side: each component is under a quarter of the
-    # vertices, so the core runs on it renumbered.  Some components' parts
-    # are split between the players, which checks the way back.
+    # Twelve games side by side: the core runs on each component's part,
+    # renumbered.  Some parts are split between the players, which checks
+    # the way back.
     parts = []
-    original = solver_module._induced
 
-    def recording(game, part):
-        parts.append(part)
-        return original(game, part)
+    class Recording(solver_module._Zielonka):
+        def __init__(self, game, part):
+            parts.append(part)
+            super().__init__(game, part)
 
-    monkeypatch.setattr(solver_module, "_induced", recording)
+    monkeypatch.setattr(solver_module, "_Zielonka", Recording)
     split = 0
     for seed in range(20):
         games = [random_game(6 + k % 10, 20, (2, 3), 100 * seed + k) for k in range(12)]
@@ -220,7 +220,7 @@ def test_small_components_are_solved_as_games_of_their_own(monkeypatch):
         parts.clear()
         expected = oracle_solve_zielonka(game)
         assert solve_zielonka(game) == expected, seed
-        assert parts, seed
+        assert parts and all(len(part) < game.vertex_count for part in parts), seed
         split += sum(1 for part in parts if expected.won_by_even & set(part) and expected.won_by_odd & set(part))
     assert split >= 5
 
