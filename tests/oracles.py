@@ -526,11 +526,11 @@ def oracle_rank_check(game: ParityGame, bias: str, ranks: dict[int, int]) -> boo
     """``wf_rank_check`` on given ranks of the delayed arena's positions:
     every transfer from a ranked configuration reaches ranked ones, of
     smaller rank unless the obligation is ✓.  Each position is read by its
-    payload in the interning builder's arena, whose positions are the
-    library's, in the same order."""
+    payload in the interning builder's arena after the same fold, whose
+    positions are the library's, in the same order."""
     update = _UPDATERS[bias]
     prio = game.priorities
-    payload = oracle_build_delayed_sim_arena(game, bias).payload
+    payload = fold_same_owner_half_moves(oracle_build_delayed_sim_arena(game, bias)).payload
     rank = {payload[p][1:]: r for p, r in ranks.items() if payload[p][0] == "cfg"}
     for (v, w, k), r in rank.items():
         if r < 0:
@@ -632,7 +632,10 @@ def oracle_buchi_rank(arena: Arena) -> dict[int, int]:
 # it up in the arena's payload index.  The library's builders find positions
 # by arithmetic on their integer ids and must produce the same arenas: the
 # same positions in the same order, with the same owners, edges, acceptance
-# and start positions.
+# and start positions, once the oracle's arena has gone through the same
+# transform (``fold_same_owner_half_moves`` for the direct, governed and
+# delayed games, ``collapse_same_owner_chains`` for the stuttering game).
+# The interning builders keep a position per half move.
 
 _LOSE = ("lose",)
 
@@ -697,9 +700,7 @@ def _oracle_simulation_arena(game: ParityGame, swap: bool) -> Arena:
         owner = ArenaPlayer.SPOILER if swap else _first_mover(game, v, w)
         return arena.position(("cfg", v, w), owner, accepting=True)
 
-    for v in game.vertices:
-        for w in game.vertices:
-            cfg(v, w)
+    arena.start = [cfg(v, w) for v in game.vertices for w in game.vertices]
 
     def expand(pos: int, payload) -> None:
         kind = payload[0]
@@ -741,9 +742,9 @@ def oracle_build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Aren
     def cfg(v: int, w: int, k) -> int:
         return arena.position(("cfg", v, w, k), _first_mover(game, v, w), accepting=k == CHECK)
 
-    for v in game.vertices:
-        for w in game.vertices:
-            cfg(v, w, update(game.priorities[v], game.priorities[w], CHECK))
+    arena.start = [
+        cfg(v, w, update(game.priorities[v], game.priorities[w], CHECK)) for v in game.vertices for w in game.vertices
+    ]
 
     def expand(pos: int, payload) -> None:
         kind = payload[0]
@@ -864,6 +865,48 @@ def collapse_same_owner_chains(arena: Arena, start: list[int]) -> Arena:
         edges=edges,
         accepting={new[p] for p in arena.accepting if p in new},
         start=[new[p] for p in start],
+    )
+
+
+def fold_same_owner_half_moves(arena: InterningArena) -> InterningArena:
+    """``arena`` with each half-move position folded into every position
+    that moves to it and has its owner.
+
+    Such a position moves to the half move's moves instead, each listed
+    once; a half move that a position of the other owner moves to stays.
+    The positions reachable from ``arena.start`` are then renumbered
+    breadth-first, with their payloads, and ``start`` maps along.  A half
+    move is non-accepting and its owner makes both choices at once, so
+    every position kept has the same Buchi winner.
+    """
+
+    def folds(p: int, q: int) -> bool:
+        return arena.payload[q][0] == "mid" and arena.owners[q] == arena.owners[p]
+
+    def moves(p: int) -> list[int]:
+        row = arena.edges[p]
+        if not any(folds(p, q) for q in row):
+            return row
+        return list(dict.fromkeys(r for q in row for r in (arena.edges[q] if folds(p, q) else [q])))
+
+    order = list(dict.fromkeys(arena.start))
+    new = {p: i for i, p in enumerate(order)}
+    edges = []
+    for p in order:
+        row = moves(p)
+        for q in row:
+            if q not in new:
+                new[q] = len(order)
+                order.append(q)
+        edges.append([new[q] for q in row])
+    payload = [arena.payload[p] for p in order]
+    return InterningArena(
+        owners=[arena.owners[p] for p in order],
+        edges=edges,
+        accepting={new[p] for p in arena.accepting if p in new},
+        start=[new[p] for p in arena.start],
+        payload=payload,
+        index={key: i for i, key in enumerate(payload)},
     )
 
 

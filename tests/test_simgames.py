@@ -6,6 +6,7 @@ import pgreduce.simgames
 from conftest import small_random_games
 from oracles import (
     collapse_same_owner_chains,
+    fold_same_owner_half_moves,
     is_subrelation,
     oracle_build_delayed_sim_arena,
     oracle_build_direct_sim_arena,
@@ -165,13 +166,14 @@ class TestDelayedArena:
     def test_obligation_alphabet(self, random_corpus):
         # A configuration's id is (v * n + w) * K + k, where obligation k
         # indexes ✓ and the sorted priorities; the interning oracle's
-        # arena, position for position the same, names each one.
+        # arena, folded the same way and then position for position the
+        # same, names each one.
         for game in random_corpus[:15]:
             n = game.vertex_count
             obligations = [CHECK, *sorted(set(game.priorities))]
             kk = len(obligations)
             arena = build_delayed_sim_arena(game)
-            payload = oracle_build_delayed_sim_arena(game).payload
+            payload = fold_same_owner_half_moves(oracle_build_delayed_sim_arena(game)).payload
             for pos, key in enumerate(arena.ids):
                 if key < n * n * kk:
                     j, k = divmod(key, kk)
@@ -393,10 +395,54 @@ def test_delayed_fixpoint_evaluation_count(monkeypatch):
     game = random_game(50, 5, (1, 3), 1)
     delayed_sim_fixpoint(game, "none")
     triples = game.vertex_count ** 2 * (1 + len(set(game.priorities)))
-    # The full-rescan reference evaluates each triple about 56 times here,
-    # the stage-carrying fixpoint about 2.7 times (47,959 evaluations).
+    reachable = sum(key[0] == "cfg" for key in oracle_build_delayed_sim_arena(game).payload)
+    # The full-rescan reference evaluates each triple about 56 times here.
+    # Evaluating all 17,500 triples, the stage-carrying fixpoint read the
+    # table 47,959 times; on the 3,878 triples that the query triples reach,
+    # it reads it 13,722 times, once per triple to find them and about 2.5
+    # times per triple to evaluate them.
     [table] = tables
     assert 0 < table.reads <= 4 * triples
+    assert table.reads <= 4 * reachable
+
+
+class _PoisonedRow(int):
+    """A γ-table row whose update fails when read at an obligation in ``unreachable``."""
+
+    def __new__(cls, row, unreachable):
+        self = super().__new__(cls, row)
+        self.unreachable = unreachable
+        return self
+
+    def __add__(self, k):
+        assert k not in self.unreachable, "read the transfer of an unreachable triple"
+        return int(self) + k
+
+
+@pytest.mark.parametrize("bias", ["none", "even", "odd"])
+def test_delayed_fixpoint_ignores_unreachable_triples(monkeypatch, bias):
+    # A transfer entry read at an obligation that no query triple reaches
+    # at that pair raises; the result must be the one without poison.
+    game = random_game(12, 3, (1, 3), 500)
+    expected = delayed_sim_fixpoint(game, bias)
+    n = game.vertex_count
+    obligations = [CHECK, *sorted(set(game.priorities))]
+    unreachable = [set(range(len(obligations))) for _ in range(n * n)]
+    for key in oracle_build_delayed_sim_arena(game, bias).payload:
+        if key[0] == "cfg":
+            _, v, w, k = key
+            unreachable[v * n + w].discard(obligations.index(k))
+    assert sum(map(len, unreachable)) > 0
+    original = pgreduce.simgames._transfer_groups
+
+    def poisoned(*args):
+        return [
+            [[(base, _PoisonedRow(row, unreachable[j])) for base, row in group] for group in groups]
+            for j, groups in enumerate(original(*args))
+        ]
+
+    monkeypatch.setattr(pgreduce.simgames, "_transfer_groups", poisoned)
+    assert delayed_sim_fixpoint(game, bias) == expected
 
 
 def test_explore_builds_the_arena_in_one_pass():
@@ -457,7 +503,9 @@ def test_arena_builders_match_interning_oracle(kind, exhaustive_corpus, random_c
     # Same positions in the same order, hence also the same position and
     # edge counts; ``start`` holds each pair's initial position.  The
     # stuttering builder plays a round as one Spoiler and one Duplicator
-    # position, so it must match the oracle's arena after the same collapse.
+    # position, so it must match the oracle's arena after the same collapse;
+    # the other builders fold each half move into the positions of its own
+    # owner that move to it, so they must match it after the same fold.
     build, oracle, biases = _BUILDERS[kind]
     for i, game in enumerate(exhaustive_corpus + random_corpus + _tail_games()):
         for bias in biases:
@@ -466,7 +514,10 @@ def test_arena_builders_match_interning_oracle(kind, exhaustive_corpus, random_c
             start = _start_positions(kind, game, bias, expected)
             if kind == "gstut":
                 expected = collapse_same_owner_chains(expected, start)
-                start = expected.start
+            else:
+                assert expected.start == start, (i, bias)
+                expected = fold_same_owner_half_moves(expected)
+            start = expected.start
             assert arena.owners == expected.owners, (i, bias)
             assert arena.edges == expected.edges, (i, bias)
             assert arena.accepting == expected.accepting, (i, bias)
@@ -480,6 +531,19 @@ def test_gstut_arena_keeps_every_start_winner(exhaustive_corpus, random_corpus):
         won, expected_won = solve_buchi(arena), solve_buchi(expected)
         start = _start_positions("gstut", game, None, expected)
         assert [p in won for p in arena.start] == [p in expected_won for p in start], i
+
+
+@pytest.mark.parametrize("kind", ["direct", "governed", "delayed"])
+def test_folded_arenas_keep_every_start_winner(kind, exhaustive_corpus, random_corpus):
+    # The folded arena against the oracle's, one position per half move.
+    build, oracle, biases = _BUILDERS[kind]
+    for i, game in enumerate(exhaustive_corpus + random_corpus + _tail_games()):
+        for bias in biases:
+            args = (game,) if bias is None else (game, bias)
+            arena, expected = build(*args), oracle(*args)
+            won, expected_won = solve_buchi(arena), solve_buchi(expected)
+            start = _start_positions(kind, game, bias, expected)
+            assert [p in won for p in arena.start] == [p in expected_won for p in start], (i, bias)
 
 
 def _start_positions(kind, game, bias, arena):
