@@ -11,15 +11,14 @@ Masks are read and written through the reversed digits of ``bin``, one
 pass of C code each: ``iter_bits`` walks them, ``byte_set`` spreads a mask
 over one byte per vertex and ``mask_of`` builds the mask of a vertex
 list.  No step per vertex or per edge shifts a bitmask, which would copy
-all of it, except that ``mask_of`` shifts once per vertex of a short
-list, where that costs less than a pass over n bytes.
+all of it.
 
 ``mark_attractor`` is the attractor loop on game vertices, on one byte of
 state per vertex.  Besides the constrained attractor here, Zielonka's
-subgame attractor in :mod:`pgreduce.solver` calls it; the two differ only
-in which edges count.  The Buchi arena solver, which counts every move and
-allows every position, runs its own breadth-first attractor on flat
-per-position lists.
+solver in :mod:`pgreduce.solver` calls it on the game's own vertex ids;
+the two differ only in which edges count.  The Buchi arena solver, which
+counts every move and allows every position, runs its own breadth-first
+attractor on flat per-position lists.
 """
 from __future__ import annotations
 
@@ -65,11 +64,6 @@ def byte_set(mask: int, n: int) -> bytearray:
 
 def mask_of(vertices: Sequence[int], n: int) -> int:
     """The mask of the distinct ``vertices``, each below ``n``."""
-    # Shifted ones cost about the list's length times n bits, the byte pass
-    # n bytes: the shifts are cheaper below roughly 10 (n = 100) to 150
-    # (n = 100,000) vertices.
-    if len(vertices) < 64:
-        return sum(map((1).__lshift__, vertices))
     bits = bytearray(b"0") * n
     for v in vertices:
         bits[v] = _ONE

@@ -268,7 +268,8 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
     Only the (even, even) and (odd, odd) rounds keep a half-move position,
     Duplicator's, which only Spoiler's positions move to; an (even, odd) or
     (odd, even) configuration, or oriented copy, moves straight to the next
-    configurations as the module docstring describes, the sink listed once.
+    configurations as the module docstring describes.  Every row lists the
+    sink at most once.
     """
     n = game.vertex_count
     nn = n * n
@@ -297,8 +298,8 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
         j, side = divmod(key - 2 * nn, 2)
         a, b = divmod(j, n)
         if side == 0:
-            return _DUPLICATOR, False, [cfg(u, b) for u in succ[a]]
-        return _DUPLICATOR, False, [cfg(a, u) for u in succ[b]]
+            return _DUPLICATOR, False, list(dict.fromkeys([cfg(u, b) for u in succ[a]]))
+        return _DUPLICATOR, False, list(dict.fromkeys([cfg(a, u) for u in succ[b]]))
 
     starts = [cfg(v, w) for v in game.vertices for w in game.vertices]
     return _explore(sink + 1, starts, expand)

@@ -5,12 +5,13 @@ steps around Zielonka's attractor decomposition.  It first decides the
 vertices whose owner can stay on a self-loop of its own parity, with their
 attractors, and then solves the strongly connected components of the rest
 bottom-up; Zielonka's core runs on each component's unsolved part, on an
-explicit stack over one bitmask per priority.  Inside the core, subgames,
-priority levels and regions are bitmasks, but no per-vertex or per-edge
-step reads one: the attractor kernel :func:`pgreduce.forcing.mark_attractor`
-reads one byte per vertex, which each call spreads from its subgame mask
-in one pass of C code.  Around the core, the unsolved vertices are one
-byte each throughout, and the component pass reads the same bytes.
+explicit stack, in the game's own vertex ids.  Every set the solver keeps
+is one byte per vertex of the game or a list of vertices: the unsolved
+vertices, read by the component pass too, and the core's current subgame,
+whose bytes the core clears while it solves a subgame below and sets back
+when it is done.  The attractor kernel
+:func:`pgreduce.forcing.mark_attractor` reads those bytes directly, so no
+step copies a row, renumbers a vertex or touches a bitmask.
 
 ``solve_buchi`` solves the explicit two-player arenas used for the
 (bi)simulation games; its one-step predecessor visits the accepting
@@ -28,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
-from itertools import compress
+from itertools import compress, groupby
 from typing import Sequence
 
-from .forcing import byte_set, iter_bits, mark_attractor, mask_of
+from .forcing import mark_attractor
 from .game import ParityGame, Player, WinningRegions
 
 __all__ = [
@@ -83,83 +84,82 @@ class Arena:
                 raise ValueError(f"arena position {p}{where} has no moves")
 
 
-class _Zielonka:
-    """Zielonka's attractor decomposition on the subgames of one part of a
-    game, renumbered in its order, so that each call costs the part and not
-    the game.
+def _zielonka(
+    state: bytearray,
+    owners: Sequence[Player],
+    preds: Sequence[Sequence[int]],
+    succs: Sequence[Sequence[int]],
+    prios: Sequence[int],
+    part: Sequence[int],
+) -> list[list[int]]:
+    """Each player's region of the subgame ``part``, as ``[even, odd]``.
 
-    A subgame is a bitmask of the part's vertices in which every vertex
-    keeps a successor; its edges are those of the game between its
-    vertices.
+    The subgame is the vertices ``v`` with ``state[v]`` 1; they must be
+    exactly ``part``, every vertex keeping a successor among them.  The
+    recursion runs in the game's own ids on those bytes and leaves them as
+    it found them.  The part is sorted once into one ascending vertex list
+    per priority; a level's targets are its vertices still in the subgame.
+    A subgame never holds a priority below its parent's lowest, so the
+    level cursor only moves forward.
+
+    The recursion runs on an explicit stack, so its depth is bounded by
+    memory, not by the interpreter's recursion limit.  A frame ``(cursor,
+    player, a, owed, later, size)`` waits for the subgame left after
+    ``player``'s attractor ``a`` to its lowest level, whose bytes are 0
+    meanwhile.  ``owed`` holds the vertices its earlier tail calls gave to
+    each player, ``later`` the attractors those calls removed, and ``size``
+    counts the frame's subgame.  A finished frame sets ``a`` and ``later``
+    back to 1.
     """
-
-    def __init__(self, game: ParityGame, part: Sequence[int]):
-        local = {v: k for k, v in enumerate(part)}
-        self.n = n = len(part)
-        owners, prios, succs, preds = game.owners, game.priorities, game.successors, game.predecessors()
-        self.owners = [owners[v] for v in part]
-        self.succs = [[local[u] for u in succs[v] if u in local] for v in part]
-        self.preds = [[local[u] for u in preds[v] if u in local] for v in part]
-        by_priority: dict[int, list[int]] = {}
-        for k, v in enumerate(part):
-            by_priority.setdefault(prios[v], []).append(k)
-        self.levels = sorted(by_priority)
-        self.masks = [mask_of(by_priority[p], n) for p in self.levels]
-
-    def attract(self, player: Player, targets: int, alive: int) -> int:
-        """``player``'s attractor to ``targets`` in the subgame ``alive``.
-
-        Edges leaving the subgame do not exist in it, unlike in the
-        constrained attractor of the forcing module.
-        """
-        state = byte_set(alive, self.n)
-        attracted = mark_attractor(
-            state, self.owners, self.preds, self.succs, player, iter_bits(targets)
-        )
-        return mask_of(attracted, self.n)
-
-    def solve(self, alive: int) -> list[int]:
-        """Each player's region of the subgame ``alive``, as ``[even, odd]``.
-
-        The recursion runs on an explicit stack, so its depth is bounded by
-        memory, not by the interpreter's recursion limit, and no Python loop
-        scans the vertices.  A frame ``(alive, cursor, player, owed)`` waits
-        for the subgame left after ``player``'s attractor to the lowest
-        priority of ``alive``; ``owed`` holds the vertices its earlier tail
-        calls gave to each player.  ``cursor`` indexes the per-priority
-        masks and only moves forward, because no subgame holds a priority
-        below its parent's lowest.
-        """
-        masks, levels, attract = self.masks, self.levels, self.attract
-        frames: list[tuple[int, int, Player, list[int]]] = []
-        owed = [0, 0]
-        cursor = 0
-        while True:
-            # Descend: peel the lowest priority's attractor off each subgame.
-            while alive:
-                while not masks[cursor] & alive:
-                    cursor += 1
-                i = Player(levels[cursor] % 2)
-                a = attract(i, masks[cursor] & alive, alive)
-                frames.append((alive, cursor, i, owed))
-                alive &= ~a
-                owed = [0, 0]
-            won = owed
-            # Ascend: a frame whose opponent won nothing below is won by its
-            # player; otherwise it continues on the rest, owing ``b``.
-            while frames:
-                alive, cursor, i, owed = frames.pop()
-                o = i.opponent
-                if not won[o]:
-                    owed[i] |= alive
-                    won = owed
-                    continue
-                b = attract(o, won[o], alive)
-                owed[o] |= b
-                alive &= ~b
-                break
+    order = sorted(part)
+    order.sort(key=prios.__getitem__)
+    players = (Player.EVEN, Player.ODD)
+    levels = [(players[p % 2], list(level)) for p, level in groupby(order, prios.__getitem__)]
+    at = state.__getitem__
+    frames: list[tuple[int, Player, list[int], list[list[int]], list[int], int]] = []
+    owed: list[list[int]] = [[], []]
+    later: list[int] = []
+    size = len(order)
+    cursor = 0
+    while True:
+        # Descend: peel the lowest level's attractor off each subgame.
+        while size:
+            i, level = levels[cursor]
+            targets = list(compress(level, map(at, level)))
+            if not targets:
+                cursor += 1
+                continue
+            a = mark_attractor(state, owners, preds, succs, i, targets)
+            for v in a:
+                state[v] = 0
+            frames.append((cursor, i, a, owed, later, size))
+            size -= len(a)
+            owed, later = [[], []], []
+        won = owed
+        # Ascend: a frame whose opponent won nothing below is won by its
+        # player; otherwise it continues on the rest, owing ``b``.
+        while frames:
+            cursor, i, a, owed, later, size = frames.pop()
+            for v in a:
+                state[v] = 1
+            o = i.opponent
+            if won[o]:
+                b = mark_attractor(state, owners, preds, succs, o, sorted(won[o]))
+                for v in b:
+                    state[v] = 0
+                owed[o] += b
+                later += b
+                size -= len(b)
+                if size:
+                    break
             else:
-                return won
+                owed[i] += a
+                owed[i] += won[i]
+            for v in later:
+                state[v] = 1
+            won = owed
+        else:
+            return won
 
 
 def _bottom_up_sccs(successors: Sequence[Sequence[int]], inside: bytes) -> list[list[int]]:
@@ -229,7 +229,8 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
     remainder therefore stays a total subgame (Friedmann & Lange, "Solving
     parity games in practice", ATVA 2009).  The unsolved vertices are one
     byte each, so deciding costs the attractor's edges and no pass over the
-    game.  The core runs on each part renumbered on its own.
+    game.  The core runs on each part in place: its bytes in one scratch
+    array are set for the core and cleared after it.
     """
     n = game.vertex_count
     owners, succs, prios = game.owners, game.successors, game.priorities
@@ -253,14 +254,19 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
             decide(i, loops[i])
     if len(won[0]) + len(won[1]) == n:
         return WinningRegions(frozenset(won[0]), frozenset(won[1]))
+    scratch = bytearray(n)
     for component in _bottom_up_sccs(succs, unsolved):
         part = [v for v in component if unsolved[v]]
         if not part:
             continue
-        regions = _Zielonka(game, part).solve((1 << len(part)) - 1)
+        for v in part:
+            scratch[v] = 1
+        regions = _zielonka(scratch, owners, preds, succs, prios, part)
+        for v in part:
+            scratch[v] = 0
         for i in (Player.EVEN, Player.ODD):
             if regions[i]:
-                decide(i, list(map(part.__getitem__, iter_bits(regions[i]))))
+                decide(i, regions[i])
     return WinningRegions(frozenset(won[0]), frozenset(won[1]))
 
 

@@ -721,8 +721,9 @@ def _oracle_simulation_arena(game: ParityGame, swap: bool) -> Arena:
                     arena.add_edge(pos, arena.position(("mid", a, t, 0), mover0))
         else:
             _, a, b, side = payload
-            for u in game.successors[a if side == 0 else b]:
-                arena.add_edge(pos, cfg(u, b) if side == 0 else cfg(a, u))
+            row = [cfg(u, b) if side == 0 else cfg(a, u) for u in game.successors[a if side == 0 else b]]
+            for q in dict.fromkeys(row):
+                arena.add_edge(pos, q)
 
     return _expand_all(arena, expand)
 

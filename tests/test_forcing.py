@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pgreduce.solver as solver_module
 from oracles import attractor_layers, oracle_diverges, oracle_forces
 from pgreduce import (
     ParityGame,
@@ -16,7 +15,7 @@ from pgreduce import (
     random_game,
     steps,
 )
-from pgreduce.forcing import iter_bits
+from pgreduce.forcing import byte_set, iter_bits, mark_attractor
 
 
 def vs(*indices):
@@ -109,7 +108,10 @@ def test_attractors_match_the_layered_reference():
         inside = _reference_attractor(
             game, player, alive, t & alive, lambda v: sum(alive >> w & 1 for w in game.successors[v])
         )
-        assert solver_module._Zielonka(game, game.vertices).attract(player, t & alive, alive) == inside, seed
+        marked = mark_attractor(
+            byte_set(alive, n), game.owners, game.predecessors(), game.successors, player, iter_bits(t & alive)
+        )
+        assert sum(1 << v for v in marked) == inside, seed
 
 
 def test_forces_target_membership_is_trivial(escape_edge):

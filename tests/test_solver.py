@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -30,7 +31,7 @@ from pgreduce import (
     solve_zielonka,
     wf_rank_check,
 )
-from pgreduce.forcing import byte_set, iter_bits
+from pgreduce.forcing import byte_set
 
 D = ArenaPlayer.DUPLICATOR
 S = ArenaPlayer.SPOILER
@@ -131,9 +132,21 @@ def _zielonka_corpus():
     return games
 
 
+def _core(game, state):
+    """Zielonka's core on the whole game, whose bytes ``state`` must hold
+    at 1; asserts that the core leaves them so."""
+    before = bytes(state)
+    regions = solver_module._zielonka(
+        state, game.owners, game.predecessors(), game.successors, game.priorities, game.vertices
+    )
+    assert state == before
+    return regions
+
+
 def test_zielonka_matches_reference(monkeypatch):
     """The core on the full vertex set makes the same attractor calls, in
-    order, as the recursive form; the solver finds the same regions."""
+    order, as the recursive form, and leaves its state bytes as it found
+    them; the solver finds the same regions."""
     original = solver_module.mark_attractor
     reference = oracles.attractor_layers
     calls = []
@@ -152,15 +165,27 @@ def test_zielonka_matches_reference(monkeypatch):
     monkeypatch.setattr(oracles, "attractor_layers", recording_reference)
     for k, game in enumerate(_zielonka_corpus()):
         calls.clear()
-        even, odd = solver_module._Zielonka(game, game.vertices).solve((1 << game.vertex_count) - 1)
+        even, odd = _core(game, bytearray(b"\x01") * game.vertex_count)
         ours = list(calls)
         calls.clear()
         expected = oracle_solve_zielonka(game)
-        assert set(iter_bits(even)) == expected.won_by_even, k
-        assert set(iter_bits(odd)) == expected.won_by_odd, k
+        assert set(even) == expected.won_by_even, k
+        assert set(odd) == expected.won_by_odd, k
         assert ours == calls, k
         assert all(list(targets) == sorted(targets) for _, targets, _ in ours), k
         assert solve_zielonka(game) == expected, k
+
+
+def test_zielonka_restores_a_subgame_the_opponent_takes_whole():
+    # Even's attractor to priority 0 is {0}, odd wins the rest {1}, and
+    # odd's attractor to {1} is the whole subgame, so no frame carries it
+    # on: the core must set those bytes back there and then.
+    game = ParityGame((0, 1), (Player.ODD, Player.ODD), ((0, 1), (1,)))
+    even, odd = _core(game, bytearray(b"\x01\x01"))
+    assert (even, sorted(odd)) == ([], [0, 1])
+    # The same happens deep inside this game's recursion.
+    game = random_game(37, 37, (1, 3), 2296)
+    assert solve_zielonka(game) == oracle_solve_zielonka(game)
 
 
 def _oracle_cases():
@@ -202,17 +227,17 @@ def _scattered_union(games, seed):
 
 
 def test_small_components_are_solved_as_games_of_their_own(monkeypatch):
-    # Twelve games side by side: the core runs on each component's part,
-    # renumbered.  Some parts are split between the players, which checks
-    # the way back.
+    # Twelve games side by side: the core runs on each component's part, in
+    # the game's own ids.  Some parts are split between the players, which
+    # checks that each region is decided in the whole game.
+    original = solver_module._zielonka
     parts = []
 
-    class Recording(solver_module._Zielonka):
-        def __init__(self, game, part):
-            parts.append(part)
-            super().__init__(game, part)
+    def recording(state, owners, preds, succs, prios, part):
+        parts.append(list(part))
+        return original(state, owners, preds, succs, prios, part)
 
-    monkeypatch.setattr(solver_module, "_Zielonka", Recording)
+    monkeypatch.setattr(solver_module, "_zielonka", recording)
     split = 0
     for seed in range(20):
         games = [random_game(6 + k % 10, 20, (2, 3), 100 * seed + k) for k in range(12)]
@@ -236,6 +261,21 @@ def test_chained_cores_keep_their_winners():
         regions = solve_zielonka(game)
         assert all(regions.winner(v) == expected.winner(v) for v in core.vertices), seed
         assert all(regions.winner(v) == regions.winner(end[v]) for v in game.vertices), seed
+
+
+def test_solver_memory_grows_linearly():
+    # About four times the vertices may take at most five times the memory.
+    core = random_game(200, 200, (1, 2), 1)
+    peaks = []
+    for length in (40, 160):
+        game, _ = chain_every_edge(core, max_length=length, seed=0)
+        tracemalloc.start()
+        try:
+            solve_zielonka(game)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 5 * peaks[0], peaks
 
 
 def test_bottom_up_sccs_match_networkx():
