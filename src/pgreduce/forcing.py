@@ -3,9 +3,9 @@
 These are the vocabulary every equivalence in this package is phrased in:
 ``attractor(game, i, U, T)`` is the set of vertices from which player ``i``
 can force the play into ``T`` while staying inside ``U`` beforehand, and
-``forces``/``diverges``/``steps`` are the derived predicates.  A vertex
-set is an int bitmask, bit ``v`` for vertex ``v``, here as in every other
-module of the package.
+``forces``/``diverges``/``steps`` are the derived predicates.  Their
+vertex sets are int bitmasks, bit ``v`` for vertex ``v``, as are the rows
+of a preorder; a partition is a class map and holds no masks.
 
 Masks are read and written through the reversed digits of ``bin``, one
 pass of C code each: ``iter_bits`` walks them, ``byte_set`` spreads a mask

@@ -32,7 +32,6 @@ from .solver import solve_zielonka
 __all__ = [
     "RELATION_ORDER",
     "LATTICE_EDGES",
-    "COINCIDENCE_NOTIONS",
     "compute_relations",
     "lattice_edges",
     "check_lattice",
@@ -71,8 +70,6 @@ LATTICE_EDGES = [
     ("delayed-equiv", "winner"),
     ("gstut", "winner"),
 ]
-
-COINCIDENCE_NOTIONS = list(COINCIDENCES)
 
 
 def _iso_partition(game: ParityGame) -> Partition:

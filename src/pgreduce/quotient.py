@@ -122,8 +122,7 @@ def quotient_direct_sim(game: ParityGame) -> QuotientResult:
     cols = _transpose(preorder)
     owners = []
     succs: list[tuple[int, ...]] = []
-    for cls in part.classes:
-        members = list(iter_bits(cls))
+    for members in part.members():
         evens = [v for v in members if game.owners[v] is Player.EVEN]
         movers = evens or members
         side = 1 if evens else 0  # index of the maximal or the minimal mask
@@ -149,8 +148,7 @@ def _bisim_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
     priorities = _class_priorities(game, part)
     owners = []
     succs = []
-    for cls in part.classes:
-        members = list(iter_bits(cls))
+    for members in part.members():
         succ_classes = [frozenset(part.class_of[u] for u in game.successors[v]) for v in members]
         targets = succ_classes[0]
         # Members of a (governed) bisimulation class reach the same classes.
@@ -184,9 +182,9 @@ def quotient_strong_bisim(game: ParityGame) -> QuotientResult:
     return _bisim_quotient(game, by_owner=True)
 
 
-def _even_escapes(game: ParityGame, class_of: tuple[int, ...], ci: int, cls: int) -> bool:
+def _even_escapes(game: ParityGame, class_of: tuple[int, ...], ci: int, members: list[int]) -> bool:
     # steps(EVEN, v, C) for some member v and some other class C.
-    for v in iter_bits(cls):
+    for v in members:
         classes = {class_of[u] for u in game.successors[v]}
         if game.owners[v] is Player.EVEN:
             if classes != {ci}:
@@ -203,14 +201,14 @@ def _stuttering_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
     priorities = _class_priorities(game, part)
     owners = []
     succs = []
-    for ci, (cls, sig) in enumerate(zip(part.classes, signatures)):
+    for ci, (members, sig) in enumerate(zip(part.members(), signatures)):
         targets = {ci if cj < 0 else cj for _, cj in sig}
         if not targets:
             raise RuntimeError("stuttering quotient class without successors")
         succs.append(tuple(sorted(targets)))
         if by_owner:
-            owners.append(game.owners[(cls & -cls).bit_length() - 1])
-        elif (int(Player.EVEN), -1) in sig or _even_escapes(game, part.class_of, ci, cls):
+            owners.append(game.owners[members[0]])
+        elif (int(Player.EVEN), -1) in sig or _even_escapes(game, part.class_of, ci, members):
             owners.append(Player.EVEN)
         else:
             owners.append(Player.ODD)
@@ -373,15 +371,14 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     lift = (*class_map, *quotient.vertices)
     if result.kind == "direct-sim":
         # x <= y in the start exactly when c(y) is in the quotient row of c(x).
-        members = [0] * quotient.vertex_count
-        for x, c in enumerate(lift):
-            members[c] |= 1 << x
+        # Row n + d of the lift's partition is the mask of every x with c(x) = d.
+        lifted = Partition.from_class_of(len(lift), lift).as_relation()
         up = [0] * quotient.vertex_count
         for c, row in enumerate(direct_sim(quotient)):
             for d in iter_bits(row):
-                up[c] |= members[d]
-        prio = _initial_partition(union, by_owner=False)
-        start = [up[c] & prio.classes[p] for c, p in zip(lift, prio.class_of)]
+                up[c] |= lifted[n + d]
+        prio = _initial_partition(union, by_owner=False).as_relation()
+        start = [up[c] & same for c, same in zip(lift, prio)]
         rows = _direct_sim_fixpoint(union, start)
         return all(rows[v] >> (n + c) & 1 and rows[n + c] >> v & 1 for v, c in enumerate(class_map))
     by_owner, sign = _REFINEMENTS[result.kind]

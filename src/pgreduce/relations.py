@@ -13,7 +13,9 @@ attractor.  The delayed simulation family lives in :mod:`pgreduce.simgames`
 because its natural home is the obligation game.
 
 A preorder is the tuple of its rows: ``rows[v]`` is the bitmask of every
-``w`` with ``v ≤ w``.  An equivalence is a :class:`Partition`.
+``w`` with ``v ≤ w``.  An equivalence is a :class:`Partition`, which is its
+class map and nothing else: readers walk its classes' vertex lists, and
+only ``Partition.as_relation`` builds masks, for the preorder routes.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Hashable, Iterable
 
 # attractor is not called here, but bench/tracing.py wraps this name in
 # this module, so it stays bound.
-from .forcing import attractor, iter_bits  # noqa: F401
+from .forcing import attractor, iter_bits, mask_of  # noqa: F401
 from .game import ParityGame, Player
 
 __all__ = [
@@ -39,45 +41,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint non-empty classes covering the vertex set.
+    """Disjoint non-empty classes covering the vertex set, as a class map.
 
-    ``classes[c]`` is the bitmask of class ``c``.  Classes are indexed by
+    ``class_of[v]`` is the class of vertex ``v``.  Classes are numbered by
     their least member, ascending, so equal partitions have equal
     representations.
     """
 
     class_of: tuple[int, ...]
-    classes: tuple[int, ...]
+    class_count: int
 
     @classmethod
     def from_class_of(cls, n: int, class_of: Iterable[Hashable]) -> "Partition":
-        raw = list(class_of)
-        if len(raw) != n:
-            raise ValueError("class_of must cover every vertex")
         order: dict[Hashable, int] = {}
-        for v in range(n):
-            if raw[v] not in order:
-                order[raw[v]] = len(order)
-        canonical = [order[c] for c in raw]
-        masks = [0] * len(order)
-        for v, c in enumerate(canonical):
-            masks[c] |= 1 << v
-        return cls(tuple(canonical), tuple(masks))
+        canonical = tuple(order.setdefault(c, len(order)) for c in class_of)
+        if len(canonical) != n:
+            raise ValueError("class_of must cover every vertex")
+        return cls(canonical, len(order))
 
     @property
     def universe(self) -> int:
         return len(self.class_of)
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
     def same_class(self, v: int, w: int) -> bool:
         return self.class_of[v] == self.class_of[w]
 
+    def members(self) -> list[list[int]]:
+        """The vertices of each class, ascending."""
+        out: list[list[int]] = [[] for _ in range(self.class_count)]
+        for v, c in enumerate(self.class_of):
+            out[c].append(v)
+        return out
+
     def as_relation(self) -> tuple[int, ...]:
         """The rows of the equivalence: ``rows[v]`` is the mask of ``v``'s class."""
-        return tuple(self.classes[c] for c in self.class_of)
+        masks = [mask_of(members, self.universe) for members in self.members()]
+        return tuple(masks[c] for c in self.class_of)
 
     def refines(self, other: "Partition") -> bool:
         """Every class lies inside one class of ``other``, over the same vertices."""
@@ -355,8 +354,8 @@ def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, li
     part = Partition.from_class_of(game.vertex_count, class_of)
     index = dict(zip(class_of, part.class_of))
     out = []
-    for cls in part.classes:
-        v = (cls & -cls).bit_length() - 1
+    for members in part.members():
+        v = members[0]
         sig = signatures.get(class_of[v])
         if sig is None:
             (sig,) = _sign_class(game, class_of, class_of[v], [v])

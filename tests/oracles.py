@@ -33,7 +33,7 @@ from pgreduce import (
     steps,
 )
 from pgreduce.forcing import iter_bits
-from pgreduce.lattice import COINCIDENCE_NOTIONS, LATTICE_EDGES, LatticeResult, compute_relations
+from pgreduce.lattice import COINCIDENCES, LATTICE_EDGES, LatticeResult, compute_relations
 from pgreduce.quotient import EQUIVALENCES, find_isomorphism
 from pgreduce.simgames import CHECK, DAGGER, _UPDATERS, _obligations, coincidence_check
 
@@ -162,6 +162,12 @@ def arena_as_parity_game(arena: Arena) -> ParityGame:
 # layer, which the tests check against the strategy-enumeration oracles.
 
 
+def _class_masks(part: Partition) -> list[int]:
+    """The mask of each class: the row of its first member."""
+    rows = part.as_relation()
+    return [rows[members[0]] for members in part.members()]
+
+
 def oracle_gstut_refine(game: ParityGame, initial: Partition) -> Partition:
     """Re-sign every non-singleton class against all classes each round."""
     n = game.vertex_count
@@ -169,11 +175,12 @@ def oracle_gstut_refine(game: ParityGame, initial: Partition) -> Partition:
     part = initial
     while True:
         items: list[list] = [[] for _ in range(n)]
-        for ci, cls in enumerate(part.classes):
+        classes = _class_masks(part)
+        for ci, cls in enumerate(classes):
             if cls.bit_count() == 1:
                 continue
             for player in (Player.EVEN, Player.ODD):
-                for cj, target in enumerate(part.classes):
+                for cj, target in enumerate(classes):
                     if ci == cj:
                         continue
                     attr = attractor(game, player, cls, target)
@@ -205,21 +212,22 @@ def oracle_stut_bisim(game: ParityGame) -> Partition:
 
 
 def _oracle_stuttering_quotient(game: ParityGame, part: Partition, kind: str) -> QuotientResult:
-    priorities = tuple(game.priorities[next(iter_bits(cls))] for cls in part.classes)
+    classes = _class_masks(part)
+    priorities = tuple(game.priorities[next(iter_bits(cls))] for cls in classes)
     owners = []
     succs = []
-    for ci, cls in enumerate(part.classes):
+    for ci, cls in enumerate(classes):
         members = list(iter_bits(cls))
         even_divergent = all(diverges(game, Player.EVEN, v, cls) for v in members)
         even_escape = any(
-            steps(game, Player.EVEN, v, part.classes[cj])
+            steps(game, Player.EVEN, v, classes[cj])
             for v in members
             for cj in range(part.class_count)
             if cj != ci
         )
         owners.append(Player.EVEN if even_divergent or even_escape else Player.ODD)
         targets = []
-        for cj, target in enumerate(part.classes):
+        for cj, target in enumerate(classes):
             if cj == ci:
                 facts = [[diverges(game, p, v, cls) for v in members] for p in Player]
             else:
@@ -238,7 +246,7 @@ def oracle_quotient_stut(game: ParityGame) -> QuotientResult:
     """Edges as for gstut; classes are single-owner and keep their owner."""
     part = oracle_stut_bisim(game)
     base = _oracle_stuttering_quotient(game, part, "stut")
-    owners = tuple(game.owners[next(iter_bits(cls))] for cls in part.classes)
+    owners = tuple(game.owners[next(iter_bits(cls))] for cls in _class_masks(part))
     quotient = ParityGame(base.quotient.priorities, owners, base.quotient.successors)
     return QuotientResult(quotient, base.class_map, "stut")
 
@@ -931,7 +939,7 @@ def oracle_check_lattice(game: ParityGame) -> list[LatticeResult]:
     ]
     results += [
         LatticeResult(f"game-based {notion} coincides", coincidence_check(game, notion))
-        for notion in COINCIDENCE_NOTIONS
+        for notion in COINCIDENCES
     ]
     return results
 

@@ -77,8 +77,8 @@ def test_criterion_1_fixture_facts(all_fixture_games):
     # fake divergence: the priority-0 cluster is one class, nobody diverges
     part = gstut_bisim(fake)
     prio0 = 0b11011
-    assert part.classes[part.class_of[0]] == prio0
-    assert part.classes[part.class_of[2]] == 0b00100
+    assert part.as_relation()[0] == prio0
+    assert part.as_relation()[2] == 0b00100
     for v in (0, 1, 3, 4):
         for player in Player:
             assert not diverges(fake, player, v, prio0)

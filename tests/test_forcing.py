@@ -151,7 +151,7 @@ def test_diverges_fake_divergence(fake_divergence):
 
 def test_diverges_cross_owner_self_loop_class(cross_owner):
     part = gstut_bisim(cross_owner)
-    cls = part.classes[part.class_of[4]]
+    cls = part.as_relation()[4]
     assert cls == vs(4)
     assert diverges(cross_owner, Player.EVEN, 4, cls)
 

@@ -16,7 +16,6 @@ from pgreduce import (
     random_game,
 )
 from pgreduce.lattice import (
-    COINCIDENCE_NOTIONS,
     LATTICE_EDGES,
     RELATION_ORDER,
     LatticeResult,
@@ -40,7 +39,7 @@ def test_edges_never_point_against_the_order():
 
 def test_check_lattice_result_count(escape_edge):
     results = check_lattice(escape_edge)
-    assert len(results) == len(LATTICE_EDGES) + len(COINCIDENCE_NOTIONS)
+    assert len(results) == len(LATTICE_EDGES) + len(COINCIDENCES)
     assert all(r.passed for r in results)
 
 
@@ -99,7 +98,6 @@ def test_coincidence_table_covers_the_benchmark_notions(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     workloads = importlib.import_module("workloads")
     assert set(COINCIDENCES) == set(workloads.Crosscheck.NOTIONS) == set(ROUTE_CALLS)
-    assert COINCIDENCE_NOTIONS == list(COINCIDENCES)
 
 
 def _doctored(result):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from pgreduce import (
@@ -276,6 +278,22 @@ def test_preservation_random_all_kinds():
         for fn in (quotient_direct_sim, quotient_governed_bisim, quotient_gstut):
             result = fn(game)
             assert verify_preservation(game, result)
+
+
+def test_quotient_memory_grows_linearly():
+    # Four times the vertices of a game that barely reduces, nearly all of
+    # its classes singletons, may take at most six times the memory.
+    peaks = []
+    for n in (5_000, 20_000):
+        game = random_game(n, 8, (1, 3), 7)
+        game.predecessors()
+        tracemalloc.start()
+        try:
+            quotient_governed_bisim(game)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 6 * peaks[0], peaks
 
 
 def test_serialize_class_map(fake_divergence):

@@ -26,7 +26,6 @@ from oracles import (
     oracle_strong_bisim,
     oracle_validate,
 )
-from pgreduce.forcing import iter_bits
 from pgreduce.lattice import compute_relations
 from pgreduce.relations import (
     _direct_sim_fixpoint,
@@ -103,8 +102,29 @@ class TestPartition:
 
     def test_classes_ordered_by_least_vertex(self):
         part = Partition.from_class_of(4, [7, 3, 7, 3])
-        assert part.classes == (0b0101, 0b1010)
+        assert part.members() == [[0, 2], [1, 3]]
         assert part.class_of == (0, 1, 0, 1)
+        # Seeded key lists against a brute-force reading of the keys: n = 1,
+        # a single class, all singletons and a few classes of mixed sizes.
+        rng = random.Random(24)
+        cases = [[5], [2] * 9, rng.sample(range(100), 9)]
+        cases += [[rng.choice("abcd") for _ in range(n)] for n in (2, 7, 16, 40)]
+        for keys in cases:
+            n = len(keys)
+            firsts = [v for v in range(n) if keys[v] not in keys[:v]]
+            members = [[w for w in range(n) if keys[w] == keys[f]] for f in firsts]
+            class_of = tuple(next(c for c, f in enumerate(firsts) if keys[f] == keys[v]) for v in range(n))
+            part = Partition.from_class_of(n, keys)
+            assert part == Partition(class_of, len(firsts)), keys
+            assert part.class_count == len(firsts), keys
+            assert part.members() == members, keys
+            rows = tuple(sum(1 << w for w in members[c]) for c in class_of)
+            assert part.as_relation() == rows, keys
+            # Renaming the keys keeps the partition; merging two classes does not.
+            assert Partition.from_class_of(n, [(k, "renamed") for k in keys]) == part
+            if len(firsts) > 1:
+                merged = [keys[firsts[0]] if k == keys[firsts[1]] else k for k in keys]
+                assert Partition.from_class_of(n, merged) != part
 
     def test_refines_matches_relation_route_on_lattice_relations(self, exhaustive_corpus, random_corpus):
         # Equal partitions give equal answers, so each distinct ordered pair
@@ -181,8 +201,8 @@ def test_governed_bisim_single_move_owners(single_move_owners):
 def test_governed_classes_respect_priorities(random_corpus):
     for game in random_corpus[:30]:
         part = governed_bisim(game)
-        for cls in part.classes:
-            prios = {game.priorities[v] for v in iter_bits(cls)}
+        for members in part.members():
+            prios = {game.priorities[v] for v in members}
             assert len(prios) == 1
 
 
@@ -241,7 +261,7 @@ def test_kernel_of_identity_preorder():
 
 def test_kernel_escape_edge(escape_edge):
     part = equivalence_from_preorder(direct_sim(escape_edge))
-    assert part.classes == (0b0101, 0b0010, 0b1000)
+    assert part.members() == [[0, 2], [1], [3]]
 
 
 def test_kernel_rejects_non_preorder():
@@ -308,16 +328,18 @@ def test_gstut_set_of_classes_transfer():
         n = 2 + seed % 6  # up to 7 vertices
         game = random_game(n, 3, (1, min(3, n)), 77 + seed)
         part = gstut_bisim(game)
-        for ci, cls in enumerate(part.classes):
-            members = list(iter_bits(cls))
+        classes = part.members()
+        rows = part.as_relation()
+        for ci, members in enumerate(classes):
             if len(members) < 2:
                 continue
+            cls = rows[members[0]]
             others = [j for j in range(part.class_count) if j != ci]
             for size in range(len(others) + 1):
                 for subset in combinations(others, size):
                     target = 0
                     for j in subset:
-                        target |= part.classes[j]
+                        target |= rows[classes[j][0]]
                     for player in Player:
                         answers = {
                             forces(game, player, v, cls, target) for v in members
