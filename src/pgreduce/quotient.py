@@ -197,11 +197,11 @@ def _even_escapes(game: ParityGame, class_of: tuple[int, ...], ci: int, members:
 def _stuttering_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
     # The stable signatures hold every forcing and divergence fact the
     # quotient needs: (i, cj) gives the edge to cj, (i, -1) the self-loop.
-    part, signatures = _stutter_signatures(game, by_owner)
+    part, classes, signatures = _stutter_signatures(game, by_owner)
     priorities = _class_priorities(game, part)
     owners = []
     succs = []
-    for ci, (members, sig) in enumerate(zip(part.members(), signatures)):
+    for ci, (members, sig) in enumerate(zip(classes, signatures)):
         targets = {ci if cj < 0 else cj for _, cj in sig}
         if not targets:
             raise RuntimeError("stuttering quotient class without successors")

@@ -75,7 +75,8 @@ class Partition:
 
     def as_relation(self) -> tuple[int, ...]:
         """The rows of the equivalence: ``rows[v]`` is the mask of ``v``'s class."""
-        masks = [mask_of(members, self.universe) for members in self.members()]
+        n = self.universe
+        masks = [1 << members[0] if len(members) == 1 else mask_of(members, n) for members in self.members()]
         return tuple(masks[c] for c in self.class_of)
 
     def refines(self, other: "Partition") -> bool:
@@ -340,8 +341,8 @@ def _initial_partition(game: ParityGame, by_owner: bool) -> Partition:
     return Partition.from_class_of(game.vertex_count, keys)
 
 
-def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, list[tuple]]:
-    """The stuttering partition with the stable signature of each of its classes.
+def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, list[list[int]], list[tuple]]:
+    """The stuttering partition, its classes' members and the stable signature of each class.
 
     ``by_owner`` selects stuttering bisimilarity over the governed variant.
     ``signatures[ci]`` is shared by every member of class ``ci``.  It holds
@@ -353,14 +354,15 @@ def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, li
     signatures = _refine_classes(game, class_of, _sign_class)
     part = Partition.from_class_of(game.vertex_count, class_of)
     index = dict(zip(class_of, part.class_of))
+    classes = part.members()
     out = []
-    for members in part.members():
+    for members in classes:
         v = members[0]
         sig = signatures.get(class_of[v])
         if sig is None:
             (sig,) = _sign_class(game, class_of, class_of[v], [v])
         out.append(tuple((i, index[cj] if cj >= 0 else -1) for i, cj in sig))
-    return part, out
+    return part, classes, out
 
 
 def gstut_bisim(game: ParityGame) -> Partition:

@@ -24,13 +24,14 @@ visits the same accepting positions in the same order and every position
 keeps its Buchi winner.  The governed stuttering round ends with Duplicator picking
 whether both moves stand or one side rolls back, and its arena plays the
 round as one Spoiler position, the configuration, and one Duplicator
-position, which follows all of Spoiler's moves in orientation o:
+position, which follows all of Spoiler's moves from (a, b), the pair in
+Spoiler's orientation:
 
     Spoiler moves on   Duplicator position   its picks (t0, t1)
-    a only             half move (o, t)      (t, u), u a successor of b
-    b only             half move (o, t)      (u, t), u a successor of a
-    both               pick (o, t0, t1)      that pick
-    neither            orientation o         every successor pair
+    a only             half move to t        (t, u), u a successor of b
+    b only             half move to t        (u, t), u a successor of a
+    both               pick (t0, t1)         that pick
+    neither            orientation           every successor pair
 
 Each pick stands for the three configurations it can choose, and each is
 listed once.  This is the arena with a position per orientation, half move
@@ -38,9 +39,13 @@ and pick, after merging each position into the one that moves to it when
 it is non-accepting, has that position as its only predecessor and the same
 owner: that owner then makes both choices at once, so every play visits the
 same configurations in the same order and every start keeps its Buchi
-winner.  The encodings are validated against the coinductive fixpoints by
-``coincidence_check``, which reads each notion's pair of routes from
-``COINCIDENCES``.
+winner.  A Duplicator position then keeps only what its answers read: (a,
+b), Spoiler's moves and the challenge that rolling back each side leaves,
+which is the same for all its picks.  Rounds that differ only in a pending
+challenge or a swap that no rollback reads share one position, which is
+non-accepting with the same moves, so no winner changes.  The encodings are
+validated against the coinductive fixpoints by ``coincidence_check``, which
+reads each notion's pair of routes from ``COINCIDENCES``.
 
 Positions are numbered in the order a breadth-first expansion discovers
 them.  A position is its integer id, computed from its fields and kept in
@@ -48,8 +53,8 @@ them.  A position is its integer id, computed from its fields and kept in
 k``, where obligation 0 is ✓ and obligation i ≥ 1 is the i-th smallest
 priority of the game, and ``K`` counts the obligations.  A list maps the
 ids of the configurations and half-move positions to positions; the
-stuttering game's half-move and pick positions, whose id spaces hold
-2n³(2n + 2) and 2n⁴(2n + 2) ids, use an int-keyed dict.  Each builder
+stuttering game's Duplicator positions, whose id space holds n²(2n + 2)²(n
++ 1)² ids, use an int-keyed dict.  Each builder
 decodes a position's id in one place, its ``expand`` function, which gives
 the position's owner, its acceptance and the ids of its moves; ``_explore``
 calls it once per position and records the predecessor lists as it appends
@@ -358,19 +363,15 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     return _explore(3 * cfgs, [cfg(j, 0) for j in range(n * n)], expand)
 
 
-def _challenge(c: int, cprime: int, same_vertex: bool, spoiler_moved: bool) -> int:
-    """Challenge bookkeeping of the stuttering game, on challenge indices.
+def _issued(c: int, cprime: int, same_vertex: bool) -> int:
+    """Challenge left by rolling back a Spoiler move, on challenge indices.
 
     Rolling back a Spoiler move on an unswapped side issues (or keeps) the
-    challenge; Duplicator is rewarded (✓, index 0) when Spoiler swapped
-    sides or dropped a pending challenge, and rolling back her own move
-    costs a dagger (index 1).
+    challenge ``cprime``; Duplicator is rewarded (✓, index 0) when Spoiler
+    swapped sides or dropped a pending challenge ``c``, one other than ✓
+    (0), † (1) and ``cprime``.
     """
-    if not same_vertex:
-        return 0
-    if spoiler_moved:
-        return cprime if c in (0, 1, cprime) else 0
-    return 1
+    return cprime if same_vertex and (c < 2 or c == cprime) else 0
 
 
 def build_gstut_arena(game: ParityGame) -> Arena:
@@ -388,78 +389,79 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     position for each of them.
 
     Challenges are indexed: 0 is ✓, 1 is †, ``2 + t`` is (0, t) and
-    ``2 + n + t`` is (1, t), so ``C = 2n + 2``.  Ids, listed: configuration
-    ``(v * n + w) * C + c``, orientation ``o = 2((a * n + b) * C + c) +
-    swap`` at ``n²C + o``, the sink at ``3n²C``; in a dict: the half move
-    to t after o at ``M + o * n + t`` and the pick of (t0, t1) after o at
-    ``M + 2n³C + (o * n + t0) * n + t1``, with ``M = 3n²C + 1``.  Only the
-    Duplicator-owned ones among orientations, half moves and picks are
-    positions; the other ids are never discovered.
+    ``2 + n + t`` is (1, t), so ``C = 2n + 2``.  Ids: configuration ``(v *
+    n + w) * C + c`` and the sink ``n²C``, listed; a Duplicator position
+    ``M + (((j * C + l) * C + r) * (n + 1) + s0) * (n + 1) + s1`` in a dict,
+    with ``M = n²C + 1``.  It holds only what its answers read: the pair
+    ``j = a * n + b`` the round started from in its orientation, Spoiler's
+    move ``s0`` on a and ``s1`` on b (``n`` where Duplicator moves), and
+    the challenges ``l`` and ``r`` that rolling back a and b leave, which
+    are the same for all its picks.  So rounds that differ only in the
+    challenge or the swap their rollbacks never read share one Duplicator
+    position; it is non-accepting with the same moves, so it has the same
+    Buchi winner.  Swapping a pair with itself repeats the unswapped
+    orientation, so a configuration (v, v) lists only that one.
     """
     n = game.vertex_count
     cc = 2 * n + 2
-    oris = n * n * cc
-    sink = 3 * oris
-    mids = sink + 1
-    picks = mids + 2 * oris * n
+    sink = n * n * cc
+    dups = sink + 1
+    m = n + 1
     prio, succ = game.priorities, game.successors
     even = _even_owned(game)
+    # base[j]: the id of the configuration (j, ✓), or the sink.
+    base = [j * cc if prio[j // n] == prio[j % n] else sink for j in range(n * n)]
 
-    def cfg(v: int, w: int, c: int) -> int:
-        return (v * n + w) * cc + c if prio[v] == prio[w] else sink
+    def duplicator(head: int, l: int, r: int, s0: int, s1: int) -> int:
+        return dups + ((head + l) * cc + r) * m * m + s0 * m + s1
 
-    def spoiler_moves(o: int, a: int, b: int) -> list[int]:
-        # The Duplicator positions that Spoiler's moves in orientation o reach.
+    def spoiler_moves(a: int, b: int, c: int, same: bool) -> list[int]:
+        # The Duplicator positions that Spoiler's moves from (a, b) reach in
+        # one orientation.  Rolling back a Duplicator move leaves a dagger,
+        # or ✓ after a swap.
+        head = (a * n + b) * cc
+        dagger = 1 if same else 0
         if even[a]:
             if even[b]:
-                return [mids + o * n + t for t in succ[a]]
-            return [picks + (o * n + t) * n + u for t in succ[a] for u in succ[b]]
+                return [duplicator(head, _issued(c, 2 + t, same), dagger, t, n) for t in succ[a]]
+            rights = [(_issued(c, 2 + n + u, same), u) for u in succ[b]]
+            return [duplicator(head, _issued(c, 2 + t, same), r, t, u) for t in succ[a] for r, u in rights]
         if even[b]:
-            return [oris + o]
-        return [mids + o * n + t for t in succ[b]]
+            return [duplicator(head, dagger, dagger, n, n)]
+        return [duplicator(head, dagger, _issued(c, 2 + n + t, same), n, t) for t in succ[b]]
 
-    def answers(o: int, pairs: list[tuple[int, int]]) -> list[int]:
-        # The three configurations of each pick (t0, t1) after o, each once.
-        j, oc = divmod(o, 2 * cc)
+    def answers(key: int) -> list[int]:
+        # The three configurations of each pick (t0, t1), each listed once:
+        # both moves stand, a rolls back with l, or b rolls back with r.
+        rest, s1 = divmod(key - dups, m)
+        rest, s0 = divmod(rest, m)
+        rest, r = divmod(rest, cc)
+        j, l = divmod(rest, cc)
         a, b = divmod(j, n)
-        c, swap = divmod(oc, 2)
-        # With a swap the rolled-back vertex differs from the one the
-        # round started on, which always yields a ✓ reward.
-        same = (not swap) or a == b
+        lefts = succ[a] if s0 == n else (s0,)
         out = []
-        for t0, t1 in pairs:
-            out += (
-                cfg(t0, t1, 0),
-                cfg(a, t1, _challenge(c, 2 + t0, same, even[a])),
-                cfg(t0, b, _challenge(c, 2 + n + t1, same, not even[b])),
-            )
+        for t1 in succ[b] if s1 == n else (s1,):
+            back_a = base[a * n + t1]
+            if back_a != sink:
+                back_a += l
+            for t0 in lefts:
+                back_b = base[t0 * n + b]
+                out += (base[t0 * n + t1], back_a, back_b if back_b == sink else back_b + r)
         return list(dict.fromkeys(out))
 
     def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
-        if key < oris:
+        if key < sink:
             j, c = divmod(key, cc)
             v, w = divmod(j, n)
-            swapped = 2 * ((w * n + v) * cc + c) + 1
-            return _SPOILER, c == 0, spoiler_moves(2 * key, v, w) + spoiler_moves(swapped, w, v)
+            moves = spoiler_moves(v, w, c, True)
+            if v != w:
+                moves += spoiler_moves(w, v, c, False)
+            return _SPOILER, c == 0, moves
         if key == sink:
             return _DUPLICATOR, False, [sink]
-        if key < sink:
-            # Duplicator moves on both sides: b first, then a.
-            o = key - oris
-            a, b = divmod(o // (2 * cc), n)
-            return _DUPLICATOR, False, answers(o, [(u, t) for t in succ[b] for u in succ[a]])
-        if key < picks:
-            # Spoiler moved one side to t; Duplicator answers on the other.
-            o, t = divmod(key - mids, n)
-            a, b = divmod(o // (2 * cc), n)
-            if even[a]:
-                return _DUPLICATOR, False, answers(o, [(t, u) for u in succ[b]])
-            return _DUPLICATOR, False, answers(o, [(u, t) for u in succ[a]])
-        o, pick = divmod(key - picks, n * n)
-        return _DUPLICATOR, False, answers(o, [divmod(pick, n)])
+        return _DUPLICATOR, False, answers(key)
 
-    starts = [cfg(v, w, 0) for v in game.vertices for w in game.vertices]
-    return _explore(mids, starts, expand)
+    return _explore(dups, base, expand)
 
 
 def _pair_relation_from_arena(game: ParityGame, arena: Arena) -> tuple[int, ...]:

@@ -642,7 +642,8 @@ def oracle_buchi_rank(arena: Arena) -> dict[int, int]:
 # same positions in the same order, with the same owners, edges, acceptance
 # and start positions, once the oracle's arena has gone through the same
 # transform (``fold_same_owner_half_moves`` for the direct, governed and
-# delayed games, ``collapse_same_owner_chains`` for the stuttering game).
+# delayed games, ``collapse_same_owner_chains`` for the stuttering game,
+# which merges the Duplicator positions of equal ``gstut_canonical_key``).
 # The interning builders keep a position per half move.
 
 _LOSE = ("lose",)
@@ -831,16 +832,64 @@ def oracle_build_gstut_arena(game: ParityGame) -> Arena:
     return _expand_all(arena, expand)
 
 
-def collapse_same_owner_chains(arena: Arena, start: list[int]) -> Arena:
+def gstut_duplicator_key(game: ParityGame, payload) -> tuple:
+    """The fields of the library's Duplicator position that stands for
+    ``payload``, an orientation, half move or pick of
+    ``oracle_build_gstut_arena`` owned by Duplicator, or a pick below one.
+
+    They are what its answers read: the pair (a, b) the round started from
+    in its orientation, Spoiler's move on each side (``None`` where
+    Duplicator moves) and the challenge that rolling back a, and b, leaves.
+    """
+    kind = payload[0]
+    if kind == "ori":
+        _, a, b, c, swap = payload
+        t0 = t1 = None
+    elif kind == "mid":
+        _, a, b, c, swap, moved, t = payload
+        t0, t1 = (t, None) if moved == 0 else (None, t)
+    else:
+        _, a, b, t0, t1, c, swap = payload
+    spoiler0, spoiler1 = game.owners[a] is Player.EVEN, game.owners[b] is Player.ODD
+    same = (not swap) or a == b
+    return (
+        "dup",
+        a,
+        b,
+        t0 if spoiler0 else None,
+        t1 if spoiler1 else None,
+        _gstut_challenge_update(c, (0, t0), same, spoiler0),
+        _gstut_challenge_update(c, (1, t1), same, spoiler1),
+    )
+
+
+def gstut_canonical_key(game: ParityGame, arena: InterningArena):
+    """``collapse_same_owner_chains``'s ``key`` for ``oracle_build_gstut_arena``:
+    a Duplicator position of a round is ``gstut_duplicator_key`` of its
+    payload, every other position its payload."""
+
+    def key(p: int):
+        payload = arena.payload[p]
+        if payload[0] in ("cfg", "lose") or arena.owners[p] is ArenaPlayer.SPOILER:
+            return payload
+        return gstut_duplicator_key(game, payload)
+
+    return key
+
+
+def collapse_same_owner_chains(arena: Arena, start: list[int], key) -> Arena:
     """``arena`` with each position merged into the one that moves to it,
     when it is non-accepting, is no start, has that position as its only
     predecessor and has the same owner.
 
-    A merged position's moves replace the move to it, each move is then
-    listed once, and the positions reachable from ``start`` are renumbered
-    breadth-first; ``start`` maps to the new arena's ``start``.  The
-    player who owned the merged position chooses its move together with
-    the move to it, so every position kept has the same Buchi winner.
+    A merged position's moves replace the move to it.  The positions
+    reachable from ``start`` are then renumbered breadth-first, with all
+    positions of equal ``key(p)`` as one, which takes
+    the moves of the first one found; each row lists a position once, and
+    ``start`` maps to the new arena's ``start``.  The player who owned the
+    merged position chooses its move together with the move to it, so every
+    position kept has the same Buchi winner, and so does a position merged
+    by ``key`` when all positions of its key have the same moves.
     """
     preds = _oracle_arena_preds(arena)
     starts = set(start)
@@ -859,21 +908,25 @@ def collapse_same_owner_chains(arena: Arena, start: list[int]) -> Arena:
             out += moves(q) if merged(p, q) else [q]
         return out
 
-    order = list(dict.fromkeys(start))
-    new = {p: i for i, p in enumerate(order)}
+    order: list[int] = []
+    new: dict = {}
+
+    def number(p: int) -> int:
+        k = key(p)
+        if k not in new:
+            new[k] = len(order)
+            order.append(p)
+        return new[k]
+
+    new_start = [number(p) for p in start]
     edges = []
-    for p in order:
-        row = list(dict.fromkeys(moves(p)))
-        for q in row:
-            if q not in new:
-                new[q] = len(order)
-                order.append(q)
-        edges.append([new[q] for q in row])
+    for p in order:  # also visits the positions numbered below
+        edges.append(list(dict.fromkeys(number(q) for q in moves(p))))
     return Arena(
         owners=[arena.owners[p] for p in order],
         edges=edges,
-        accepting={new[p] for p in arena.accepting if p in new},
-        start=[new[p] for p in start],
+        accepting={new[key(p)] for p in arena.accepting if key(p) in new},
+        start=new_start,
     )
 
 

@@ -7,6 +7,8 @@ from conftest import small_random_games
 from oracles import (
     collapse_same_owner_chains,
     fold_same_owner_half_moves,
+    gstut_canonical_key,
+    gstut_duplicator_key,
     is_subrelation,
     oracle_build_delayed_sim_arena,
     oracle_build_direct_sim_arena,
@@ -18,6 +20,7 @@ from oracles import (
 )
 from pgreduce import (
     CHECK,
+    DAGGER,
     ArenaPlayer,
     ParityGame,
     build_delayed_sim_arena,
@@ -230,11 +233,13 @@ class TestGstutGame:
         won = solve_buchi(arena)
         n = fake_divergence.vertex_count
         assert arena.start[1 * n + 3] in won
-        # priorities differ: collapses to the losing sink
-        oracle = oracle_build_gstut_arena(fake_divergence)
-        assert ("cfg", 0, 2, CHECK) not in oracle.index
-        sink = oracle.index[("lose",)]
-        assert arena.start[0 * n + 2] == sink
+        # priorities differ: (0, 2) starts at the builder's losing sink, a
+        # non-accepting Duplicator position whose only move is to itself
+        assert fake_divergence.priorities[0] != fake_divergence.priorities[2]
+        sink = arena.start[0 * n + 2]
+        assert arena.owners[sink] is ArenaPlayer.DUPLICATOR
+        assert sink not in arena.accepting
+        assert arena.edges[sink] == [sink]
         assert sink not in won
 
     def test_partition_matches_refinement(self, fake_divergence):
@@ -503,7 +508,8 @@ def test_arena_builders_match_interning_oracle(kind, exhaustive_corpus, random_c
     # Same positions in the same order, hence also the same position and
     # edge counts; ``start`` holds each pair's initial position.  The
     # stuttering builder plays a round as one Spoiler and one Duplicator
-    # position, so it must match the oracle's arena after the same collapse;
+    # position, which keeps only what its answers read, so it must match the
+    # oracle's arena after the same collapse and the same canonical merge;
     # the other builders fold each half move into the positions of its own
     # owner that move to it, so they must match it after the same fold.
     build, oracle, biases = _BUILDERS[kind]
@@ -513,7 +519,7 @@ def test_arena_builders_match_interning_oracle(kind, exhaustive_corpus, random_c
             arena, expected = build(*args), oracle(*args)
             start = _start_positions(kind, game, bias, expected)
             if kind == "gstut":
-                expected = collapse_same_owner_chains(expected, start)
+                expected = collapse_same_owner_chains(expected, start, gstut_canonical_key(game, expected))
             else:
                 assert expected.start == start, (i, bias)
                 expected = fold_same_owner_half_moves(expected)
@@ -522,6 +528,57 @@ def test_arena_builders_match_interning_oracle(kind, exhaustive_corpus, random_c
             assert arena.edges == expected.edges, (i, bias)
             assert arena.accepting == expected.accepting, (i, bias)
             assert arena.start == start, (i, bias)
+
+
+def _gstut_builder_id(game, key) -> int:
+    """The library's id of a configuration, the sink or a Duplicator
+    position, from its payload or ``gstut_duplicator_key``, after the id
+    layout in ``build_gstut_arena``'s docstring."""
+    n = game.vertex_count
+    cc = 2 * n + 2
+    sink = n * n * cc
+
+    def index(c) -> int:
+        if c in (CHECK, DAGGER):
+            return 0 if c == CHECK else 1
+        side, t = c  # (0, t) or (1, t)
+        return 2 + side * n + t
+
+    if key[0] == "lose":
+        return sink
+    if key[0] == "cfg":
+        _, v, w, c = key
+        return (v * n + w) * cc + index(c)
+    _, a, b, s0, s1, left, right = key
+    s0, s1 = (n if s is None else s for s in (s0, s1))
+    return sink + 1 + (((a * n + b) * cc + index(left)) * cc + index(right)) * (n + 1) ** 2 + s0 * (n + 1) + s1
+
+
+def test_gstut_picks_answer_as_their_duplicator_position(exhaustive_corpus, random_corpus):
+    # Every pick of the oracle's arena, one position per half move and pick,
+    # maps to the library's Duplicator position of its round.  That position
+    # must list exactly the answers of the picks of every oracle round that
+    # maps to it, so a challenge or swap that the id drops never changes a move.
+    for i, game in enumerate(exhaustive_corpus + random_corpus + _tail_games()):
+        arena, oracle = build_gstut_arena(game), oracle_build_gstut_arena(game)
+        pos_of = {key: p for p, key in enumerate(arena.ids)}
+        # The library's position of each oracle configuration and the sink.
+        cfg = {p: pos_of[_gstut_builder_id(game, key)] for p, key in enumerate(oracle.payload) if key[0] in ("cfg", "lose")}
+        rounds: dict[tuple, set[int]] = {}
+        for p, payload in enumerate(oracle.payload):
+            if payload[0] != "pick":
+                continue
+            key = gstut_duplicator_key(game, payload)
+            dup = pos_of.get(_gstut_builder_id(game, key))
+            assert dup is not None and arena.owners[dup] is ArenaPlayer.DUPLICATOR, (i, payload)
+            # The oracle's round: its pair, challenge, swap and Spoiler's moves.
+            round_ = (dup, payload[1:3], payload[5:], key[3:5])
+            rounds.setdefault(round_, set()).update(cfg[q] for q in oracle.edges[p])
+        for (dup, *_), picked in rounds.items():
+            assert set(arena.edges[dup]) == picked, (i, dup)
+        sink = pos_of.get(_gstut_builder_id(game, ("lose",)), -1)
+        duplicator = {p for p, owner in enumerate(arena.owners) if owner is ArenaPlayer.DUPLICATOR and p != sink}
+        assert duplicator == {dup for dup, *_ in rounds}, i
 
 
 def test_gstut_arena_keeps_every_start_winner(exhaustive_corpus, random_corpus):
