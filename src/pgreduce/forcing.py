@@ -14,10 +14,11 @@ list.  No step per vertex or per edge shifts a bitmask, which would copy
 all of it.
 
 ``mark_attractor`` is the attractor loop on game vertices, on one byte of
-state per vertex.  Besides the constrained attractor here, Zielonka's
-solver in :mod:`pgreduce.solver` calls it on the game's own vertex ids;
-the two differ only in which edges count.  The Buchi arena solver, which
-counts every move and allows every position, runs its own breadth-first
+state per vertex; byte 0 means the vertex does not exist.  Zielonka's
+solver in :mod:`pgreduce.solver` gives it byte 0 outside the subgame, the
+constrained attractor here byte 3 outside ``U``: those vertices exist, so
+their edges count, but never join.  The Buchi arena solver, which counts
+every move and allows every position, runs its own breadth-first
 attractor on flat per-position lists.
 """
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
 # The digits of ``bin``, reversed so that character ``v`` is bit ``v``, map
 # to bytes 0 and 1.
 _FROM_BIN = bytes.maketrans(b"01", b"\x00\x01")
+# Byte 0, a vertex that does not exist, to byte 3, one that never joins.
+_OUTSIDE = bytes.maketrans(b"\x00", b"\x03")
 _ONE = ord("1")
 
 
@@ -77,21 +80,19 @@ def mark_attractor(
     succs: Sequence[Sequence[int]],
     player,
     targets: Iterable[int],
-    every_edge: bool = False,
 ) -> list[int]:
     """Mark ``player``'s attractor to ``targets`` in ``state``.
 
-    ``state[v]`` is 0 for a vertex outside the subgame and 1 for one
-    inside; the targets, and every vertex that joins, become 2.  A vertex
-    owned by ``player`` joins after its first successor, any other vertex
-    after the last of its counted successors, breadth-first.  With
-    ``every_edge`` every successor counts, so an edge that leaves the
-    subgame blocks an opponent vertex, as in the constrained attractor;
-    without it only successors inside the subgame count, and the others do
-    not exist, as in Zielonka's subgames.  An opponent vertex counts its
-    successors the first time an edge into the attractor reaches it, so
-    work is proportional to the targets plus the edges into the attractor.
-    Returns the marked vertices, targets first, in the order they joined.
+    ``state[v]`` is 0 for a vertex that does not exist, as outside
+    Zielonka's subgames, 1 for one that may join, and any other value for
+    one that exists but never joins; the targets, and every vertex that
+    joins, become 2.  A vertex owned by ``player`` joins after its first
+    successor, any other vertex after the last of its successors that
+    exist, breadth-first, so an edge to a vertex that never joins blocks an
+    opponent vertex.  An opponent vertex counts its successors the first
+    time an edge into the attractor reaches it, so work is proportional to
+    the targets plus the edges into the attractor.  Returns the marked
+    vertices, targets first, in the order they joined.
     """
     # The byte values are spelled out in the loop: a global costs a lookup.
     queue = list(targets)
@@ -108,7 +109,7 @@ def mark_attractor(
                 r = remaining.get(v)
                 if r is None:
                     r = len(succs[v])
-                    if r > 1 and not every_edge:
+                    if r > 1:
                         r -= list(map(at, succs[v])).count(0)
                 r -= 1
                 remaining[v] = r
@@ -131,10 +132,9 @@ def attractor(game: ParityGame, player: Player, U: int, T: int) -> int:
     n = game.vertex_count
     if T < 0 or T >> n:
         raise ValueError(f"target mask {T} has bits outside the {n} vertices")
-    state = byte_set(U & ((1 << n) - 1), n)
-    attracted = mark_attractor(
-        state, game.owners, game.predecessors(), game.successors, player, iter_bits(T), every_edge=True
-    )
+    # Every vertex exists: those outside U get byte 3, which never joins.
+    state = byte_set(U & ((1 << n) - 1), n).translate(_OUTSIDE)
+    attracted = mark_attractor(state, game.owners, game.predecessors(), game.successors, player, iter_bits(T))
     return mask_of(attracted, n)
 
 

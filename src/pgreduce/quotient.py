@@ -1,11 +1,16 @@
 """Quotient constructions, isomorphism checking and winner preservation.
 
-Three quotients have unique results: by direct simulation equivalence
-(little-brother pruning through minimal/maximal successors), by governed
-bisimilarity and by governed stuttering bisimilarity.  The delayed
-simulation family admits no unique quotient and is deliberately absent.
-``EQUIVALENCES`` maps each equivalence name to its partition and its
-quotient; the CLI and ``quotient_equivalent`` read it.
+Five quotients have unique results: by direct simulation equivalence
+(little-brother pruning through minimal/maximal successors) and by the
+strong, governed, stuttering and governed stuttering bisimilarities.  One
+builder makes the four bisimilarity quotients from the signature each
+class ends the refinement with, which gives the class's successors and its
+owner, so no member's successors are read again.  ``_REFINEMENTS`` names
+each kind's initial partition and signer, for that builder and for
+``quotient_equivalent``.  The delayed simulation family admits no unique
+quotient and is deliberately absent.  ``EQUIVALENCES`` maps each
+equivalence name to its partition and its quotient; the CLI and
+``quotient_equivalent`` read it.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from .relations import (
     _refine,
     _sign_class,
     _sign_successors,
-    _stutter_signatures,
+    _stable_signatures,
 )
 from .solver import solve_zielonka
 
@@ -143,29 +148,46 @@ def quotient_direct_sim(game: ParityGame) -> QuotientResult:
     return QuotientResult(quotient, part.class_of, "direct-sim")
 
 
-def _bisim_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
-    part = strong_bisim(game) if by_owner else governed_bisim(game)
+# The initial partition (by owner or not) and the signer of each
+# bisimilarity's refinement, read by the quotient and its certificate.
+_REFINEMENTS = {
+    "strong-bisim": (True, _sign_successors),
+    "governed-bisim": (False, _sign_successors),
+    "stut": (True, _sign_class),
+    "gstut": (False, _sign_class),
+}
+
+
+def _refined_quotient(game: ParityGame, kind: str) -> QuotientResult:
+    """The quotient by bisimilarity ``kind``, read off its stable signatures.
+
+    A successor signature ``(classes, owner)`` gives the class's successor
+    classes and, when there are several, its members' common owner.  A
+    stuttering signature gives an edge to ``cj`` for each ``(i, cj)``, where
+    ``i`` forces every member into ``cj``, and the self-loop for ``(i, -1)``,
+    where ``i`` can keep every play inside.  Owner-split kinds keep their
+    members' owner; otherwise a class is odd when odd owns every member and
+    there are several successor classes, or, stuttering, when even neither
+    forces nor diverges.  A member that steps out under even's control is
+    the first to join even's attractor there, so even forces every member.
+    """
+    by_owner, sign = _REFINEMENTS[kind]
+    part, leaders, signatures, index = _stable_signatures(game, by_owner, sign)
     priorities = _class_priorities(game, part)
     owners = []
     succs = []
-    for members in part.members():
-        succ_classes = [frozenset(part.class_of[u] for u in game.successors[v]) for v in members]
-        targets = succ_classes[0]
-        # Members of a (governed) bisimulation class reach the same classes.
-        if any(c != targets for c in succ_classes):
-            raise RuntimeError("successor classes differ inside a bisimulation class")
-        owner = game.owners[members[0]]
-        if by_owner:
-            if any(game.owners[v] is not owner for v in members):
-                raise RuntimeError("strong bisimulation class mixes owners")
-        elif all(game.owners[v] is Player.ODD for v in members) and len(targets) > 1:
-            owner = Player.ODD
+    for ci, (v, sig) in enumerate(zip(leaders, signatures)):
+        if sign is _sign_successors:
+            classes, owner = sig
+            targets = {index[cj] for cj in classes}
+            odd = owner is Player.ODD
         else:
-            owner = Player.EVEN
-        owners.append(owner)
+            targets = {ci if cj < 0 else index[cj] for _, cj in sig}
+            odd = all(i for i, _ in sig)
         succs.append(tuple(sorted(targets)))
+        owners.append(game.owners[v] if by_owner else Player.ODD if odd else Player.EVEN)
     quotient = ParityGame._from_rows(priorities, owners, succs)
-    return QuotientResult(quotient, part.class_of, "strong-bisim" if by_owner else "governed-bisim")
+    return QuotientResult(quotient, part.class_of, kind)
 
 
 def quotient_governed_bisim(game: ParityGame) -> QuotientResult:
@@ -174,46 +196,12 @@ def quotient_governed_bisim(game: ParityGame) -> QuotientResult:
     A class is odd when all its members are odd and it has more than one
     successor class, and even otherwise.
     """
-    return _bisim_quotient(game, by_owner=False)
+    return _refined_quotient(game, "governed-bisim")
 
 
 def quotient_strong_bisim(game: ParityGame) -> QuotientResult:
     """Classic bisimulation quotient: classes are single-owner and keep it."""
-    return _bisim_quotient(game, by_owner=True)
-
-
-def _even_escapes(game: ParityGame, class_of: tuple[int, ...], ci: int, members: list[int]) -> bool:
-    # steps(EVEN, v, C) for some member v and some other class C.
-    for v in members:
-        classes = {class_of[u] for u in game.successors[v]}
-        if game.owners[v] is Player.EVEN:
-            if classes != {ci}:
-                return True
-        elif len(classes) == 1 and ci not in classes:
-            return True
-    return False
-
-
-def _stuttering_quotient(game: ParityGame, by_owner: bool) -> QuotientResult:
-    # The stable signatures hold every forcing and divergence fact the
-    # quotient needs: (i, cj) gives the edge to cj, (i, -1) the self-loop.
-    part, classes, signatures = _stutter_signatures(game, by_owner)
-    priorities = _class_priorities(game, part)
-    owners = []
-    succs = []
-    for ci, (members, sig) in enumerate(zip(classes, signatures)):
-        targets = {ci if cj < 0 else cj for _, cj in sig}
-        if not targets:
-            raise RuntimeError("stuttering quotient class without successors")
-        succs.append(tuple(sorted(targets)))
-        if by_owner:
-            owners.append(game.owners[members[0]])
-        elif (int(Player.EVEN), -1) in sig or _even_escapes(game, part.class_of, ci, members):
-            owners.append(Player.EVEN)
-        else:
-            owners.append(Player.ODD)
-    quotient = ParityGame._from_rows(priorities, owners, succs)
-    return QuotientResult(quotient, part.class_of, "stut" if by_owner else "gstut")
+    return _refined_quotient(game, "strong-bisim")
 
 
 def quotient_gstut(game: ParityGame) -> QuotientResult:
@@ -226,7 +214,7 @@ def quotient_gstut(game: ParityGame) -> QuotientResult:
     twice.  A class is odd unless even can diverge in it or some member
     steps out of it under even's control.
     """
-    return _stuttering_quotient(game, by_owner=False)
+    return _refined_quotient(game, "gstut")
 
 
 def quotient_stut(game: ParityGame) -> QuotientResult:
@@ -236,7 +224,7 @@ def quotient_stut(game: ParityGame) -> QuotientResult:
     quotient, but classes are single-owner here and keep that owner, which
     makes the construction idempotent.
     """
-    return _stuttering_quotient(game, by_owner=True)
+    return _refined_quotient(game, "stut")
 
 
 def _iso_invariants(game: ParityGame) -> list[tuple]:
@@ -328,16 +316,6 @@ def verify_preservation(game: ParityGame, result: QuotientResult) -> bool:
     return all(
         original.winner(v) == reduced.winner(result.class_map[v]) for v in game.vertices
     )
-
-
-# The initial partition (by owner or not) and the signer of each
-# bisimilarity's refinement, as in :mod:`pgreduce.relations`.
-_REFINEMENTS = {
-    "strong-bisim": (True, _sign_successors),
-    "governed-bisim": (False, _sign_successors),
-    "stut": (True, _sign_class),
-    "gstut": (False, _sign_class),
-}
 
 
 def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:

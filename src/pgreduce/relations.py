@@ -341,28 +341,32 @@ def _initial_partition(game: ParityGame, by_owner: bool) -> Partition:
     return Partition.from_class_of(game.vertex_count, keys)
 
 
-def _stutter_signatures(game: ParityGame, by_owner: bool) -> tuple[Partition, list[list[int]], list[tuple]]:
-    """The stuttering partition, its classes' members and the stable signature of each class.
+def _stable_signatures(
+    game: ParityGame, by_owner: bool, sign
+) -> tuple[Partition, list[int], list[tuple], dict[int, int]]:
+    """The partition ``sign`` refines to, the least member and the stable signature of each class.
 
-    ``by_owner`` selects stuttering bisimilarity over the governed variant.
-    ``signatures[ci]`` is shared by every member of class ``ci``.  It holds
-    ``(i, cj)`` when player ``i`` forces every member into class ``cj``
-    through ``ci``, and ``(i, -1)`` when ``i`` can keep every play from every
-    member inside ``ci``.  Class ids follow the returned partition.
+    ``by_owner`` selects the initial partition, as in ``_initial_partition``.
+    ``signatures[c]`` is shared by every member of class ``c`` of the
+    returned partition; the class ids inside it are the refinement's, and
+    ``index`` maps them to the partition's.
     """
     class_of = list(_initial_partition(game, by_owner).class_of)
-    signatures = _refine_classes(game, class_of, _sign_class)
+    signatures = _refine_classes(game, class_of, sign)
     part = Partition.from_class_of(game.vertex_count, class_of)
-    index = dict(zip(class_of, part.class_of))
-    classes = part.members()
+    # Classes are numbered by least member, so a class's least member is
+    # the first vertex that carries its number.
+    leaders: list[int] = []
+    for v, c in enumerate(part.class_of):
+        if c == len(leaders):
+            leaders.append(v)
     out = []
-    for members in classes:
-        v = members[0]
+    for v in leaders:
         sig = signatures.get(class_of[v])
         if sig is None:
-            (sig,) = _sign_class(game, class_of, class_of[v], [v])
-        out.append(tuple((i, index[cj] if cj >= 0 else -1) for i, cj in sig))
-    return part, classes, out
+            (sig,) = sign(game, class_of, class_of[v], [v])
+        out.append(sig)
+    return part, leaders, out, dict(zip(class_of, part.class_of))
 
 
 def gstut_bisim(game: ParityGame) -> Partition:

@@ -191,6 +191,18 @@ def _obligations(game: ParityGame, bias: str) -> tuple[int, tuple[int, ...], lis
     return kk, _gamma_table(levels, bias), row
 
 
+# The most arena ids a builder may list: ``_explore`` allocates a list slot
+# per listed id before it explores anything.  The stuttering arena lists
+# n²(2n + 2) + 1 ids, which pass this at 369 vertices.
+ARENA_ID_LIMIT = 10**8
+
+
+def _check_listed(game: ParityGame, ids: int) -> None:
+    if ids > ARENA_ID_LIMIT:
+        n = game.vertex_count
+        raise ValueError(f"arena of a {n}-vertex game lists {ids} ids, above the limit of {ARENA_ID_LIMIT}")
+
+
 def _even_owned(game: ParityGame) -> list[bool]:
     """Per vertex, whether Even owns it: the move table reads nothing else."""
     return [o is Player.EVEN for o in game.owners]
@@ -279,6 +291,7 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
     n = game.vertex_count
     nn = n * n
     sink = 4 * nn
+    _check_listed(game, sink + 1)
     prio, succ = game.priorities, game.successors
     even = _even_owned(game)
 
@@ -333,6 +346,8 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     """
     n = game.vertex_count
     succ = game.successors
+    # A configuration and two half moves per pair and obligation, before the γ table.
+    _check_listed(game, 3 * n * n * (len(set(game.priorities)) + 1))
     kk, table, prow = _obligations(game, bias)
     cfgs = n * n * kk
     even = _even_owned(game)
@@ -406,6 +421,7 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     cc = 2 * n + 2
     sink = n * n * cc
     dups = sink + 1
+    _check_listed(game, dups)
     m = n + 1
     prio, succ = game.priorities, game.successors
     even = _even_owned(game)

@@ -114,6 +114,16 @@ def test_attractors_match_the_layered_reference():
         assert sum(1 << v for v in marked) == inside, seed
 
 
+def test_kernel_counts_edges_to_a_vertex_that_never_joins():
+    # Vertex 0 is odd with successors 1, the target, and 2.  With 2 at
+    # byte 3 the edge to it counts, so even never attracts 0; with 2 at
+    # byte 0 that vertex does not exist and 0 joins.
+    game = ParityGame((0, 0, 0), (Player.ODD, Player.EVEN, Player.EVEN), ((1, 2), (1,), (2,)))
+    args = (game.owners, game.predecessors(), game.successors, Player.EVEN, [1])
+    assert mark_attractor(bytearray(b"\x01\x01\x03"), *args) == [1]
+    assert mark_attractor(bytearray(b"\x01\x01\x00"), *args) == [1, 0]
+
+
 def test_forces_target_membership_is_trivial(escape_edge):
     t = vs(2)
     for player in Player:

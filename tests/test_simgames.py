@@ -1,4 +1,7 @@
 import random
+from array import array
+from dataclasses import dataclass
+from itertools import chain
 
 import pytest
 
@@ -476,6 +479,15 @@ def test_explore_builds_the_arena_in_one_pass():
     assert len(calls) == arena.size
 
 
+def test_arena_id_space_fails_fast():
+    # The stuttering arena of 400 vertices would list 400² · 802 + 1 ids,
+    # about 1.28 · 10⁸, so the builder refuses before allocating any.
+    game = random_game(400, 8, (1, 2), 1)
+    limit = pgreduce.simgames.ARENA_ID_LIMIT
+    with pytest.raises(ValueError, match=f"400-vertex game lists 128320001 ids, above the limit of {limit}"):
+        build_gstut_arena(game)
+
+
 _UPDATES = {"none": gamma, "even": gamma_even, "odd": gamma_odd}
 
 
@@ -503,8 +515,72 @@ _BUILDERS = {
 }
 
 
+def _packed(arena) -> dict[str, bytes | array]:
+    """An arena's owners, moves, accepting positions and starts as flat
+    arrays, a few bytes per move, so a corpus of arenas stays small."""
+    return {
+        "owners": bytes(owner is ArenaPlayer.SPOILER for owner in arena.owners),
+        "degrees": array("i", map(len, arena.edges)),
+        "moves": array("i", chain.from_iterable(arena.edges)),
+        "accepting": array("i", sorted(arena.accepting)),
+        "start": array("i", arena.start),
+    }
+
+
+@dataclass(frozen=True, slots=True)
+class OracleFacts:
+    """What the arena tests compare of one oracle arena: the arena after the
+    library builder's transform, packed, whether the oracle's start row
+    already names each pair's initial position, each start's Buchi winner
+    and, for the stuttering game, the answers of each Duplicator position
+    (by the library's id): the sorted ids of the configurations its rounds
+    pick from, or None when two of its oracle rounds differ."""
+
+    expected: dict[str, bytes | array]
+    starts_agree: bool
+    start_won: list[bool]
+    answers: dict[int, tuple[int, ...] | None] | None
+
+
+def _oracle_facts(kind, game, bias) -> OracleFacts:
+    _, oracle, _ = _BUILDERS[kind]
+    arena = oracle(game) if bias is None else oracle(game, bias)
+    start = _start_positions(kind, game, bias, arena)
+    won = solve_buchi(arena)
+    if kind == "gstut":
+        expected = collapse_same_owner_chains(arena, start, gstut_canonical_key(game, arena))
+        answers = _gstut_answers(game, arena)
+    else:
+        expected = fold_same_owner_half_moves(arena)
+        answers = None
+    return OracleFacts(
+        _packed(expected),
+        arena.start == start,
+        [p in won for p in start],
+        answers,
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle_facts(exhaustive_corpus, random_corpus):
+    """``oracle_facts(kind)`` gives the corpus games and the ``OracleFacts``
+    of each game and bias, computed once per module from one oracle build
+    each.  Only the facts stay, not the oracle arenas, which are several
+    times larger, and nothing a test does changes them."""
+    games = exhaustive_corpus + random_corpus + _tail_games()
+    cache = {}
+
+    def facts(kind):
+        if kind not in cache:
+            biases = _BUILDERS[kind][2]
+            cache[kind] = [[_oracle_facts(kind, game, bias) for bias in biases] for game in games]
+        return games, cache[kind]
+
+    return facts
+
+
 @pytest.mark.parametrize("kind", list(_BUILDERS))
-def test_arena_builders_match_interning_oracle(kind, exhaustive_corpus, random_corpus):
+def test_arena_builders_match_interning_oracle(kind, oracle_facts):
     # Same positions in the same order, hence also the same position and
     # edge counts; ``start`` holds each pair's initial position.  The
     # stuttering builder plays a round as one Spoiler and one Duplicator
@@ -512,22 +588,15 @@ def test_arena_builders_match_interning_oracle(kind, exhaustive_corpus, random_c
     # oracle's arena after the same collapse and the same canonical merge;
     # the other builders fold each half move into the positions of its own
     # owner that move to it, so they must match it after the same fold.
-    build, oracle, biases = _BUILDERS[kind]
-    for i, game in enumerate(exhaustive_corpus + random_corpus + _tail_games()):
-        for bias in biases:
-            args = (game,) if bias is None else (game, bias)
-            arena, expected = build(*args), oracle(*args)
-            start = _start_positions(kind, game, bias, expected)
-            if kind == "gstut":
-                expected = collapse_same_owner_chains(expected, start, gstut_canonical_key(game, expected))
-            else:
-                assert expected.start == start, (i, bias)
-                expected = fold_same_owner_half_moves(expected)
-            start = expected.start
-            assert arena.owners == expected.owners, (i, bias)
-            assert arena.edges == expected.edges, (i, bias)
-            assert arena.accepting == expected.accepting, (i, bias)
-            assert arena.start == start, (i, bias)
+    build, _, biases = _BUILDERS[kind]
+    games, facts = oracle_facts(kind)
+    for i, (game, per_bias) in enumerate(zip(games, facts)):
+        for bias, fact in zip(biases, per_bias):
+            arena = build(game) if bias is None else build(game, bias)
+            if kind != "gstut":
+                assert fact.starts_agree, (i, bias)
+            for field, packed in _packed(arena).items():
+                assert packed == fact.expected[field], (i, bias, field)
 
 
 def _gstut_builder_id(game, key) -> int:
@@ -554,53 +623,65 @@ def _gstut_builder_id(game, key) -> int:
     return sink + 1 + (((a * n + b) * cc + index(left)) * cc + index(right)) * (n + 1) ** 2 + s0 * (n + 1) + s1
 
 
-def test_gstut_picks_answer_as_their_duplicator_position(exhaustive_corpus, random_corpus):
-    # Every pick of the oracle's arena, one position per half move and pick,
-    # maps to the library's Duplicator position of its round.  That position
-    # must list exactly the answers of the picks of every oracle round that
-    # maps to it, so a challenge or swap that the id drops never changes a move.
-    for i, game in enumerate(exhaustive_corpus + random_corpus + _tail_games()):
-        arena, oracle = build_gstut_arena(game), oracle_build_gstut_arena(game)
+def _gstut_answers(game, oracle) -> dict[int, tuple[int, ...] | None]:
+    """Every pick of the oracle's arena, one position per half move and
+    pick, maps to the library's Duplicator position of its round.  Per such
+    position's id, the sorted ids of the configurations that the picks of
+    each oracle round (its pair, challenge, swap and Spoiler's moves)
+    mapping to it choose from, or None when two such rounds differ."""
+    # The library's id of each oracle configuration and the sink.
+    cfg = {p: _gstut_builder_id(game, key) for p, key in enumerate(oracle.payload) if key[0] in ("cfg", "lose")}
+    rounds: dict[tuple, set[int]] = {}
+    for p, payload in enumerate(oracle.payload):
+        if payload[0] != "pick":
+            continue
+        key = gstut_duplicator_key(game, payload)
+        round_ = (_gstut_builder_id(game, key), payload[1:3], payload[5:], key[3:5])
+        rounds.setdefault(round_, set()).update(cfg[q] for q in oracle.edges[p])
+    answers: dict[int, tuple[int, ...] | None] = {}
+    for (dup, *_), picked in rounds.items():
+        ids = tuple(sorted(picked))
+        # No position can list the answers of two rounds that differ.
+        answers[dup] = ids if answers.get(dup, ids) == ids else None
+    return answers
+
+
+def test_gstut_picks_answer_as_their_duplicator_position(oracle_facts):
+    # Each Duplicator position must list exactly the answers of the picks of
+    # every oracle round that maps to it, so a challenge or swap that the id
+    # drops never changes a move.
+    games, facts = oracle_facts("gstut")
+    for i, (game, (fact,)) in enumerate(zip(games, facts)):
+        arena = build_gstut_arena(game)
         pos_of = {key: p for p, key in enumerate(arena.ids)}
-        # The library's position of each oracle configuration and the sink.
-        cfg = {p: pos_of[_gstut_builder_id(game, key)] for p, key in enumerate(oracle.payload) if key[0] in ("cfg", "lose")}
-        rounds: dict[tuple, set[int]] = {}
-        for p, payload in enumerate(oracle.payload):
-            if payload[0] != "pick":
-                continue
-            key = gstut_duplicator_key(game, payload)
-            dup = pos_of.get(_gstut_builder_id(game, key))
-            assert dup is not None and arena.owners[dup] is ArenaPlayer.DUPLICATOR, (i, payload)
-            # The oracle's round: its pair, challenge, swap and Spoiler's moves.
-            round_ = (dup, payload[1:3], payload[5:], key[3:5])
-            rounds.setdefault(round_, set()).update(cfg[q] for q in oracle.edges[p])
-        for (dup, *_), picked in rounds.items():
-            assert set(arena.edges[dup]) == picked, (i, dup)
+        for dup_id, picked in fact.answers.items():
+            dup = pos_of.get(dup_id)
+            assert dup is not None and arena.owners[dup] is ArenaPlayer.DUPLICATOR, (i, dup_id)
+            assert picked == tuple(sorted({arena.ids[q] for q in arena.edges[dup]})), (i, dup)
         sink = pos_of.get(_gstut_builder_id(game, ("lose",)), -1)
         duplicator = {p for p, owner in enumerate(arena.owners) if owner is ArenaPlayer.DUPLICATOR and p != sink}
-        assert duplicator == {dup for dup, *_ in rounds}, i
+        assert duplicator == {pos_of[dup_id] for dup_id in fact.answers}, i
 
 
-def test_gstut_arena_keeps_every_start_winner(exhaustive_corpus, random_corpus):
+def test_gstut_arena_keeps_every_start_winner(oracle_facts):
     # The collapsed arena against the oracle's, one position per half move.
-    for i, game in enumerate(exhaustive_corpus + random_corpus + _tail_games()):
-        arena, expected = build_gstut_arena(game), oracle_build_gstut_arena(game)
-        won, expected_won = solve_buchi(arena), solve_buchi(expected)
-        start = _start_positions("gstut", game, None, expected)
-        assert [p in won for p in arena.start] == [p in expected_won for p in start], i
+    games, facts = oracle_facts("gstut")
+    for i, (game, (fact,)) in enumerate(zip(games, facts)):
+        arena = build_gstut_arena(game)
+        won = solve_buchi(arena)
+        assert [p in won for p in arena.start] == fact.start_won, i
 
 
 @pytest.mark.parametrize("kind", ["direct", "governed", "delayed"])
-def test_folded_arenas_keep_every_start_winner(kind, exhaustive_corpus, random_corpus):
+def test_folded_arenas_keep_every_start_winner(kind, oracle_facts):
     # The folded arena against the oracle's, one position per half move.
-    build, oracle, biases = _BUILDERS[kind]
-    for i, game in enumerate(exhaustive_corpus + random_corpus + _tail_games()):
-        for bias in biases:
-            args = (game,) if bias is None else (game, bias)
-            arena, expected = build(*args), oracle(*args)
-            won, expected_won = solve_buchi(arena), solve_buchi(expected)
-            start = _start_positions(kind, game, bias, expected)
-            assert [p in won for p in arena.start] == [p in expected_won for p in start], (i, bias)
+    build, _, biases = _BUILDERS[kind]
+    games, facts = oracle_facts(kind)
+    for i, (game, per_bias) in enumerate(zip(games, facts)):
+        for bias, fact in zip(biases, per_bias):
+            arena = build(game) if bias is None else build(game, bias)
+            won = solve_buchi(arena)
+            assert [p in won for p in arena.start] == fact.start_won, (i, bias)
 
 
 def _start_positions(kind, game, bias, arena):

@@ -151,10 +151,10 @@ def test_zielonka_matches_reference(monkeypatch):
     reference = oracles.attractor_layers
     calls = []
 
-    def recording(state, owners, preds, succs, player, targets, every_edge=False):
+    def recording(state, owners, preds, succs, player, targets):
         targets = list(targets)
         calls.append((player, tuple(targets), _subgame(state)))
-        return original(state, owners, preds, succs, player, targets, every_edge)
+        return original(state, owners, preds, succs, player, targets)
 
     def recording_reference(owners, preds, degree, player, targets, allowed):
         targets = list(targets)
