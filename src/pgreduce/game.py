@@ -405,14 +405,14 @@ def random_game(
 def disjoint_union(g1: ParityGame, g2: ParityGame) -> ParityGame:
     """The disjoint union; the second game's indices are offset by ``|V1|``."""
     off = g1.vertex_count
-    priorities = g1.priorities + g2.priorities
-    owners = g1.owners + g2.owners
-    succs = g1.successors + tuple(
-        tuple(u + off for u in row) for row in g2.successors
-    )
+    # Both games' rows are normal, and an offset keeps a row ascending, so
+    # only the public constructor's checks run.
+    succs = g1.successors + tuple(tuple(map(off.__add__, row)) for row in g2.successors)
     labels = None
     if g1.labels is not None or g2.labels is not None:
         l1 = g1.labels if g1.labels is not None else (None,) * g1.vertex_count
         l2 = g2.labels if g2.labels is not None else (None,) * g2.vertex_count
         labels = l1 + l2
-    return ParityGame._from_rows(priorities, owners, succs, labels)
+    union = object.__new__(ParityGame)
+    union._freeze(g1.priorities + g2.priorities, g1.owners + g2.owners, succs, labels)
+    return union

@@ -31,7 +31,7 @@ from .relations import (
     stut_bisim,
     _direct_sim_fixpoint,
     _initial_partition,
-    _refine,
+    _refine_classes,
     _sign_class,
     _sign_successors,
     _stable_signatures,
@@ -309,8 +309,22 @@ def find_isomorphism(
     return None
 
 
+def _check_class_map(game: ParityGame, result: QuotientResult) -> None:
+    """The class map names one quotient vertex for each game vertex."""
+    class_map, q = result.class_map, result.quotient.vertex_count
+    n = game.vertex_count
+    if len(class_map) < n:
+        raise ValueError(f"class map has no class for vertex {len(class_map)}")
+    if len(class_map) > n:
+        raise ValueError(f"class map names vertex {n}, outside 0..{n - 1}")
+    if min(class_map) < 0 or max(class_map) >= q:
+        v, c = next((v, c) for v, c in enumerate(class_map) if not 0 <= c < q)
+        raise ValueError(f"vertex {v} maps to class {c}, outside 0..{q - 1}")
+
+
 def verify_preservation(game: ParityGame, result: QuotientResult) -> bool:
     """Winners survive quotienting: each vertex and its class share a winner."""
+    _check_class_map(game, result)
     original = solve_zielonka(game)
     reduced = solve_zielonka(result.quotient)
     return all(
@@ -325,11 +339,16 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     The union's greatest fixpoint starts from the relation the quotient
     claims, not from scratch.  Let ``c(x)`` be ``class_map[x]`` for a game
     vertex ``x`` and ``x - n`` for a quotient vertex, with ``n`` game
-    vertices.  The kind's relation on the quotient alone, read through
-    ``c`` and cut down to the union's initial partition (equal priority,
-    and equal owner for ``strong-bisim`` and ``stut``), is refined with the
-    kind's own signer, or for ``direct-sim`` by pair deletion.  Then ``v``
-    must end related both ways to ``n + c(v)``.
+    vertices.  A bisimilarity first refines, with the kind's own signer,
+    the union's initial partition (equal priority, and equal owner for
+    ``strong-bisim`` and ``stut``) cut by ``c``, so each quotient vertex
+    starts in a class of its own with the vertices mapped onto it.  Only
+    when that separates a vertex from its class does it compute the kind's
+    relation on the quotient alone and refine again from that relation,
+    read through ``c`` and cut down to the initial partition.
+    ``direct-sim`` always starts from the quotient's own preorder, read the
+    same way, and deletes pairs; then ``v`` must end related both ways to
+    ``n + c(v)``.
 
     Sound: whatever the fixpoint keeps is a bisimulation (a direct
     simulation) of the union inside its initial relation, so it lies inside
@@ -338,11 +357,14 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     quotient's part is the quotient's own.  If every vertex is equivalent
     to its class, ``x`` and ``y`` are related in the union exactly when
     ``n + c(x)`` and ``n + c(y)`` are, that is, when ``c(x)`` and ``c(y)``
-    are related in the quotient.  The start is then the union's largest
-    relation, and the first round confirms it without a split.
+    are related in the quotient.  The second start is then the union's
+    largest relation, and the first round confirms it without a split.  A
+    minimal quotient relates no two of its vertices, so there the first
+    start is that relation already and the quotient is never refined alone.
     """
     if result.kind not in EQUIVALENCES:
         raise ValueError(f"unknown quotient kind {result.kind!r}")
+    _check_class_map(game, result)
     quotient, class_map = result.quotient, result.class_map
     n = game.vertex_count
     union = disjoint_union(game, quotient)
@@ -360,11 +382,17 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
         rows = _direct_sim_fixpoint(union, start)
         return all(rows[v] >> (n + c) & 1 and rows[n + c] >> v & 1 for v, c in enumerate(class_map))
     by_owner, sign = _REFINEMENTS[result.kind]
-    classes = EQUIVALENCES[result.kind].partition(quotient).class_of
     initial = _initial_partition(union, by_owner).class_of
-    start = Partition.from_class_of(len(lift), zip(initial, (classes[c] for c in lift)))
-    part = _refine(union, start, sign)
-    return all(part.same_class(v, n + c) for v, c in enumerate(class_map))
+
+    def refined_from(claimed) -> bool:
+        class_of = list(Partition.from_class_of(len(lift), zip(initial, claimed)).class_of)
+        _refine_classes(union, class_of, sign)
+        return all(class_of[v] == class_of[n + c] for v, c in enumerate(class_map))
+
+    if refined_from(lift):
+        return True
+    classes = EQUIVALENCES[result.kind].partition(quotient).class_of
+    return refined_from([classes[c] for c in lift])
 
 
 def serialize_class_map(result: QuotientResult) -> bytes:

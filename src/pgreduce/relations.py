@@ -6,11 +6,11 @@ bisimilarities share one signature-based partition refinement: governed
 and strong bisimilarity sign a vertex by its successor classes, the
 stuttering variants by forcing and divergence predicates.  Those
 predicates are constrained attractors from the signed class, and the
-signer computes all of them for one player in a single least fixpoint over
-the class, one bit per successor class plus one for leaving the class;
-each bit is an independent monotone operator, so each is exactly its
-attractor.  The delayed simulation family lives in :mod:`pgreduce.simgames`
-because its natural home is the obligation game.
+signer computes all of them for each player in a least fixpoint over the
+class, one bit per successor class plus one for leaving the class, both
+players' in one worklist; each bit is an independent monotone operator, so
+each is exactly its attractor.  The delayed simulation family lives in
+:mod:`pgreduce.simgames` because its natural home is the obligation game.
 
 A preorder is the tuple of its rows: ``rows[v]`` is the bitmask of every
 ``w`` with ``v ≤ w``.  An equivalence is a :class:`Partition`, which is its
@@ -92,10 +92,6 @@ class Partition:
         return True
 
 
-def _succ_masks(game: ParityGame) -> list[int]:
-    return [sum(1 << u for u in row) for row in game.successors]
-
-
 def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     """Delete pairs violating the direct-simulation transfer until stable.
 
@@ -105,42 +101,71 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     before.  The greatest fixpoint does not depend on the order in which
     violating pairs go, so this deletes down to the same rows as sweeping
     every row until none changes.
+
+    An even ``w`` answers a target ``t`` when it has a successor in ``t``,
+    that is, when it lies in ``t``'s predecessor image, the OR of the
+    predecessor masks of ``t``'s members.  The image of each distinct row
+    is computed once per call, and the image of a union of rows is the OR
+    of theirs, so one AND per target keeps or drops every even candidate
+    of ``v`` at once.  Odd candidates are checked one by one.
     """
-    succ_masks = _succ_masks(game)
-    even = [owner is Player.EVEN for owner in game.owners]
+    n = game.vertex_count
     succs = game.successors
-    dirty: Iterable[int] = range(game.vertex_count)
+    even = [owner is Player.EVEN for owner in game.owners]
+    evens = 0
+    succ_masks = []
+    pred_masks = [0] * n
+    for v, row in enumerate(succs):
+        bit = 1 << v
+        if even[v]:
+            evens |= bit
+        succ = 0
+        for u in row:
+            succ |= 1 << u
+            pred_masks[u] |= bit
+        succ_masks.append(succ)
+    odds = ~evens
+    images: dict[int, int] = {}
+    dirty: Iterable[int] = range(n)
     while dirty:
         shrunk = []
         for v in dirty:
             # w must answer every group of v's moves.  Even at v, each move
             # is a group; odd at v picks the move, so all its moves form one
             # group, whose target is the union of their rows.
-            if even[v]:
-                targets = [rows[vp] for vp in succs[v]]
-            else:
-                target = 0
-                for vp in succs[v]:
-                    target |= rows[vp]
-                targets = [target]
-            meet = -1
-            for t in targets:
-                meet &= t
             row = rows[v]
-            keep = row
-            bits = row
+            targets = [rows[vp] for vp in succs[v]]
+            if even[v]:
+                meet = answer = -1
+                for t in targets:
+                    meet &= t
+            else:
+                meet = answer = 0
+                for t in targets:
+                    meet |= t
+            # Even at w needs a successor in every group's target.
+            if row & evens:
+                for t in targets:
+                    image = images.get(t)
+                    if image is None:
+                        image = 0
+                        bits = t
+                        while bits:
+                            low = bits & -bits
+                            bits ^= low
+                            image |= pred_masks[low.bit_length() - 1]
+                        images[t] = image
+                    if even[v]:
+                        answer &= image
+                    else:
+                        answer |= image
+            keep = row & (answer | odds)
+            # Odd at w needs all its successors in every group's target.
+            bits = row & odds
             while bits:
                 low = bits & -bits
                 bits ^= low
-                w = low.bit_length() - 1
-                if even[w]:
-                    # Even at w needs a successor in every group's target.
-                    for t in targets:
-                        if not succ_masks[w] & t:
-                            keep ^= low
-                            break
-                elif succ_masks[w] & ~meet:
-                    # Odd at w needs all its successors in their meet.
+                if succ_masks[low.bit_length() - 1] & ~meet:
                     keep ^= low
             if keep != row:
                 rows[v] = keep
@@ -219,47 +244,65 @@ def _sign_class(
     all successors outside.  Player ``i`` diverges exactly where the
     opponent's bit 0 is clear, by the duality of forcing and divergence.
     Members with equal masks have equal items, so the masks group them.
+
+    A member with no successor inside has its masks fixed from the start.
+    The others run both players' fixpoints in one worklist over the pair of
+    masks, which re-queues a member's predecessors inside when either mask
+    changes.  The pair of two least fixpoints is the least fixpoint of the
+    pair, so the masks are each player's own.
     """
     succs = game.successors
+    owners = game.owners
     bit: dict[int, int] = {}
-    some: dict[int, int] = {}
-    every: dict[int, int] = {}
-    inner: dict[int, list[int]] = {v: [] for v in members}
+    # (even's mask, odd's mask) of each member; the members with a successor
+    # inside start at the least masks, the others are fixed at their value.
+    mask: dict[int, tuple[int, int]] = {}
+    # Each member with a successor inside: whether even owns it, its two
+    # masks over the successors outside, and those inside.
+    rules: dict[int, tuple[bool, int, int, list[int]]] = {}
     inner_preds: dict[int, list[int]] = {v: [] for v in members}
     for v in members:
-        some[v], every[v] = 0, -1
+        some, every = 0, -1
+        inner = []
         for u in succs[v]:
             cj = class_of[u]
             if cj == cid:
-                inner[v].append(u)
+                inner.append(u)
                 inner_preds[u].append(v)
             else:
                 c = 1 << bit.setdefault(cj, len(bit) + 1) | 1
-                some[v] |= c
-                every[v] &= c
+                some |= c
+                every &= c
+        # The owner ORs what its successors contribute, the opponent ANDs it.
+        ours = owners[v] is Player.EVEN
+        base = (some, every) if ours else (every, some)
+        if inner:
+            mask[v] = (0, 0)
+            rules[v] = (ours, *base, inner)
+        else:
+            mask[v] = base
 
-    def fixpoint(player: Player) -> dict[int, int]:
-        mask = dict.fromkeys(members, 0)
-        work = list(members)
-        while work:
-            v = work.pop()
-            if game.owners[v] is player:
-                new = some[v]
-                for u in inner[v]:
-                    new |= mask[u]
-            else:
-                new = every[v]
-                for u in inner[v]:
-                    new &= mask[u]
-            if new != mask[v]:
-                mask[v] = new
-                work.extend(inner_preds[v])
-        return mask
+    work = list(rules)
+    while work:
+        v = work.pop()
+        ours, m_even, m_odd, inner = rules[v]
+        if ours:
+            for u in inner:
+                e, o = mask[u]
+                m_even |= e
+                m_odd &= o
+        else:
+            for u in inner:
+                e, o = mask[u]
+                m_even &= e
+                m_odd |= o
+        if (m_even, m_odd) != mask[v]:
+            mask[v] = m_even, m_odd
+            work.extend(inner_preds[v])
 
-    even, odd = fixpoint(Player.EVEN), fixpoint(Player.ODD)
     by_mask: dict[tuple[int, int], list[int]] = {}
     for v in members:
-        by_mask.setdefault((even[v], odd[v]), []).append(v)
+        by_mask.setdefault(mask[v], []).append(v)
     groups: dict[tuple, list[int]] = {}
     for (m_even, m_odd), group in by_mask.items():
         items = []

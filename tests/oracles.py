@@ -1120,6 +1120,9 @@ def oracle_quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool
     The union's own partition, from the kind's initial one, must put every
     vertex in the class of its quotient vertex.
     """
+    q = result.quotient.vertex_count
+    assert len(result.class_map) == game.vertex_count, result
+    assert all(0 <= c < q for c in result.class_map), result
     union = disjoint_union(game, result.quotient)
     part = EQUIVALENCES[result.kind].partition(union)
     off = game.vertex_count

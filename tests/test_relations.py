@@ -16,7 +16,7 @@ from pgreduce import (
     strong_direct_sim,
     stut_bisim,
 )
-from inflation import inflate
+from inflation import chain_every_edge, inflate
 from oracles import (
     is_subrelation,
     oracle_direct_sim_fixpoint,
@@ -40,12 +40,17 @@ from pgreduce.relations import (
 def _larger_games() -> list[ParityGame]:
     # Random games of 20-80 vertices barely reduce, so each is paired with
     # an inflated game of about that size, whose duplicates are strongly
-    # bisimilar and whose chains stutter-equivalent to their origins.
+    # bisimilar and whose chains stutter-equivalent to their origins.  A
+    # chain on every edge of a small core gives long single-successor paths
+    # inside one class, and turns each self-loop of the core into a cycle,
+    # so the stuttering signer runs long inner worklists.
     larger = []
     for seed in range(30):
         larger.append(random_game(20 + 2 * seed, 1 + seed % 3, (1, 3), seed))
         core = random_game(10 + seed, 1 + seed % 3, (1, 3), seed)
         larger.append(inflate(core, 10 + seed, seed % 4, seed)[0])
+    for seed in range(3):
+        larger.append(chain_every_edge(random_game(12 + seed, 1 + seed % 3, (1, 2), seed), 4, seed)[0])
     return larger
 
 

@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from test_quotient_equivalent import NON_MINIMAL, NON_MINIMAL_MAP
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -64,22 +66,32 @@ def test_traced_check_lattice_sees_every_relation():
 
 
 def test_traced_quotient_equivalent_sees_every_relation():
+    # A non-minimal quotient makes every certificate compute its relation
+    # on the quotient; a minimal one leaves only direct-sim's preorder.
     tracing = _load_tracing()
     mods = {name: importlib.import_module(f"pgreduce.{name}") for name in tracing.LAYERS}
-    game = mods["game"].random_game(6, 3, (1, 3), 1)
-    results = [eq.quotient(game) for eq in mods["quotient"].EQUIVALENCES.values()]
-    tracer = tracing.Tracer(mods)
-    tracer.install()
-    try:
-        for result in results:
-            mods["quotient"].quotient_equivalent(game, result)
-    finally:
-        tracer.uninstall()
-    calls = tracer.summary()["calls"]
-    assert {name for name in calls if name.startswith("relations.")} == {
+    quotient = mods["quotient"]
+    core = mods["game"].random_game(6, 3, (1, 3), 1)
+
+    def traced_relations(cases) -> set[str]:
+        tracer = tracing.Tracer(mods)
+        tracer.install()
+        try:
+            for game, result in cases:
+                assert quotient.quotient_equivalent(game, result)
+        finally:
+            tracer.uninstall()
+        return {name for name in tracer.summary()["calls"] if name.startswith("relations.")}
+
+    onto_itself = [
+        (NON_MINIMAL, quotient.QuotientResult(NON_MINIMAL, NON_MINIMAL_MAP, kind)) for kind in quotient.EQUIVALENCES
+    ]
+    assert traced_relations(onto_itself) == {
         "relations.strong_bisim",
         "relations.governed_bisim",
         "relations.stut_bisim",
         "relations.gstut_bisim",
         "relations.direct_sim",
     }
+    minimal = [(core, eq.quotient(core)) for eq in quotient.EQUIVALENCES.values()]
+    assert traced_relations(minimal) == {"relations.direct_sim"}
