@@ -55,8 +55,10 @@ class Partition:
     def from_class_of(cls, n: int, class_of: Iterable[Hashable]) -> "Partition":
         order: dict[Hashable, int] = {}
         canonical = tuple(order.setdefault(c, len(order)) for c in class_of)
-        if len(canonical) != n:
+        if len(canonical) < n:
             raise ValueError("class_of must cover every vertex")
+        if len(canonical) > n:
+            raise ValueError(f"class_of has {len(canonical)} entries for {n} vertices")
         return cls(canonical, len(order))
 
     @property

@@ -49,17 +49,19 @@ reads each notion's pair of routes from ``COINCIDENCES``.
 
 Positions are numbered in the order a breadth-first expansion discovers
 them.  A position is its integer id, computed from its fields and kept in
-``Arena.ids``: a delayed configuration (v, w, k) has id ``(v * n + w) * K +
-k``, where obligation 0 is ✓ and obligation i ≥ 1 is the i-th smallest
-priority of the game, and ``K`` counts the obligations.  A list maps the
-ids of the configurations and half-move positions to positions; the
+``Arena.ids``.  One builder, ``_half_move_arena``, makes the direct,
+governed and delayed arenas: configuration (v, w, k) has id ``t = (v * n +
+w) * K + k``, where obligation 0 is ✓, i ≥ 1 the i-th smallest priority and
+``K`` counts the obligations (1 in the direct and governed games); the
+governed game's oriented copy ``n²K + t``, the half move after t ``2n²K +
+2t + side``, the sink ``4n²K``.  A list maps these ids to positions; the
 stuttering game's Duplicator positions, whose id space holds n²(2n + 2)²(n
-+ 1)² ids, use an int-keyed dict.  Each builder
-decodes a position's id in one place, its ``expand`` function, which gives
-the position's owner, its acceptance and the ids of its moves; ``_explore``
-calls it once per position and records the predecessor lists as it appends
-the moves, so the Buchi solver never derives them again.  Round order comes
-from a per-vertex owner table and the obligation update from one table per
++ 1)² ids, use an int-keyed dict.  Each builder decodes a position's id in
+one place, its ``expand`` function, which gives the position's owner, its
+acceptance and the ids of its moves; ``_explore`` calls it once per
+position and records the predecessor lists as it appends the moves, so the
+Buchi solver never derives them again.  Round order comes from a
+per-vertex owner table and the obligation update from one table per
 priority set and bias (``_gamma_table``, cached), which the delayed
 fixpoint shares.
 
@@ -159,7 +161,7 @@ def _updater(bias: str) -> Callable[[int, int, Obligation], Obligation]:
     return _UPDATERS[bias]
 
 
-# Priority sets whose γ tables stay cached, per bias.
+# The (priority set, bias) entries whose γ tables stay cached, in all.
 _GAMMA_TABLES = 64
 
 
@@ -266,61 +268,81 @@ def _explore(
             row.append(pos)
         rows_append(row)
         src += 1
-    arena = Arena(owners=owners, edges=rows, accepting=accepting, ids=ids, start=start)
-    # Fills the cached property, so the solver never derives the lists.
-    vars(arena)["predecessors"] = preds
-    return arena
+    return Arena(owners=owners, edges=rows, accepting=accepting, ids=ids, start=start, predecessors=preds)
+
+
+def _half_move_arena(
+    game: ParityGame, kk: int, table: tuple[int, ...], row: list[int], base: list[int], swap: bool
+) -> Arena:
+    """Arena of a pair game whose round follows the module docstring's move table.
+
+    Ids: configuration ``t = j * K + k``, for the pair ``j = v * n + w`` and
+    obligation k, accepting when k is 0 (✓); with ``swap``, Spoiler owns
+    every configuration and picks which side plays the left role, and the
+    oriented copy ``n²K + t``, not accepting, plays the round; the half move
+    after t ``2n²K + 2t + side``, where Duplicator answers on w (side 1) or
+    on v (side 0); the sink ``4n²K``, which loses.  A round from obligation
+    k that enters the pair x reaches ``base[x] + table[row[x] + k]``:
+    ``base[x]`` is ``x * K``, or the sink where the table reads 0.  The
+    callers check the id space before they build the tables.
+    """
+    n, succ = game.vertex_count, game.successors
+    even = _even_owned(game)
+    cfgs = n * n * kk
+    half, sink = 2 * cfgs, 4 * cfgs
+    # Only the sink can repeat in a row: distinct pairs reach distinct configurations.
+    dedupe = sink in base
+
+    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
+        if key < half:
+            if key < cfgs:
+                j, k = divmod(key, kk)
+                if swap:
+                    return _SPOILER, k == 0, [cfgs + key, cfgs + ((j % n) * n + j // n) * kk + k]
+                accept = k == 0
+            else:
+                j, k = divmod(key - cfgs, kk)
+                accept = False
+            a, b = divmod(j, n)
+            if even[a]:
+                if even[b]:
+                    return _SPOILER, accept, [half + 2 * ((t * n + b) * kk + k) + 1 for t in succ[a]]
+                owner = _SPOILER
+                moves = [base[x := t * n + u] + table[row[x] + k] for t in succ[a] for u in succ[b]]
+            elif even[b]:
+                owner = _DUPLICATOR
+                moves = [base[x := u * n + t] + table[row[x] + k] for t in succ[b] for u in succ[a]]
+            else:
+                return _SPOILER, accept, [half + 2 * ((a * n + t) * kk + k) for t in succ[b]]
+        elif key < sink:
+            # ``half`` is even, so the key's last bit is the side.
+            j, k = divmod((key - half) >> 1, kk)
+            a, b = divmod(j, n)
+            owner, accept = _DUPLICATOR, False
+            if key & 1:
+                moves = [base[x := a * n + u] + table[row[x] + k] for u in succ[b]]
+            else:
+                moves = [base[x := u * n + b] + table[row[x] + k] for u in succ[a]]
+        else:
+            return _DUPLICATOR, False, [sink]
+        return owner, accept, list(dict.fromkeys(moves)) if dedupe else moves
+
+    return _explore(sink + 1, [base[j] + table[row[j]] for j in range(n * n)], expand)
 
 
 def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
-    """Arena of the direct simulation game over all vertex pairs.
+    """Direct simulation arena over all vertex pairs, with one obligation, ✓.
 
     Configurations with unequal priorities collapse into one losing sink;
-    every other configuration is accepting, so Duplicator wins exactly the
-    safety condition of matching priorities forever.  With ``swap``,
-    Spoiler owns every configuration and first picks which side plays the
-    left role in the round.  Ids: configuration ``j = v * n + w``, its
-    oriented copy ``n² + j``, half move ``2n² + 2j + side``, sink ``4n²``.
-
-    Only the (even, even) and (odd, odd) rounds keep a half-move position,
-    Duplicator's, which only Spoiler's positions move to; an (even, odd) or
-    (odd, even) configuration, or oriented copy, moves straight to the next
-    configurations as the module docstring describes.  Every row lists the
-    sink at most once.
+    the others are accepting, so Duplicator wins exactly the safety
+    condition of matching priorities forever.
     """
     n = game.vertex_count
-    nn = n * n
-    sink = 4 * nn
+    sink = 4 * n * n
     _check_listed(game, sink + 1)
-    prio, succ = game.priorities, game.successors
-    even = _even_owned(game)
-
-    def cfg(v: int, w: int) -> int:
-        return v * n + w if prio[v] == prio[w] else sink
-
-    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
-        if key == sink:
-            return _DUPLICATOR, False, [sink]
-        if key < nn and swap:
-            return _SPOILER, True, [nn + key, nn + (key % n) * n + key // n]
-        if key < 2 * nn:
-            a, b = divmod(key % nn, n)
-            sa, sb = succ[a], succ[b]
-            if even[a]:
-                if even[b]:
-                    return _SPOILER, key < nn, [2 * nn + 2 * (t * n + b) + 1 for t in sa]
-                return _SPOILER, key < nn, list(dict.fromkeys([cfg(t, u) for t in sa for u in sb]))
-            if even[b]:
-                return _DUPLICATOR, key < nn, list(dict.fromkeys([cfg(u, t) for t in sb for u in sa]))
-            return _SPOILER, key < nn, [2 * nn + 2 * (a * n + t) for t in sb]
-        j, side = divmod(key - 2 * nn, 2)
-        a, b = divmod(j, n)
-        if side == 0:
-            return _DUPLICATOR, False, list(dict.fromkeys([cfg(u, b) for u in succ[a]]))
-        return _DUPLICATOR, False, list(dict.fromkeys([cfg(a, u) for u in succ[b]]))
-
-    starts = [cfg(v, w) for v in game.vertices for w in game.vertices]
-    return _explore(sink + 1, starts, expand)
+    prio = game.priorities
+    base = [v * n + w if pv == pw else sink for v, pv in enumerate(prio) for w, pw in enumerate(prio)]
+    return _half_move_arena(game, 1, (0,), [0] * (n * n), base, swap)
 
 
 def build_direct_sim_arena(game: ParityGame) -> Arena:
@@ -338,44 +360,13 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
 
     Accepting positions are the configurations without pending obligation.
     Only configurations reachable from the query positions (v, w, γ(v,w,✓))
-    are materialised.  Ids: configuration ``t = (v * n + w) * K + k``, the
-    half move after it ``n²K + 2t + side``.  As in the direct arena, only
-    the (even, even) and (odd, odd) configurations keep a half-move
-    position; the others move straight to the next configurations, as the
-    module docstring describes.
+    are materialised.
     """
     n = game.vertex_count
-    succ = game.successors
-    # A configuration and two half moves per pair and obligation, before the γ table.
-    _check_listed(game, 3 * n * n * (len(set(game.priorities)) + 1))
-    kk, table, prow = _obligations(game, bias)
-    cfgs = n * n * kk
-    even = _even_owned(game)
-
-    def cfg(j: int, k: int) -> int:
-        # The configuration reached at pair j from obligation k.
-        return j * kk + table[prow[j] + k]
-
-    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
-        if key < cfgs:
-            j, k = divmod(key, kk)
-            v, w = divmod(j, n)
-            sv, sw = succ[v], succ[w]
-            if even[v]:
-                if even[w]:
-                    return _SPOILER, k == 0, [cfgs + 2 * ((t * n + w) * kk + k) + 1 for t in sv]
-                return _SPOILER, k == 0, [cfg(t * n + u, k) for t in sv for u in sw]
-            if even[w]:
-                return _DUPLICATOR, k == 0, [cfg(u * n + t, k) for t in sw for u in sv]
-            return _SPOILER, k == 0, [cfgs + 2 * ((v * n + t) * kk + k) for t in sw]
-        t, side = divmod(key - cfgs, 2)
-        j, k = divmod(t, kk)
-        a, b = divmod(j, n)
-        if side == 0:
-            return _DUPLICATOR, False, [cfg(u * n + b, k) for u in succ[a]]
-        return _DUPLICATOR, False, [cfg(a * n + u, k) for u in succ[b]]
-
-    return _explore(3 * cfgs, [cfg(j, 0) for j in range(n * n)], expand)
+    # The half-move arena's ids, counted before the γ table is built.
+    _check_listed(game, 4 * n * n * (len(set(game.priorities)) + 1) + 1)
+    kk, table, row = _obligations(game, bias)
+    return _half_move_arena(game, kk, table, row, [j * kk for j in range(n * n)], swap=False)
 
 
 def _issued(c: int, cprime: int, same_vertex: bool) -> int:

@@ -21,14 +21,13 @@ attractor counts every move and allows every position, so both run one
 breadth-first attractor on flat per-position lists: owner flags,
 out-degrees, a ``bytearray`` membership and a list of remaining counts.
 The predecessor lists come with the arena: the builders of
-:mod:`pgreduce.simgames` record them while they explore, and a hand-built
-arena derives them from its edges on first use.
+:mod:`pgreduce.simgames` record them while they explore, and the solver
+derives them from the edges of a hand-built arena.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 from itertools import compress, groupby
 from typing import Sequence
 
@@ -58,7 +57,8 @@ class Arena:
     builder computed position ``p`` (a delayed configuration (v, w, k) has
     id ``(v * n + w) * K + k``), and ``start[v * n + w]`` is the position
     at which a play from the vertex pair (v, w) starts.  A hand-built arena
-    may leave both empty.
+    may leave both empty, and ``predecessors`` None: the solver then
+    derives the lists of the positions moving to each one from ``edges``.
     """
 
     owners: list[ArenaPlayer] = field(default_factory=list)
@@ -66,12 +66,7 @@ class Arena:
     accepting: set[int] = field(default_factory=set)
     ids: list[int] = field(default_factory=list)
     start: list[int] = field(default_factory=list)
-
-    @cached_property
-    def predecessors(self) -> list[list[int]]:
-        """Predecessor lists, built from ``edges`` on first use unless the
-        arena's builder recorded them."""
-        return _arena_preds(self)
+    predecessors: list[list[int]] | None = None
 
     @property
     def size(self) -> int:
@@ -359,7 +354,7 @@ def _buchi_layers(arena: Arena) -> tuple[list[int], list[int]]:
     layered Y itself.
     """
     dup, degree, accepting = _flat(arena)
-    preds = arena.predecessors
+    preds = arena.predecessors if arena.predecessors is not None else _arena_preds(arena)
     inside = bytearray(b"\x01") * arena.size
     count = arena.size
     while True:

@@ -653,8 +653,8 @@ _LOSE = ("lose",)
 class InterningArena(Arena):
     """An arena that interns positions by payload, so builders can freely
     re-request them: ``payload[p]`` describes position ``p`` and ``index``
-    maps a payload back to its position.  Adding a position or an edge drops
-    the cached predecessor lists."""
+    maps a payload back to its position.  It records no predecessor lists,
+    so the solver derives them from its edges."""
 
     payload: list = field(default_factory=list)
     index: dict = field(default_factory=dict)
@@ -663,7 +663,6 @@ class InterningArena(Arena):
         pos = self.index.get(payload)
         if pos is not None:
             return pos
-        self.__dict__.pop("predecessors", None)
         pos = len(self.owners)
         self.index[payload] = pos
         self.owners.append(owner)
@@ -674,7 +673,6 @@ class InterningArena(Arena):
         return pos
 
     def add_edge(self, src: int, dst: int) -> None:
-        self.__dict__.pop("predecessors", None)
         self.edges[src].append(dst)
 
 

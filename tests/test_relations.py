@@ -105,6 +105,13 @@ class TestPartition:
         with pytest.raises(ValueError, match="3 and 2 vertices"):
             Partition.from_class_of(3, [0, 1, 2]).refines(Partition.from_class_of(2, [0, 0]))
 
+    def test_class_map_length_must_match(self):
+        # Too few entries leave a vertex out; too many name the two counts.
+        with pytest.raises(ValueError, match="cover every vertex"):
+            Partition.from_class_of(3, [0, 0])
+        with pytest.raises(ValueError, match="class_of has 3 entries for 2 vertices"):
+            Partition.from_class_of(2, [0, 0, 0])
+
     def test_classes_ordered_by_least_vertex(self):
         part = Partition.from_class_of(4, [7, 3, 7, 3])
         assert part.members() == [[0, 2], [1, 3]]

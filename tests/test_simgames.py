@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -170,22 +171,26 @@ class TestDelayedArena:
         assert all(rows[v] >> v & 1 for v in escape_edge.vertices)
 
     def test_obligation_alphabet(self, random_corpus):
-        # A configuration's id is (v * n + w) * K + k, where obligation k
-        # indexes ✓ and the sorted priorities; the interning oracle's
-        # arena, folded the same way and then position for position the
-        # same, names each one.
+        # A configuration's id is t = (v * n + w) * K + k, where obligation
+        # k indexes ✓ and the sorted priorities, and the half move after it
+        # 2n²K + 2t + side; the interning oracle's arena, folded the same
+        # way and then position for position the same, names each one.
         for game in random_corpus[:15]:
             n = game.vertex_count
             obligations = [CHECK, *sorted(set(game.priorities))]
             kk = len(obligations)
+            cfgs = n * n * kk
             arena = build_delayed_sim_arena(game)
             payload = fold_same_owner_half_moves(oracle_build_delayed_sim_arena(game)).payload
             for pos, key in enumerate(arena.ids):
-                if key < n * n * kk:
+                if key < cfgs:
                     j, k = divmod(key, kk)
                     assert payload[pos] == ("cfg", j // n, j % n, obligations[k])
                 else:
-                    assert payload[pos][0] == "mid"
+                    assert key >= 2 * cfgs
+                    t, side = divmod(key - 2 * cfgs, 2)
+                    j, k = divmod(t, kk)
+                    assert payload[pos] == ("mid", j // n, j % n, obligations[k], side)
 
     def test_contains_direct(self, escape_edge, random_corpus):
         for game in [escape_edge] + random_corpus[:15]:
@@ -479,13 +484,38 @@ def test_explore_builds_the_arena_in_one_pass():
     assert len(calls) == arena.size
 
 
-def test_arena_id_space_fails_fast():
-    # The stuttering arena of 400 vertices would list 400² · 802 + 1 ids,
-    # about 1.28 · 10⁸, so the builder refuses before allocating any.
-    game = random_game(400, 8, (1, 2), 1)
+# Each builder, a game size whose arena would list more ids than the
+# limit, and that count: n²(2n + 2) + 1 for the stuttering arena, 4n²K + 1
+# for the half-move arenas (K = 1 for direct and governed, and K = 10 for
+# the delayed arena of this game's nine priorities).
+_OVERSIZED = {
+    "gstut": (build_gstut_arena, 400, 128320001),
+    "direct": (build_direct_sim_arena, 5001, 100040005),
+    "governed": (build_governed_bisim_arena, 5001, 100040005),
+    "delayed": (build_delayed_sim_arena, 2000, 160000001),
+}
+
+
+@pytest.mark.parametrize("kind", list(_OVERSIZED))
+def test_arena_id_space_fails_fast(kind, monkeypatch):
+    # The builder refuses before it builds anything of size n²: not the γ
+    # table's rows, and not a megabyte of anything else.
+    build, n, ids = _OVERSIZED[kind]
+    game = random_game(n, 8, (1, 2), 1)
     limit = pgreduce.simgames.ARENA_ID_LIMIT
-    with pytest.raises(ValueError, match=f"400-vertex game lists 128320001 ids, above the limit of {limit}"):
-        build_gstut_arena(game)
+
+    def obligations(*args):
+        raise AssertionError("obligation table built before the id check")
+
+    monkeypatch.setattr(pgreduce.simgames, "_obligations", obligations)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{n}-vertex game lists {ids} ids, above the limit of {limit}"):
+            build(game)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 _UPDATES = {"none": gamma, "even": gamma_even, "odd": gamma_odd}
