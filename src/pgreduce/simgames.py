@@ -14,18 +14,23 @@ so Spoiler moves on even-owned left vertices and odd-owned right vertices,
 and the left side moves first exactly when it is even-owned.  The direct,
 governed and delayed arenas keep an intermediate position, Duplicator's,
 for the second half move of the (even, even) and (odd, odd) rounds, where
-the mover changes.  In an (even, odd) round Spoiler makes both half moves
-and in an (odd, even) round Duplicator does, so the configuration moves
-straight to the next configurations, each listed once: Spoiler's with the
-left successor outer and the right one inner, Duplicator's with the right
-successor outer and the left one inner.  The folded half move is
-non-accepting and its owner makes both choices at once, so every play
-visits the same accepting positions in the same order and every position
-keeps its Buchi winner.  The governed stuttering round ends with Duplicator picking
-whether both moves stand or one side rolls back, and its arena plays the
-round as one Spoiler position, the configuration, and one Duplicator
-position, which follows all of Spoiler's moves from (a, b), the pair in
-Spoiler's orientation:
+the mover changes, unless it has a single answer.  In an (even, odd)
+round Spoiler makes both half moves and in an (odd, even) round
+Duplicator does, so the configuration moves straight to the next
+configurations, each listed once: Spoiler's with the left successor outer
+and the right one inner, Duplicator's with the right successor outer and
+the left one inner.  The folded half move is non-accepting and its owner
+makes both choices at once, so every play visits the same accepting
+positions in the same order and every position keeps its Buchi winner.
+An (even, even) round whose right vertex has one successor, or an (odd,
+odd) one whose left vertex has one, is folded the same way: Duplicator's
+half move has a single answer, so the configuration moves straight to the
+configurations that Spoiler's moves reach with it, in Spoiler's move
+order.  The governed stuttering round ends with Duplicator picking whether
+both moves stand or one side rolls back, and its arena plays the round as
+one Spoiler position, the configuration, and one Duplicator position,
+which follows all of Spoiler's moves from (a, b), the pair in Spoiler's
+orientation:
 
     Spoiler moves on   Duplicator position   its picks (t0, t1)
     a only             half move to t        (t, u), u a successor of b
@@ -70,9 +75,11 @@ it cross-checks the arena route.  It evaluates only the triples that the
 query triples reach, the same set as the arena's configurations, and its
 greatest fixpoint carries the stages of each least fixpoint into the next
 round instead of recomputing them.  It evaluates a triple's transfer on a
-per-pair table built once per call (``_transfer_groups``): the successor
-pairs, grouped by the owners, each with its triple base and its row in the
-γ table.
+per-pair table (``_transfer_groups``): the successor pairs, grouped by the
+owners, each with its triple base and its row in the γ table.  No bias
+changes that table or the triple bases of each pair's predecessor pairs,
+so both are built once per game object and kept on it, like its
+predecessor lists; ``wf_rank_check`` reads the same table.
 """
 from __future__ import annotations
 
@@ -281,10 +288,11 @@ def _half_move_arena(
     every configuration and picks which side plays the left role, and the
     oriented copy ``n²K + t``, not accepting, plays the round; the half move
     after t ``2n²K + 2t + side``, where Duplicator answers on w (side 1) or
-    on v (side 0); the sink ``4n²K``, which loses.  A round from obligation
-    k that enters the pair x reaches ``base[x] + table[row[x] + k]``:
-    ``base[x]`` is ``x * K``, or the sink where the table reads 0.  The
-    callers check the id space before they build the tables.
+    on v (side 0), listed only when that vertex has two successors or more;
+    the sink ``4n²K``, which loses.  A round from obligation k that enters
+    the pair x reaches ``base[x] + table[row[x] + k]``: ``base[x]`` is ``x
+    * K``, or the sink where the table reads 0.  The callers check the id
+    space before they build the tables.
     """
     n, succ = game.vertex_count, game.successors
     even = _even_owned(game)
@@ -304,16 +312,19 @@ def _half_move_arena(
                 j, k = divmod(key - cfgs, kk)
                 accept = False
             a, b = divmod(j, n)
+            sa, sb = succ[a], succ[b]
             if even[a]:
-                if even[b]:
-                    return _SPOILER, accept, [half + 2 * ((t * n + b) * kk + k) + 1 for t in succ[a]]
+                if even[b] and len(sb) > 1:
+                    return _SPOILER, accept, [half + 2 * ((t * n + b) * kk + k) + 1 for t in sa]
+                # Spoiler moves on both sides, or on a before Duplicator's one answer on b.
                 owner = _SPOILER
-                moves = [base[x := t * n + u] + table[row[x] + k] for t in succ[a] for u in succ[b]]
-            elif even[b]:
-                owner = _DUPLICATOR
-                moves = [base[x := u * n + t] + table[row[x] + k] for t in succ[b] for u in succ[a]]
+                moves = [base[x := t * n + u] + table[row[x] + k] for t in sa for u in sb]
+            elif not even[b] and len(sa) > 1:
+                return _SPOILER, accept, [half + 2 * ((a * n + t) * kk + k) for t in sb]
             else:
-                return _SPOILER, accept, [half + 2 * ((a * n + t) * kk + k) for t in succ[b]]
+                # Duplicator moves on both sides, or Spoiler on b before Duplicator's one answer on a.
+                owner = _DUPLICATOR if even[b] else _SPOILER
+                moves = [base[x := u * n + t] + table[row[x] + k] for t in sb for u in sa]
         elif key < sink:
             # ``half`` is even, so the key's last bit is the side.
             j, k = divmod((key - half) >> 1, kk)
@@ -549,6 +560,17 @@ def _transfer_groups(game: ParityGame, kk: int, prow: list[int]) -> list[list[li
     return out
 
 
+def _per_game(game: ParityGame, name: str, build: Callable[[], list]) -> list:
+    """``build()``, kept on ``game`` under ``name`` the first time, as
+    ``ParityGame.predecessors`` keeps its lists.  Only for tables that no
+    bias changes: ``K`` and the pairs' γ-table rows do not depend on it."""
+    cached = getattr(game, name, None)
+    if cached is None:
+        cached = build()
+        object.__setattr__(game, name, cached)
+    return cached
+
+
 def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...]:
     """Delayed simulation computed directly on obligation triples.
 
@@ -557,11 +579,12 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...
     forever, the inner least fixpoint ``x`` demands finite progress towards
     a ✓ obligation, exactly the well-founded formulation of the transfer
     condition.  Transfers read ``y`` at ✓ and ``x`` elsewhere, through
-    per-pair tables built once per call (``_transfer_groups``).  Only the
-    set R of triples reachable from the query triples ``(v, w, γ(v, w,
-    ✓))`` through these reads is evaluated; R is found from the same tables
-    first, and it is closed under reads, so the nested fixpoint on R equals
-    the full one there.
+    per-pair tables (``_transfer_groups``) built once per game and kept on
+    it with the readers' triple bases, so the three biases share them.
+    Only the set R of triples reachable from the query triples ``(v, w,
+    γ(v, w, ✓))`` through these reads is evaluated; R is found from the
+    same tables first, and it is closed under reads, so the nested fixpoint
+    on R equals the full one there.
     The readers of a triple (v, w, k) are the triples (a, b, kk) with
     a ∈ pred(v), b ∈ pred(w) and update(p(v), p(w), kk) = k; the pairs
     (a, b) are listed once per pair (v, w).
@@ -596,13 +619,13 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...
     for r in range(0, len(table), kk):
         for k in range(kk):
             sources[r + table[r + k]].append(k)
-    transfer = _transfer_groups(game, kk, prow)
+    transfer = _per_game(game, "_delayed_transfer", lambda: _transfer_groups(game, kk, prow))
     # The triple bases of the predecessor pairs of each pair.
-    pred_bases = [
-        [(a * n + b) * kk for a in preds[v] for b in preds[w]]
-        for v in game.vertices
-        for w in game.vertices
-    ]
+    pred_bases = _per_game(
+        game,
+        "_delayed_pred_bases",
+        lambda: [[(a * n + b) * kk for a in pv for b in pw] for pv in preds for pw in preds],
+    )
 
     def holds(t: int) -> bool:
         j, k = divmod(t, kk)
@@ -707,7 +730,7 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
         if t < total:
             rank[t] = r
 
-    transfer = _transfer_groups(game, kk, prow)
+    transfer = _per_game(game, "_delayed_transfer", lambda: _transfer_groups(game, kk, prow))
     for t, r in enumerate(rank):
         if r < 0:
             continue

@@ -14,9 +14,12 @@ when it is done.  The attractor kernel
 step copies a row, renumbers a vertex or touches a bitmask.
 
 ``solve_buchi`` solves the explicit two-player arenas used for the
-(bi)simulation games; its one-step predecessor visits the accepting
-positions only, and its nested-attractor layering also yields the progress
-ranks (``buchi_rank``) consumed by the well-foundedness checks.  An arena
+(bi)simulation games; its nested-attractor layering also yields the
+progress ranks (``buchi_rank``) consumed by the well-foundedness checks.
+Its targets start as the accepting positions and only shrink, so each
+round's one-step predecessor visits the last round's targets only, and
+the fixpoint ends at the first attractor from whose every target
+Duplicator re-enters it: one attractor per distinct target set.  An arena
 attractor counts every move and allows every position, so both run one
 breadth-first attractor on flat per-position lists: owner flags,
 out-degrees, a ``bytearray`` membership and a list of remaining counts.
@@ -73,10 +76,23 @@ class Arena:
         return len(self.owners)
 
     def validate(self) -> None:
+        """Raise ``ValueError`` naming a position without moves, a move or an
+        accepting id outside the arena, or owners and move rows of unequal
+        counts."""
+        size = self.size
+        if len(self.edges) != size:
+            raise ValueError(f"arena has {size} owners but {len(self.edges)} move rows")
         for p, row in enumerate(self.edges):
+            if row and min(row) >= 0 and max(row) < size:
+                continue
+            where = f" (id {self.ids[p]})" if self.ids else ""
             if not row:
-                where = f" (id {self.ids[p]})" if self.ids else ""
                 raise ValueError(f"arena position {p}{where} has no moves")
+            q = next(q for q in row if not 0 <= q < size)
+            raise ValueError(f"arena position {p}{where} moves to {q}, outside 0..{size - 1}")
+        for p in self.accepting:
+            if not 0 <= p < size:
+                raise ValueError(f"accepting position {p} is outside 0..{size - 1}")
 
 
 def _zielonka(
@@ -285,14 +301,11 @@ def _flat(arena: Arena) -> tuple[bytearray, list[int], list[int]]:
 
 
 def _cpre_duplicator(
-    edges: list[list[int]], dup: bytearray, accepting: list[int], inside: bytearray
+    edges: list[list[int]], dup: bytearray, targets: list[int], inside: bytearray
 ) -> list[int]:
-    """Accepting positions ``inside`` from which Duplicator forces
-    re-entering ``inside`` in one move."""
+    """The ``targets`` from which Duplicator forces entering ``inside`` in one move."""
     out = []
-    for p in accepting:
-        if not inside[p]:
-            continue
+    for p in targets:
         if dup[p]:
             for q in edges[p]:
                 if inside[q]:
@@ -347,22 +360,26 @@ def _buchi_layers(arena: Arena) -> tuple[list[int], list[int]]:
     """The last round of the Buchi fixpoint: Duplicator's won positions in
     the order they joined, and where each attractor layer ends in it.
 
-    Standard nested fixpoint: shrink a candidate set Y to the attractor of
-    those accepting positions from which Duplicator can re-enter Y in one
-    step, until stable.  The attractor is monotone in Y, so Y only shrinks
-    and is stable once its size is; the round that finds it stable has
-    layered Y itself.
+    Standard nested fixpoint: Y is Duplicator's attractor to the accepting
+    positions from which Duplicator re-enters Y in one move, shrunk from
+    all positions until stable.  The attractor and the one-step
+    predecessor are monotone, so the targets only shrink: each round keeps
+    those of the last round that re-enter its attractor.  When none drops,
+    the next attractor would be this one, so its layering is returned.  An
+    arena without recorded predecessor lists is validated first, which
+    walks every move as deriving the lists does.
     """
-    dup, degree, accepting = _flat(arena)
-    preds = arena.predecessors if arena.predecessors is not None else _arena_preds(arena)
-    inside = bytearray(b"\x01") * arena.size
-    count = arena.size
+    dup, degree, targets = _flat(arena)
+    preds = arena.predecessors
+    if preds is None:
+        arena.validate()
+        preds = _arena_preds(arena)
     while True:
-        targets = _cpre_duplicator(arena.edges, dup, accepting, inside)
         inside, order, ends = _duplicator_attractor(dup, degree, preds, targets)
-        if len(order) == count:
+        kept = _cpre_duplicator(arena.edges, dup, targets, inside)
+        if len(kept) == len(targets):
             return order, ends
-        count = len(order)
+        targets = kept
 
 
 def solve_buchi(arena: Arena) -> frozenset[int]:

@@ -538,7 +538,7 @@ def oracle_rank_check(game: ParityGame, bias: str, ranks: dict[int, int]) -> boo
     positions are the library's, in the same order."""
     update = _UPDATERS[bias]
     prio = game.priorities
-    payload = fold_same_owner_half_moves(oracle_build_delayed_sim_arena(game, bias)).payload
+    payload = fold_same_owner_half_moves(game, oracle_build_delayed_sim_arena(game, bias)).payload
     rank = {payload[p][1:]: r for p, r in ranks.items() if payload[p][0] == "cfg"}
     for (v, w, k), r in rank.items():
         if r < 0:
@@ -928,20 +928,31 @@ def collapse_same_owner_chains(arena: Arena, start: list[int], key) -> Arena:
     )
 
 
-def fold_same_owner_half_moves(arena: InterningArena) -> InterningArena:
-    """``arena`` with each half-move position folded into every position
-    that moves to it and has its owner.
+def fold_same_owner_half_moves(game: ParityGame, arena: InterningArena) -> InterningArena:
+    """``arena``, built for ``game``, with each half-move position folded
+    into every position that moves to it and has its owner, and each half
+    move whose answering vertex has one successor in ``game`` into every
+    position that moves to it.
 
     Such a position moves to the half move's moves instead, each listed
-    once; a half move that a position of the other owner moves to stays.
-    The positions reachable from ``arena.start`` are then renumbered
-    breadth-first, with their payloads, and ``start`` maps along.  A half
-    move is non-accepting and its owner makes both choices at once, so
-    every position kept has the same Buchi winner.
+    once; a half move with two answers or more that a position of the
+    other owner moves to stays.  The positions reachable from
+    ``arena.start`` are then renumbered breadth-first, with their
+    payloads, and ``start`` maps along.  A half move is non-accepting and
+    its owner makes both choices at once, or has only one, so every
+    position kept has the same Buchi winner.  The answering vertex of a
+    half move ``("mid", a, b, ..., side)`` is ``a`` on side 0 and ``b`` on
+    side 1; its count of successors, not the half move's count of moves,
+    decides, since answers that all reach the direct arena's sink make one
+    move too.
     """
 
     def folds(p: int, q: int) -> bool:
-        return arena.payload[q][0] == "mid" and arena.owners[q] == arena.owners[p]
+        payload = arena.payload[q]
+        if payload[0] != "mid":
+            return False
+        answerer = payload[2] if payload[-1] else payload[1]
+        return arena.owners[q] == arena.owners[p] or len(game.successors[answerer]) == 1
 
     def moves(p: int) -> list[int]:
         row = arena.edges[p]

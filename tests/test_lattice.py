@@ -13,7 +13,9 @@ from pgreduce import (
     coincidence_check,
     disjoint_union,
     equivalence_from_preorder,
+    parse_pgsolver,
     random_game,
+    serialize_pgsolver,
 )
 from pgreduce.lattice import (
     LATTICE_EDGES,
@@ -77,6 +79,38 @@ def test_check_lattice_builds_one_delayed_arena_per_bias(monkeypatch, exhaustive
         assert check_lattice(game) == [LatticeResult(name, True) for name in names], i
     for i, game in enumerate(random_corpus[:25]):
         assert check_lattice(game) == oracle_check_lattice(game), i
+
+
+def test_check_lattice_builds_the_delayed_tables_once(monkeypatch, random_corpus):
+    # The three delayed fixpoints share the per-pair tables, which no bias
+    # changes; each equals the fixpoint on a fresh parse of the game, which
+    # builds its own.
+    simgames = pgreduce.simgames
+    original_groups, original_fixpoint = simgames._transfer_groups, simgames.delayed_sim_fixpoint
+    calls = 0
+    fixpoints = {}
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original_groups(*args)
+
+    def recording(game, bias="none"):
+        fixpoints[bias] = original_fixpoint(game, bias)
+        return fixpoints[bias]
+
+    monkeypatch.setattr(simgames, "_transfer_groups", counting)
+    monkeypatch.setattr(simgames, "delayed_sim_fixpoint", recording)
+    for i, shared in enumerate(random_corpus[:25]):
+        # The corpus games are shared, and other tests may have filled theirs.
+        game = parse_pgsolver(serialize_pgsolver(shared))
+        calls = 0
+        fixpoints.clear()
+        check_lattice(game)
+        assert calls == 1, i
+        assert sorted(fixpoints) == ["even", "none", "odd"], i
+        for bias, rows in fixpoints.items():
+            assert rows == original_fixpoint(parse_pgsolver(serialize_pgsolver(game)), bias), (i, bias)
 
 
 # The module-level function that each notion's (game route, fixpoint route)

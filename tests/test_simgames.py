@@ -43,8 +43,10 @@ from pgreduce import (
     governed_bisim_via_game,
     gstut_bisim,
     gstut_via_game,
+    parse_pgsolver,
     random_game,
     reward_leq,
+    serialize_pgsolver,
     solve_buchi,
     wf_rank_check,
 )
@@ -181,7 +183,7 @@ class TestDelayedArena:
             kk = len(obligations)
             cfgs = n * n * kk
             arena = build_delayed_sim_arena(game)
-            payload = fold_same_owner_half_moves(oracle_build_delayed_sim_arena(game)).payload
+            payload = fold_same_owner_half_moves(game, oracle_build_delayed_sim_arena(game)).payload
             for pos, key in enumerate(arena.ids):
                 if key < cfgs:
                     j, k = divmod(key, kk)
@@ -455,7 +457,8 @@ def test_delayed_fixpoint_ignores_unreachable_triples(monkeypatch, bias):
         ]
 
     monkeypatch.setattr(pgreduce.simgames, "_transfer_groups", poisoned)
-    assert delayed_sim_fixpoint(game, bias) == expected
+    # A fresh game object: ``game`` keeps the tables its first call built.
+    assert delayed_sim_fixpoint(parse_pgsolver(serialize_pgsolver(game)), bias) == expected
 
 
 def test_explore_builds_the_arena_in_one_pass():
@@ -581,7 +584,7 @@ def _oracle_facts(kind, game, bias) -> OracleFacts:
         expected = collapse_same_owner_chains(arena, start, gstut_canonical_key(game, arena))
         answers = _gstut_answers(game, arena)
     else:
-        expected = fold_same_owner_half_moves(arena)
+        expected = fold_same_owner_half_moves(game, arena)
         answers = None
     return OracleFacts(
         _packed(expected),
@@ -617,7 +620,9 @@ def test_arena_builders_match_interning_oracle(kind, oracle_facts):
     # position, which keeps only what its answers read, so it must match the
     # oracle's arena after the same collapse and the same canonical merge;
     # the other builders fold each half move into the positions of its own
-    # owner that move to it, so they must match it after the same fold.
+    # owner that move to it, and each half move with a single answer into
+    # every position that moves to it, so they must match it after the same
+    # fold.
     build, _, biases = _BUILDERS[kind]
     games, facts = oracle_facts(kind)
     for i, (game, per_bias) in enumerate(zip(games, facts)):

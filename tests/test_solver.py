@@ -462,3 +462,61 @@ def test_solve_buchi_names_dead_end_position():
     arena = Arena(owners=[D, S, D], edges=[[1], [], [0]], accepting={0}, ids=[7, 42, 9])
     with pytest.raises(ValueError, match=r"arena position 1 \(id 42\) has no moves"):
         solve_buchi(arena)
+
+
+@pytest.mark.parametrize(
+    ("owners", "edges", "accepting", "message"),
+    [
+        ([S, D], [[1], [-1]], {0}, r"arena position 1 moves to -1, outside 0\.\.1"),
+        ([S, D], [[1], [0, 2]], {0}, r"arena position 1 moves to 2, outside 0\.\.1"),
+        ([S, D], [[1], [0]], {0, 2}, r"accepting position 2 is outside 0\.\.1"),
+        ([S, D], [[1], [0], [0]], {0}, "arena has 2 owners but 3 move rows"),
+    ],
+    ids=["negative-move", "move-past-end", "accepting-past-end", "unequal-lengths"],
+)
+def test_solve_buchi_rejects_ids_outside_the_arena(owners, edges, accepting, message):
+    # Python would read move -1 as the last position, and ids at or past
+    # the end would fail with a bare IndexError or not at all.
+    arena = Arena(owners=owners, edges=edges, accepting=accepting)
+    for solve in (solve_buchi, buchi_rank, oracle_solve_buchi):
+        with pytest.raises(ValueError, match=message):
+            solve(arena)
+
+
+def _target_sets(arena) -> int:
+    """How many distinct target sets the Buchi fixpoint visits: the accepting
+    positions, then the accepting ones from which Duplicator re-enters the
+    last set's attractor in one move, until a set repeats."""
+    targets = set(arena.accepting)
+    count = 1
+    while True:
+        attractor = set(oracles._oracle_duplicator_layers(arena, targets))
+        kept = arena.accepting & oracles._oracle_cpre_duplicator(arena, attractor)
+        if kept == targets:
+            return count
+        targets = kept
+        count += 1
+
+
+def test_buchi_runs_one_attractor_per_target_set(monkeypatch, random_corpus):
+    calls = 0
+    original = solver_module._duplicator_attractor
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver_module, "_duplicator_attractor", counting)
+    # Accepting 0, 1 and 2; 2 moves only to the losing loop 3, so it drops
+    # first, then 1, which moves only to 2; Spoiler at 4 moves to 1.
+    chain = Arena(owners=[D, D, D, D, S], edges=[[0], [2], [3], [3], [0, 1]], accepting={0, 1, 2})
+    assert _target_sets(chain) == 3
+    assert solve_buchi(chain) == {0}
+    arenas = [chain] + [build(g) for build in _BUILDS.values() for g in random_corpus]
+    for i, arena in enumerate(arenas):
+        expected = _target_sets(arena)
+        for solve, oracle in ((solve_buchi, oracle_solve_buchi), (buchi_rank, oracle_buchi_rank)):
+            calls = 0
+            assert solve(arena) == oracle(arena), (i, solve.__name__)
+            assert calls == expected, (i, solve.__name__)
