@@ -16,7 +16,6 @@ from .game import (
 from .lattice import check_lattice, compute_relations
 from .quotient import (
     EQUIVALENCES,
-    Equivalence,
     QuotientResult,
     find_isomorphism,
     quotient_direct_sim,

@@ -180,7 +180,7 @@ def _quotient_for(args, game: ParityGame, report: _Report) -> QuotientResult:
     if args.equiv not in EQUIVALENCES:
         supported = ", ".join(sorted(EQUIVALENCES))
         raise _UsageError(f"unknown equivalence {args.equiv!r}; supported: {supported}")
-    result = EQUIVALENCES[args.equiv].quotient(game)
+    result = EQUIVALENCES[args.equiv](game)
     report.data["sizes"] = {
         "original": game.vertex_count,
         "quotient": result.quotient.vertex_count,

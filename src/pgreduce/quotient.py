@@ -3,44 +3,30 @@
 Five quotients have unique results: by direct simulation equivalence
 (little-brother pruning through minimal/maximal successors) and by the
 strong, governed, stuttering and governed stuttering bisimilarities.  One
-builder makes the four bisimilarity quotients from the signature each
-class ends the refinement with, which gives the class's successors and its
-owner, so no member's successors are read again.  ``_REFINEMENTS`` names
-each kind's initial partition and signer, for that builder and for
-``quotient_equivalent``.  The delayed simulation family admits no unique
-quotient and is deliberately absent.  ``EQUIVALENCES`` maps each
-equivalence name to its partition and its quotient; the CLI and
-``quotient_equivalent`` read it.
+builder makes the four bisimilarity quotients from the rows
+``relations._quotient_rows`` reads off the refinement, and
+``quotient_equivalent`` refines through ``relations._refine``, so each
+bisimilarity is defined in :mod:`pgreduce.relations` alone.  The delayed
+simulation family admits no unique quotient and is deliberately absent.
+``EQUIVALENCES`` maps each equivalence name to its quotient builder; the
+CLI and ``quotient_equivalent`` read it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
-# attractor, diverges and steps are not called here, but bench/tracing.py
-# wraps these names in this module, so they stay bound.
+# attractor, diverges, steps and the four bisimilarities are not called
+# here, but bench/tracing.py wraps these names in this module, so they stay
+# bound.
 from .forcing import attractor, diverges, iter_bits, steps  # noqa: F401
 from .game import ParityGame, Player, disjoint_union
-from .relations import (
-    Partition,
-    direct_sim,
-    equivalence_from_preorder,
-    governed_bisim,
-    gstut_bisim,
-    strong_bisim,
-    stut_bisim,
-    _direct_sim_fixpoint,
-    _initial_partition,
-    _refine_classes,
-    _sign_class,
-    _sign_successors,
-    _stable_signatures,
-)
+from .relations import governed_bisim, gstut_bisim, strong_bisim, stut_bisim  # noqa: F401
+from .relations import Partition, direct_sim, equivalence_from_preorder, _direct_sim, _quotient_rows, _refine
 from .solver import solve_zielonka
 
 __all__ = [
     "EQUIVALENCES",
-    "Equivalence",
     "QuotientResult",
     "quotient_direct_sim",
     "quotient_governed_bisim",
@@ -148,45 +134,10 @@ def quotient_direct_sim(game: ParityGame) -> QuotientResult:
     return QuotientResult(quotient, part.class_of, "direct-sim")
 
 
-# The initial partition (by owner or not) and the signer of each
-# bisimilarity's refinement, read by the quotient and its certificate.
-_REFINEMENTS = {
-    "strong-bisim": (True, _sign_successors),
-    "governed-bisim": (False, _sign_successors),
-    "stut": (True, _sign_class),
-    "gstut": (False, _sign_class),
-}
-
-
 def _refined_quotient(game: ParityGame, kind: str) -> QuotientResult:
-    """The quotient by bisimilarity ``kind``, read off its stable signatures.
-
-    A successor signature ``(classes, owner)`` gives the class's successor
-    classes and, when there are several, its members' common owner.  A
-    stuttering signature gives an edge to ``cj`` for each ``(i, cj)``, where
-    ``i`` forces every member into ``cj``, and the self-loop for ``(i, -1)``,
-    where ``i`` can keep every play inside.  Owner-split kinds keep their
-    members' owner; otherwise a class is odd when odd owns every member and
-    there are several successor classes, or, stuttering, when even neither
-    forces nor diverges.  A member that steps out under even's control is
-    the first to join even's attractor there, so even forces every member.
-    """
-    by_owner, sign = _REFINEMENTS[kind]
-    part, leaders, signatures, index = _stable_signatures(game, by_owner, sign)
-    priorities = _class_priorities(game, part)
-    owners = []
-    succs = []
-    for ci, (v, sig) in enumerate(zip(leaders, signatures)):
-        if sign is _sign_successors:
-            classes, owner = sig
-            targets = {index[cj] for cj in classes}
-            odd = owner is Player.ODD
-        else:
-            targets = {ci if cj < 0 else index[cj] for _, cj in sig}
-            odd = all(i for i, _ in sig)
-        succs.append(tuple(sorted(targets)))
-        owners.append(game.owners[v] if by_owner else Player.ODD if odd else Player.EVEN)
-    quotient = ParityGame._from_rows(priorities, owners, succs)
+    """The quotient by bisimilarity ``kind``, from the rows its refinement ends with."""
+    part, owners, succs = _quotient_rows(game, kind)
+    quotient = ParityGame._from_rows(_class_priorities(game, part), owners, succs)
     return QuotientResult(quotient, part.class_of, kind)
 
 
@@ -260,6 +211,8 @@ def find_isomorphism(
     ``pin`` forces a single vertex assignment, which turns the game-level
     check into the vertex-level isomorphism relation.
     """
+    if pin is not None and not (0 <= pin[0] < g1.vertex_count and 0 <= pin[1] < g2.vertex_count):
+        raise ValueError(f"pin {pin} is outside 0..{g1.vertex_count - 1} x 0..{g2.vertex_count - 1}")
     if g1.vertex_count != g2.vertex_count:
         return None
     _check_iso_size(g1)
@@ -339,13 +292,13 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     The union's greatest fixpoint starts from the relation the quotient
     claims, not from scratch.  Let ``c(x)`` be ``class_map[x]`` for a game
     vertex ``x`` and ``x - n`` for a quotient vertex, with ``n`` game
-    vertices.  A bisimilarity first refines, with the kind's own signer,
-    the union's initial partition (equal priority, and equal owner for
+    vertices.  A bisimilarity first refines, by ``relations._refine``, the
+    union's initial partition (equal priority, and equal owner for
     ``strong-bisim`` and ``stut``) cut by ``c``, so each quotient vertex
     starts in a class of its own with the vertices mapped onto it.  Only
-    when that separates a vertex from its class does it compute the kind's
-    relation on the quotient alone and refine again from that relation,
-    read through ``c`` and cut down to the initial partition.
+    when that separates a vertex from its class does it refine the quotient
+    alone and refine the union again from the quotient's classes, read
+    through ``c`` and cut down to the initial partition.
     ``direct-sim`` always starts from the quotient's own preorder, read the
     same way, and deletes pairs; then ``v`` must end related both ways to
     ``n + c(v)``.
@@ -377,21 +330,16 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
         for c, row in enumerate(direct_sim(quotient)):
             for d in iter_bits(row):
                 up[c] |= lifted[n + d]
-        prio = _initial_partition(union, by_owner=False).as_relation()
-        start = [up[c] & same for c, same in zip(lift, prio)]
-        rows = _direct_sim_fixpoint(union, start)
+        rows = _direct_sim(union, False, [up[c] for c in lift])
         return all(rows[v] >> (n + c) & 1 and rows[n + c] >> v & 1 for v, c in enumerate(class_map))
-    by_owner, sign = _REFINEMENTS[result.kind]
-    initial = _initial_partition(union, by_owner).class_of
 
     def refined_from(claimed) -> bool:
-        class_of = list(Partition.from_class_of(len(lift), zip(initial, claimed)).class_of)
-        _refine_classes(union, class_of, sign)
+        class_of, _ = _refine(union, result.kind, claimed)
         return all(class_of[v] == class_of[n + c] for v, c in enumerate(class_map))
 
     if refined_from(lift):
         return True
-    classes = EQUIVALENCES[result.kind].partition(quotient).class_of
+    classes, _ = _refine(quotient, result.kind)
     return refined_from([classes[c] for c in lift])
 
 
@@ -401,22 +349,11 @@ def serialize_class_map(result: QuotientResult) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-@dataclass(frozen=True)
-class Equivalence:
-    """An equivalence with a unique quotient: its partition and its quotient builder."""
-
-    partition: Callable[[ParityGame], Partition]
-    quotient: Callable[[ParityGame], QuotientResult]
-
-
-# Partitions look this module's names up when called, so a wrapper bound
-# over one sees the calls that ``quotient_equivalent`` makes through it.
-EQUIVALENCES: dict[str, Equivalence] = {
-    "strong-bisim": Equivalence(lambda g: strong_bisim(g), quotient_strong_bisim),
-    "governed-bisim": Equivalence(lambda g: governed_bisim(g), quotient_governed_bisim),
-    "stut": Equivalence(lambda g: stut_bisim(g), quotient_stut),
-    "gstut": Equivalence(lambda g: gstut_bisim(g), quotient_gstut),
-    "direct-sim": Equivalence(
-        lambda g: equivalence_from_preorder(direct_sim(g)), quotient_direct_sim
-    ),
+# The quotient builder of each equivalence name.
+EQUIVALENCES: dict[str, Callable[[ParityGame], QuotientResult]] = {
+    "strong-bisim": quotient_strong_bisim,
+    "governed-bisim": quotient_governed_bisim,
+    "stut": quotient_stut,
+    "gstut": quotient_gstut,
+    "direct-sim": quotient_direct_sim,
 }

@@ -12,6 +12,13 @@ players' in one worklist; each bit is an independent monotone operator, so
 each is exactly its attractor.  The delayed simulation family lives in
 :mod:`pgreduce.simgames` because its natural home is the obligation game.
 
+Each bisimilarity is defined once, in ``_BISIMILARITIES``, and every
+refinement of one goes through ``_refine``: the public functions, the
+quotient rows that ``_quotient_rows`` reads off the stable signatures (so
+their format stays in this module) and
+:func:`pgreduce.quotient.quotient_equivalent`.  Direct simulation has one
+entry point too, ``_direct_sim``.
+
 A preorder is the tuple of its rows: ``rows[v]`` is the bitmask of every
 ``w`` with ``v ≤ w``.  An equivalence is a :class:`Partition`, which is its
 class map and nothing else: readers walk its classes' vertex lists, and
@@ -179,24 +186,27 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _direct_sim(game: ParityGame, by_owner: bool, claimed: Iterable[int] | None = None) -> tuple[int, ...]:
+    """The greatest direct simulation inside the initial relation.
+
+    The initial relation relates vertices of equal priority, and with
+    ``by_owner`` also of equal owner.  ``claimed``, one row per vertex,
+    cuts it down further before the pairs are deleted.
+    """
+    rows = _initial_partition(game, by_owner).as_relation()
+    if claimed is not None:
+        rows = [row & claim for row, claim in zip(rows, claimed)]
+    return _direct_sim_fixpoint(game, list(rows))
+
+
 def direct_sim(game: ParityGame) -> tuple[int, ...]:
     """Greatest direct simulation preorder: even helps the simulating side."""
-    return _direct_sim_fixpoint(game, list(_initial_partition(game, by_owner=False).as_relation()))
+    return _direct_sim(game, by_owner=False)
 
 
 def strong_direct_sim(game: ParityGame) -> tuple[int, ...]:
     """Direct simulation that never relates vertices owned by different players."""
-    return _direct_sim_fixpoint(game, list(_initial_partition(game, by_owner=True).as_relation()))
-
-
-def governed_bisim(game: ParityGame) -> Partition:
-    """Governed bisimilarity: the priority partition refined by successor classes."""
-    return _refine(game, _initial_partition(game, by_owner=False), _sign_successors)
-
-
-def strong_bisim(game: ParityGame) -> Partition:
-    """Strong bisimilarity: the same refinement from the same-owner partition."""
-    return _refine(game, _initial_partition(game, by_owner=True), _sign_successors)
+    return _direct_sim(game, by_owner=True)
 
 
 def _sign_successors(
@@ -369,15 +379,51 @@ def _refine_classes(game: ParityGame, class_of: list[int], sign) -> dict[int, tu
     return signatures
 
 
-def _refine(game: ParityGame, initial: Partition, sign) -> Partition:
-    """The coarsest refinement of ``initial`` that ``sign`` leaves stable.
+def _read_successors(sig: tuple, cid: int) -> tuple[Iterable[int], bool]:
+    """A successor signature ``(classes, owner)`` gives the class's successor
+    classes and, when there are several, whether odd owns every member."""
+    classes, owner = sig
+    return classes, owner is Player.ODD
 
-    Splitting only ever separates vertices that no bisimulation of the
-    signed kind within ``initial`` relates, so the result is the largest one.
+
+def _read_stuttering(sig: tuple, cid: int) -> tuple[Iterable[int], bool]:
+    """A stuttering signature gives an edge to ``cj`` for each ``(i, cj)``,
+    where ``i`` forces every member into ``cj``, and the self-loop for
+    ``(i, -1)``, where ``i`` can keep every play inside.  The class is odd
+    when even neither forces nor diverges: a member that steps out under
+    even's control is the first to join even's attractor there, so even
+    forces every member."""
+    return [cid if cj < 0 else cj for _, cj in sig], all(i for i, _ in sig)
+
+
+# Each bisimilarity's definition: whether its initial partition, the
+# priority partition, is also split by owner, the signer of its transfer
+# condition, and what a class's stable signature says of its successor
+# classes in the quotient and whether odd owns it there.
+_BISIMILARITIES = {
+    "strong-bisim": (True, _sign_successors, _read_successors),
+    "governed-bisim": (False, _sign_successors, _read_successors),
+    "stut": (True, _sign_class, _read_stuttering),
+    "gstut": (False, _sign_class, _read_stuttering),
+}
+
+
+def _refine(game: ParityGame, kind: str, claimed: Iterable[Hashable] = ()) -> tuple[list[int], dict[int, tuple]]:
+    """Bisimilarity ``kind`` on ``game``, as the refinement's class ids and signatures.
+
+    The refinement starts from the kind's initial partition, cut by the
+    ``claimed`` key of each vertex when keys are given, and returns what
+    ``_refine_classes`` leaves: the class id of each vertex and the stable
+    signature of each class with more than one member.  Splitting only ever
+    separates vertices that no bisimulation of the kind within the start
+    relates, so the classes are the largest one's.
     """
-    class_of = list(initial.class_of)
-    _refine_classes(game, class_of, sign)
-    return Partition.from_class_of(game.vertex_count, class_of)
+    by_owner, sign, _ = _BISIMILARITIES[kind]
+    initial = _initial_partition(game, by_owner).class_of
+    if claimed:
+        initial = Partition.from_class_of(game.vertex_count, zip(initial, claimed)).class_of
+    class_of = list(initial)
+    return class_of, _refine_classes(game, class_of, sign)
 
 
 def _initial_partition(game: ParityGame, by_owner: bool) -> Partition:
@@ -386,42 +432,51 @@ def _initial_partition(game: ParityGame, by_owner: bool) -> Partition:
     return Partition.from_class_of(game.vertex_count, keys)
 
 
-def _stable_signatures(
-    game: ParityGame, by_owner: bool, sign
-) -> tuple[Partition, list[int], list[tuple], dict[int, int]]:
-    """The partition ``sign`` refines to, the least member and the stable signature of each class.
+def _quotient_rows(game: ParityGame, kind: str) -> tuple[Partition, list[Player], list[tuple[int, ...]]]:
+    """Bisimilarity ``kind``'s partition, and each class's owner and successor classes in its quotient.
 
-    ``by_owner`` selects the initial partition, as in ``_initial_partition``.
-    ``signatures[c]`` is shared by every member of class ``c`` of the
-    returned partition; the class ids inside it are the refinement's, and
-    ``index`` maps them to the partition's.
+    Both are read off the signature each class ends the refinement with, so
+    no member's successors are read again.  Owner-split kinds keep their
+    members' owner; otherwise the kind's reader tells whether a class is odd.
     """
-    class_of = list(_initial_partition(game, by_owner).class_of)
-    signatures = _refine_classes(game, class_of, sign)
+    by_owner, sign, read = _BISIMILARITIES[kind]
+    class_of, signatures = _refine(game, kind)
     part = Partition.from_class_of(game.vertex_count, class_of)
+    index = dict(zip(class_of, part.class_of))
+    owners: list[Player] = []
+    succs: list[tuple[int, ...]] = []
     # Classes are numbered by least member, so a class's least member is
     # the first vertex that carries its number.
-    leaders: list[int] = []
-    for v, c in enumerate(part.class_of):
-        if c == len(leaders):
-            leaders.append(v)
-    out = []
-    for v in leaders:
+    for v, ci in enumerate(part.class_of):
+        if ci < len(succs):
+            continue
         sig = signatures.get(class_of[v])
         if sig is None:
             (sig,) = sign(game, class_of, class_of[v], [v])
-        out.append(sig)
-    return part, leaders, out, dict(zip(class_of, part.class_of))
+        classes, odd = read(sig, class_of[v])
+        succs.append(tuple(sorted({index[cj] for cj in classes})))
+        owners.append(game.owners[v] if by_owner else Player.ODD if odd else Player.EVEN)
+    return part, owners, succs
+
+
+def governed_bisim(game: ParityGame) -> Partition:
+    """Governed bisimilarity: the priority partition refined by successor classes."""
+    return Partition.from_class_of(game.vertex_count, _refine(game, "governed-bisim")[0])
+
+
+def strong_bisim(game: ParityGame) -> Partition:
+    """Strong bisimilarity: the same refinement from the same-owner partition."""
+    return Partition.from_class_of(game.vertex_count, _refine(game, "strong-bisim")[0])
 
 
 def gstut_bisim(game: ParityGame) -> Partition:
     """Governed stuttering bisimilarity, starting from the priority partition."""
-    return _refine(game, _initial_partition(game, by_owner=False), _sign_class)
+    return Partition.from_class_of(game.vertex_count, _refine(game, "gstut")[0])
 
 
 def stut_bisim(game: ParityGame) -> Partition:
     """Stuttering bisimilarity: the initial partition is additionally split by owner."""
-    return _refine(game, _initial_partition(game, by_owner=True), _sign_class)
+    return Partition.from_class_of(game.vertex_count, _refine(game, "stut")[0])
 
 
 def equivalence_from_preorder(rows: tuple[int, ...]) -> Partition:

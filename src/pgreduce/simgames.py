@@ -275,7 +275,9 @@ def _explore(
             row.append(pos)
         rows_append(row)
         src += 1
-    return Arena(owners=owners, edges=rows, accepting=accepting, ids=ids, start=start, predecessors=preds)
+    arena = Arena(owners=owners, edges=rows, accepting=accepting, ids=ids, start=start)
+    arena.predecessors = preds
+    return arena
 
 
 def _half_move_arena(

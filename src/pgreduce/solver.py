@@ -60,8 +60,10 @@ class Arena:
     builder computed position ``p`` (a delayed configuration (v, w, k) has
     id ``(v * n + w) * K + k``), and ``start[v * n + w]`` is the position
     at which a play from the vertex pair (v, w) starts.  A hand-built arena
-    may leave both empty, and ``predecessors`` None: the solver then
-    derives the lists of the positions moving to each one from ``edges``.
+    may leave both empty.  Only :mod:`pgreduce.simgames`' explorer sets
+    ``predecessors``, the lists of the positions moving to each one, as it
+    builds a checked arena; for every other arena it stays None, and the
+    solver validates the arena and derives the lists from ``edges``.
     """
 
     owners: list[ArenaPlayer] = field(default_factory=list)
@@ -69,7 +71,7 @@ class Arena:
     accepting: set[int] = field(default_factory=set)
     ids: list[int] = field(default_factory=list)
     start: list[int] = field(default_factory=list)
-    predecessors: list[list[int]] | None = None
+    predecessors: list[list[int]] | None = field(default=None, init=False)
 
     @property
     def size(self) -> int:
@@ -290,14 +292,8 @@ def _arena_preds(arena: Arena) -> list[list[int]]:
 
 
 def _flat(arena: Arena) -> tuple[bytearray, list[int], list[int]]:
-    """Duplicator-owned flags, out-degrees and accepting positions of an arena.
-
-    Raises, through ``Arena.validate``, when a position has no moves.
-    """
-    degree = [len(row) for row in arena.edges]
-    if 0 in degree:
-        arena.validate()
-    return bytearray(arena.owners), degree, list(arena.accepting)
+    """Duplicator-owned flags, out-degrees and accepting positions of an arena."""
+    return bytearray(arena.owners), [len(row) for row in arena.edges], list(arena.accepting)
 
 
 def _cpre_duplicator(

@@ -28,13 +28,19 @@ from pgreduce import (
     QuotientResult,
     WinningRegions,
     attractor,
+    direct_sim,
     disjoint_union,
     diverges,
+    equivalence_from_preorder,
+    governed_bisim,
+    gstut_bisim,
     steps,
+    strong_bisim,
+    stut_bisim,
 )
 from pgreduce.forcing import iter_bits
 from pgreduce.lattice import COINCIDENCES, LATTICE_EDGES, LatticeResult, compute_relations
-from pgreduce.quotient import EQUIVALENCES, find_isomorphism
+from pgreduce.quotient import find_isomorphism
 from pgreduce.simgames import CHECK, DAGGER, _UPDATERS, _obligations, coincidence_check
 
 
@@ -1123,6 +1129,16 @@ def is_isomorphism(g1: ParityGame, g2: ParityGame, mapping) -> bool:
 # --- Reference quotient certificate -----------------------------------------
 
 
+# The equivalence that defines each quotient kind, by the public functions.
+KIND_RELATIONS: dict[str, Callable[[ParityGame], Partition]] = {
+    "strong-bisim": strong_bisim,
+    "governed-bisim": governed_bisim,
+    "stut": stut_bisim,
+    "gstut": gstut_bisim,
+    "direct-sim": lambda game: equivalence_from_preorder(direct_sim(game)),
+}
+
+
 def oracle_quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     """Refine the disjoint union of the game and its quotient from scratch.
 
@@ -1133,6 +1149,6 @@ def oracle_quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool
     assert len(result.class_map) == game.vertex_count, result
     assert all(0 <= c < q for c in result.class_map), result
     union = disjoint_union(game, result.quotient)
-    part = EQUIVALENCES[result.kind].partition(union)
+    part = KIND_RELATIONS[result.kind](union)
     off = game.vertex_count
     return all(part.same_class(v, off + result.class_map[v]) for v in game.vertices)

@@ -24,7 +24,7 @@ from pgreduce import (
 )
 from fixture_games import CYCLE_VS_LOOP
 from inflation import inflate
-from oracles import is_isomorphism, iso_check
+from oracles import KIND_RELATIONS, is_isomorphism, iso_check
 from pgreduce import quotient
 from pgreduce.cli import main
 
@@ -113,8 +113,8 @@ MERGE_01 = (0b0011, 0b0011, 0b0100, 0b1000)
             "mixed-owner class without unique successor class", id="direct-mixed-owner",
         ),
         pytest.param(
-            "quotient_governed_bisim", "_stable_signatures", two_sinks((0, 0)),
-            (Partition.from_class_of(4, (0, 1, 1, 2)), [0, 1, 3], [], {}),
+            "quotient_governed_bisim", "_quotient_rows", two_sinks((0, 0)),
+            (Partition.from_class_of(4, (0, 1, 1, 2)), [], []),
             "equivalence class mixes priorities; refinement bug", id="governed-priorities",
         ),
     ],
@@ -218,6 +218,14 @@ class TestIsoCheck:
         for mapping in ((1, 0, 2, 3), (0, 0, 2, 3), (0, 1, 2)):
             assert not is_isomorphism(escape_edge, escape_edge, mapping), mapping
 
+    @pytest.mark.parametrize("pin", [(5, 0), (-1, 0), (0, 5)], ids=["left-past-end", "negative", "right-past-end"])
+    def test_pin_outside_the_games_rejected(self, pin):
+        # (5, 0) used to raise a bare IndexError, and (-1, 0) read the last
+        # vertex's candidates.
+        game = random_game(5, 3, (1, 2), 1)
+        with pytest.raises(ValueError, match=rf"^pin \({pin[0]}, {pin[1]}\) is outside 0\.\.4 x 0\.\.4$"):
+            find_isomorphism(game, game, pin)
+
     def test_cycle_vs_loop_halves(self):
         parts = CYCLE_VS_LOOP.strip().splitlines()
         cycle = parse_pgsolver("parity 1;\n" + "\n".join(parts[1:3]))
@@ -250,10 +258,10 @@ def test_quotient_idempotent_above_isomorphism_limit():
     core = random_game(90, 6, (1, 3), 23)
     games = [random_game(150, 6, (1, 3), 7), inflate(core, 40, 40, 5)[0]]
     for game in games:
-        for name, equivalence in EQUIVALENCES.items():
-            q = equivalence.quotient(game).quotient
+        for name, build in EQUIVALENCES.items():
+            q = build(game).quotient
             assert q.vertex_count > 64, name
-            again = equivalence.quotient(q)
+            again = build(q)
             assert is_isomorphism(q, again.quotient, again.class_map), name
 
 
@@ -301,10 +309,10 @@ def test_one_registry_names_every_equivalence(escape_edge, capsys, tmp_path):
     assert main(argv) == 1
     supported = capsys.readouterr().err.rstrip().split("supported: ")[1].split(", ")
     assert supported == sorted(EQUIVALENCES)
-    for name, equivalence in EQUIVALENCES.items():
-        result = equivalence.quotient(escape_edge)
+    for name, build in EQUIVALENCES.items():
+        result = build(escape_edge)
         assert result.kind == name
         assert quotient_equivalent(escape_edge, result)
-        assert result.class_map == equivalence.partition(escape_edge).class_of
+        assert result.class_map == KIND_RELATIONS[name](escape_edge).class_of
     with pytest.raises(ValueError, match="unknown quotient kind"):
         quotient_equivalent(escape_edge, QuotientResult(escape_edge, (0, 1, 2, 3), "weak"))

@@ -32,15 +32,6 @@ MUTATIONS_PER_GAME = 6
 NON_MINIMAL = ParityGame((1, 0, 1, 0), (0, 0, 0, 0), ((1,), (1,), (3,), (3,)))
 NON_MINIMAL_MAP = (0, 1, 0, 3)
 
-# The name through which each kind's partition computes its relation.
-RELATION_NAMES = {
-    "strong-bisim": "strong_bisim",
-    "governed-bisim": "governed_bisim",
-    "stut": "stut_bisim",
-    "gstut": "gstut_bisim",
-    "direct-sim": "direct_sim",
-}
-
 
 def _corpus() -> list[ParityGame]:
     games = [parse_pgsolver(data) for data in test_byte_identity._games().values()]
@@ -61,7 +52,7 @@ def test_agrees_with_full_refinement(kind):
     rng = random.Random(kind)
     rejected = 0
     for game in _corpus():
-        result = EQUIVALENCES[kind].quotient(game)
+        result = EQUIVALENCES[kind](game)
         assert _verdict(game, result)
         identity = QuotientResult(game, tuple(game.vertices), kind)
         assert _verdict(game, identity)
@@ -88,17 +79,20 @@ def test_non_minimal_quotient_onto_itself(kind):
 @pytest.mark.parametrize("kind", sorted(EQUIVALENCES))
 def test_minimal_quotient_certified_from_its_class_map(kind, monkeypatch):
     # Every quotient a builder makes is minimal, so a bisimilarity's
-    # certificate never computes the bisimilarity on it; direct-sim always
-    # starts from the quotient's preorder.  The non-minimal fixture needs
-    # the quotient's own relation, and gets it once.
-    results = [(game, EQUIVALENCES[kind].quotient(game)) for game in _corpus()]
-    name = RELATION_NAMES[kind]
+    # certificate never refines it on its own; direct-sim always starts
+    # from the quotient's preorder.  The non-minimal fixture needs the
+    # quotient's own relation, and gets it once.
+    results = [(game, EQUIVALENCES[kind](game)) for game in _corpus()]
+    name = "direct_sim" if kind == "direct-sim" else "_refine"
     relation = getattr(quotient_module, name)
+    quotients = {id(result.quotient) for _, result in results} | {id(NON_MINIMAL)}
     calls = []
 
-    def recorded(game):
-        calls.append(game)
-        return relation(game)
+    def recorded(game, *args):
+        # The refinements of the union are the certificate's own work.
+        if id(game) in quotients:
+            calls.append(game)
+        return relation(game, *args)
 
     monkeypatch.setattr(quotient_module, name, recorded)
     for game, result in results:
@@ -134,8 +128,8 @@ TWO_LOOPS = ParityGame((0, 0), (0, 0), ((0,), (1,)))
     ids=["negative", "too-high", "short", "long"],
 )
 def test_invalid_class_map_rejected(class_map, message, check):
-    for kind, equivalence in EQUIVALENCES.items():
-        quotient = equivalence.quotient(TWO_LOOPS).quotient
+    for kind, build in EQUIVALENCES.items():
+        quotient = build(TWO_LOOPS).quotient
         assert quotient.vertex_count == 1
         with pytest.raises(ValueError, match=message):
             check(TWO_LOOPS, QuotientResult(quotient, class_map, kind))

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from pgreduce import (
+    EQUIVALENCES,
     ParityGame,
     Partition,
     Player,
@@ -11,7 +12,9 @@ from pgreduce import (
     equivalence_from_preorder,
     governed_bisim,
     gstut_bisim,
+    quotient_equivalent,
     random_game,
+    relations,
     strong_bisim,
     strong_direct_sim,
     stut_bisim,
@@ -33,8 +36,14 @@ from pgreduce.relations import (
     _refine,
     _refine_classes,
     _sign_class,
-    _sign_successors,
 )
+
+BISIMILARITIES = {
+    "strong-bisim": strong_bisim,
+    "governed-bisim": governed_bisim,
+    "stut": stut_bisim,
+    "gstut": gstut_bisim,
+}
 
 
 def _larger_games() -> list[ParityGame]:
@@ -286,11 +295,41 @@ def test_fixpoints_are_stable(random_corpus):
     for game in random_corpus[:20]:
         rows = direct_sim(game)
         assert _direct_sim_fixpoint(game, list(rows)) == rows
-        part = gstut_bisim(game)
-        assert _refine(game, part, _sign_class) == part
-        for bisim in (governed_bisim, strong_bisim):
+        for kind, bisim in BISIMILARITIES.items():
             part = bisim(game)
-            assert _refine(game, part, _sign_successors) == part
+            class_of, _ = _refine(game, kind, part.class_of)
+            assert Partition.from_class_of(game.vertex_count, class_of) == part, kind
+
+
+# Vertex 0 moves to the priority-1 loop and vertex 2 is a priority-0 loop:
+# the initial partitions put them together and every bisimilarity splits
+# them.
+SPLIT_BY_SIGNER = ParityGame((0, 1, 0), (Player.EVEN,) * 3, ((1,), (1,), (2,)))
+
+
+@pytest.mark.parametrize("kind", sorted(BISIMILARITIES))
+def test_one_definition_per_bisimilarity(kind, monkeypatch):
+    # The relation, its quotient and its certificate all read the kind's
+    # signer from one table, so a signer that never splits changes all three.
+    game = SPLIT_BY_SIGNER
+    relation = BISIMILARITIES[kind]
+    exact = relation(game)
+    built = EQUIVALENCES[kind](game)
+    by_owner, sign, read = relations._BISIMILARITIES[kind]
+
+    def never_splits(game, class_of, cid, members):
+        # Every member takes the first group's signature, which the
+        # quotient builder can still read.
+        return {next(iter(sign(game, class_of, cid, members))): list(members)}
+
+    monkeypatch.setitem(relations._BISIMILARITIES, kind, (by_owner, never_splits, read))
+    coarse = relation(game)
+    assert coarse == _initial_partition(game, by_owner) != exact
+    merged = EQUIVALENCES[kind](game)
+    assert merged.class_map == coarse.class_of != built.class_map
+    assert quotient_equivalent(game, merged)
+    monkeypatch.undo()
+    assert not quotient_equivalent(game, merged)
 
 
 @pytest.mark.parametrize(

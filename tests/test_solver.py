@@ -483,6 +483,17 @@ def test_solve_buchi_rejects_ids_outside_the_arena(owners, edges, accepting, mes
             solve(arena)
 
 
+def test_arena_predecessors_are_not_caller_supplied():
+    # Lists that the solver would read unchecked cannot be passed in, so the
+    # arena is validated and its move to -1 named.
+    with pytest.raises(TypeError, match="predecessors"):
+        Arena(owners=[S, D], edges=[[1], [-1]], accepting={0}, predecessors=[[1], [0]])
+    arena = Arena(owners=[S, D], edges=[[1], [-1]], accepting={0})
+    for solve in (solve_buchi, buchi_rank):
+        with pytest.raises(ValueError, match=r"^arena position 1 moves to -1, outside 0\.\.1$"):
+            solve(arena)
+
+
 def _target_sets(arena) -> int:
     """How many distinct target sets the Buchi fixpoint visits: the accepting
     positions, then the accepting ones from which Duplicator re-enters the

@@ -70,16 +70,17 @@ def test_inflation_keeps_core_classes(relation, seed):
 
 def _count_sign_calls(monkeypatch, game):
     calls = 0
-    original = pgreduce.relations._sign_class
+    table = pgreduce.relations._BISIMILARITIES
+    by_owner, original, read = table["gstut"]
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(pgreduce.relations, "_sign_class", counting)
+    monkeypatch.setitem(table, "gstut", (by_owner, counting, read))
     part = gstut_bisim(game)
-    monkeypatch.setattr(pgreduce.relations, "_sign_class", original)
+    monkeypatch.setitem(table, "gstut", (by_owner, original, read))
     return calls, part
 
 
