@@ -6,8 +6,13 @@ strong, governed, stuttering and governed stuttering bisimilarities.  One
 builder makes the four bisimilarity quotients from the rows
 ``relations._quotient_rows`` reads off the refinement, and
 ``quotient_equivalent`` refines through ``relations._refine``, so each
-bisimilarity is defined in :mod:`pgreduce.relations` alone.  The delayed
-simulation family admits no unique quotient and is deliberately absent.
+bisimilarity is defined in :mod:`pgreduce.relations` alone.  The direct
+simulation quotient is built on the governed quotient: governed
+bisimilarity lies inside direct simulation equivalence, so its n²-bit
+relation is paid per governed class, not per vertex.  Only the builder is
+staged; ``quotient_equivalent`` and the relations compute on the game they
+are given.  The delayed simulation family admits no unique quotient and is
+deliberately absent.
 ``EQUIVALENCES`` maps each equivalence name to its quotient builder; the
 CLI and ``quotient_equivalent`` read it.
 """
@@ -22,7 +27,7 @@ from typing import Callable
 from .forcing import attractor, diverges, iter_bits, steps  # noqa: F401
 from .game import ParityGame, Player, disjoint_union
 from .relations import governed_bisim, gstut_bisim, strong_bisim, stut_bisim  # noqa: F401
-from .relations import Partition, direct_sim, equivalence_from_preorder, _direct_sim, _quotient_rows, _refine
+from .relations import Partition, direct_sim, equivalence_from_preorder, _check_direct_sim_size, _direct_sim, _quotient_rows, _refine
 from .solver import solve_zielonka
 
 __all__ = [
@@ -96,7 +101,30 @@ def _class_priorities(game: ParityGame, part: Partition) -> tuple[int, ...]:
 
 
 def quotient_direct_sim(game: ParityGame) -> QuotientResult:
-    """Quotient by direct simulation equivalence.
+    """Quotient by direct simulation equivalence, built on the governed quotient.
+
+    Governed bisimilarity lies inside direct simulation equivalence, and
+    every vertex is governed-bisimilar to its class in the disjoint union
+    with the governed quotient.  So two vertices are direct-simulation
+    equivalent exactly when their governed classes are, and the quotient
+    of the governed quotient is the quotient of the game.  The n²-bit
+    relation is computed on the governed quotient, and
+    ``relations.DIRECT_SIM_LIMIT`` applies to its size, not the game's.
+    Classes are numbered by least member there, so the composed class map
+    numbers them by least vertex here.  The relations themselves
+    (``direct_sim``, ``strong_direct_sim``) and the certificate of
+    ``quotient_equivalent`` still compute on the game they are given, so
+    they check this builder independently.
+    """
+    governed = _refined_quotient(game, "governed-bisim")
+    _check_direct_sim_size(governed.quotient.vertex_count, "governed quotient")
+    inner = _preorder_quotient(governed.quotient)
+    class_map = tuple(inner.class_map[c] for c in governed.class_map)
+    return QuotientResult(inner.quotient, class_map, "direct-sim")
+
+
+def _preorder_quotient(game: ParityGame) -> QuotientResult:
+    """The direct simulation quotient, read off the preorder of ``game`` itself.
 
     A class's movers are all its members when every member is odd, and its
     even members otherwise.  The movers must agree on their minimal

@@ -186,13 +186,30 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+# The most vertices a game may have for the direct simulation family.  Its
+# relation holds one n-bit row per vertex, n² bits in all, and every round of
+# pair deletion walks them: at this limit that is 10⁸ bits, and 2,000
+# vertices already take half a second.
+DIRECT_SIM_LIMIT = 10_000
+
+
+def _check_direct_sim_size(n: int, what: str) -> None:
+    if n > DIRECT_SIM_LIMIT:
+        raise ValueError(
+            f"direct simulation of a {n}-vertex {what} needs {n}² bits, above the limit of {DIRECT_SIM_LIMIT} vertices"
+        )
+
+
 def _direct_sim(game: ParityGame, by_owner: bool, claimed: Iterable[int] | None = None) -> tuple[int, ...]:
     """The greatest direct simulation inside the initial relation.
 
     The initial relation relates vertices of equal priority, and with
     ``by_owner`` also of equal owner.  ``claimed``, one row per vertex,
-    cuts it down further before the pairs are deleted.
+    cuts it down further before the pairs are deleted.  A game above
+    ``DIRECT_SIM_LIMIT`` vertices raises ``ValueError`` before any row is
+    built.
     """
+    _check_direct_sim_size(game.vertex_count, "game")
     rows = _initial_partition(game, by_owner).as_relation()
     if claimed is not None:
         rows = [row & claim for row, claim in zip(rows, claimed)]
@@ -432,14 +449,35 @@ def _initial_partition(game: ParityGame, by_owner: bool) -> Partition:
     return Partition.from_class_of(game.vertex_count, keys)
 
 
+def _singleton_row(game: ParityGame, class_of: list[int], v: int) -> tuple[set[int], bool]:
+    """The quotient row of a class whose one member is ``v``, for every kind:
+    the classes of ``v``'s successors, and odd when odd owns ``v`` and there
+    are several.
+
+    This is what each kind's signer and reader give for ``[v]``.  The
+    successor signers sign it so.  In a stuttering signature of ``v``
+    without a self-loop, ``v``'s owner forces it into each successor class,
+    the opponent forces it only into a sole one, and neither diverges, as
+    every play leaves at once.  With a self-loop, the owner forces it into
+    each successor class outside and diverges, and the opponent forces
+    nothing and diverges only when no successor lies outside.  Either way
+    even has an item unless odd owns ``v`` and it has two successor classes
+    or more, its own counting for the loop.
+    """
+    classes = {class_of[u] for u in game.successors[v]}
+    return classes, game.owners[v] is Player.ODD and len(classes) > 1
+
+
 def _quotient_rows(game: ParityGame, kind: str) -> tuple[Partition, list[Player], list[tuple[int, ...]]]:
     """Bisimilarity ``kind``'s partition, and each class's owner and successor classes in its quotient.
 
-    Both are read off the signature each class ends the refinement with, so
-    no member's successors are read again.  Owner-split kinds keep their
-    members' owner; otherwise the kind's reader tells whether a class is odd.
+    A class with several members reads both off the signature it ends the
+    refinement with, through the kind's reader, so no member's successors
+    are read again.  A singleton class was never signed and reads its
+    member's row (``_singleton_row``).  Owner-split kinds keep their
+    members' owner; otherwise the row tells whether a class is odd.
     """
-    by_owner, sign, read = _BISIMILARITIES[kind]
+    by_owner, _, read = _BISIMILARITIES[kind]
     class_of, signatures = _refine(game, kind)
     part = Partition.from_class_of(game.vertex_count, class_of)
     index = dict(zip(class_of, part.class_of))
@@ -451,9 +489,7 @@ def _quotient_rows(game: ParityGame, kind: str) -> tuple[Partition, list[Player]
         if ci < len(succs):
             continue
         sig = signatures.get(class_of[v])
-        if sig is None:
-            (sig,) = sign(game, class_of, class_of[v], [v])
-        classes, odd = read(sig, class_of[v])
+        classes, odd = _singleton_row(game, class_of, v) if sig is None else read(sig, class_of[v])
         succs.append(tuple(sorted({index[cj] for cj in classes})))
         owners.append(game.owners[v] if by_owner else Player.ODD if odd else Player.EVEN)
     return part, owners, succs

@@ -206,6 +206,12 @@ def _obligations(game: ParityGame, bias: str) -> tuple[int, tuple[int, ...], lis
 ARENA_ID_LIMIT = 10**8
 
 
+# The most obligation triples ``delayed_sim_fixpoint`` may evaluate: its
+# per-pair tables and per-triple flags peak at 100-150 bytes a triple under
+# tracemalloc, so about 150 MB at this limit.
+DELAYED_TRIPLE_LIMIT = 10**6
+
+
 def _check_listed(game: ParityGame, ids: int) -> None:
     if ids > ARENA_ID_LIMIT:
         n = game.vertex_count
@@ -610,11 +616,17 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...
     * the fixpoint is reached when no ✓-triple leaves ``y``.
 
     No arena, Buchi solver or attractor enters this route, so it checks the
-    arena encoding of ``delayed_sim`` independently.
+    arena encoding of ``delayed_sim`` independently.  A game with more
+    than ``DELAYED_TRIPLE_LIMIT`` triples raises ``ValueError`` before any
+    table is built.
     """
     n = game.vertex_count
+    total = n * n * (len(set(game.priorities)) + 1)
+    if total > DELAYED_TRIPLE_LIMIT:
+        raise ValueError(
+            f"delayed simulation of a {n}-vertex game has {total} triples, above the limit of {DELAYED_TRIPLE_LIMIT}"
+        )
     kk, table, prow = _obligations(game, bias)
-    total = n * n * kk
     preds = game.predecessors()
     # sources[table row + k]: the obligations whose update lands on k.
     sources: list[list[int]] = [[] for _ in table]

@@ -15,6 +15,7 @@ so every core vertex keeps its winner and every chain vertex is won by the
 winner of the vertex its chain ends in.
 """
 import random
+from collections import defaultdict
 
 from pgreduce import ParityGame
 
@@ -29,18 +30,32 @@ def inflate(core: ParityGame, duplicates: int, chains: int, seed: int) -> tuple[
     owners = list(core.owners)
     succs = [list(row) for row in core.successors]
     origin = list(core.vertices)
+    # preds[x]: every u with x in succs[u], kept up to date, so each added
+    # vertex visits only the rows that hold v.  A chain's rows name the next
+    # chain vertex before it is added.
+    preds: defaultdict[int, set[int]] = defaultdict(set)
+    for u, row in enumerate(succs):
+        for x in row:
+            preds[x].add(u)
 
     def add(v: int, row: list[int]) -> int:
         prios.append(prios[v])
         owners.append(owners[v])
         succs.append(row)
         origin.append(origin[v])
-        return len(prios) - 1
+        new = len(prios) - 1
+        for x in row:
+            preds[x].add(new)
+        return new
 
     def take_in_edges(v: int, new: int, skip: set[int]) -> None:
-        for u, row in enumerate(succs):
-            if u not in skip and v in row and rng.random() < 0.5:
-                succs[u] = [new if x == v else x for x in row]
+        # Ascending order draws rng.random() for the same rows as a scan of
+        # every row would.
+        for u in sorted(preds[v] - skip):
+            if rng.random() < 0.5:
+                succs[u] = [new if x == v else x for x in succs[u]]
+                preds[v].discard(u)
+                preds[new].add(u)
 
     for _ in range(duplicates):
         v = rng.randrange(len(prios))

@@ -9,6 +9,7 @@ from pgreduce import (
     Player,
     QuotientResult,
     direct_sim,
+    equivalence_from_preorder,
     find_isomorphism,
     parse_pgsolver,
     quotient_direct_sim,
@@ -25,7 +26,7 @@ from pgreduce import (
 from fixture_games import CYCLE_VS_LOOP
 from inflation import inflate
 from oracles import KIND_RELATIONS, is_isomorphism, iso_check
-from pgreduce import quotient
+from pgreduce import quotient, relations
 from pgreduce.cli import main
 
 
@@ -86,10 +87,85 @@ def test_direct_sim_quotient_equivalent_to_original(all_fixture_games):
         assert quotient_equivalent(game, result)
 
 
+def _inflated_games():
+    return [inflate(random_game(8 + s, 1 + s % 4, (1, 3), 900 + s), 5 + 2 * s, s % 5, s)[0] for s in range(20)]
+
+
+def test_direct_sim_quotient_staged_equals_unstaged(exhaustive_corpus, random_corpus, all_fixture_games):
+    # The builder runs the construction on the governed quotient; run on the
+    # game itself, it must give the same class map and the same bytes.
+    games = exhaustive_corpus + random_corpus + list(all_fixture_games.values()) + _inflated_games()
+    for i, game in enumerate(games):
+        staged = quotient_direct_sim(game)
+        unstaged = quotient._preorder_quotient(game)
+        assert staged.class_map == unstaged.class_map, i
+        assert serialize_pgsolver(staged.quotient) == serialize_pgsolver(unstaged.quotient), i
+
+
+def test_direct_sim_certificate_checks_the_staged_builder(monkeypatch, random_corpus):
+    # A governed quotient that wrongly merges vertices 0 and 1 (read off a
+    # copy of the game where 1 takes 0's owner and moves) gives a direct-sim
+    # quotient that claims them equivalent.  The certificate computes on the
+    # game itself, so it rejects that quotient.
+    refined_quotient = quotient._refined_quotient
+    games = [
+        g for g in random_corpus
+        if g.priorities[0] == g.priorities[1]
+        and not equivalence_from_preorder(direct_sim(g)).same_class(0, 1)
+    ]
+    assert len(games) >= 10
+    for game in games:
+        assert quotient_equivalent(game, quotient_direct_sim(game))
+        merged = ParityGame(
+            game.priorities,
+            (game.owners[0], game.owners[0], *game.owners[2:]),
+            (game.successors[0], game.successors[0], *game.successors[2:]),
+        )
+
+        def merging(g, kind):
+            assert kind == "governed-bisim"
+            return refined_quotient(merged, kind)
+
+        monkeypatch.setattr(quotient, "_refined_quotient", merging)
+        wrong = quotient_direct_sim(game)
+        monkeypatch.undo()
+        assert wrong.class_map[0] == wrong.class_map[1]
+        assert not quotient_equivalent(game, wrong)
+
+
+def test_direct_sim_limit_applies_to_the_governed_quotient(monkeypatch, tmp_path, capsys):
+    # 300 vertices, strongly bisimilar to a 30-vertex core: the builder
+    # computes the relation on at most 30 classes, while the relation on the
+    # game itself and the certificate on the union are refused.
+    core = random_game(30, 4, (1, 3), 3)
+    game, origin = inflate(core, 270, 0, 3)
+    want = quotient_direct_sim(core).class_map
+    classes = quotient_governed_bisim(game).quotient.vertex_count
+    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", classes)
+    result = quotient_direct_sim(game)
+    assert result.class_map == tuple(want[o] for o in origin)
+    with pytest.raises(ValueError, match="^direct simulation of a 300-vertex game needs 300² bits, above the limit"):
+        direct_sim(game)
+    with pytest.raises(ValueError, match=rf"^direct simulation of a {300 + result.quotient.vertex_count}-vertex game"):
+        quotient_equivalent(game, result)
+    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", classes - 1)
+    message = (
+        f"direct simulation of a {classes}-vertex governed quotient needs {classes}² bits, "
+        f"above the limit of {classes - 1} vertices"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        quotient_direct_sim(game)
+    path = tmp_path / "game.gm"
+    path.write_bytes(serialize_pgsolver(game))
+    argv = ["minimize", path, "--equiv", "direct-sim", "--out", tmp_path / "q.gm", "--map", tmp_path / "q.map"]
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Two vertices of priority 0 that each move to their own sink (2 or 3), with
-# owners given per case; the relation each builder reads (for the
-# bisimilarities, the refinement's partition and signatures) is replaced by
-# one that merges vertices no largest relation would.
+# owners, and successors where given, per case; the relation each builder
+# reads (for the bisimilarities, the refinement's partition and signatures)
+# is replaced by one that merges vertices no largest relation would.
 def two_sinks(owners, succs=((2,), (3,))):
     return ParityGame((0, 0, 1, 2), (*owners, 0, 0), (*succs, (2,), (3,)))
 
@@ -101,7 +177,9 @@ MERGE_01 = (0b0011, 0b0011, 0b0100, 0b1000)
     "builder, relation, game, value, message",
     [
         pytest.param(
-            "quotient_direct_sim", "direct_sim", two_sinks((1, 1)), MERGE_01,
+            # Odd vertices with two successor classes each: the governed
+            # quotient keeps them odd, so the class moves on its minimal ones.
+            "quotient_direct_sim", "direct_sim", two_sinks((1, 1), ((2, 3), (0, 2))), MERGE_01,
             "minimal successor classes differ inside a class", id="direct-minimal",
         ),
         pytest.param(

@@ -36,6 +36,7 @@ from pgreduce.relations import (
     _refine,
     _refine_classes,
     _sign_class,
+    _singleton_row,
 )
 
 BISIMILARITIES = {
@@ -332,6 +333,27 @@ def test_one_definition_per_bisimilarity(kind, monkeypatch):
     assert not quotient_equivalent(game, merged)
 
 
+@pytest.mark.parametrize("kind", sorted(BISIMILARITIES))
+def test_singleton_row_is_what_the_signer_reads(kind, exhaustive_corpus, random_corpus):
+    # Each vertex is split off into a class of its own from the kind's final
+    # partition, and its row read without the signer is the row the kind's
+    # signer and reader give it.
+    _, sign, read = relations._BISIMILARITIES[kind]
+    loops = alone = 0
+    for game in exhaustive_corpus + random_corpus + _larger_games():
+        classes, _ = _refine(game, kind)
+        single = max(classes) + 1
+        for v in game.vertices:
+            class_of = list(classes)
+            class_of[v] = single
+            (sig,) = sign(game, class_of, single, [v])
+            succs, odd = read(sig, single)
+            assert _singleton_row(game, class_of, v) == (set(succs), odd), (game, v)
+            loops += v in game.successors[v]
+            alone += game.successors[v] == (v,)
+    assert loops and alone
+
+
 @pytest.mark.parametrize(
     "bisim, oracle",
     [(governed_bisim, oracle_governed_bisim), (strong_bisim, oracle_strong_bisim)],
@@ -406,3 +428,13 @@ def test_all_relations_validate(random_corpus):
         for bisim in (governed_bisim, strong_bisim, gstut_bisim, stut_bisim):
             part = bisim(game)
             assert equivalence_from_preorder(part.as_relation()) == part
+
+
+@pytest.mark.parametrize("relation", [direct_sim, strong_direct_sim], ids=["direct", "strong"])
+def test_direct_sim_fails_fast_above_its_limit(relation, monkeypatch):
+    game = random_game(6, 2, (1, 2), 1)
+    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", 6)
+    relation(game)
+    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", 5)
+    with pytest.raises(ValueError, match="^direct simulation of a 6-vertex game needs 6² bits, above the limit of 5 vertices$"):
+        relation(game)

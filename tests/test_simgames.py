@@ -521,6 +521,22 @@ def test_arena_id_space_fails_fast(kind, monkeypatch):
     assert peak < 2**20, peak
 
 
+def test_delayed_fixpoint_fails_fast(monkeypatch):
+    # 6 vertices and 3 priorities: 6 * 6 * 4 triples.  The fixpoint refuses
+    # before it builds any table.
+    game = ParityGame((0, 1, 2, 0, 1, 2), (0, 1) * 3, ((1,), (2,), (3,), (4,), (5,), (0,)))
+    monkeypatch.setattr(pgreduce.simgames, "DELAYED_TRIPLE_LIMIT", 144)
+    delayed_sim_fixpoint(game)
+
+    def obligations(*args):
+        raise AssertionError("obligation table built before the size check")
+
+    monkeypatch.setattr(pgreduce.simgames, "_obligations", obligations)
+    monkeypatch.setattr(pgreduce.simgames, "DELAYED_TRIPLE_LIMIT", 143)
+    with pytest.raises(ValueError, match="^delayed simulation of a 6-vertex game has 144 triples, above the limit of 143$"):
+        delayed_sim_fixpoint(game)
+
+
 _UPDATES = {"none": gamma, "even": gamma_even, "odd": gamma_odd}
 
 
