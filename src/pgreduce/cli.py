@@ -262,8 +262,10 @@ def _cmd_verify(args) -> int:
     report = _Report("verify", args)
     report.data["input"] = digest
     result = _quotient_for(args, game, report)
-    preserved = verify_preservation(game, result)
+    # The certificate first: it refuses a union above its size limit before
+    # either game is solved.
     equivalent = quotient_equivalent(game, result)
+    preserved = verify_preservation(game, result)
     report.stamp("verify")
     report.data["verdicts"]["winners-preserved"] = "pass" if preserved else "fail"
     report.data["verdicts"]["quotient-equivalent"] = "pass" if equivalent else "fail"

@@ -9,6 +9,16 @@ one pass of a compiled pattern, one match per statement; anything else, and
 every input that turns out to be malformed, goes through the
 statement-by-statement parser.  Both give the same game, and the statement
 parser reports every error.
+
+A game is frozen, so every table derived from it alone stays valid for the
+object's life.  ``derived(game, build)`` runs ``build(game)`` on first use
+and keeps the result on the game, keyed by the builder; later calls return
+it.  The predecessor lists are kept so, and so are the tables that several
+layers read for one game: the owner flags and obligation and transfer
+tables of :mod:`pgreduce.simgames`, and the initial partitions and direct
+simulation masks of :mod:`pgreduce.relations`.  Every kept table is a tuple
+or another immutable value, so no caller can change what the next one
+reads, and a table that only one call reads per game is not kept.
 """
 from __future__ import annotations
 
@@ -48,11 +58,14 @@ class Player(IntEnum):
         return _OPPONENT[self]
 
 
-_OPPONENT = (Player.ODD, Player.EVEN)
+# Module constants: an enum member's attribute read costs several times a
+# global's.
+_EVEN, _ODD = Player.EVEN, Player.ODD
+_OPPONENT = (_ODD, _EVEN)
 # Owner values ParityGame accepts: 0 and 1, as ints or players; and the
 # owner digits of canonical text.
-_OWNER = {0: Player.EVEN, 1: Player.ODD}
-_OWNER_DIGIT = {"0": Player.EVEN, "1": Player.ODD}
+_OWNER = {0: _EVEN, 1: _ODD}
+_OWNER_DIGIT = {"0": _EVEN, "1": _ODD}
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,7 @@ class ParityGame:
         if labels is not None:
             labels = tuple(labels)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_tables", {})
 
         n = len(prios)
         if n == 0:
@@ -124,16 +138,27 @@ class ParityGame:
         return range(len(self.priorities))
 
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        """Predecessor lists, ascending; computed once and cached."""
-        cached = getattr(self, "_predecessors", None)
-        if cached is None:
-            preds: list[list[int]] = [[] for _ in self.vertices]
-            for v, row in enumerate(self.successors):
-                for u in row:
-                    preds[u].append(v)
-            cached = tuple(tuple(p) for p in preds)
-            object.__setattr__(self, "_predecessors", cached)
-        return cached
+        """Predecessor lists, ascending; built once per game."""
+        return derived(self, _predecessor_lists)
+
+
+def derived(game: ParityGame, build):
+    """``build(game)``, built on the first call for this game object and kept
+    on it; ``build`` must read nothing but the game and return an immutable
+    table."""
+    tables = game._tables
+    table = tables.get(build)
+    if table is None:
+        table = tables[build] = build(game)
+    return table
+
+
+def _predecessor_lists(game: ParityGame) -> tuple[tuple[int, ...], ...]:
+    preds: list[list[int]] = [[] for _ in game.vertices]
+    for v, row in enumerate(game.successors):
+        for u in row:
+            preds[u].append(v)
+    return tuple(map(tuple, preds))
 
 
 def _normal_row(row) -> tuple[int, ...]:
@@ -148,7 +173,7 @@ class WinningRegions:
     won_by_odd: frozenset[int]
 
     def winner(self, v: int) -> Player:
-        return Player.EVEN if v in self.won_by_even else Player.ODD
+        return _EVEN if v in self.won_by_even else _ODD
 
 
 def reward_leq(n: int, m: int) -> bool:

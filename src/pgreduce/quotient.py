@@ -19,13 +19,14 @@ CLI and ``quotient_equivalent`` read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 # attractor, diverges, steps and the four bisimilarities are not called
 # here, but bench/tracing.py wraps these names in this module, so they stay
 # bound.
 from .forcing import attractor, diverges, iter_bits, steps  # noqa: F401
-from .game import ParityGame, Player, disjoint_union
+from .game import ParityGame, _EVEN, _ODD, disjoint_union
 from .relations import governed_bisim, gstut_bisim, strong_bisim, stut_bisim  # noqa: F401
 from .relations import Partition, direct_sim, equivalence_from_preorder, _check_direct_sim_size, _direct_sim, _quotient_rows, _refine
 from .solver import solve_zielonka
@@ -142,7 +143,7 @@ def _preorder_quotient(game: ParityGame) -> QuotientResult:
     owners = []
     succs: list[tuple[int, ...]] = []
     for members in part.members():
-        evens = [v for v in members if game.owners[v] is Player.EVEN]
+        evens = [v for v in members if game.owners[v] is _EVEN]
         movers = evens or members
         side = 1 if evens else 0  # index of the maximal or the minimal mask
         seen = set()
@@ -155,7 +156,7 @@ def _preorder_quotient(game: ParityGame) -> QuotientResult:
         (targets,) = seen
         if len(movers) != len(members) and len(targets) != 1:
             raise RuntimeError("mixed-owner class without unique successor class")
-        owners.append(Player.EVEN if evens or len(targets) == 1 else Player.ODD)
+        owners.append(_EVEN if evens or len(targets) == 1 else _ODD)
         succs.append(tuple(sorted(targets)))
 
     quotient = ParityGame._from_rows(priorities, owners, succs)
@@ -304,13 +305,17 @@ def _check_class_map(game: ParityGame, result: QuotientResult) -> None:
 
 
 def verify_preservation(game: ParityGame, result: QuotientResult) -> bool:
-    """Winners survive quotienting: each vertex and its class share a winner."""
+    """Winners survive quotienting: each vertex and its class share a winner.
+
+    Both games' regions partition their vertices, so that holds exactly
+    when even's region of the game is the set of vertices whose class even
+    wins in the quotient.
+    """
     _check_class_map(game, result)
     original = solve_zielonka(game)
     reduced = solve_zielonka(result.quotient)
-    return all(
-        original.winner(v) == reduced.winner(result.class_map[v]) for v in game.vertices
-    )
+    lifted = compress(game.vertices, map(reduced.won_by_even.__contains__, result.class_map))
+    return frozenset(lifted) == original.won_by_even
 
 
 def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
@@ -329,7 +334,8 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     through ``c`` and cut down to the initial partition.
     ``direct-sim`` always starts from the quotient's own preorder, read the
     same way, and deletes pairs; then ``v`` must end related both ways to
-    ``n + c(v)``.
+    ``n + c(v)``.  A union above ``relations.DIRECT_SIM_LIMIT`` vertices
+    raises ``ValueError`` before the union or any relation is built.
 
     Sound: whatever the fixpoint keeps is a bisimulation (a direct
     simulation) of the union inside its initial relation, so it lies inside
@@ -348,6 +354,9 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     _check_class_map(game, result)
     quotient, class_map = result.quotient, result.class_map
     n = game.vertex_count
+    if result.kind == "direct-sim":
+        q = quotient.vertex_count
+        _check_direct_sim_size(n + q, f"game, the union of the {n}-vertex game and its {q}-vertex quotient,")
     union = disjoint_union(game, quotient)
     lift = (*class_map, *quotient.vertices)
     if result.kind == "direct-sim":

@@ -32,7 +32,7 @@ from typing import Hashable, Iterable
 # attractor is not called here, but bench/tracing.py wraps this name in
 # this module, so it stays bound.
 from .forcing import attractor, iter_bits, mask_of  # noqa: F401
-from .game import ParityGame, Player
+from .game import ParityGame, Player, _EVEN, _ODD, derived
 
 __all__ = [
     "Partition",
@@ -60,8 +60,11 @@ class Partition:
 
     @classmethod
     def from_class_of(cls, n: int, class_of: Iterable[Hashable]) -> "Partition":
+        """The partition whose classes are the vertices of equal keys
+        ``class_of[v]``, numbered by first occurrence."""
         order: dict[Hashable, int] = {}
-        canonical = tuple(order.setdefault(c, len(order)) for c in class_of)
+        # A list comprehension measured faster than a generator here.
+        canonical = tuple([order.setdefault(c, len(order)) for c in class_of])
         if len(canonical) < n:
             raise ValueError("class_of must cover every vertex")
         if len(canonical) > n:
@@ -101,6 +104,25 @@ class Partition:
         return True
 
 
+def _direct_sim_masks(game: ParityGame) -> tuple[tuple[bool, ...], int, tuple[int, ...], tuple[int, ...]]:
+    """Per vertex whether even owns it, the mask of the even vertices, and
+    each vertex's successor mask and predecessor mask."""
+    even = tuple([owner is _EVEN for owner in game.owners])
+    evens = 0
+    succ_masks = []
+    pred_masks = [0] * game.vertex_count
+    for v, row in enumerate(game.successors):
+        bit = 1 << v
+        if even[v]:
+            evens |= bit
+        succ = 0
+        for u in row:
+            succ |= 1 << u
+            pred_masks[u] |= bit
+        succ_masks.append(succ)
+    return even, evens, tuple(succ_masks), tuple(pred_masks)
+
+
 def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     """Delete pairs violating the direct-simulation transfer until stable.
 
@@ -118,24 +140,11 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     of theirs, so one AND per target keeps or drops every even candidate
     of ``v`` at once.  Odd candidates are checked one by one.
     """
-    n = game.vertex_count
     succs = game.successors
-    even = [owner is Player.EVEN for owner in game.owners]
-    evens = 0
-    succ_masks = []
-    pred_masks = [0] * n
-    for v, row in enumerate(succs):
-        bit = 1 << v
-        if even[v]:
-            evens |= bit
-        succ = 0
-        for u in row:
-            succ |= 1 << u
-            pred_masks[u] |= bit
-        succ_masks.append(succ)
+    even, evens, succ_masks, pred_masks = derived(game, _direct_sim_masks)
     odds = ~evens
     images: dict[int, int] = {}
-    dirty: Iterable[int] = range(n)
+    dirty: Iterable[int] = range(game.vertex_count)
     while dirty:
         shrunk = []
         for v in dirty:
@@ -303,7 +312,7 @@ def _sign_class(
                 some |= c
                 every &= c
         # The owner ORs what its successors contribute, the opponent ANDs it.
-        ours = owners[v] is Player.EVEN
+        ours = owners[v] is _EVEN
         base = (some, every) if ours else (every, some)
         if inner:
             mask[v] = (0, 0)
@@ -400,7 +409,7 @@ def _read_successors(sig: tuple, cid: int) -> tuple[Iterable[int], bool]:
     """A successor signature ``(classes, owner)`` gives the class's successor
     classes and, when there are several, whether odd owns every member."""
     classes, owner = sig
-    return classes, owner is Player.ODD
+    return classes, owner is _ODD
 
 
 def _read_stuttering(sig: tuple, cid: int) -> tuple[Iterable[int], bool]:
@@ -444,9 +453,17 @@ def _refine(game: ParityGame, kind: str, claimed: Iterable[Hashable] = ()) -> tu
 
 
 def _initial_partition(game: ParityGame, by_owner: bool) -> Partition:
-    """Classes of equal priority, and with ``by_owner`` also of equal owner."""
-    keys = zip(game.priorities, game.owners) if by_owner else game.priorities
-    return Partition.from_class_of(game.vertex_count, keys)
+    """Classes of equal priority, and with ``by_owner`` also of equal owner;
+    each is built once per game object."""
+    return derived(game, _priority_owner_partition if by_owner else _priority_partition)
+
+
+def _priority_partition(game: ParityGame) -> Partition:
+    return Partition.from_class_of(game.vertex_count, game.priorities)
+
+
+def _priority_owner_partition(game: ParityGame) -> Partition:
+    return Partition.from_class_of(game.vertex_count, zip(game.priorities, game.owners))
 
 
 def _singleton_row(game: ParityGame, class_of: list[int], v: int) -> tuple[set[int], bool]:
@@ -465,7 +482,7 @@ def _singleton_row(game: ParityGame, class_of: list[int], v: int) -> tuple[set[i
     or more, its own counting for the loop.
     """
     classes = {class_of[u] for u in game.successors[v]}
-    return classes, game.owners[v] is Player.ODD and len(classes) > 1
+    return classes, game.owners[v] is _ODD and len(classes) > 1
 
 
 def _quotient_rows(game: ParityGame, kind: str) -> tuple[Partition, list[Player], list[tuple[int, ...]]]:
@@ -491,7 +508,7 @@ def _quotient_rows(game: ParityGame, kind: str) -> tuple[Partition, list[Player]
         sig = signatures.get(class_of[v])
         classes, odd = _singleton_row(game, class_of, v) if sig is None else read(sig, class_of[v])
         succs.append(tuple(sorted({index[cj] for cj in classes})))
-        owners.append(game.owners[v] if by_owner else Player.ODD if odd else Player.EVEN)
+        owners.append(game.owners[v] if by_owner else _ODD if odd else _EVEN)
     return part, owners, succs
 
 

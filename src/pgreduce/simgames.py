@@ -58,17 +58,21 @@ them.  A position is its integer id, computed from its fields and kept in
 governed and delayed arenas: configuration (v, w, k) has id ``t = (v * n +
 w) * K + k``, where obligation 0 is ✓, i ≥ 1 the i-th smallest priority and
 ``K`` counts the obligations (1 in the direct and governed games); the
-governed game's oriented copy ``n²K + t``, the half move after t ``2n²K +
-2t + side``, the sink ``4n²K``.  A list maps these ids to positions; the
-stuttering game's Duplicator positions, whose id space holds n²(2n + 2)²(n
-+ 1)² ids, use an int-keyed dict.  Each builder decodes a position's id in
-one place, its ``expand`` function, which gives the position's owner, its
-acceptance and the ids of its moves; ``_explore`` calls it once per
-position and records the predecessor lists as it appends the moves, so the
-Buchi solver never derives them again.  Round order comes from a
+governed game's oriented copy ``n²K + t``; the half move after t ``h + 2t
++ side`` and the sink ``h + 2n²K``, where ``h``, the first id after the
+configurations and oriented copies, is ``n²K``, or ``2n²K`` in the governed
+game.  A list maps these ids to positions; the stuttering game's Duplicator
+positions, whose id space holds n²(2n + 2)²(n + 1)² ids, use an int-keyed
+dict.  Each builder decodes a position's id in one place, its ``expand``
+function, which gives the position's owner, its acceptance and the ids of
+its moves; ``_explore`` calls it once per position and records the
+predecessor lists as it appends the moves, so the Buchi solver never
+derives them again.  Round order comes from a
 per-vertex owner table and the obligation update from one table per
 priority set and bias (``_gamma_table``, cached), which the delayed
-fixpoint shares.
+fixpoint shares.  The owner table and each vertex pair's row in the γ table
+depend on the game alone, so each is built once per game object and kept on
+it by ``game.derived``, the helper that keeps its predecessor lists.
 
 ``delayed_sim_fixpoint`` computes delayed simulation without an arena, so
 it cross-checks the arena route.  It evaluates only the triples that the
@@ -78,8 +82,8 @@ round instead of recomputing them.  It evaluates a triple's transfer on a
 per-pair table (``_transfer_groups``): the successor pairs, grouped by the
 owners, each with its triple base and its row in the γ table.  No bias
 changes that table or the triple bases of each pair's predecessor pairs,
-so both are built once per game object and kept on it, like its
-predecessor lists; ``wf_rank_check`` reads the same table.
+so both are kept on the game object by ``game.derived`` too;
+``wf_rank_check`` reads the same table.
 """
 from __future__ import annotations
 
@@ -88,7 +92,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import relations
-from .game import ParityGame, Player, reward_leq
+from .game import ParityGame, _EVEN, derived, reward_leq
 from .relations import Partition, equivalence_from_preorder, gstut_bisim
 from .solver import Arena, ArenaPlayer, buchi_rank, solve_buchi
 
@@ -186,17 +190,24 @@ def _gamma_table(levels: tuple[int, ...], bias: str) -> tuple[int, ...]:
     return tuple(where[update(pv, pw, k)] for pv in levels for pw in levels for k in obligations)
 
 
-def _obligations(game: ParityGame, bias: str) -> tuple[int, tuple[int, ...], list[int]]:
+def _obligation_rows(game: ParityGame) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Number of obligations ``K``, the priority levels and each vertex
+    pair's row in a γ table of those levels, which is the same for every
+    bias."""
+    levels = tuple(sorted(set(game.priorities)))
+    level = {p: i for i, p in enumerate(levels)}
+    kk = len(levels) + 1
+    lv = [level[p] * len(levels) for p in game.priorities]
+    return kk, levels, tuple([(lv[v] + level[pw]) * kk for v in game.vertices for pw in game.priorities])
+
+
+def _obligations(game: ParityGame, bias: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Number of obligations ``K``, the γ table and each vertex pair's row in it.
 
     The update of obligation k on entering the pair ``j = v * n + w`` is
     ``table[row[j] + k]``.
     """
-    levels = tuple(sorted(set(game.priorities)))
-    level = {p: i for i, p in enumerate(levels)}
-    kk = len(levels) + 1
-    lv = [level[p] * len(levels) for p in game.priorities]
-    row = [(lv[v] + level[pw]) * kk for v in game.vertices for pw in game.priorities]
+    kk, levels, row = derived(game, _obligation_rows)
     return kk, _gamma_table(levels, bias), row
 
 
@@ -218,9 +229,9 @@ def _check_listed(game: ParityGame, ids: int) -> None:
         raise ValueError(f"arena of a {n}-vertex game lists {ids} ids, above the limit of {ARENA_ID_LIMIT}")
 
 
-def _even_owned(game: ParityGame) -> list[bool]:
+def _even_owned(game: ParityGame) -> tuple[bool, ...]:
     """Per vertex, whether Even owns it: the move table reads nothing else."""
-    return [o is Player.EVEN for o in game.owners]
+    return tuple([o is _EVEN for o in game.owners])
 
 
 def _explore(
@@ -287,7 +298,7 @@ def _explore(
 
 
 def _half_move_arena(
-    game: ParityGame, kk: int, table: tuple[int, ...], row: list[int], base: list[int], swap: bool
+    game: ParityGame, kk: int, table: tuple[int, ...], row: tuple[int, ...], base: list[int], swap: bool
 ) -> Arena:
     """Arena of a pair game whose round follows the module docstring's move table.
 
@@ -295,17 +306,21 @@ def _half_move_arena(
     obligation k, accepting when k is 0 (✓); with ``swap``, Spoiler owns
     every configuration and picks which side plays the left role, and the
     oriented copy ``n²K + t``, not accepting, plays the round; the half move
-    after t ``2n²K + 2t + side``, where Duplicator answers on w (side 1) or
-    on v (side 0), listed only when that vertex has two successors or more;
-    the sink ``4n²K``, which loses.  A round from obligation k that enters
-    the pair x reaches ``base[x] + table[row[x] + k]``: ``base[x]`` is ``x
-    * K``, or the sink where the table reads 0.  The callers check the id
-    space before they build the tables.
+    after t ``h + 2t + side``, where Duplicator answers on w (side 1) or on
+    v (side 0), listed only when that vertex has two successors or more,
+    with ``h`` the first id after the configurations and oriented copies,
+    ``n²K`` or, with ``swap``, ``2n²K``; the sink ``h + 2n²K``, which loses.
+    So the arena lists ``3n²K + 1`` ids, or ``4n²K + 1`` with ``swap``.  A
+    round from obligation k that enters the pair x reaches ``base[x] +
+    table[row[x] + k]``: ``base[x]`` is ``x * K``, or the sink where the
+    table reads 0.  The callers check the id space before they build the
+    tables.
     """
     n, succ = game.vertex_count, game.successors
-    even = _even_owned(game)
+    even = derived(game, _even_owned)
     cfgs = n * n * kk
-    half, sink = 2 * cfgs, 4 * cfgs
+    half = 2 * cfgs if swap else cfgs
+    sink = half + 2 * cfgs
     # Only the sink can repeat in a row: distinct pairs reach distinct configurations.
     dedupe = sink in base
 
@@ -334,8 +349,9 @@ def _half_move_arena(
                 owner = _DUPLICATOR if even[b] else _SPOILER
                 moves = [base[x := u * n + t] + table[row[x] + k] for t in sb for u in sa]
         elif key < sink:
-            # ``half`` is even, so the key's last bit is the side.
-            j, k = divmod((key - half) >> 1, kk)
+            # The offset's last bit is the side.
+            key -= half
+            j, k = divmod(key >> 1, kk)
             a, b = divmod(j, n)
             owner, accept = _DUPLICATOR, False
             if key & 1:
@@ -357,7 +373,8 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
     condition of matching priorities forever.
     """
     n = game.vertex_count
-    sink = 4 * n * n
+    # The half-move arena's sink: its last id.
+    sink = (4 if swap else 3) * n * n
     _check_listed(game, sink + 1)
     prio = game.priorities
     base = [v * n + w if pv == pw else sink for v, pv in enumerate(prio) for w, pw in enumerate(prio)]
@@ -383,7 +400,7 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     """
     n = game.vertex_count
     # The half-move arena's ids, counted before the γ table is built.
-    _check_listed(game, 4 * n * n * (len(set(game.priorities)) + 1) + 1)
+    _check_listed(game, 3 * n * n * (len(set(game.priorities)) + 1) + 1)
     kk, table, row = _obligations(game, bias)
     return _half_move_arena(game, kk, table, row, [j * kk for j in range(n * n)], swap=False)
 
@@ -434,7 +451,7 @@ def build_gstut_arena(game: ParityGame) -> Arena:
     _check_listed(game, dups)
     m = n + 1
     prio, succ = game.priorities, game.successors
-    even = _even_owned(game)
+    even = derived(game, _even_owned)
     # base[j]: the id of the configuration (j, ✓), or the sink.
     base = [j * cc if prio[j // n] == prio[j % n] else sink for j in range(n * n)]
 
@@ -532,7 +549,7 @@ def delayed_sim(game: ParityGame, bias: str = "none") -> tuple[int, ...]:
     return _pair_relation_from_arena(game, build_delayed_sim_arena(game, bias))
 
 
-def _transfer_groups(game: ParityGame, kk: int, prow: list[int]) -> list[list[list[tuple[int, int]]]]:
+def _transfer_groups(game: ParityGame) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     """Each vertex pair's transfer condition, as ``all(any(...))`` over groups.
 
     Entry ``j = v * n + w`` lists groups of successor pairs ``j'``, each
@@ -548,7 +565,8 @@ def _transfer_groups(game: ParityGame, kk: int, prow: list[int]) -> list[list[li
     """
     n = game.vertex_count
     succ = game.successors
-    even = _even_owned(game)
+    even = derived(game, _even_owned)
+    kk, _, prow = derived(game, _obligation_rows)
     cell = [(j * kk, prow[j]) for j in range(n * n)]
     out = []
     for v in game.vertices:
@@ -557,26 +575,23 @@ def _transfer_groups(game: ParityGame, kk: int, prow: list[int]) -> list[list[li
             sw = succ[w]
             if even[v]:
                 if even[w]:
-                    groups = [[cell[a * n + b] for b in sw] for a in sv]
+                    groups = tuple([tuple([cell[a * n + b] for b in sw]) for a in sv])
                 else:
-                    groups = [[cell[a * n + b]] for a in sv for b in sw]
+                    groups = tuple([(cell[a * n + b],) for a in sv for b in sw])
             elif even[w]:
-                groups = [[cell[a * n + b] for b in sw for a in sv]]
+                groups = (tuple([cell[a * n + b] for b in sw for a in sv]),)
             else:
-                groups = [[cell[a * n + b] for a in sv] for b in sw]
+                groups = tuple([tuple([cell[a * n + b] for a in sv]) for b in sw])
             out.append(groups)
-    return out
+    return tuple(out)
 
 
-def _per_game(game: ParityGame, name: str, build: Callable[[], list]) -> list:
-    """``build()``, kept on ``game`` under ``name`` the first time, as
-    ``ParityGame.predecessors`` keeps its lists.  Only for tables that no
-    bias changes: ``K`` and the pairs' γ-table rows do not depend on it."""
-    cached = getattr(game, name, None)
-    if cached is None:
-        cached = build()
-        object.__setattr__(game, name, cached)
-    return cached
+def _pred_bases(game: ParityGame) -> tuple[tuple[int, ...], ...]:
+    """The triple bases ``(a * n + b) * K`` of each vertex pair's predecessor pairs."""
+    n = game.vertex_count
+    kk = derived(game, _obligation_rows)[0]
+    preds = game.predecessors()
+    return tuple([tuple([(a * n + b) * kk for a in pv for b in pw]) for pv in preds for pw in preds])
 
 
 def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...]:
@@ -627,19 +642,13 @@ def delayed_sim_fixpoint(game: ParityGame, bias: str = "none") -> tuple[int, ...
             f"delayed simulation of a {n}-vertex game has {total} triples, above the limit of {DELAYED_TRIPLE_LIMIT}"
         )
     kk, table, prow = _obligations(game, bias)
-    preds = game.predecessors()
     # sources[table row + k]: the obligations whose update lands on k.
     sources: list[list[int]] = [[] for _ in table]
     for r in range(0, len(table), kk):
         for k in range(kk):
             sources[r + table[r + k]].append(k)
-    transfer = _per_game(game, "_delayed_transfer", lambda: _transfer_groups(game, kk, prow))
-    # The triple bases of the predecessor pairs of each pair.
-    pred_bases = _per_game(
-        game,
-        "_delayed_pred_bases",
-        lambda: [[(a * n + b) * kk for a in pv for b in pw] for pv in preds for pw in preds],
-    )
+    transfer = derived(game, _transfer_groups)
+    pred_bases = derived(game, _pred_bases)
 
     def holds(t: int) -> bool:
         j, k = divmod(t, kk)
@@ -732,7 +741,7 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
     smaller rank until a ✓ is reached.
     """
     n = game.vertex_count
-    kk, table, prow = _obligations(game, bias)
+    kk, table, _ = _obligations(game, bias)
     total = n * n * kk
     arena = build_delayed_sim_arena(game, bias)
     ranks = buchi_rank(arena)
@@ -744,7 +753,7 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
         if t < total:
             rank[t] = r
 
-    transfer = _per_game(game, "_delayed_transfer", lambda: _transfer_groups(game, kk, prow))
+    transfer = derived(game, _transfer_groups)
     for t, r in enumerate(rank):
         if r < 0:
             continue

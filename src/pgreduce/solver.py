@@ -35,7 +35,7 @@ from itertools import compress, groupby
 from typing import Sequence
 
 from .forcing import mark_attractor
-from .game import ParityGame, Player, WinningRegions
+from .game import ParityGame, Player, WinningRegions, _EVEN, _ODD, _OPPONENT
 
 __all__ = [
     "ArenaPlayer",
@@ -44,6 +44,9 @@ __all__ = [
     "solve_buchi",
     "buchi_rank",
 ]
+
+
+_PLAYERS = (_EVEN, _ODD)
 
 
 class ArenaPlayer(IntEnum):
@@ -58,7 +61,8 @@ class Arena:
     Positions are dense indices.  For the pair games of
     :mod:`pgreduce.simgames`, ``ids[p]`` is the integer id from which the
     builder computed position ``p`` (a delayed configuration (v, w, k) has
-    id ``(v * n + w) * K + k``), and ``start[v * n + w]`` is the position
+    id ``(v * n + w) * K + k``, and its half moves and sink follow the
+    n²K configuration ids), and ``start[v * n + w]`` is the position
     at which a play from the vertex pair (v, w) starts.  A hand-built arena
     may leave both empty.  Only :mod:`pgreduce.simgames`' explorer sets
     ``predecessors``, the lists of the positions moving to each one, as it
@@ -126,8 +130,7 @@ def _zielonka(
     """
     order = sorted(part)
     order.sort(key=prios.__getitem__)
-    players = (Player.EVEN, Player.ODD)
-    levels = [(players[p % 2], list(level)) for p, level in groupby(order, prios.__getitem__)]
+    levels = [(_PLAYERS[p % 2], list(level)) for p, level in groupby(order, prios.__getitem__)]
     at = state.__getitem__
     frames: list[tuple[int, Player, list[int], list[list[int]], list[int], int]] = []
     owed: list[list[int]] = [[], []]
@@ -155,7 +158,7 @@ def _zielonka(
             cursor, i, a, owed, later, size = frames.pop()
             for v in a:
                 state[v] = 1
-            o = i.opponent
+            o = _OPPONENT[i]
             if won[o]:
                 b = mark_attractor(state, owners, preds, succs, o, sorted(won[o]))
                 for v in b:
@@ -262,7 +265,7 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
         p = prios[v] % 2
         if owners[v] == p and v in row:
             loops[p].append(v)
-    for i in (Player.EVEN, Player.ODD):
+    for i in _PLAYERS:
         if loops[i]:
             decide(i, loops[i])
     if len(won[0]) + len(won[1]) == n:
@@ -277,7 +280,7 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
         regions = _zielonka(scratch, owners, preds, succs, prios, part)
         for v in part:
             scratch[v] = 0
-        for i in (Player.EVEN, Player.ODD):
+        for i in _PLAYERS:
             if regions[i]:
                 decide(i, regions[i])
     return WinningRegions(frozenset(won[0]), frozenset(won[1]))
@@ -293,7 +296,7 @@ def _arena_preds(arena: Arena) -> list[list[int]]:
 
 def _flat(arena: Arena) -> tuple[bytearray, list[int], list[int]]:
     """Duplicator-owned flags, out-degrees and accepting positions of an arena."""
-    return bytearray(arena.owners), [len(row) for row in arena.edges], list(arena.accepting)
+    return bytearray(arena.owners), list(map(len, arena.edges)), list(arena.accepting)
 
 
 def _cpre_duplicator(

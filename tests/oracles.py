@@ -4,8 +4,8 @@ The winner and forcing oracles enumerate memoryless strategies explicitly
 and evaluate plays on the strategy-restricted graph, so a bug in the
 attractor or in the Zielonka recursion cannot hide in them.  The stuttering,
 signer, direct-simulation, validator, bisimulation, delayed-simulation,
-layered attractor, Buchi, Zielonka, parser, isomorphism-relation and quotient-certificate
-references at the end keep the library's earlier, direct constructions, and so do the arena
+layered attractor, Buchi, Zielonka, parser, isomorphism-relation, quotient-certificate and
+winner-preservation references at the end keep the library's earlier, direct constructions, and so do the arena
 builders, which intern every position by its payload tuple.
 ``iso_check`` decides whether two whole games are isomorphic, and
 ``is_isomorphism`` checks a given vertex mapping, for the idempotence
@@ -34,6 +34,7 @@ from pgreduce import (
     equivalence_from_preorder,
     governed_bisim,
     gstut_bisim,
+    solve_zielonka,
     steps,
     strong_bisim,
     stut_bisim,
@@ -1152,3 +1153,10 @@ def oracle_quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool
     part = KIND_RELATIONS[result.kind](union)
     off = game.vertex_count
     return all(part.same_class(v, off + result.class_map[v]) for v in game.vertices)
+
+
+def oracle_verify_preservation(game: ParityGame, result: QuotientResult) -> bool:
+    """Each vertex's winner, compared with its class's winner one vertex at a time."""
+    original = solve_zielonka(game)
+    reduced = solve_zielonka(result.quotient)
+    return all(original.winner(v) == reduced.winner(result.class_map[v]) for v in game.vertices)

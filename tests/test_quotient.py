@@ -21,11 +21,13 @@ from pgreduce import (
     random_game,
     serialize_class_map,
     serialize_pgsolver,
+    solve_zielonka,
     verify_preservation,
 )
 from fixture_games import CYCLE_VS_LOOP
 from inflation import inflate
-from oracles import KIND_RELATIONS, is_isomorphism, iso_check
+from oracles import KIND_RELATIONS, is_isomorphism, iso_check, oracle_verify_preservation
+from test_byte_identity import _games as byte_identity_games
 from pgreduce import quotient, relations
 from pgreduce.cli import main
 
@@ -355,6 +357,79 @@ def test_preservation_random_all_kinds():
         for fn in (quotient_direct_sim, quotient_governed_bisim, quotient_gstut):
             result = fn(game)
             assert verify_preservation(game, result)
+
+
+def _flip_one_class(result: QuotientResult, c: int) -> QuotientResult:
+    """``result`` with class ``c`` turned into a self-loop of the priority its
+    quotient winner loses, so that its winner flips."""
+    q = result.quotient
+    lose = 1 if c in solve_zielonka(q).won_by_even else 0
+    succs = tuple((c,) if d == c else row for d, row in enumerate(q.successors))
+    prios = tuple(lose if d == c else p for d, p in enumerate(q.priorities))
+    return QuotientResult(ParityGame(prios, q.owners, succs), result.class_map, result.kind)
+
+
+def test_preservation_equals_per_vertex_comparison():
+    # The byte-identity corpus under every equivalence, and each quotient
+    # with one class's winner flipped.
+    flipped = 0
+    for name, blob in byte_identity_games().items():
+        game = parse_pgsolver(blob)
+        for kind, build in EQUIVALENCES.items():
+            result = build(game)
+            assert verify_preservation(game, result) == oracle_verify_preservation(game, result) is True, (name, kind)
+            for c in {0, result.quotient.vertex_count - 1}:
+                doctored = _flip_one_class(result, c)
+                winner = solve_zielonka(doctored.quotient).winner(c)
+                assert winner != solve_zielonka(result.quotient).winner(c), (name, kind, c)
+                assert verify_preservation(game, doctored) == oracle_verify_preservation(game, doctored) is False
+                flipped += 1
+    assert flipped > 50
+
+
+def test_class_priorities_reject_a_mixed_class(random_corpus):
+    game = two_sinks((0, 0))
+    with pytest.raises(RuntimeError, match="^equivalence class mixes priorities; refinement bug$"):
+        quotient._class_priorities(game, Partition.from_class_of(4, (0, 1, 1, 2)))
+    # Each class's priority is its members'.
+    for game in random_corpus:
+        part = relations.gstut_bisim(game)
+        prios = quotient._class_priorities(game, part)
+        assert all(prios[c] == p for c, p in zip(part.class_of, game.priorities))
+        assert len(prios) == part.class_count
+
+
+def test_direct_sim_certificate_refuses_a_large_union_first(monkeypatch, tmp_path, capsys):
+    # The union's size is checked before the union, the quotient's relation
+    # or either solve: every one of them raises here.
+    game = random_game(12, 3, (1, 3), 4)
+    result = quotient_direct_sim(game)
+    q = result.quotient.vertex_count
+    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", 11 + q)
+
+    def refused(*args):
+        raise AssertionError("built before the size check")
+
+    for name in ("disjoint_union", "direct_sim", "_direct_sim", "solve_zielonka"):
+        monkeypatch.setattr(quotient, name, refused)
+    message = (
+        f"direct simulation of a {12 + q}-vertex game, the union of the 12-vertex game and its "
+        f"{q}-vertex quotient, needs {12 + q}² bits, above the limit of {11 + q} vertices"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        quotient_equivalent(game, result)
+    # verify builds the quotient, then refuses before either solve.
+    monkeypatch.undo()
+    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", 11 + q)
+    for name in ("disjoint_union", "solve_zielonka"):
+        monkeypatch.setattr(quotient, name, refused)
+    path = tmp_path / "game.gm"
+    path.write_bytes(serialize_pgsolver(game))
+    assert main(["verify", str(path), "--equiv", "direct-sim"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", 12 + q)
+    assert quotient_equivalent(game, result)
 
 
 def test_quotient_memory_grows_linearly():

@@ -148,6 +148,27 @@ class TestPartition:
                 merged = [keys[firsts[0]] if k == keys[firsts[1]] else k for k in keys]
                 assert Partition.from_class_of(n, merged) != part
 
+    def test_numbering_from_generators_and_tuple_keys(self):
+        # Against a numbering by first occurrence, one key at a time: keys
+        # given as a generator, once only, and as tuples of priority and owner.
+        def numbered(keys):
+            order = {}
+            return tuple(order.setdefault(k, len(order)) for k in keys)
+
+        rng = random.Random(7)
+        for n in (1, 2, 5, 9, 30):
+            pairs = [(rng.randrange(3), rng.choice(list(Player))) for _ in range(n)]
+            part = Partition.from_class_of(n, (p for p, _ in pairs))
+            assert part.class_of == numbered(p for p, _ in pairs)
+            assert part.class_count == len(set(p for p, _ in pairs))
+            part = Partition.from_class_of(n, zip(*zip(*pairs)))
+            assert part.class_of == numbered(pairs)
+            assert part.class_count == len(set(pairs))
+        with pytest.raises(ValueError, match="cover every vertex"):
+            Partition.from_class_of(3, (k for k in (0, 1)))
+        with pytest.raises(ValueError, match="class_of has 4 entries for 3 vertices"):
+            Partition.from_class_of(3, ((k, k) for k in range(4)))
+
     def test_refines_matches_relation_route_on_lattice_relations(self, exhaustive_corpus, random_corpus):
         # Equal partitions give equal answers, so each distinct ordered pair
         # is compared once.

@@ -120,13 +120,13 @@ class TestDirectSimArena:
         assert arena.start[1 * n + 0] not in won
 
     def test_position_counts(self, escape_edge):
-        # Ids: configurations below n², half moves from 2n² up to the sink at 4n².
+        # Ids: configurations below n², half moves from n² up to the sink at 3n².
         game = escape_edge
         arena = build_direct_sim_arena(game)
         n = game.vertex_count
         max_deg = max(len(row) for row in game.successors)
         full = [key for key in arena.ids if key < n * n]
-        mids = [key for key in arena.ids if 2 * n * n <= key < 4 * n * n]
+        mids = [key for key in arena.ids if n * n <= key < 3 * n * n]
         pairs_with_equal_prio = sum(
             1
             for v in game.vertices
@@ -175,7 +175,7 @@ class TestDelayedArena:
     def test_obligation_alphabet(self, random_corpus):
         # A configuration's id is t = (v * n + w) * K + k, where obligation
         # k indexes ✓ and the sorted priorities, and the half move after it
-        # 2n²K + 2t + side; the interning oracle's arena, folded the same
+        # n²K + 2t + side; the interning oracle's arena, folded the same
         # way and then position for position the same, names each one.
         for game in random_corpus[:15]:
             n = game.vertex_count
@@ -189,8 +189,8 @@ class TestDelayedArena:
                     j, k = divmod(key, kk)
                     assert payload[pos] == ("cfg", j // n, j % n, obligations[k])
                 else:
-                    assert key >= 2 * cfgs
-                    t, side = divmod(key - 2 * cfgs, 2)
+                    assert cfgs <= key < 3 * cfgs
+                    t, side = divmod(key - cfgs, 2)
                     j, k = divmod(t, kk)
                     assert payload[pos] == ("mid", j // n, j % n, obligations[k], side)
 
@@ -487,15 +487,46 @@ def test_explore_builds_the_arena_in_one_pass():
     assert len(calls) == arena.size
 
 
+def test_half_moves_follow_the_configurations(random_corpus):
+    # Ids: configurations below n²K, the governed game's oriented copies up
+    # to 2n²K, then a half move per side of each configuration, then the
+    # sink.  A half move answers on a vertex with two successors or more.
+    for game in random_corpus[:40]:
+        n, succ = game.vertex_count, game.successors
+        kk = len(set(game.priorities)) + 1
+        for build, cfgs, half in (
+            (build_direct_sim_arena, n * n, n * n),
+            (build_governed_bisim_arena, n * n, 2 * n * n),
+            (build_delayed_sim_arena, n * n * kk, n * n * kk),
+        ):
+            arena = build(game)
+            k_count = cfgs // (n * n)
+            sink = half + 2 * cfgs
+            assert max(arena.ids) <= sink
+            for pos, key in enumerate(arena.ids):
+                if key < half:
+                    continue
+                assert arena.owners[pos] is ArenaPlayer.DUPLICATOR
+                assert pos not in arena.accepting
+                if key == sink:
+                    assert arena.edges[pos] == [pos]
+                    continue
+                t, side = divmod(key - half, 2)
+                a, b = divmod(t // k_count, n)
+                assert 1 <= len(arena.edges[pos]) <= len(succ[b if side else a])
+                assert len(succ[b if side else a]) > 1
+
+
 # Each builder, a game size whose arena would list more ids than the
 # limit, and that count: n²(2n + 2) + 1 for the stuttering arena, 4n²K + 1
-# for the half-move arenas (K = 1 for direct and governed, and K = 10 for
-# the delayed arena of this game's nine priorities).
+# for the governed arena and 3n²K + 1 for the other half-move arenas (K = 1
+# for direct and governed, and K = 10 for the delayed arena of this game's
+# nine priorities).
 _OVERSIZED = {
     "gstut": (build_gstut_arena, 400, 128320001),
-    "direct": (build_direct_sim_arena, 5001, 100040005),
+    "direct": (build_direct_sim_arena, 5774, 100017229),
     "governed": (build_governed_bisim_arena, 5001, 100040005),
-    "delayed": (build_delayed_sim_arena, 2000, 160000001),
+    "delayed": (build_delayed_sim_arena, 2000, 120000001),
 }
 
 
