@@ -173,7 +173,14 @@ class WinningRegions:
     won_by_odd: frozenset[int]
 
     def winner(self, v: int) -> Player:
-        return _EVEN if v in self.won_by_even else _ODD
+        """The player who wins from ``v``; a ``ValueError`` for a vertex in
+        neither region."""
+        if v in self.won_by_even:
+            return _EVEN
+        if v in self.won_by_odd:
+            return _ODD
+        n = len(self.won_by_even) + len(self.won_by_odd)
+        raise ValueError(f"vertex {v} is outside 0..{n - 1}")
 
 
 def reward_leq(n: int, m: int) -> bool:

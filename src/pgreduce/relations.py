@@ -76,6 +76,12 @@ class Partition:
         return len(self.class_of)
 
     def same_class(self, v: int, w: int) -> bool:
+        """Whether ``v`` and ``w`` share a class; a ``ValueError`` for a
+        vertex outside the universe."""
+        n = len(self.class_of)
+        for u in (v, w):
+            if not 0 <= u < n:
+                raise ValueError(f"vertex {u} is outside 0..{n - 1}")
         return self.class_of[v] == self.class_of[w]
 
     def members(self) -> list[list[int]]:

@@ -5,11 +5,16 @@ steps around Zielonka's attractor decomposition.  It first decides the
 vertices whose owner can stay on a self-loop of its own parity, with their
 attractors, and then solves the strongly connected components of the rest
 bottom-up; Zielonka's core runs on each component's unsolved part, on an
-explicit stack, in the game's own vertex ids.  Every set the solver keeps
-is one byte per vertex of the game or a list of vertices: the unsolved
-vertices, read by the component pass too, and the core's current subgame,
-whose bytes the core clears while it solves a subgame below and sets back
-when it is done.  The attractor kernel
+explicit stack, in the game's own vertex ids.  A vertex that no cycle
+reaches never enters the component search: the attractors that decide its
+successors decide it.  In the core, the opponent's attractor to its region
+below a frame starts from the vertices of the frame's own peeled layer
+that join first, since the region is already closed under it below.
+
+Every set the solver keeps is one byte per vertex of the game or a list of
+vertices: the unsolved vertices, read by the component pass too, and the
+core's current subgame, whose bytes the core clears while it solves a
+subgame below and sets back when it is done.  The attractor kernel
 :func:`pgreduce.forcing.mark_attractor` reads those bytes directly, so no
 step copies a row, renumbers a vertex or touches a bitmask.
 
@@ -127,6 +132,18 @@ def _zielonka(
     each player, ``later`` the attractors those calls removed, and ``size``
     counts the frame's subgame.  A finished frame sets ``a`` and ``later``
     back to 1.
+
+    The opponent ``o``'s region below a frame, ``won[o]``, is its winning
+    region of the subgame without ``a``, so it is closed under ``o``'s
+    attractor there: an ``o`` vertex outside it has no edge into it, and
+    every other vertex outside it keeps a successor outside it.  In the
+    frame's subgame, then, only a vertex of ``a`` can be the first to join
+    it: an ``o`` vertex of ``a`` with an edge into the region, or a vertex of
+    ``a`` of the frame's player whose every successor in the subgame lies
+    in the region.  The region's bytes are cleared first, so the attractor
+    from those first joiners counts the edges into the region as gone;
+    ``b``, the region and that attractor, is ``o``'s attractor to the
+    region, found without walking the region's predecessor lists.
     """
     order = sorted(part)
     order.sort(key=prios.__getitem__)
@@ -153,16 +170,27 @@ def _zielonka(
             owed, later = [[], []], []
         won = owed
         # Ascend: a frame whose opponent won nothing below is won by its
-        # player; otherwise it continues on the rest, owing ``b``.
+        # player; otherwise it continues on the rest, owing ``b``, the
+        # opponent's attractor to its region, seeded from ``a``.
         while frames:
             cursor, i, a, owed, later, size = frames.pop()
             for v in a:
                 state[v] = 1
             o = _OPPONENT[i]
-            if won[o]:
-                b = mark_attractor(state, owners, preds, succs, o, sorted(won[o]))
+            region = won[o]
+            if region:
+                for v in region:
+                    state[v] = 0
+                taken = set(region)
+                first = [
+                    v
+                    for v in a
+                    if (not taken.isdisjoint(succs[v]) if owners[v] is o else not any(map(at, succs[v])))
+                ]
+                b = mark_attractor(state, owners, preds, succs, o, sorted(first))
                 for v in b:
                     state[v] = 0
+                b += region
                 owed[o] += b
                 later += b
                 size -= len(b)
@@ -238,8 +266,12 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
        each after every component it reaches.  A component's unsolved part
        is then a total subgame that no unsolved edge leaves, so the regions
        Zielonka's core finds in it are winning in the whole game; each
-       player's attractor to its region is decided.  A component without a
-       cycle is always decided before it is reached.
+       player's attractor to its region is decided.  A vertex that no cycle
+       passes through is decided once its last successor is: its owner's
+       attractor takes it with its first successor that the owner wins, or
+       the other player's with the last.  So the vertices that no cycle
+       reaches are peeled off first, sources first, counting down each
+       vertex's predecessors, and the component search never sees them.
 
     Every decided attractor is taken within the unsolved vertices, whose
     remainder therefore stays a total subgame (Friedmann & Lange, "Solving
@@ -270,8 +302,18 @@ def solve_zielonka(game: ParityGame) -> WinningRegions:
             decide(i, loops[i])
     if len(won[0]) + len(won[1]) == n:
         return WinningRegions(frozenset(won[0]), frozenset(won[1]))
+    # A count of every predecessor, solved ones too, can only keep a vertex.
+    count = list(map(len, preds))
+    cyclic = bytearray(unsolved)
+    queue = [v for v in range(n) if not count[v]]
+    for v in queue:
+        cyclic[v] = 0
+        for u in succs[v]:
+            count[u] -= 1
+            if not count[u]:
+                queue.append(u)
     scratch = bytearray(n)
-    for component in _bottom_up_sccs(succs, unsolved):
+    for component in _bottom_up_sccs(succs, cyclic):
         part = [v for v in component if unsolved[v]]
         if not part:
             continue

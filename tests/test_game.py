@@ -13,6 +13,7 @@ from pgreduce import (
     ParityGame,
     PgSolverFormatError,
     Player,
+    WinningRegions,
     disjoint_union,
     parse_pgsolver,
     random_game,
@@ -45,6 +46,14 @@ def test_reward_order_is_total_order():
 def test_player_opponent_involution():
     for p in Player:
         assert p.opponent.opponent is p
+
+
+def test_winner_rejects_vertices_in_neither_region():
+    regions = WinningRegions(frozenset({0}), frozenset({1}))
+    assert (regions.winner(0), regions.winner(1)) == (Player.EVEN, Player.ODD)
+    for v in (5, -1, 2):
+        with pytest.raises(ValueError, match=rf"vertex {v} is outside 0\.\.1"):
+            regions.winner(v)
 
 
 def test_parse_smallest_game():

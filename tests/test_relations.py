@@ -115,6 +115,15 @@ class TestPartition:
         with pytest.raises(ValueError, match="3 and 2 vertices"):
             Partition.from_class_of(3, [0, 1, 2]).refines(Partition.from_class_of(2, [0, 0]))
 
+    def test_same_class_rejects_vertices_outside_the_universe(self):
+        # A negative id would otherwise read a class from the end of the map.
+        part = Partition.from_class_of(3, [0, 1, 1])
+        assert part.same_class(1, 2) and not part.same_class(0, 2)
+        for v, w in ((-1, 2), (2, 3), (5, 0)):
+            bad = w if 0 <= v < 3 else v
+            with pytest.raises(ValueError, match=rf"vertex {bad} is outside 0\.\.2"):
+                part.same_class(v, w)
+
     def test_class_map_length_must_match(self):
         # Too few entries leave a vertex out; too many name the two counts.
         with pytest.raises(ValueError, match="cover every vertex"):

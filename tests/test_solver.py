@@ -121,6 +121,25 @@ def test_solver_leaves_recursion_limit_alone(monkeypatch):
     assert solve_zielonka(path).won_by_even == frozenset(range(n))
 
 
+def _path_into_cycle(length, cycle, seed):
+    """A path of ``length`` vertices running into a cycle of ``cycle``
+    vertices, with seeded priorities and owners: only the cycle goes to the
+    component pass."""
+    rng = random.Random(seed)
+    n = length + cycle
+    succs = [(v + 1,) for v in range(length)] + [(length + (k + 1) % cycle,) for k in range(cycle)]
+    return ParityGame([rng.randint(0, 5) for _ in range(n)], [rng.randint(0, 1) for _ in range(n)], succs)
+
+
+def _joined_two_frames_up():
+    """Odd's region {3} is found below the frame that peels priority 2, and
+    vertex 0 of the top frame's peeled layer, two frames up, is the first
+    to join it: 0 is odd's and has an edge into it.  On the way up the
+    priority-1 frame takes 1 into even's region through its own layer."""
+    E, O = Player.EVEN, Player.ODD
+    return ParityGame((0, 1, 2, 3), (O, E, E, E), ((1, 3), (2,), (2,), (3,)))
+
+
 def _zielonka_corpus():
     games = [
         random_game(n, max_priority, (1, min(3, n)), 1000 * n + max_priority)
@@ -129,6 +148,10 @@ def _zielonka_corpus():
     ]
     games += [_chain_loop(n) for n in range(1, 41, 3)]
     games += [_self_loops(n) for n in range(1, 41, 3)]
+    # Out-degree 1: every vertex off the cycles lies on a long in-tree.
+    games += [random_game(n, max(2, n // 4), (1, 1), 7000 + n) for n in range(1, 80, 2)]
+    games += [_path_into_cycle(length, cycle, length * cycle) for length in (1, 5, 20) for cycle in (1, 2, 7)]
+    games.append(_joined_two_frames_up())
     return games
 
 
@@ -143,25 +166,44 @@ def _core(game, state):
     return regions
 
 
-def test_zielonka_matches_reference(monkeypatch):
-    """The core on the full vertex set makes the same attractor calls, in
-    order, as the recursive form, and leaves its state bytes as it found
-    them; the solver finds the same regions."""
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _record_attractors(monkeypatch):
+    """The list to which each call of the solver's attractor kernel appends
+    its player, targets, subgame mask and attracted mask."""
     original = solver_module.mark_attractor
-    reference = oracles.attractor_layers
     calls = []
 
     def recording(state, owners, preds, succs, player, targets):
-        targets = list(targets)
-        calls.append((player, tuple(targets), _subgame(state)))
-        return original(state, owners, preds, succs, player, targets)
+        targets = tuple(targets)
+        subgame = _subgame(state)
+        attracted = original(state, owners, preds, succs, player, targets)
+        calls.append((player, targets, subgame, _mask(attracted)))
+        return attracted
+
+    monkeypatch.setattr(solver_module, "mark_attractor", recording)
+    return calls
+
+
+def test_zielonka_matches_reference(monkeypatch):
+    """The core on the full vertex set makes one attractor call for each of
+    the recursive form's, in order, and leaves its state bytes as it found
+    them; the solver finds the same regions.  A call that peels a subgame's
+    lowest level is the recursive form's call.  A call for the opponent's
+    region starts with the region already out of the subgame and from
+    sorted targets, and removes what the recursive form's attractor from
+    the whole region does."""
+    reference = oracles.attractor_layers
+    calls = _record_attractors(monkeypatch)
 
     def recording_reference(owners, preds, degree, player, targets, allowed):
         targets = list(targets)
-        calls.append((player, tuple(targets), allowed))
-        return reference(owners, preds, degree, player, targets, allowed)
+        attracted = reference(owners, preds, degree, player, targets, allowed)
+        calls.append((player, tuple(targets), allowed, _mask(attracted)))
+        return attracted
 
-    monkeypatch.setattr(solver_module, "mark_attractor", recording)
     monkeypatch.setattr(oracles, "attractor_layers", recording_reference)
     for k, game in enumerate(_zielonka_corpus()):
         calls.clear()
@@ -171,9 +213,39 @@ def test_zielonka_matches_reference(monkeypatch):
         expected = oracle_solve_zielonka(game)
         assert set(even) == expected.won_by_even, k
         assert set(odd) == expected.won_by_odd, k
-        assert ours == calls, k
-        assert all(list(targets) == sorted(targets) for _, targets, _ in ours), k
+        assert len(ours) == len(calls), k
+        for call, want in zip(ours, calls):
+            player, targets, subgame, attracted = call
+            their_player, region, allowed, removed = want
+            assert list(targets) == sorted(targets), k
+            lowest = min(game.priorities[v] for v in game.vertices if allowed >> v & 1)
+            if their_player == lowest % 2:
+                assert call == want, k
+            else:
+                assert player == their_player, k
+                assert subgame == allowed & ~_mask(region), k
+                assert attracted | _mask(region) == removed, k
         assert solve_zielonka(game) == expected, k
+
+
+def test_opponent_region_is_joined_through_the_peeled_layer(monkeypatch):
+    # Even peels a = {0, 1} at priority 0; below it odd wins {2} and even
+    # {3, 4, 5}.  Odd's 0 joins odd's region through its one edge into it,
+    # even's 1 stays, for even still moves to 3, and of the vertices
+    # outside a, odd's 4 joins through 0, while odd's 5, whose way into a
+    # is 1, does not.
+    E, O = Player.EVEN, Player.ODD
+    game = ParityGame((0, 0, 1, 2, 2, 2), (O, E, O, E, O, O), ((2, 3), (2, 3), (2,), (3,), (0, 3), (1, 3)))
+    calls = _record_attractors(monkeypatch)
+    even, odd = _core(game, bytearray(b"\x01") * 6)
+    assert (sorted(even), sorted(odd)) == ([1, 3, 5], [0, 2, 4])
+    # The region's bytes are cleared before the call, which starts from 0 only.
+    assert (O, (0,), _mask([0, 1, 3, 4, 5]), _mask([0, 4])) in calls
+    assert solve_zielonka(game) == oracle_solve_zielonka(game)
+    # Two frames up: the top frame's 0 is the one first joiner of odd's {3}.
+    calls.clear()
+    _core(_joined_two_frames_up(), bytearray(b"\x01") * 4)
+    assert (O, (0,), _mask([0, 1, 2]), _mask([0])) in calls
 
 
 def test_zielonka_restores_a_subgame_the_opponent_takes_whole():
@@ -291,6 +363,69 @@ def test_bottom_up_sccs_match_networkx():
         assert sorted(map(sorted, sccs)) == sorted(map(sorted, nx.strongly_connected_components(graph))), seed
         where = {v: k for k, scc in enumerate(sccs) for v in scc}
         assert all(where[v] >= where[u] for v, u in graph.edges), seed
+
+
+def _undecided_by_loops(game):
+    """The mask of the vertices that the self-loop step leaves unsolved,
+    through the layered reference attractor."""
+    alive = (1 << game.vertex_count) - 1
+    for player in (Player.EVEN, Player.ODD):
+        loops = [
+            v
+            for v, row in enumerate(game.successors)
+            if game.owners[v] == player == game.priorities[v] % 2 and v in row
+        ]
+        if loops:
+            live = alive
+
+            def degree(v):
+                return sum(live >> u & 1 for u in game.successors[v])
+
+            alive &= ~_mask(oracles.attractor_layers(game.owners, game.predecessors(), degree, player, loops, live))
+    return alive
+
+
+def _on_cycles(game, alive):
+    """The vertices of ``alive`` that lie on a cycle through ``alive`` only."""
+    found = set()
+    for v in game.vertices:
+        if not alive >> v & 1:
+            continue
+        seen, stack = set(), [u for u in game.successors[v] if alive >> u & 1]
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack += [w for w in game.successors[u] if alive >> w & 1]
+        if v in seen:
+            found.add(v)
+    return found
+
+
+def test_component_pass_skips_vertices_no_cycle_reaches(monkeypatch, random_corpus):
+    # The component pass is given every vertex on a cycle of the unsolved
+    # part, and no vertex without predecessors: no cycle reaches such a
+    # vertex, so the attractors of the decided ones settle it.
+    original = solver_module._bottom_up_sccs
+    given = []
+
+    def recording(successors, inside):
+        given.append(bytes(inside))
+        return original(successors, inside)
+
+    monkeypatch.setattr(solver_module, "_bottom_up_sccs", recording)
+    sourceless = 0
+    for k, game in enumerate(list(random_corpus) + _zielonka_corpus()):
+        given.clear()
+        assert solve_zielonka(game) == oracle_solve_zielonka(game), k
+        alive = _undecided_by_loops(game)
+        inside = {v for v, byte in enumerate(given[0]) if byte} if given else set()
+        assert _on_cycles(game, alive) <= inside, k
+        assert inside <= {v for v in game.vertices if alive >> v & 1}, k
+        sources = {v for v, row in enumerate(game.predecessors()) if not row}
+        assert not inside & sources, k
+        sourceless += len(sources & {v for v in game.vertices if alive >> v & 1})
+    assert sourceless > 100
 
 
 def test_isolated_self_loops_take_two_attractor_calls(monkeypatch):
