@@ -138,8 +138,16 @@ def attractor(game: ParityGame, player: Player, U: int, T: int) -> int:
     return mask_of(attracted, n)
 
 
+def _check_vertex(game: ParityGame, v: int) -> None:
+    n = game.vertex_count
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} is outside 0..{n - 1}")
+
+
 def forces(game: ParityGame, player: Player, v: int, U: int, T: int) -> bool:
-    """Can ``player`` force every play from ``v`` to reach ``T``, via ``U`` before?"""
+    """Can ``player`` force every play from ``v`` to reach ``T``, via ``U``
+    before?  A ``ValueError`` for a vertex outside the game."""
+    _check_vertex(game, v)
     return attractor(game, player, U, T) >> v & 1 == 1
 
 
@@ -154,7 +162,9 @@ def diverges(game: ParityGame, player: Player, v: int, U: int) -> bool:
 
 
 def steps(game: ParityGame, player: Player, v: int, T: int) -> bool:
-    """One-step controlled move: can ``player`` ensure the next vertex is in ``T``?"""
+    """One-step controlled move: can ``player`` ensure the next vertex is in
+    ``T``?  A ``ValueError`` for a vertex outside the game."""
+    _check_vertex(game, v)
     succs = game.successors[v]
     if game.owners[v] is player:
         return any(T >> u & 1 for u in succs)

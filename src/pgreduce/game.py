@@ -13,12 +13,13 @@ parser reports every error.
 A game is frozen, so every table derived from it alone stays valid for the
 object's life.  ``derived(game, build)`` runs ``build(game)`` on first use
 and keeps the result on the game, keyed by the builder; later calls return
-it.  The predecessor lists are kept so, and so are the tables that several
-layers read for one game: the owner flags and obligation and transfer
-tables of :mod:`pgreduce.simgames`, and the initial partitions and direct
-simulation masks of :mod:`pgreduce.relations`.  Every kept table is a tuple
-or another immutable value, so no caller can change what the next one
-reads, and a table that only one call reads per game is not kept.
+it.  The predecessor lists and the even-owner flags are kept so, and so
+are the tables that several layers read for one game: the obligation and
+transfer tables of :mod:`pgreduce.simgames`, and the initial partitions
+and direct simulation masks of :mod:`pgreduce.relations`.  Every kept
+table is a tuple or another immutable value, so no caller can change what
+the next one reads, and a table that only one call reads per game is not
+kept.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import itemgetter, lt
+from operator import index, itemgetter, lt
 
 __all__ = [
     "Player",
@@ -85,12 +86,15 @@ class ParityGame:
     labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self) -> None:
+        # operator.index takes ints, bools and players, and refuses what
+        # int() would round or parse.
         try:
-            owners = tuple(map(_OWNER.__getitem__, self.owners))
+            owners = tuple(map(_OWNER.__getitem__, map(index, self.owners)))
         except (KeyError, TypeError):
             raise ValueError("every owner must be 0 (even) or 1 (odd)") from None
-        succs = tuple(map(_normal_row, self.successors))
-        self._freeze(tuple(map(int, self.priorities)), owners, succs, self.labels)
+        prios = _per_vertex(index, self.priorities, "priority")
+        succs = _per_vertex(_normal_row, self.successors, "successors")
+        self._freeze(prios, owners, succs, self.labels)
 
     @classmethod
     def _from_rows(cls, priorities, owners, rows, labels=None) -> "ParityGame":
@@ -161,8 +165,27 @@ def _predecessor_lists(game: ParityGame) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, preds))
 
 
+def _even_owned(game: ParityGame) -> tuple[bool, ...]:
+    """Per vertex, whether even owns it."""
+    return tuple([owner is _EVEN for owner in game.owners])
+
+
 def _normal_row(row) -> tuple[int, ...]:
-    return tuple(sorted(set(map(int, row))))
+    return tuple(sorted(set(map(index, row))))
+
+
+def _per_vertex(read, values, what: str) -> tuple:
+    """``read`` of each vertex's value; a ``TypeError`` from ``read`` becomes
+    a ``ValueError`` naming the first vertex whose value it rejects."""
+    try:
+        return tuple(map(read, values))
+    except TypeError:
+        pass
+    for v, value in enumerate(values):
+        try:
+            read(value)
+        except TypeError:
+            raise ValueError(f"vertex {v} has non-integer {what} {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ builder makes the four bisimilarity quotients from the rows
 bisimilarity is defined in :mod:`pgreduce.relations` alone.  The direct
 simulation quotient is built on the governed quotient: governed
 bisimilarity lies inside direct simulation equivalence, so its n²-bit
-relation is paid per governed class, not per vertex.  Only the builder is
-staged; ``quotient_equivalent`` and the relations compute on the game they
-are given.  The delayed simulation family admits no unique quotient and is
-deliberately absent.
+relation is paid per governed class, not per vertex.  It reads that
+preorder only through strict up-sets, each row minus its kernel class, so
+no down-set is built.  Only the builder is staged; ``quotient_equivalent``
+and the relations compute on the game they are given.  The delayed
+simulation family admits no unique quotient and is deliberately absent.
 ``EQUIVALENCES`` maps each equivalence name to its quotient builder; the
 CLI and ``quotient_equivalent`` read it.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable
+from typing import Callable, Sequence
 
 # attractor, diverges, steps and the four bisimilarities are not called
 # here, but bench/tracing.py wraps these names in this module, so they stay
@@ -57,38 +58,21 @@ class QuotientResult:
     kind: str
 
 
-def _transpose(rows: tuple[int, ...]) -> list[int]:
-    """``cols[w]`` is the mask of every ``v`` with ``w`` in ``rows[v]``."""
-    # Equal rows are walked once, for all the vertices that hold them.
-    holders: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        holders[row] = holders.get(row, 0) | 1 << v
-    cols = [0] * len(rows)
-    for row, vs in holders.items():
-        for w in iter_bits(row):
-            cols[w] |= vs
-    return cols
-
-
-def _extremal_successors(
-    succs: tuple[int, ...], rows: tuple[int, ...], cols: list[int]
-) -> tuple[int, int]:
+def _extremal_successors(succs: tuple[int, ...], strict: Sequence[int]) -> tuple[int, int]:
     """Masks of the minimal and of the maximal members of ``succs``.
 
-    ``rows`` is a preorder and ``cols`` its transpose, so ``cols[u] & ~rows[u]``
-    holds what lies strictly below ``u`` and ``rows[u] & ~cols[u]`` what
-    lies strictly above.
+    ``strict[u]`` is the strict up-set of ``u`` in a preorder, everything
+    strictly above it.  ``u`` is maximal when no member lies in it, and
+    minimal when it lies in no member's, so no down-set is needed.
     """
-    among = 0
+    among = above = high = 0
     for u in succs:
         among |= 1 << u
-    low = high = 0
+        above |= strict[u]
     for u in succs:
-        if not among & cols[u] & ~rows[u]:
-            low |= 1 << u
-        if not among & rows[u] & ~cols[u]:
+        if not among & strict[u]:
             high |= 1 << u
-    return low, high
+    return among & ~above, high
 
 
 def _class_priorities(game: ParityGame, part: Partition) -> tuple[int, ...]:
@@ -133,13 +117,16 @@ def _preorder_quotient(game: ParityGame) -> QuotientResult:
     are the class's successors.  An all-odd class with more than one
     successor class stays odd; every other class is even.  Mixed-owner
     classes provably have a unique successor class, so the owner choice is
-    immaterial.
+    immaterial.  Extremal successors are read off strict up-sets, which the
+    kernel partition yields, so no transposed copy of the preorder is built.
     """
     preorder = direct_sim(game)
     part = equivalence_from_preorder(preorder)
     priorities = _class_priorities(game, part)
     class_of = part.class_of
-    cols = _transpose(preorder)
+    # u <= w and w <= u hold together exactly when w is in u's class, so
+    # taking u's class out of its up-set leaves what lies strictly above u.
+    strict = [row & ~same for row, same in zip(preorder, part.as_relation())]
     owners = []
     succs: list[tuple[int, ...]] = []
     for members in part.members():
@@ -148,7 +135,7 @@ def _preorder_quotient(game: ParityGame) -> QuotientResult:
         side = 1 if evens else 0  # index of the maximal or the minimal mask
         seen = set()
         for v in movers:
-            extremal = _extremal_successors(game.successors[v], preorder, cols)[side]
+            extremal = _extremal_successors(game.successors[v], strict)[side]
             seen.add(frozenset(class_of[u] for u in iter_bits(extremal)))
         if len(seen) > 1:
             kind = ("minimal", "maximal")[side]

@@ -32,7 +32,7 @@ from typing import Hashable, Iterable
 # attractor is not called here, but bench/tracing.py wraps this name in
 # this module, so it stays bound.
 from .forcing import attractor, iter_bits, mask_of  # noqa: F401
-from .game import ParityGame, Player, _EVEN, _ODD, derived
+from .game import ParityGame, Player, _EVEN, _ODD, _even_owned, derived
 
 __all__ = [
     "Partition",
@@ -110,10 +110,10 @@ class Partition:
         return True
 
 
-def _direct_sim_masks(game: ParityGame) -> tuple[tuple[bool, ...], int, tuple[int, ...], tuple[int, ...]]:
-    """Per vertex whether even owns it, the mask of the even vertices, and
-    each vertex's successor mask and predecessor mask."""
-    even = tuple([owner is _EVEN for owner in game.owners])
+def _direct_sim_masks(game: ParityGame) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The mask of the even vertices, and each vertex's successor mask and
+    predecessor mask."""
+    even = derived(game, _even_owned)
     evens = 0
     succ_masks = []
     pred_masks = [0] * game.vertex_count
@@ -126,7 +126,7 @@ def _direct_sim_masks(game: ParityGame) -> tuple[tuple[bool, ...], int, tuple[in
             succ |= 1 << u
             pred_masks[u] |= bit
         succ_masks.append(succ)
-    return even, evens, tuple(succ_masks), tuple(pred_masks)
+    return evens, tuple(succ_masks), tuple(pred_masks)
 
 
 def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
@@ -147,7 +147,8 @@ def _direct_sim_fixpoint(game: ParityGame, rows: list[int]) -> tuple[int, ...]:
     of ``v`` at once.  Odd candidates are checked one by one.
     """
     succs = game.successors
-    even, evens, succ_masks, pred_masks = derived(game, _direct_sim_masks)
+    even = derived(game, _even_owned)
+    evens, succ_masks, pred_masks = derived(game, _direct_sim_masks)
     odds = ~evens
     images: dict[int, int] = {}
     dirty: Iterable[int] = range(game.vertex_count)

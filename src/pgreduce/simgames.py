@@ -92,7 +92,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import relations
-from .game import ParityGame, _EVEN, derived, reward_leq
+from .game import ParityGame, _even_owned, derived, reward_leq
 from .relations import Partition, equivalence_from_preorder, gstut_bisim
 from .solver import Arena, ArenaPlayer, buchi_rank, solve_buchi
 
@@ -227,11 +227,6 @@ def _check_listed(game: ParityGame, ids: int) -> None:
     if ids > ARENA_ID_LIMIT:
         n = game.vertex_count
         raise ValueError(f"arena of a {n}-vertex game lists {ids} ids, above the limit of {ARENA_ID_LIMIT}")
-
-
-def _even_owned(game: ParityGame) -> tuple[bool, ...]:
-    """Per vertex, whether Even owns it: the move table reads nothing else."""
-    return tuple([o is _EVEN for o in game.owners])
 
 
 def _explore(

@@ -59,6 +59,9 @@ class ArenaPlayer(IntEnum):
     DUPLICATOR = 1
 
 
+_ARENA_PLAYERS = (ArenaPlayer.SPOILER, ArenaPlayer.DUPLICATOR)
+
+
 @dataclass
 class Arena:
     """Explicit turn-based game arena with a Buchi acceptance set.
@@ -87,16 +90,18 @@ class Arena:
         return len(self.owners)
 
     def validate(self) -> None:
-        """Raise ``ValueError`` naming a position without moves, a move or an
-        accepting id outside the arena, or owners and move rows of unequal
-        counts."""
+        """Raise ``ValueError`` naming a position owned by neither player or
+        without moves, a move or an accepting id outside the arena, or owners
+        and move rows of unequal counts."""
         size = self.size
         if len(self.edges) != size:
             raise ValueError(f"arena has {size} owners but {len(self.edges)} move rows")
-        for p, row in enumerate(self.edges):
-            if row and min(row) >= 0 and max(row) < size:
+        for p, (owner, row) in enumerate(zip(self.owners, self.edges)):
+            if owner in _ARENA_PLAYERS and row and min(row) >= 0 and max(row) < size:
                 continue
             where = f" (id {self.ids[p]})" if self.ids else ""
+            if owner not in _ARENA_PLAYERS:
+                raise ValueError(f"arena position {p}{where} has owner {owner!r}, neither Spoiler (0) nor Duplicator (1)")
             if not row:
                 raise ValueError(f"arena position {p}{where} has no moves")
             q = next(q for q in row if not 0 <= q < size)
@@ -410,11 +415,11 @@ def _buchi_layers(arena: Arena) -> tuple[list[int], list[int]]:
     arena without recorded predecessor lists is validated first, which
     walks every move as deriving the lists does.
     """
-    dup, degree, targets = _flat(arena)
     preds = arena.predecessors
     if preds is None:
         arena.validate()
         preds = _arena_preds(arena)
+    dup, degree, targets = _flat(arena)
     while True:
         inside, order, ends = _duplicator_attractor(dup, degree, preds, targets)
         kept = _cpre_duplicator(arena.edges, dup, targets, inside)

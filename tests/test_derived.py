@@ -19,7 +19,7 @@ simgames = pgreduce.simgames
 # The module and name of each kept table's builder.
 BUILDERS = [
     (game_module, "_predecessor_lists"),
-    (simgames, "_even_owned"),
+    (game_module, "_even_owned"),
     (simgames, "_obligation_rows"),
     (simgames, "_transfer_groups"),
     (simgames, "_pred_bases"),
@@ -91,7 +91,12 @@ def test_check_lattice_builds_each_table_once(monkeypatch, random_corpus):
         return wrapper
 
     for module, name in BUILDERS:
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        build = getattr(module, name)
+        wrapper = counting(name, build)
+        # Every module that binds the builder reads the one wrapper.
+        for reader in (game_module, relations, simgames):
+            if getattr(reader, name, None) is build:
+                monkeypatch.setattr(reader, name, wrapper)
     for i, shared in enumerate(random_corpus[:25]):
         # The corpus games are shared, and other tests may have filled theirs.
         game = _fresh(shared)

@@ -12,6 +12,7 @@ from pgreduce import (
     diverges,
     forces,
     gstut_bisim,
+    parse_pgsolver,
     random_game,
     steps,
 )
@@ -175,6 +176,20 @@ def test_steps_examples(escape_edge):
             assert steps(game, owner, v, vs(*game.successors[v]))
             assert steps(game, owner, v, full(game))
             assert steps(game, owner.opponent, v, full(game))
+
+
+@pytest.mark.parametrize("v", [-1, 3, 7])
+def test_predicates_reject_vertices_outside_the_game(v):
+    # Negative indexing would answer -1 for vertex 2, and a vertex at or
+    # beyond n lies outside every mask.
+    game = parse_pgsolver(b"parity 2; 0 1 0 1; 1 2 1 2,0; 2 1 0 2;")
+    message = f"vertex {v} is outside 0..2"
+    with pytest.raises(ValueError, match=message):
+        forces(game, Player.EVEN, v, -1, 1)
+    with pytest.raises(ValueError, match=message):
+        diverges(game, Player.EVEN, v, 0b111)
+    with pytest.raises(ValueError, match=message):
+        steps(game, Player.EVEN, v, 0b100)
 
 
 @st.composite

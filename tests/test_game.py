@@ -360,9 +360,20 @@ def test_game_normalises_successors():
 
 
 def test_game_rejects_owners_other_than_players():
-    for owner in (2, -1, "0", None, 0.5, [0]):
+    for owner in (2, -1, "0", None, 0.5, 1.0, [0]):
         with pytest.raises(ValueError, match="owner"):
             ParityGame((0,), (owner,), ((0,),))
+
+
+def test_game_rejects_priorities_and_successors_other_than_integers():
+    # int() would make priority 1.5 an odd 1 and successor "1" vertex 1.
+    for value in ("0", None, 0.5, 1.5, 1.0, [0]):
+        with pytest.raises(ValueError, match=re.escape(f"vertex 0 has non-integer priority {value!r}")):
+            ParityGame((value,), (0,), ((0,),))
+        with pytest.raises(ValueError, match=re.escape(f"vertex 1 has non-integer successors (1, {value!r})")):
+            ParityGame((0, 2), (0, 0), ((0,), (1, value)))
+    with pytest.raises(ValueError, match="vertex 0 has non-integer successors 0"):
+        ParityGame((0,), (0,), (0,))
 
 
 def test_game_normalisation_matches_enum_construction():

@@ -32,9 +32,21 @@ from pgreduce import quotient, relations
 from pgreduce.cli import main
 
 
-def extremal(game, v):
+def strict_up_sets(game):
+    # What lies strictly above each vertex: its up-set minus its kernel class.
     rows = direct_sim(game)
-    return quotient._extremal_successors(game.successors[v], rows, quotient._transpose(rows))
+    same = equivalence_from_preorder(rows).as_relation()
+    return rows, [row & ~eq for row, eq in zip(rows, same)]
+
+
+def extremal(game, v):
+    return quotient._extremal_successors(game.successors[v], strict_up_sets(game)[1])
+
+
+def _dense_successor_games():
+    # Out-degree n/4 to n/2: several successors share a class, and
+    # successors are often strictly ordered.
+    return [random_game(n, 1 + s % 5, (n // 4, n // 2), 100 * n + s) for n in range(4, 41, 3) for s in range(3)]
 
 
 class TestExtremalSuccessors:
@@ -50,9 +62,8 @@ class TestExtremalSuccessors:
     def test_pairwise_definition_on_corpora(self, exhaustive_corpus, random_corpus):
         # u is minimal when no successor lies strictly below it, maximal
         # when none lies strictly above.
-        for game in exhaustive_corpus + random_corpus:
-            rows = direct_sim(game)
-            cols = quotient._transpose(rows)
+        for game in exhaustive_corpus + random_corpus + _dense_successor_games():
+            rows, strict = strict_up_sets(game)
 
             def below(a, b):  # a < b
                 return rows[a] >> b & 1 and not rows[b] >> a & 1
@@ -60,7 +71,7 @@ class TestExtremalSuccessors:
             for succs in game.successors:
                 low = sum(1 << u for u in succs if not any(below(x, u) for x in succs))
                 high = sum(1 << u for u in succs if not any(below(u, x) for x in succs))
-                assert quotient._extremal_successors(succs, rows, cols) == (low, high)
+                assert quotient._extremal_successors(succs, strict) == (low, high)
 
 
 def test_direct_sim_quotient_escape_edge(escape_edge):
@@ -96,7 +107,7 @@ def _inflated_games():
 def test_direct_sim_quotient_staged_equals_unstaged(exhaustive_corpus, random_corpus, all_fixture_games):
     # The builder runs the construction on the governed quotient; run on the
     # game itself, it must give the same class map and the same bytes.
-    games = exhaustive_corpus + random_corpus + list(all_fixture_games.values()) + _inflated_games()
+    games = exhaustive_corpus + random_corpus + list(all_fixture_games.values()) + _inflated_games() + _dense_successor_games()
     for i, game in enumerate(games):
         staged = quotient_direct_sim(game)
         unstaged = quotient._preorder_quotient(game)

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import tracemalloc
 
@@ -614,6 +615,19 @@ def test_solve_buchi_rejects_ids_outside_the_arena(owners, edges, accepting, mes
     # the end would fail with a bare IndexError or not at all.
     arena = Arena(owners=owners, edges=edges, accepting=accepting)
     for solve in (solve_buchi, buchi_rank, oracle_solve_buchi):
+        with pytest.raises(ValueError, match=message):
+            solve(arena)
+
+
+@pytest.mark.parametrize("owner", [7, 2, -1, 256, None, "1", 0.5])
+def test_solve_buchi_rejects_owners_other_than_the_players(owner):
+    # The solver's flat owner bytes would read 7 as Duplicator, and -1 and
+    # 256 fail inside bytearray.
+    assert solve_buchi(Arena(owners=[D, S], edges=[[0, 1], [1]], accepting={0})) == {0}
+    assert solve_buchi(Arena(owners=[S, S], edges=[[0, 1], [1]], accepting={0})) == set()
+    arena = Arena(owners=[owner, S], edges=[[0, 1], [1]], accepting={0}, ids=[5, 6])
+    message = rf"^arena position 0 \(id 5\) has owner {re.escape(repr(owner))}, neither Spoiler \(0\) nor Duplicator \(1\)$"
+    for solve in (solve_buchi, buchi_rank):
         with pytest.raises(ValueError, match=message):
             solve(arena)
 
