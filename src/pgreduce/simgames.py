@@ -63,14 +63,14 @@ governed game's oriented copy ``n²K + t``; the half move after t ``h + 2t
 configurations and oriented copies, is ``n²K``, or ``2n²K`` in the governed
 game.  A list maps these ids to positions; the stuttering game's Duplicator
 positions, whose id space holds n²(2n + 2)²(n + 1)² ids, use an int-keyed
-dict.  Each builder decodes a position's id in one place, its ``expand``
-function, which gives the position's owner, its acceptance and the ids of
-its moves; ``_explore`` calls it once per position and records the
-predecessor lists as it appends the moves, so the Buchi solver never
-derives them again.  Round order comes from a
-per-vertex owner table and the obligation update from one table per
-priority set and bias (``_gamma_table``, cached), which the delayed
-fixpoint shares.  The owner table and each vertex pair's row in the γ table
+dict.  Each builder runs its own breadth-first loop, which decodes a
+position's id inline into its owner, its acceptance and the ids of its
+moves, and records the predecessor lists as it appends the moves, so the
+Buchi solver never derives them again.  Round order comes from a
+per-vertex owner table and, in the delayed game, the obligation update
+from one table per priority set and bias (``_gamma_table``, cached), which
+the delayed fixpoint shares; the direct and governed games read no γ
+table.  The owner table and each vertex pair's row in the γ table
 depend on the game alone, so each is built once per game object and kept on
 it by ``game.derived``, the helper that keeps its predecessor lists.
 
@@ -211,7 +211,7 @@ def _obligations(game: ParityGame, bias: str) -> tuple[int, tuple[int, ...], tup
     return kk, _gamma_table(levels, bias), row
 
 
-# The most arena ids a builder may list: ``_explore`` allocates a list slot
+# The most arena ids a builder may list: each builder allocates a list slot
 # per listed id before it explores anything.  The stuttering arena lists
 # n²(2n + 2) + 1 ids, which pass this at 369 vertices.
 ARENA_ID_LIMIT = 10**8
@@ -229,71 +229,8 @@ def _check_listed(game: ParityGame, ids: int) -> None:
         raise ValueError(f"arena of a {n}-vertex game lists {ids} ids, above the limit of {ARENA_ID_LIMIT}")
 
 
-def _explore(
-    listed: int, starts: list[int], expand: Callable[[int], tuple[ArenaPlayer, bool, list[int]]]
-) -> Arena:
-    """A breadth-first arena over integer position ids.
-
-    Positions are numbered in discovery order, from the ids in ``starts``
-    on; ``expand(id)`` gives a position's owner, whether it is accepting
-    and the ids of its moves, and is called once per position.  Ids below
-    ``listed`` are found through a list, the rest through a dict.  Returns
-    the arena with every field filled in, and with the predecessor lists
-    recorded as each move is appended, in the order ``_arena_preds`` gives.
-    """
-    pos_of = [-1] * listed
-    far: dict[int, int] = {}
-    ids = list(dict.fromkeys(starts))
-    for pos, key in enumerate(ids):
-        if key < listed:
-            pos_of[key] = pos
-        else:
-            far[key] = pos
-    start = [pos_of[key] if key < listed else far[key] for key in starts]
-    # The start row is no position's moves: the starts have no predecessors.
-    preds: list[list[int]] = [[] for _ in ids]
-    rows: list[list[int]] = []
-    owners: list[ArenaPlayer] = []
-    accepting: set[int] = set()
-    ids_append, preds_append, rows_append, owners_append = ids.append, preds.append, rows.append, owners.append
-    src = 0
-    count = len(ids)
-    while src < count:
-        owner, accept, keys = expand(ids[src])
-        owners_append(owner)
-        if accept:
-            accepting.add(src)
-        row = []
-        for key in keys:
-            # A new position is born with its first predecessor.
-            if key < listed:
-                pos = pos_of[key]
-                if pos < 0:
-                    pos = pos_of[key] = count
-                    count += 1
-                    ids_append(key)
-                    preds_append([src])
-                else:
-                    preds[pos].append(src)
-            else:
-                pos = far.get(key, -1)
-                if pos < 0:
-                    pos = far[key] = count
-                    count += 1
-                    ids_append(key)
-                    preds_append([src])
-                else:
-                    preds[pos].append(src)
-            row.append(pos)
-        rows_append(row)
-        src += 1
-    arena = Arena(owners=owners, edges=rows, accepting=accepting, ids=ids, start=start)
-    arena.predecessors = preds
-    return arena
-
-
 def _half_move_arena(
-    game: ParityGame, kk: int, table: tuple[int, ...], row: tuple[int, ...], base: list[int], swap: bool
+    game: ParityGame, base: list[int], swap: bool, kk: int = 1, table: tuple[int, ...] = (), row: tuple[int, ...] = ()
 ) -> Arena:
     """Arena of a pair game whose round follows the module docstring's move table.
 
@@ -305,59 +242,107 @@ def _half_move_arena(
     v (side 0), listed only when that vertex has two successors or more,
     with ``h`` the first id after the configurations and oriented copies,
     ``n²K`` or, with ``swap``, ``2n²K``; the sink ``h + 2n²K``, which loses.
-    So the arena lists ``3n²K + 1`` ids, or ``4n²K + 1`` with ``swap``.  A
-    round from obligation k that enters the pair x reaches ``base[x] +
-    table[row[x] + k]``: ``base[x]`` is ``x * K``, or the sink where the
-    table reads 0.  The callers check the id space before they build the
-    tables.
+    So the arena lists ``3n²K + 1`` ids, or ``4n²K + 1`` with ``swap``, and
+    finds every id's position in a list.  A round from obligation k that
+    enters the pair x reaches ``base[x] + table[row[x] + k]``: ``base[x]``
+    is ``x * K``, or the sink where the table reads 0.  With K = 1, the
+    direct and governed games, the table always reads 0, so the round
+    reaches ``base[x]`` and neither ``table`` nor ``row`` is read.  The
+    callers check the id space before they build the tables.
     """
     n, succ = game.vertex_count, game.successors
     even = derived(game, _even_owned)
     cfgs = n * n * kk
     half = 2 * cfgs if swap else cfgs
     sink = half + 2 * cfgs
-    # Only the sink can repeat in a row: distinct pairs reach distinct configurations.
-    dedupe = sink in base
-
-    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
-        if key < half:
+    direct = kk == 1
+    starts = base if direct else [base[j] + table[row[j]] for j in range(n * n)]
+    pos_of = [-1] * (sink + 1)
+    ids = list(dict.fromkeys(starts))
+    for pos, key in enumerate(ids):
+        pos_of[key] = pos
+    start = [pos_of[key] for key in starts]
+    # The start row is no position's moves: the starts have no predecessors.
+    preds: list[list[int]] = [[] for _ in ids]
+    edges: list[list[int]] = []
+    owners: list[ArenaPlayer] = []
+    accepting: set[int] = set()
+    ids_append, preds_append, edges_append, owners_append = ids.append, preds.append, edges.append, owners.append
+    # Only the sink can repeat in a row of configurations, since distinct
+    # pairs reach distinct ones, and only the direct and governed rows reach
+    # it: so only those are deduplicated.
+    src = 0
+    count = len(ids)
+    while src < count:
+        key = ids[src]
+        if key >= half:
+            owner = _DUPLICATOR
+            if key < sink:
+                # The offset's last bit is the side.
+                key -= half
+                j, k = divmod(key >> 1, kk)
+                a, b = divmod(j, n)
+                if key & 1:
+                    if direct:
+                        moves = dict.fromkeys([base[a * n + u] for u in succ[b]])
+                    else:
+                        moves = [base[x := a * n + u] + table[row[x] + k] for u in succ[b]]
+                elif direct:
+                    moves = dict.fromkeys([base[u * n + b] for u in succ[a]])
+                else:
+                    moves = [base[x := u * n + b] + table[row[x] + k] for u in succ[a]]
+            else:
+                moves = [sink]
+        elif swap and key < cfgs:
+            owner = _SPOILER
+            accepting.add(src)
+            moves = [cfgs + key, cfgs + key % n * n + key // n]
+        else:
             if key < cfgs:
                 j, k = divmod(key, kk)
-                if swap:
-                    return _SPOILER, k == 0, [cfgs + key, cfgs + ((j % n) * n + j // n) * kk + k]
-                accept = k == 0
+                if not k:
+                    accepting.add(src)
             else:
                 j, k = divmod(key - cfgs, kk)
-                accept = False
             a, b = divmod(j, n)
             sa, sb = succ[a], succ[b]
+            owner = _SPOILER
             if even[a]:
                 if even[b] and len(sb) > 1:
-                    return _SPOILER, accept, [half + 2 * ((t * n + b) * kk + k) + 1 for t in sa]
+                    moves = [half + 2 * ((t * n + b) * kk + k) + 1 for t in sa]
                 # Spoiler moves on both sides, or on a before Duplicator's one answer on b.
-                owner = _SPOILER
-                moves = [base[x := t * n + u] + table[row[x] + k] for t in sa for u in sb]
+                elif direct:
+                    moves = dict.fromkeys([base[t * n + u] for t in sa for u in sb])
+                else:
+                    moves = [base[x := t * n + u] + table[row[x] + k] for t in sa for u in sb]
             elif not even[b] and len(sa) > 1:
-                return _SPOILER, accept, [half + 2 * ((a * n + t) * kk + k) for t in sb]
+                moves = [half + 2 * ((a * n + t) * kk + k) for t in sb]
             else:
                 # Duplicator moves on both sides, or Spoiler on b before Duplicator's one answer on a.
-                owner = _DUPLICATOR if even[b] else _SPOILER
-                moves = [base[x := u * n + t] + table[row[x] + k] for t in sb for u in sa]
-        elif key < sink:
-            # The offset's last bit is the side.
-            key -= half
-            j, k = divmod(key >> 1, kk)
-            a, b = divmod(j, n)
-            owner, accept = _DUPLICATOR, False
-            if key & 1:
-                moves = [base[x := a * n + u] + table[row[x] + k] for u in succ[b]]
+                if even[b]:
+                    owner = _DUPLICATOR
+                if direct:
+                    moves = dict.fromkeys([base[u * n + t] for t in sb for u in sa])
+                else:
+                    moves = [base[x := u * n + t] + table[row[x] + k] for t in sb for u in sa]
+        owners_append(owner)
+        out = []
+        for key in moves:
+            # A new position is born with its first predecessor.
+            pos = pos_of[key]
+            if pos < 0:
+                pos = pos_of[key] = count
+                count += 1
+                ids_append(key)
+                preds_append([src])
             else:
-                moves = [base[x := u * n + b] + table[row[x] + k] for u in succ[a]]
-        else:
-            return _DUPLICATOR, False, [sink]
-        return owner, accept, list(dict.fromkeys(moves)) if dedupe else moves
-
-    return _explore(sink + 1, [base[j] + table[row[j]] for j in range(n * n)], expand)
+                preds[pos].append(src)
+            out.append(pos)
+        edges_append(out)
+        src += 1
+    arena = Arena(owners=owners, edges=edges, accepting=accepting, ids=ids, start=start)
+    arena.predecessors = preds
+    return arena
 
 
 def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
@@ -373,7 +358,7 @@ def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
     _check_listed(game, sink + 1)
     prio = game.priorities
     base = [v * n + w if pv == pw else sink for v, pv in enumerate(prio) for w, pw in enumerate(prio)]
-    return _half_move_arena(game, 1, (0,), [0] * (n * n), base, swap)
+    return _half_move_arena(game, base, swap)
 
 
 def build_direct_sim_arena(game: ParityGame) -> Arena:
@@ -397,7 +382,7 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     # The half-move arena's ids, counted before the γ table is built.
     _check_listed(game, 3 * n * n * (len(set(game.priorities)) + 1) + 1)
     kk, table, row = _obligations(game, bias)
-    return _half_move_arena(game, kk, table, row, [j * kk for j in range(n * n)], swap=False)
+    return _half_move_arena(game, [j * kk for j in range(n * n)], False, kk, table, row)
 
 
 def _issued(c: int, cprime: int, same_vertex: bool) -> int:
@@ -468,38 +453,83 @@ def build_gstut_arena(game: ParityGame) -> Arena:
             return [duplicator(head, dagger, dagger, n, n)]
         return [duplicator(head, dagger, _issued(c, 2 + n + t, same), n, t) for t in succ[b]]
 
-    def answers(key: int) -> list[int]:
-        # The three configurations of each pick (t0, t1), each listed once:
-        # both moves stand, a rolls back with l, or b rolls back with r.
-        rest, s1 = divmod(key - dups, m)
-        rest, s0 = divmod(rest, m)
-        rest, r = divmod(rest, cc)
-        j, l = divmod(rest, cc)
-        a, b = divmod(j, n)
-        lefts = succ[a] if s0 == n else (s0,)
+    pos_of = [-1] * dups
+    ids = list(dict.fromkeys(base))
+    for pos, key in enumerate(ids):
+        pos_of[key] = pos
+    start = [pos_of[key] for key in base]
+    far: dict[int, int] = {}
+    # The start row is no position's moves: the starts have no predecessors.
+    preds: list[list[int]] = [[] for _ in ids]
+    edges: list[list[int]] = []
+    owners: list[ArenaPlayer] = []
+    accepting: set[int] = set()
+    ids_append, preds_append, edges_append, owners_append = ids.append, preds.append, edges.append, owners.append
+    src = 0
+    count = len(ids)
+    while src < count:
+        key = ids[src]
         out = []
-        for t1 in succ[b] if s1 == n else (s1,):
-            back_a = base[a * n + t1]
-            if back_a != sink:
-                back_a += l
-            for t0 in lefts:
-                back_b = base[t0 * n + b]
-                out += (base[t0 * n + t1], back_a, back_b if back_b == sink else back_b + r)
-        return list(dict.fromkeys(out))
-
-    def expand(key: int) -> tuple[ArenaPlayer, bool, list[int]]:
+        # A new position is born with its first predecessor.
         if key < sink:
+            # A configuration moves to Duplicator positions, found through the dict.
             j, c = divmod(key, cc)
             v, w = divmod(j, n)
             moves = spoiler_moves(v, w, c, True)
             if v != w:
                 moves += spoiler_moves(w, v, c, False)
-            return _SPOILER, c == 0, moves
-        if key == sink:
-            return _DUPLICATOR, False, [sink]
-        return _DUPLICATOR, False, answers(key)
-
-    return _explore(dups, base, expand)
+            owners_append(_SPOILER)
+            if not c:
+                accepting.add(src)
+            for key in moves:
+                pos = far.get(key, -1)
+                if pos < 0:
+                    pos = far[key] = count
+                    count += 1
+                    ids_append(key)
+                    preds_append([src])
+                else:
+                    preds[pos].append(src)
+                out.append(pos)
+        else:
+            # The sink and the Duplicator positions move to configurations or
+            # the sink, found through the list.
+            owners_append(_DUPLICATOR)
+            if key == sink:
+                moves = [sink]
+            else:
+                # The three configurations of each pick (t0, t1), each listed
+                # once: both moves stand, a rolls back with l, or b rolls back with r.
+                rest, s1 = divmod(key - dups, m)
+                rest, s0 = divmod(rest, m)
+                rest, r = divmod(rest, cc)
+                j, l = divmod(rest, cc)
+                a, b = divmod(j, n)
+                lefts = succ[a] if s0 == n else (s0,)
+                picks = []
+                for t1 in succ[b] if s1 == n else (s1,):
+                    back_a = base[a * n + t1]
+                    if back_a != sink:
+                        back_a += l
+                    for t0 in lefts:
+                        back_b = base[t0 * n + b]
+                        picks += (base[t0 * n + t1], back_a, back_b if back_b == sink else back_b + r)
+                moves = dict.fromkeys(picks)
+            for key in moves:
+                pos = pos_of[key]
+                if pos < 0:
+                    pos = pos_of[key] = count
+                    count += 1
+                    ids_append(key)
+                    preds_append([src])
+                else:
+                    preds[pos].append(src)
+                out.append(pos)
+        edges_append(out)
+        src += 1
+    arena = Arena(owners=owners, edges=edges, accepting=accepting, ids=ids, start=start)
+    arena.predecessors = preds
+    return arena
 
 
 def _pair_relation_from_arena(game: ParityGame, arena: Arena) -> tuple[int, ...]:

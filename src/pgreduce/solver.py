@@ -28,15 +28,16 @@ Duplicator re-enters it: one attractor per distinct target set.  An arena
 attractor counts every move and allows every position, so both run one
 breadth-first attractor on flat per-position lists: owner flags,
 out-degrees, a ``bytearray`` membership and a list of remaining counts.
-The predecessor lists come with the arena: the builders of
-:mod:`pgreduce.simgames` record them while they explore, and the solver
-derives them from the edges of a hand-built arena.
+The predecessor lists come with the arena: each builder of
+:mod:`pgreduce.simgames` records them in its breadth-first loop, and the
+solver derives them from the edges of a hand-built arena.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import compress, groupby
+from operator import index
 from typing import Sequence
 
 from .forcing import mark_attractor
@@ -72,10 +73,10 @@ class Arena:
     id ``(v * n + w) * K + k``, and its half moves and sink follow the
     n²K configuration ids), and ``start[v * n + w]`` is the position
     at which a play from the vertex pair (v, w) starts.  A hand-built arena
-    may leave both empty.  Only :mod:`pgreduce.simgames`' explorer sets
-    ``predecessors``, the lists of the positions moving to each one, as it
-    builds a checked arena; for every other arena it stays None, and the
-    solver validates the arena and derives the lists from ``edges``.
+    may leave both empty.  Only the builders of :mod:`pgreduce.simgames`
+    set ``predecessors``, the lists of the positions moving to each one, as
+    they build a checked arena; for every other arena it stays None, and
+    the solver validates the arena and derives the lists from ``edges``.
     """
 
     owners: list[ArenaPlayer] = field(default_factory=list)
@@ -91,24 +92,40 @@ class Arena:
 
     def validate(self) -> None:
         """Raise ``ValueError`` naming a position owned by neither player or
-        without moves, a move or an accepting id outside the arena, or owners
-        and move rows of unequal counts."""
+        without moves, a move or an accepting id that is no integer or lies
+        outside the arena, or owners and move rows of unequal counts.
+        Owners, moves and accepting ids are read through
+        ``operator.index``, as ``ParityGame`` reads its owners, so bools
+        pass and floats and strings do not."""
         size = self.size
         if len(self.edges) != size:
             raise ValueError(f"arena has {size} owners but {len(self.edges)} move rows")
         for p, (owner, row) in enumerate(zip(self.owners, self.edges)):
-            if owner in _ARENA_PLAYERS and row and min(row) >= 0 and max(row) < size:
+            moves = list(map(_as_index, row))
+            if _as_index(owner) in _ARENA_PLAYERS and row and None not in moves and min(moves) >= 0 and max(moves) < size:
                 continue
             where = f" (id {self.ids[p]})" if self.ids else ""
-            if owner not in _ARENA_PLAYERS:
+            if _as_index(owner) not in _ARENA_PLAYERS:
                 raise ValueError(f"arena position {p}{where} has owner {owner!r}, neither Spoiler (0) nor Duplicator (1)")
             if not row:
                 raise ValueError(f"arena position {p}{where} has no moves")
-            q = next(q for q in row if not 0 <= q < size)
-            raise ValueError(f"arena position {p}{where} moves to {q}, outside 0..{size - 1}")
+            q = next(q for q, i in zip(row, moves) if i is None or not 0 <= i < size)
+            outside = "which is no integer" if _as_index(q) is None else f"outside 0..{size - 1}"
+            raise ValueError(f"arena position {p}{where} moves to {q!r}, {outside}")
         for p in self.accepting:
-            if not 0 <= p < size:
+            i = _as_index(p)
+            if i is None:
+                raise ValueError(f"accepting position {p!r} is no integer")
+            if not 0 <= i < size:
                 raise ValueError(f"accepting position {p} is outside 0..{size - 1}")
+
+
+def _as_index(x: object) -> int | None:
+    """``operator.index(x)``, or None where ``x`` is no integer."""
+    try:
+        return index(x)
+    except TypeError:
+        return None
 
 
 def _zielonka(

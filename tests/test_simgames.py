@@ -461,30 +461,54 @@ def test_delayed_fixpoint_ignores_unreachable_triples(monkeypatch, bias):
     assert delayed_sim_fixpoint(parse_pgsolver(serialize_pgsolver(game)), bias) == expected
 
 
-def test_explore_builds_the_arena_in_one_pass():
-    # Ids 0..4 are found through the list, 7 and 10 through the dict.
-    spoiler, duplicator = ArenaPlayer.SPOILER, ArenaPlayer.DUPLICATOR
-    moves = {
-        3: (spoiler, True, [7, 10]),
-        7: (duplicator, False, [0, 3]),
-        0: (spoiler, False, [10, 0]),
-        10: (duplicator, True, [10]),
-    }
-    calls = []
+def test_arena_builders_number_positions_in_discovery_order():
+    # Priorities 0, 1, 0: the four pairs with unequal priorities all start
+    # at the direct and governed sink, which is listed once.
+    game = ParityGame([0, 1, 0], [0, 1, 1], [[1, 2], [0], [0, 2]])
+    n = game.vertex_count
+    unequal = [v * n + w for v in range(n) for w in range(n) if game.priorities[v] != game.priorities[w]]
+    arenas = {}
+    for name, build, sink in (
+        ("direct", build_direct_sim_arena, 3 * n * n),
+        ("governed", build_governed_bisim_arena, 4 * n * n),
+    ):
+        arena = arenas[name] = build(game)
+        assert arena.ids.count(sink) == 1, name
+        assert {arena.start[j] for j in unequal} == {arena.ids.index(sink)}, name
+    # The stuttering arena's Duplicator ids lie above the listed
+    # configurations and sink, and are kept in ``ids`` all the same.
+    arena = arenas["gstut"] = build_gstut_arena(game)
+    listed = n * n * (2 * n + 2) + 1
+    far = [p for p, key in enumerate(arena.ids) if key >= listed]
+    assert far and all(arena.owners[p] is ArenaPlayer.DUPLICATOR for p in far)
+    for name, arena in arenas.items():
+        assert len(set(arena.ids)) == arena.size, name
+        # Positions are numbered as the start row and then each row in turn
+        # first name them, and each predecessor list names its movers in
+        # that order, a mover once per move.
+        assert list(dict.fromkeys(chain(arena.start, *arena.edges))) == list(range(arena.size)), name
+        expected = [[] for _ in range(arena.size)]
+        for p, row in enumerate(arena.edges):
+            for q in row:
+                expected[q].append(p)
+        assert arena.predecessors == expected, name
 
-    def expand(key):
-        calls.append(key)
-        return moves[key]
 
-    arena = pgreduce.simgames._explore(5, [3, 7, 3, 0], expand)
-    assert arena.ids == [3, 7, 0, 10]
-    assert arena.start == [0, 1, 0, 2]
-    assert arena.edges == [[1, 3], [2, 0], [3, 2], [3]]
-    assert arena.predecessors == [[1], [0], [1, 2], [0, 2, 3]]
-    assert arena.owners == [spoiler, duplicator, spoiler, duplicator]
-    assert arena.accepting == {0, 3}
-    assert calls == arena.ids
-    assert len(calls) == arena.size
+def test_direct_and_governed_arenas_read_no_obligation_tables(monkeypatch):
+    # K = 1: a round enters ``base`` directly, with no γ table or row.
+    game = random_game(8, 3, (1, 3), 2)
+    expected = [_packed(build_direct_sim_arena(game)), _packed(build_governed_bisim_arena(game))]
+
+    def refused(*args):
+        raise AssertionError("obligation table read")
+
+    for name in ("_obligations", "_obligation_rows", "_gamma_table"):
+        monkeypatch.setattr(pgreduce.simgames, name, refused)
+    # A fresh game object: ``game`` keeps the tables its first calls built.
+    fresh = parse_pgsolver(serialize_pgsolver(game))
+    assert [_packed(build_direct_sim_arena(fresh)), _packed(build_governed_bisim_arena(fresh))] == expected
+    with pytest.raises(AssertionError, match="obligation table read"):
+        build_delayed_sim_arena(fresh)
 
 
 def test_half_moves_follow_the_configurations(random_corpus):

@@ -607,22 +607,30 @@ def test_solve_buchi_names_dead_end_position():
         ([S, D], [[1], [0, 2]], {0}, r"arena position 1 moves to 2, outside 0\.\.1"),
         ([S, D], [[1], [0]], {0, 2}, r"accepting position 2 is outside 0\.\.1"),
         ([S, D], [[1], [0], [0]], {0}, "arena has 2 owners but 3 move rows"),
+        ([S, D], [[1], [0, 1.0]], {0}, r"arena position 1 moves to 1\.0, which is no integer"),
+        ([S, D], [[1], [0]], {1.0}, r"accepting position 1\.0 is no integer"),
+        ([S, D], [[1], [0]], {"1"}, r"accepting position '1' is no integer"),
     ],
-    ids=["negative-move", "move-past-end", "accepting-past-end", "unequal-lengths"],
+    ids=[
+        "negative-move", "move-past-end", "accepting-past-end", "unequal-lengths",
+        "move-float", "accepting-float", "accepting-str",
+    ],
 )
 def test_solve_buchi_rejects_ids_outside_the_arena(owners, edges, accepting, message):
     # Python would read move -1 as the last position, and ids at or past
-    # the end would fail with a bare IndexError or not at all.
+    # the end would fail with a bare IndexError or not at all.  An id that
+    # is no integer is refused too: 1.0 equals 1 and passes a range check,
+    # then fails the solver with a TypeError, and "1" fails the check itself.
     arena = Arena(owners=owners, edges=edges, accepting=accepting)
     for solve in (solve_buchi, buchi_rank, oracle_solve_buchi):
         with pytest.raises(ValueError, match=message):
             solve(arena)
 
 
-@pytest.mark.parametrize("owner", [7, 2, -1, 256, None, "1", 0.5])
+@pytest.mark.parametrize("owner", [7, 2, -1, 256, None, "1", 0.5, 1.0, 0.0])
 def test_solve_buchi_rejects_owners_other_than_the_players(owner):
-    # The solver's flat owner bytes would read 7 as Duplicator, and -1 and
-    # 256 fail inside bytearray.
+    # The solver's flat owner bytes would read 7 as Duplicator, -1 and 256
+    # fail inside bytearray, and so do 1.0 and 0.0, though they equal 1 and 0.
     assert solve_buchi(Arena(owners=[D, S], edges=[[0, 1], [1]], accepting={0})) == {0}
     assert solve_buchi(Arena(owners=[S, S], edges=[[0, 1], [1]], accepting={0})) == set()
     arena = Arena(owners=[owner, S], edges=[[0, 1], [1]], accepting={0}, ids=[5, 6])
@@ -630,6 +638,12 @@ def test_solve_buchi_rejects_owners_other_than_the_players(owner):
     for solve in (solve_buchi, buchi_rank):
         with pytest.raises(ValueError, match=message):
             solve(arena)
+
+
+def test_solve_buchi_takes_bools_as_integers():
+    # operator.index takes bools, as ParityGame does for its owners.
+    arena = Arena(owners=[True, False], edges=[[False, True], [True]], accepting={False})
+    assert solve_buchi(arena) == solve_buchi(Arena(owners=[D, S], edges=[[0, 1], [1]], accepting={0})) == {0}
 
 
 def test_arena_predecessors_are_not_caller_supplied():
