@@ -262,8 +262,9 @@ def _cmd_verify(args) -> int:
     report = _Report("verify", args)
     report.data["input"] = digest
     result = _quotient_for(args, game, report)
-    # The certificate first: it refuses a union above its size limit before
-    # either game is solved.
+    # For direct-sim the builder applies the size limit to the governed
+    # quotient, never smaller than the quotient whose relation the
+    # certificate computes, so an over-limit game fails before either solve.
     equivalent = quotient_equivalent(game, result)
     preserved = verify_preservation(game, result)
     report.stamp("verify")

@@ -12,8 +12,10 @@ bisimilarity lies inside direct simulation equivalence, so its n²-bit
 relation is paid per governed class, not per vertex.  It reads that
 preorder only through strict up-sets, each row minus its kernel class, so
 no down-set is built.  Only the builder is staged; ``quotient_equivalent``
-and the relations compute on the game they are given.  The delayed
-simulation family admits no unique quotient and is deliberately absent.
+and the relations compute on the game they are given.  The direct-sim
+certificate pays its n²-bit relation per quotient vertex: it runs no
+fixpoint on the union of game and quotient.  The delayed simulation family
+admits no unique quotient and is deliberately absent.
 ``EQUIVALENCES`` maps each equivalence name to its quotient builder; the
 CLI and ``quotient_equivalent`` read it.
 """
@@ -21,15 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import index
 from typing import Callable, Sequence
 
 # attractor, diverges, steps and the four bisimilarities are not called
 # here, but bench/tracing.py wraps these names in this module, so they stay
 # bound.
 from .forcing import attractor, diverges, iter_bits, steps  # noqa: F401
-from .game import ParityGame, _EVEN, _ODD, disjoint_union
+from .game import ParityGame, _EVEN, _ODD, _per_vertex, disjoint_union
 from .relations import governed_bisim, gstut_bisim, strong_bisim, stut_bisim  # noqa: F401
-from .relations import Partition, direct_sim, equivalence_from_preorder, _check_direct_sim_size, _direct_sim, _quotient_rows, _refine
+from .relations import Partition, direct_sim, equivalence_from_preorder, _check_direct_sim_size, _quotient_rows, _refine
 from .solver import solve_zielonka
 
 __all__ = [
@@ -98,8 +101,8 @@ def quotient_direct_sim(game: ParityGame) -> QuotientResult:
     Classes are numbered by least member there, so the composed class map
     numbers them by least vertex here.  The relations themselves
     (``direct_sim``, ``strong_direct_sim``) and the certificate of
-    ``quotient_equivalent`` still compute on the game they are given, so
-    they check this builder independently.
+    ``quotient_equivalent`` compute on the game and the quotient they are
+    given, so they check this builder independently.
     """
     governed = _refined_quotient(game, "governed-bisim")
     _check_direct_sim_size(governed.quotient.vertex_count, "governed quotient")
@@ -278,9 +281,10 @@ def find_isomorphism(
     return None
 
 
-def _check_class_map(game: ParityGame, result: QuotientResult) -> None:
-    """The class map names one quotient vertex for each game vertex."""
-    class_map, q = result.class_map, result.quotient.vertex_count
+def _check_class_map(game: ParityGame, result: QuotientResult) -> tuple[int, ...]:
+    """The class map, read through ``operator.index``, if it names one
+    quotient vertex for each game vertex."""
+    class_map, q = _per_vertex(index, result.class_map, "class"), result.quotient.vertex_count
     n = game.vertex_count
     if len(class_map) < n:
         raise ValueError(f"class map has no class for vertex {len(class_map)}")
@@ -289,6 +293,7 @@ def _check_class_map(game: ParityGame, result: QuotientResult) -> None:
     if min(class_map) < 0 or max(class_map) >= q:
         v, c = next((v, c) for v, c in enumerate(class_map) if not 0 <= c < q)
         raise ValueError(f"vertex {v} maps to class {c}, outside 0..{q - 1}")
+    return class_map
 
 
 def verify_preservation(game: ParityGame, result: QuotientResult) -> bool:
@@ -298,10 +303,10 @@ def verify_preservation(game: ParityGame, result: QuotientResult) -> bool:
     when even's region of the game is the set of vertices whose class even
     wins in the quotient.
     """
-    _check_class_map(game, result)
+    class_map = _check_class_map(game, result)
     original = solve_zielonka(game)
     reduced = solve_zielonka(result.quotient)
-    lifted = compress(game.vertices, map(reduced.won_by_even.__contains__, result.class_map))
+    lifted = compress(game.vertices, map(reduced.won_by_even.__contains__, class_map))
     return frozenset(lifted) == original.won_by_even
 
 
@@ -309,53 +314,43 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
     """Each vertex is equivalent to its class in the disjoint union of both games,
     under the defining equivalence of the quotient kind.
 
-    The union's greatest fixpoint starts from the relation the quotient
-    claims, not from scratch.  Let ``c(x)`` be ``class_map[x]`` for a game
-    vertex ``x`` and ``x - n`` for a quotient vertex, with ``n`` game
-    vertices.  A bisimilarity first refines, by ``relations._refine``, the
-    union's initial partition (equal priority, and equal owner for
-    ``strong-bisim`` and ``stut``) cut by ``c``, so each quotient vertex
-    starts in a class of its own with the vertices mapped onto it.  Only
-    when that separates a vertex from its class does it refine the quotient
-    alone and refine the union again from the quotient's classes, read
-    through ``c`` and cut down to the initial partition.
-    ``direct-sim`` always starts from the quotient's own preorder, read the
-    same way, and deletes pairs; then ``v`` must end related both ways to
-    ``n + c(v)``.  A union above ``relations.DIRECT_SIM_LIMIT`` vertices
-    raises ``ValueError`` before the union or any relation is built.
+    Let ``c(x)`` be ``class_map[x]`` for a game vertex ``x`` and ``x - n``
+    for a quotient vertex, with ``n`` game vertices.  A bisimilarity
+    refines, by ``relations._refine``, the union's initial partition (equal
+    priority, and equal owner for ``strong-bisim`` and ``stut``) cut by
+    ``c``, so each quotient vertex starts in a class of its own with the
+    vertices mapped onto it.  Only when that separates a vertex from its
+    class does it refine the quotient alone and refine the union again from
+    the quotient's classes, read through ``c`` and cut down to the initial
+    partition.  ``direct-sim`` runs no fixpoint on the union: it checks,
+    once, that the quotient's preorder read through ``c`` is a direct
+    simulation of the union (``_direct_sim_post_fixpoint``).
 
-    Sound: whatever the fixpoint keeps is a bisimulation (a direct
-    simulation) of the union inside its initial relation, so it lies inside
-    the largest one.  Exact on every quotient, minimal or not: the union
-    has no edge between its two parts, so the largest relation on the
-    quotient's part is the quotient's own.  If every vertex is equivalent
-    to its class, ``x`` and ``y`` are related in the union exactly when
-    ``n + c(x)`` and ``n + c(y)`` are, that is, when ``c(x)`` and ``c(y)``
-    are related in the quotient.  The second start is then the union's
-    largest relation, and the first round confirms it without a split.  A
-    minimal quotient relates no two of its vertices, so there the first
-    start is that relation already and the quotient is never refined alone.
+    Sound: whatever the refinement keeps is a bisimulation of the union
+    inside its initial partition, and a relation that passes the direct-sim
+    check is a direct simulation; either lies inside the largest one.
+    Exact on every quotient, minimal or not: the union has no edge between
+    its two parts, so the largest relation on the quotient's part is the
+    quotient's own.  If every vertex is equivalent to its class, ``x`` and
+    ``y`` are related in the union exactly when ``n + c(x)`` and ``n +
+    c(y)`` are, that is, when ``c(x)`` and ``c(y)`` are related in the
+    quotient.  The quotient's relation read through ``c`` is then the
+    union's largest one: the second start of a bisimilarity, which the
+    first round confirms without a split, and the relation the direct-sim
+    check passes, since the largest relation is a fixpoint.  A minimal
+    quotient relates no two of its vertices, so there a bisimilarity's
+    first start is that relation already and the quotient is never refined
+    alone.
     """
     if result.kind not in EQUIVALENCES:
         raise ValueError(f"unknown quotient kind {result.kind!r}")
-    _check_class_map(game, result)
-    quotient, class_map = result.quotient, result.class_map
-    n = game.vertex_count
+    class_map = _check_class_map(game, result)
+    quotient = result.quotient
     if result.kind == "direct-sim":
-        q = quotient.vertex_count
-        _check_direct_sim_size(n + q, f"game, the union of the {n}-vertex game and its {q}-vertex quotient,")
+        return _direct_sim_post_fixpoint(game, quotient, class_map)
+    n = game.vertex_count
     union = disjoint_union(game, quotient)
     lift = (*class_map, *quotient.vertices)
-    if result.kind == "direct-sim":
-        # x <= y in the start exactly when c(y) is in the quotient row of c(x).
-        # Row n + d of the lift's partition is the mask of every x with c(x) = d.
-        lifted = Partition.from_class_of(len(lift), lift).as_relation()
-        up = [0] * quotient.vertex_count
-        for c, row in enumerate(direct_sim(quotient)):
-            for d in iter_bits(row):
-                up[c] |= lifted[n + d]
-        rows = _direct_sim(union, False, [up[c] for c in lift])
-        return all(rows[v] >> (n + c) & 1 and rows[n + c] >> v & 1 for v, c in enumerate(class_map))
 
     def refined_from(claimed) -> bool:
         class_of, _ = _refine(union, result.kind, claimed)
@@ -365,6 +360,66 @@ def quotient_equivalent(game: ParityGame, result: QuotientResult) -> bool:
         return True
     classes, _ = _refine(quotient, result.kind)
     return refined_from([classes[c] for c in lift])
+
+
+def _direct_sim_post_fixpoint(game: ParityGame, quotient: ParityGame, class_map: tuple[int, ...]) -> bool:
+    """Whether R, with ``x R y`` exactly when ``c(x) ≤ c(y)`` in the
+    quotient's direct simulation preorder, is a direct simulation of the
+    union of ``game`` and ``quotient`` that relates each vertex both ways
+    to its class.
+
+    The preorder ``up`` is not trusted.  It must be reflexive and relate
+    only classes of equal priority, and every vertex must have its class's
+    priority; then R relates only equal priorities, and ``x`` and ``n +
+    c(x)`` both ways.  What remains is R ⊆ F(R): every pair of R passes
+    ``relations._direct_sim_fixpoint``'s transfer condition against R
+    itself, so R lies inside the union's greatest direct simulation.  A
+    move ``x → x′`` targets every ``y`` with ``c(y)`` in ``up[c(x′)]``, so
+    whether ``(x, y)`` passes depends only on the classes, owners and
+    successor classes of ``x`` and ``y``.  Each group of union vertices
+    alike in those is checked against every group of every class in its
+    class's up-set, and no row over the union is built.
+    """
+    q = quotient.vertex_count
+    _check_direct_sim_size(q, "quotient")
+    up = direct_sim(quotient)
+    prios = quotient.priorities
+    if any(p != prios[c] for p, c in zip(game.priorities, class_map)):
+        return False
+    same: dict[int, int] = {}
+    for d, p in enumerate(prios):
+        same[p] = same.get(p, 0) | 1 << d
+    if len(up) != q or any(not row >> d & 1 or row & ~same[p] for d, (row, p) in enumerate(zip(up, prios))):
+        return False
+    # Each class's groups: whether even owns a member, and the mask of its
+    # successor classes, over the class's game vertices and its quotient vertex.
+    groups: list[set[tuple[bool, int]]] = [set() for _ in range(q)]
+    bit = [1 << c for c in class_map]
+    for owner, row, c in zip(game.owners, game.successors, class_map):
+        succ = 0
+        for u in row:
+            succ |= bit[u]
+        groups[c].add((owner is _EVEN, succ))
+    for d, (owner, row) in enumerate(zip(quotient.owners, quotient.successors)):
+        groups[d].add((owner is _EVEN, sum(1 << e for e in row)))
+    for a, row in enumerate(up):
+        answers = set().union(*[groups[b] for b in iter_bits(row)])
+        for even, succ in groups[a]:
+            # Even at x: each move is a group, answered in its own target.
+            # Odd at x: one group, whose target is the union of its moves'.
+            targets = [up[d] for d in iter_bits(succ)]
+            meet = -1 if even else 0
+            for t in targets:
+                meet = meet & t if even else meet | t
+            for w_even, w_succ in answers:
+                if w_even:
+                    # Even at y needs a successor in every group's target.
+                    if not (all(w_succ & t for t in targets) if even else w_succ & meet):
+                        return False
+                elif w_succ & ~meet:
+                    # Odd at y needs all its successors in every group's target.
+                    return False
+    return True
 
 
 def serialize_class_map(result: QuotientResult) -> bytes:

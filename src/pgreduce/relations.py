@@ -17,7 +17,8 @@ refinement of one goes through ``_refine``: the public functions, the
 quotient rows that ``_quotient_rows`` reads off the stable signatures (so
 their format stays in this module) and
 :func:`pgreduce.quotient.quotient_equivalent`.  Direct simulation has one
-entry point too, ``_direct_sim``.
+fixpoint too, ``_direct_sim``; the direct-sim certificate of
+``quotient_equivalent`` runs none and checks its transfer condition once.
 
 A preorder is the tuple of its rows: ``rows[v]`` is the bitmask of every
 ``w`` with ``v ≤ w``.  An equivalence is a :class:`Partition`, which is its
@@ -216,20 +217,18 @@ def _check_direct_sim_size(n: int, what: str) -> None:
         )
 
 
-def _direct_sim(game: ParityGame, by_owner: bool, claimed: Iterable[int] | None = None) -> tuple[int, ...]:
+def _direct_sim(game: ParityGame, by_owner: bool) -> tuple[int, ...]:
     """The greatest direct simulation inside the initial relation.
 
     The initial relation relates vertices of equal priority, and with
-    ``by_owner`` also of equal owner.  ``claimed``, one row per vertex,
-    cuts it down further before the pairs are deleted.  A game above
-    ``DIRECT_SIM_LIMIT`` vertices raises ``ValueError`` before any row is
-    built.
+    ``by_owner`` also of equal owner.  A game above ``DIRECT_SIM_LIMIT``
+    vertices raises ``ValueError`` before any row is built.  The quotient
+    certificate computes no fixpoint: it checks once that the quotient's
+    preorder, read through the class map, passes the transfer condition of
+    ``_direct_sim_fixpoint`` against itself.
     """
     _check_direct_sim_size(game.vertex_count, "game")
-    rows = _initial_partition(game, by_owner).as_relation()
-    if claimed is not None:
-        rows = [row & claim for row, claim in zip(rows, claimed)]
-    return _direct_sim_fixpoint(game, list(rows))
+    return _direct_sim_fixpoint(game, list(_initial_partition(game, by_owner).as_relation()))
 
 
 def direct_sim(game: ParityGame) -> tuple[int, ...]:

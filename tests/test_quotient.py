@@ -148,8 +148,8 @@ def test_direct_sim_certificate_checks_the_staged_builder(monkeypatch, random_co
 
 def test_direct_sim_limit_applies_to_the_governed_quotient(monkeypatch, tmp_path, capsys):
     # 300 vertices, strongly bisimilar to a 30-vertex core: the builder
-    # computes the relation on at most 30 classes, while the relation on the
-    # game itself and the certificate on the union are refused.
+    # computes the relation on at most 30 classes, and the certificate on
+    # the quotient alone, while the relation on the game itself is refused.
     core = random_game(30, 4, (1, 3), 3)
     game, origin = inflate(core, 270, 0, 3)
     want = quotient_direct_sim(core).class_map
@@ -159,8 +159,7 @@ def test_direct_sim_limit_applies_to_the_governed_quotient(monkeypatch, tmp_path
     assert result.class_map == tuple(want[o] for o in origin)
     with pytest.raises(ValueError, match="^direct simulation of a 300-vertex game needs 300² bits, above the limit"):
         direct_sim(game)
-    with pytest.raises(ValueError, match=rf"^direct simulation of a {300 + result.quotient.vertex_count}-vertex game"):
-        quotient_equivalent(game, result)
+    assert quotient_equivalent(game, result)
     monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", classes - 1)
     message = (
         f"direct simulation of a {classes}-vertex governed quotient needs {classes}² bits, "
@@ -410,37 +409,39 @@ def test_class_priorities_reject_a_mixed_class(random_corpus):
         assert len(prios) == part.class_count
 
 
-def test_direct_sim_certificate_refuses_a_large_union_first(monkeypatch, tmp_path, capsys):
-    # The union's size is checked before the union, the quotient's relation
-    # or either solve: every one of them raises here.
+def test_direct_sim_certificate_limit_applies_to_the_quotient(monkeypatch, tmp_path, capsys):
+    # The certificate computes the n²-bit relation on the quotient alone,
+    # so the limit applies to the quotient's size, checked before the
+    # relation or either solve.  Here the governed quotient is the
+    # direct-sim quotient, q = 12 vertices.
     game = random_game(12, 3, (1, 3), 4)
     result = quotient_direct_sim(game)
     q = result.quotient.vertex_count
-    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", 11 + q)
+    assert quotient_governed_bisim(game).quotient.vertex_count == q
+    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", q - 1)
 
     def refused(*args):
-        raise AssertionError("built before the size check")
+        raise AssertionError("built before the size check, or a union built for direct-sim")
 
-    for name in ("disjoint_union", "direct_sim", "_direct_sim", "solve_zielonka"):
+    for name in ("disjoint_union", "direct_sim", "solve_zielonka"):
         monkeypatch.setattr(quotient, name, refused)
-    message = (
-        f"direct simulation of a {12 + q}-vertex game, the union of the 12-vertex game and its "
-        f"{q}-vertex quotient, needs {12 + q}² bits, above the limit of {11 + q} vertices"
-    )
+    message = f"direct simulation of a {q}-vertex quotient needs {q}² bits, above the limit of {q - 1} vertices"
     with pytest.raises(ValueError, match=f"^{message}$"):
         quotient_equivalent(game, result)
-    # verify builds the quotient, then refuses before either solve.
-    monkeypatch.undo()
-    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", 11 + q)
-    for name in ("disjoint_union", "solve_zielonka"):
-        monkeypatch.setattr(quotient, name, refused)
+    # verify refuses before either solve too: its builder applies the limit
+    # to the governed quotient, which is never smaller than the quotient.
+    monkeypatch.setattr(quotient, "direct_sim", direct_sim)
     path = tmp_path / "game.gm"
     path.write_bytes(serialize_pgsolver(game))
     assert main(["verify", str(path), "--equiv", "direct-sim"]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    monkeypatch.undo()
-    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", 12 + q)
+    assert capsys.readouterr() == ("", f"error: {message.replace('quotient', 'governed quotient')}\n")
+    # At the limit, the union of 12 + q vertices lies above it and is
+    # certified, without a union.
+    monkeypatch.setattr(relations, "DIRECT_SIM_LIMIT", q)
     assert quotient_equivalent(game, result)
+    monkeypatch.setattr(quotient, "solve_zielonka", solve_zielonka)
+    assert main(["verify", str(path), "--equiv", "direct-sim"]) == 0
+    assert capsys.readouterr() == ("winners-preserved: pass\nquotient-equivalent: pass\n", "")
 
 
 def test_quotient_memory_grows_linearly():
