@@ -11,15 +11,17 @@ statement-by-statement parser.  Both give the same game, and the statement
 parser reports every error.
 
 A game is frozen, so every table derived from it alone stays valid for the
-object's life.  ``derived(game, build)`` runs ``build(game)`` on first use
-and keeps the result on the game, keyed by the builder; later calls return
-it.  The predecessor lists and the even-owner flags are kept so, and so
-are the tables that several layers read for one game: the obligation and
-transfer tables of :mod:`pgreduce.simgames`, and the initial partitions
-and direct simulation masks of :mod:`pgreduce.relations`.  Every kept
-table is a tuple or another immutable value, so no caller can change what
-the next one reads, and a table that only one call reads per game is not
-kept.
+object's life.  ``derived(game, build, *args)`` runs ``build(game, *args)``
+on first use and keeps the result on the game, keyed by the builder and its
+arguments; later calls return it.  The predecessor lists and the even-owner
+flags are kept so, and so are the tables that several layers read for one
+game: the obligation and transfer tables and the delayed simulation
+preorder of each bias of :mod:`pgreduce.simgames`, and the initial
+partitions, the direct simulation masks and preorder and the governed and
+governed stuttering bisimilarities of :mod:`pgreduce.relations`.  Every
+kept table is a tuple or another immutable value, so no caller can change
+what the next one reads, and a table that only one call reads per game is
+not kept.
 """
 from __future__ import annotations
 
@@ -146,14 +148,15 @@ class ParityGame:
         return derived(self, _predecessor_lists)
 
 
-def derived(game: ParityGame, build):
-    """``build(game)``, built on the first call for this game object and kept
-    on it; ``build`` must read nothing but the game and return an immutable
-    table."""
+def derived(game: ParityGame, build, *args):
+    """``build(game, *args)``, built on the first call for this game object
+    and these arguments and kept on it; ``build`` must read nothing but the
+    game and its arguments and return an immutable table."""
     tables = game._tables
-    table = tables.get(build)
+    key = (build, *args)
+    table = tables.get(key)
     if table is None:
-        table = tables[build] = build(game)
+        table = tables[key] = build(game, *args)
     return table
 
 

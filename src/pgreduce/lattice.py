@@ -2,10 +2,13 @@
 
 Every relation of the lattice is an equivalence, so ``compute_relations``
 gives each as a ``Partition``, and an inclusion edge holds when the finer
-partition refines the coarser one.  ``check_lattice`` checks every edge and
-every coincidence of a game-based characterisation with its fixpoint, one
-entry of ``simgames.COINCIDENCES`` per notion.  The CLI and the test suite
-share this module.
+partition refines the coarser one.  ``check_lattice`` checks every edge on
+those partitions, then asks ``simgames.coincidence_check`` whether each
+notion of ``simgames.COINCIDENCES`` has its game route coincide with its
+fixpoint route.  The relations that both steps read (direct and delayed
+simulation, governed and governed stuttering bisimilarity) are kept on the
+game by ``game.derived``, so each is computed once.  The CLI and the test
+suite share this module.
 """
 from __future__ import annotations
 
@@ -23,10 +26,7 @@ from .relations import (
     strong_direct_sim,
     stut_bisim,
 )
-from .simgames import COINCIDENCES, DELAYED_BIAS, delayed_sim
-# Bound here so that the benchmark's tracer can wrap it, although
-# ``check_lattice`` reads its fixpoint routes from the relations it holds.
-from .simgames import coincidence_check  # noqa: F401
+from .simgames import COINCIDENCES, coincidence_check, delayed_sim
 from .solver import solve_zielonka
 
 __all__ = [
@@ -100,35 +100,20 @@ def _winner_partition(game: ParityGame) -> Partition:
     return Partition.from_class_of(game.vertex_count, [v in won_by_even for v in game.vertices])
 
 
-def _computed_preorders(game: ParityGame) -> dict:
-    """The preorders whose kernels are lattice relations and that
-    ``check_lattice`` also compares with a game: direct simulation, and
-    delayed simulation of each bias by the arena route."""
-    pre = {bias: delayed_sim(game, bias) for bias in ("even", "odd", "none")}
-    pre["direct"] = direct_sim(game)
-    return pre
-
-
-def compute_relations(game: ParityGame, *, _preorders: dict | None = None) -> dict[str, Partition]:
-    """All lattice relations of a game, as partitions in ``RELATION_ORDER``.
-
-    ``_preorders`` lets ``check_lattice`` pass in the preorders of
-    ``_computed_preorders`` that it has already computed.
-    """
+def compute_relations(game: ParityGame) -> dict[str, Partition]:
+    """All lattice relations of a game, as partitions in ``RELATION_ORDER``."""
     # The isomorphism partition comes first: its size limit fails fast.
-    iso = _iso_partition(game)
-    pre = _preorders if _preorders is not None else _computed_preorders(game)
     return {
-        "iso": iso,
+        "iso": _iso_partition(game),
         "strong-bisim": strong_bisim(game),
         "stut": stut_bisim(game),
         "strong-direct-sim-equiv": equivalence_from_preorder(strong_direct_sim(game)),
         "governed-bisim": governed_bisim(game),
         "gstut": gstut_bisim(game),
-        "direct-sim-equiv": equivalence_from_preorder(pre["direct"]),
-        "delayed-even-equiv": equivalence_from_preorder(pre["even"]),
-        "delayed-odd-equiv": equivalence_from_preorder(pre["odd"]),
-        "delayed-equiv": equivalence_from_preorder(pre["none"]),
+        "direct-sim-equiv": equivalence_from_preorder(direct_sim(game)),
+        "delayed-even-equiv": equivalence_from_preorder(delayed_sim(game, "even")),
+        "delayed-odd-equiv": equivalence_from_preorder(delayed_sim(game, "odd")),
+        "delayed-equiv": equivalence_from_preorder(delayed_sim(game, "none")),
         "winner": _winner_partition(game),
     }
 
@@ -150,26 +135,11 @@ def lattice_edges(relations: dict[str, Partition]) -> list[LatticeResult]:
 def check_lattice(game: ParityGame) -> list[LatticeResult]:
     """Check every inclusion edge, then every coincidence of ``COINCIDENCES``.
 
-    Each fixpoint relation is computed once and serves both the lattice and
-    its coincidence: each delayed preorder, on one arena per bias, as the
-    game route its fixpoint is compared with; the direct simulation rows
-    and the governed bisimulation and gstut partitions as the fixpoint
-    routes their games are compared with.
+    The edges come first, so the isomorphism size limit fails before any
+    arena is built.  Each coincidence reads the relations the edges kept on
+    the game: the delayed preorders as game routes, the direct simulation
+    rows and the governed and gstut partitions as fixpoint routes.
     """
-    # The isomorphism size limit fails before any arena is built.
-    _check_iso_size(game)
-    pre = _computed_preorders(game)
-    relations = compute_relations(game, _preorders=pre)
-    results = lattice_edges(relations)
-    fixpoints = {
-        "direct": pre["direct"],
-        "governed_bisim": relations["governed-bisim"],
-        "gstut": relations["gstut"],
-    }
-    for notion, (game_route, fixpoint_route) in COINCIDENCES.items():
-        if notion in DELAYED_BIAS:
-            ok = pre[DELAYED_BIAS[notion]] == fixpoint_route(game)
-        else:
-            ok = game_route(game) == fixpoints[notion]
-        results.append(LatticeResult(f"game-based {notion} coincides", ok))
-    return results
+    return lattice_edges(compute_relations(game)) + [
+        LatticeResult(f"game-based {notion} coincides", coincidence_check(game, notion)) for notion in COINCIDENCES
+    ]

@@ -54,11 +54,19 @@ ISO_SIZE_LIMIT = 64
 
 @dataclass(frozen=True)
 class QuotientResult:
-    """A quotient game plus the map from original vertices to quotient vertices."""
+    """A quotient game plus the map from original vertices to quotient
+    vertices, read through ``operator.index``; each must name one of them."""
 
     quotient: ParityGame
     class_map: tuple[int, ...]
     kind: str
+
+    def __post_init__(self) -> None:
+        class_map, q = _per_vertex(index, self.class_map, "class"), self.quotient.vertex_count
+        if class_map and (min(class_map) < 0 or max(class_map) >= q):
+            v, c = next((v, c) for v, c in enumerate(class_map) if not 0 <= c < q)
+            raise ValueError(f"vertex {v} maps to class {c}, outside 0..{q - 1}")
+        object.__setattr__(self, "class_map", class_map)
 
 
 def _extremal_successors(succs: tuple[int, ...], strict: Sequence[int]) -> tuple[int, int]:
@@ -282,17 +290,12 @@ def find_isomorphism(
 
 
 def _check_class_map(game: ParityGame, result: QuotientResult) -> tuple[int, ...]:
-    """The class map, read through ``operator.index``, if it names one
-    quotient vertex for each game vertex."""
-    class_map, q = _per_vertex(index, result.class_map, "class"), result.quotient.vertex_count
-    n = game.vertex_count
+    """The class map, if it names a class for each game vertex and no more."""
+    class_map, n = result.class_map, game.vertex_count
     if len(class_map) < n:
         raise ValueError(f"class map has no class for vertex {len(class_map)}")
     if len(class_map) > n:
         raise ValueError(f"class map names vertex {n}, outside 0..{n - 1}")
-    if min(class_map) < 0 or max(class_map) >= q:
-        v, c = next((v, c) for v, c in enumerate(class_map) if not 0 <= c < q)
-        raise ValueError(f"vertex {v} maps to class {c}, outside 0..{q - 1}")
     return class_map
 
 

@@ -232,8 +232,10 @@ def _direct_sim(game: ParityGame, by_owner: bool) -> tuple[int, ...]:
 
 
 def direct_sim(game: ParityGame) -> tuple[int, ...]:
-    """Greatest direct simulation preorder: even helps the simulating side."""
-    return _direct_sim(game, by_owner=False)
+    """Greatest direct simulation preorder: even helps the simulating side.
+    Kept on the game, and looked up after the size check."""
+    _check_direct_sim_size(game.vertex_count, "game")
+    return derived(game, _direct_sim, False)
 
 
 def strong_direct_sim(game: ParityGame) -> tuple[int, ...]:
@@ -518,24 +520,30 @@ def _quotient_rows(game: ParityGame, kind: str) -> tuple[Partition, list[Player]
     return part, owners, succs
 
 
+def _bisimilarity(game: ParityGame, kind: str) -> Partition:
+    return Partition.from_class_of(game.vertex_count, _refine(game, kind)[0])
+
+
 def governed_bisim(game: ParityGame) -> Partition:
-    """Governed bisimilarity: the priority partition refined by successor classes."""
-    return Partition.from_class_of(game.vertex_count, _refine(game, "governed-bisim")[0])
+    """Governed bisimilarity: the priority partition refined by successor
+    classes; kept on the game."""
+    return derived(game, _bisimilarity, "governed-bisim")
 
 
 def strong_bisim(game: ParityGame) -> Partition:
     """Strong bisimilarity: the same refinement from the same-owner partition."""
-    return Partition.from_class_of(game.vertex_count, _refine(game, "strong-bisim")[0])
+    return _bisimilarity(game, "strong-bisim")
 
 
 def gstut_bisim(game: ParityGame) -> Partition:
-    """Governed stuttering bisimilarity, starting from the priority partition."""
-    return Partition.from_class_of(game.vertex_count, _refine(game, "gstut")[0])
+    """Governed stuttering bisimilarity, starting from the priority partition;
+    kept on the game."""
+    return derived(game, _bisimilarity, "gstut")
 
 
 def stut_bisim(game: ParityGame) -> Partition:
     """Stuttering bisimilarity: the initial partition is additionally split by owner."""
-    return Partition.from_class_of(game.vertex_count, _refine(game, "stut")[0])
+    return _bisimilarity(game, "stut")
 
 
 def equivalence_from_preorder(rows: tuple[int, ...]) -> Partition:

@@ -378,11 +378,15 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     Only configurations reachable from the query positions (v, w, γ(v,w,✓))
     are materialised.
     """
-    n = game.vertex_count
-    # The half-move arena's ids, counted before the γ table is built.
-    _check_listed(game, 3 * n * n * (len(set(game.priorities)) + 1) + 1)
+    _check_delayed_listed(game)
     kk, table, row = _obligations(game, bias)
-    return _half_move_arena(game, [j * kk for j in range(n * n)], False, kk, table, row)
+    return _half_move_arena(game, [j * kk for j in range(game.vertex_count**2)], False, kk, table, row)
+
+
+def _check_delayed_listed(game: ParityGame) -> None:
+    # The half-move arena's ids, counted before the γ table is built.
+    n = game.vertex_count
+    _check_listed(game, 3 * n * n * (len(set(game.priorities)) + 1) + 1)
 
 
 def _issued(c: int, cprime: int, same_vertex: bool) -> int:
@@ -570,7 +574,13 @@ def governed_bisim_via_game(game: ParityGame) -> Partition:
 
 
 def delayed_sim(game: ParityGame, bias: str = "none") -> tuple[int, ...]:
-    """Delayed simulation preorder: Duplicator wins from (v, w, γ(v, w, ✓))."""
+    """Delayed simulation preorder: Duplicator wins from (v, w, γ(v, w, ✓)).
+    Kept on the game per bias, and looked up after the arena's size check."""
+    _check_delayed_listed(game)
+    return derived(game, _delayed_sim, bias)
+
+
+def _delayed_sim(game: ParityGame, bias: str) -> tuple[int, ...]:
     return _pair_relation_from_arena(game, build_delayed_sim_arena(game, bias))
 
 
@@ -765,10 +775,10 @@ def wf_rank_check(game: ParityGame, bias: str = "none") -> bool:
     a pending obligation moves to related configurations of strictly
     smaller rank until a ✓ is reached.
     """
-    n = game.vertex_count
-    kk, table, _ = _obligations(game, bias)
-    total = n * n * kk
+    # The arena checks its size limit before the obligation tables are built.
     arena = build_delayed_sim_arena(game, bias)
+    kk, table, _ = _obligations(game, bias)
+    total = game.vertex_count**2 * kk
     ranks = buchi_rank(arena)
     # A configuration's id is its triple (v * n + w) * K + k.
     rank = [-1] * total

@@ -551,6 +551,8 @@ _OVERSIZED = {
     "direct": (build_direct_sim_arena, 5774, 100017229),
     "governed": (build_governed_bisim_arena, 5001, 100040005),
     "delayed": (build_delayed_sim_arena, 2000, 120000001),
+    "rank-check": (wf_rank_check, 2000, 120000001),
+    "delayed-sim": (delayed_sim, 2000, 120000001),
 }
 
 
@@ -574,6 +576,17 @@ def test_arena_id_space_fails_fast(kind, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+def test_kept_delayed_sim_keeps_its_id_limit(monkeypatch):
+    # 3 vertices and 2 priorities: the delayed arena lists 3 * 9 * 3 + 1
+    # ids.  A preorder kept on the game is refused under a lower limit too.
+    game = ParityGame((0, 1, 0), (0, 1, 1), ((1, 2), (0,), (0, 2)))
+    kept = delayed_sim(game)
+    assert delayed_sim(game) is kept
+    monkeypatch.setattr(pgreduce.simgames, "ARENA_ID_LIMIT", 81)
+    with pytest.raises(ValueError, match="^arena of a 3-vertex game lists 82 ids, above the limit of 81$"):
+        delayed_sim(game)
 
 
 def test_delayed_fixpoint_fails_fast(monkeypatch):

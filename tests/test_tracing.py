@@ -63,6 +63,8 @@ def test_traced_check_lattice_sees_every_relation():
         tracer.uninstall()
     calls = tracer.summary()["calls"]
     assert {name for name in calls if name.startswith("relations.")} == set(tracing._RELATIONS.values())
+    # ``check_lattice`` asks ``coincidence_check`` once per notion.
+    assert calls["simgames.coincidence"] == len(mods["simgames"].COINCIDENCES)
 
 
 def test_traced_quotient_equivalent_sees_every_relation():
