@@ -80,9 +80,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("lattice-check", help="check inclusion edges and coincidences")
     p.add_argument("input", type=Path, nargs="?")
     p.add_argument("--random", type=int, metavar="N", help="vertex count for random games")
-    p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p.add_argument("--max-priority", type=int, default=3)
-    p.add_argument("--degree", default="1:3")
+    p.add_argument("--seeds", type=int, nargs="+", help="seeds of the random games (default 0)")
+    p.add_argument("--max-priority", type=int, help="largest priority of the random games (default 3)")
+    p.add_argument("--degree", help="out-degree range lo:hi of the random games (default 1:3)")
     common(p)
 
     p = sub.add_parser("verify", help="minimize, solve both games, check preservation")
@@ -230,16 +230,20 @@ def _cmd_lattice_check(args) -> int:
     if args.input is not None and args.random is not None:
         raise _UsageError("lattice-check takes an input file or --random N, not both")
     if args.input is not None:
+        for flag, value in (("--seeds", args.seeds), ("--max-priority", args.max_priority), ("--degree", args.degree)):
+            if value is not None:
+                raise _UsageError(f"lattice-check {flag} shapes the games of --random N, not an input file")
         game, digest = _read_game(args.input)
         report.data["input"] = digest
         games.append((str(args.input), game))
     elif args.random is not None:
-        degree = _parse_degree(args.degree)
-        for seed in args.seeds:
+        degree = _parse_degree("1:3" if args.degree is None else args.degree)
+        max_priority = 3 if args.max_priority is None else args.max_priority
+        for seed in args.seeds or [0]:
             games.append(
                 (
                     f"random(n={args.random}, seed={seed})",
-                    random_game(args.random, args.max_priority, degree, seed),
+                    random_game(args.random, max_priority, degree, seed),
                 )
             )
     else:

@@ -236,7 +236,11 @@ def find_isomorphism(
     """Backtracking search for a priority/owner/edge-preserving bijection.
 
     ``pin`` forces a single vertex assignment, which turns the game-level
-    check into the vertex-level isomorphism relation.
+    check into the vertex-level isomorphism relation.  The search maps the
+    vertex with the fewest candidates first, then its weak component
+    breadth-first over edges in either direction, so each later vertex has a
+    mapped neighbour that prunes its candidates; ordered by candidate count
+    alone, a game of 24 alike vertices with two successors each took minutes.
     """
     if pin is not None and not (0 <= pin[0] < g1.vertex_count and 0 <= pin[1] < g2.vertex_count):
         raise ValueError(f"pin {pin} is outside 0..{g1.vertex_count - 1} x 0..{g2.vertex_count - 1}")
@@ -255,9 +259,15 @@ def find_isomorphism(
         if w0 not in candidates[v0]:
             return None
         candidates[v0] = [w0]
-    order = sorted(g1.vertices, key=lambda v: len(candidates[v]))
     succ1 = [set(row) for row in g1.successors]
     succ2 = [set(row) for row in g2.successors]
+    neighbours = [succ1[v].union(row) for v, row in enumerate(g1.predecessors())]
+    order: list[int] = []
+    for root in sorted(g1.vertices, key=lambda v: len(candidates[v])):
+        if root not in order:
+            order.append(root)
+            for v in order:  # also visits what it appends, so breadth-first
+                order += sorted(neighbours[v].difference(order), key=lambda u: len(candidates[u]))
     mapping: dict[int, int] = {}
     used: set[int] = set()
 

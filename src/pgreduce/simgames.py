@@ -55,24 +55,26 @@ reads each notion's pair of routes from ``COINCIDENCES``.
 Positions are numbered in the order a breadth-first expansion discovers
 them.  A position is its integer id, computed from its fields and kept in
 ``Arena.ids``.  One builder, ``_half_move_arena``, makes the direct,
-governed and delayed arenas: configuration (v, w, k) has id ``t = (v * n +
-w) * K + k``, where obligation 0 is ✓, i ≥ 1 the i-th smallest priority and
-``K`` counts the obligations (1 in the direct and governed games); the
-governed game's oriented copy ``n²K + t``; the half move after t ``h + 2t
-+ side`` and the sink ``h + 2n²K``, where ``h``, the first id after the
-configurations and oriented copies, is ``n²K``, or ``2n²K`` in the governed
-game.  A list maps these ids to positions; the stuttering game's Duplicator
-positions, whose id space holds n²(2n + 2)²(n + 1)² ids, use an int-keyed
-dict.  Each builder runs its own breadth-first loop, which decodes a
-position's id inline into its owner, its acceptance and the ids of its
-moves, and records the predecessor lists as it appends the moves, so the
-Buchi solver never derives them again.  Round order comes from a
-per-vertex owner table and, in the delayed game, the obligation update
-from one table per priority set and bias (``_gamma_table``, cached), which
-the delayed fixpoint shares; the direct and governed games read no γ
-table.  The owner table and each vertex pair's row in the γ table
-depend on the game alone, so each is built once per game object and kept on
-it by ``game.derived``, the helper that keeps its predecessor lists.
+governed and delayed arenas and alone lays out their ids, which its
+docstring sets out: configuration (v, w, k) has id ``(v * n + w) * K + k``,
+where obligation 0 is ✓, i ≥ 1 the i-th smallest priority and ``K`` counts
+the obligations (1 in the direct and governed games), and the governed
+game's oriented copies, the half moves and the sink follow the
+configurations.  It checks their count against ``ARENA_ID_LIMIT`` before it
+builds anything of size n², then builds its own start row.  A list maps
+these ids to positions; the stuttering game's Duplicator positions, whose
+id space holds n²(2n + 2)²(n + 1)² ids, use an int-keyed dict.  Both
+builders seed their start rows through ``_seeded``.  Each builder runs its
+own breadth-first loop, which decodes a position's id inline into its
+owner, its acceptance and the ids of its moves, and records the
+predecessor lists as it appends the moves, so the Buchi solver never
+derives them again.  Round order comes from a per-vertex owner table and,
+in the delayed game, the obligation update from one table per priority set
+and bias (``_gamma_table``, cached), which the delayed fixpoint shares; the
+direct and governed games read no γ table.  The owner table and each
+vertex pair's row in the γ table depend on the game alone, so each is built
+once per game object and kept on it by ``game.derived``, the helper that
+keeps its predecessor lists.
 
 ``delayed_sim_fixpoint`` computes delayed simulation without an arena, so
 it cross-checks the arena route.  It evaluates only the triples that the
@@ -207,6 +209,7 @@ def _obligations(game: ParityGame, bias: str) -> tuple[int, tuple[int, ...], tup
     The update of obligation k on entering the pair ``j = v * n + w`` is
     ``table[row[j] + k]``.
     """
+    _updater(bias)  # an unknown bias fails before any row is built
     kk, levels, row = derived(game, _obligation_rows)
     return kk, _gamma_table(levels, bias), row
 
@@ -229,9 +232,29 @@ def _check_listed(game: ParityGame, ids: int) -> None:
         raise ValueError(f"arena of a {n}-vertex game lists {ids} ids, above the limit of {ARENA_ID_LIMIT}")
 
 
-def _half_move_arena(
-    game: ParityGame, base: list[int], swap: bool, kk: int = 1, table: tuple[int, ...] = (), row: tuple[int, ...] = ()
-) -> Arena:
+def _seeded(starts: list[int], listed: int) -> tuple[list[int], list[int], list[int]]:
+    """A builder's first positions, the ids of its start row in the order the
+    row first names them: ``pos_of``, the position of each of ``listed`` ids
+    or -1; ``ids``, each position's id; and ``start``, each start's position."""
+    pos_of = [-1] * listed
+    ids = list(dict.fromkeys(starts))
+    for pos, key in enumerate(ids):
+        pos_of[key] = pos
+    return pos_of, ids, [pos_of[key] for key in starts]
+
+
+def _half_move_layout(game: ParityGame, swap: bool, bias: str | None) -> tuple[int, int, int, int]:
+    """``K``, the number of configurations and the first ids of the half
+    moves and of the sink, after checking that the arena's ids fit."""
+    n = game.vertex_count
+    kk = 1 if bias is None else len(set(game.priorities)) + 1
+    cfgs = n * n * kk
+    half = 2 * cfgs if swap else cfgs
+    _check_listed(game, half + 2 * cfgs + 1)
+    return kk, cfgs, half, half + 2 * cfgs
+
+
+def _half_move_arena(game: ParityGame, swap: bool, bias: str | None = None) -> Arena:
     """Arena of a pair game whose round follows the module docstring's move table.
 
     Ids: configuration ``t = j * K + k``, for the pair ``j = v * n + w`` and
@@ -243,25 +266,27 @@ def _half_move_arena(
     with ``h`` the first id after the configurations and oriented copies,
     ``n²K`` or, with ``swap``, ``2n²K``; the sink ``h + 2n²K``, which loses.
     So the arena lists ``3n²K + 1`` ids, or ``4n²K + 1`` with ``swap``, and
-    finds every id's position in a list.  A round from obligation k that
-    enters the pair x reaches ``base[x] + table[row[x] + k]``: ``base[x]``
-    is ``x * K``, or the sink where the table reads 0.  With K = 1, the
-    direct and governed games, the table always reads 0, so the round
-    reaches ``base[x]`` and neither ``table`` nor ``row`` is read.  The
-    callers check the id space before they build the tables.
+    finds every id's position in a list; it checks that count before it
+    builds anything of size n².  Without a ``bias`` K is 1, the direct and
+    governed games: a round that enters the pair x reaches ``base[x]``,
+    ``x`` when the two priorities are equal and the sink otherwise, so
+    Duplicator wins exactly by matching priorities forever, and no γ table
+    is read.  With a bias, a round from obligation k reaches ``base[x] +
+    table[row[x] + k]``, with ``base[x] = x * K`` and the γ table and rows
+    of ``_obligations``.  The start row holds each pair's round from ✓.
     """
+    kk, cfgs, half, sink = _half_move_layout(game, swap, bias)
     n, succ = game.vertex_count, game.successors
     even = derived(game, _even_owned)
-    cfgs = n * n * kk
-    half = 2 * cfgs if swap else cfgs
-    sink = half + 2 * cfgs
-    direct = kk == 1
-    starts = base if direct else [base[j] + table[row[j]] for j in range(n * n)]
-    pos_of = [-1] * (sink + 1)
-    ids = list(dict.fromkeys(starts))
-    for pos, key in enumerate(ids):
-        pos_of[key] = pos
-    start = [pos_of[key] for key in starts]
+    direct = bias is None
+    if direct:
+        prio = game.priorities
+        base = starts = [v * n + w if pv == pw else sink for v, pv in enumerate(prio) for w, pw in enumerate(prio)]
+    else:
+        _, table, row = _obligations(game, bias)
+        base = list(range(0, cfgs, kk))
+        starts = [base[j] + table[row[j]] for j in range(n * n)]
+    pos_of, ids, start = _seeded(starts, sink + 1)
     # The start row is no position's moves: the starts have no predecessors.
     preds: list[list[int]] = [[] for _ in ids]
     edges: list[list[int]] = []
@@ -345,30 +370,14 @@ def _half_move_arena(
     return arena
 
 
-def _simulation_arena(game: ParityGame, swap: bool) -> Arena:
-    """Direct simulation arena over all vertex pairs, with one obligation, ✓.
-
-    Configurations with unequal priorities collapse into one losing sink;
-    the others are accepting, so Duplicator wins exactly the safety
-    condition of matching priorities forever.
-    """
-    n = game.vertex_count
-    # The half-move arena's sink: its last id.
-    sink = (4 if swap else 3) * n * n
-    _check_listed(game, sink + 1)
-    prio = game.priorities
-    base = [v * n + w if pv == pw else sink for v, pv in enumerate(prio) for w, pw in enumerate(prio)]
-    return _half_move_arena(game, base, swap)
-
-
 def build_direct_sim_arena(game: ParityGame) -> Arena:
     """Arena of the direct simulation game over all vertex pairs."""
-    return _simulation_arena(game, swap=False)
+    return _half_move_arena(game, swap=False)
 
 
 def build_governed_bisim_arena(game: ParityGame) -> Arena:
     """Direct simulation arena with a Spoiler-owned swap choice before each round."""
-    return _simulation_arena(game, swap=True)
+    return _half_move_arena(game, swap=True)
 
 
 def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
@@ -378,15 +387,7 @@ def build_delayed_sim_arena(game: ParityGame, bias: str = "none") -> Arena:
     Only configurations reachable from the query positions (v, w, γ(v,w,✓))
     are materialised.
     """
-    _check_delayed_listed(game)
-    kk, table, row = _obligations(game, bias)
-    return _half_move_arena(game, [j * kk for j in range(game.vertex_count**2)], False, kk, table, row)
-
-
-def _check_delayed_listed(game: ParityGame) -> None:
-    # The half-move arena's ids, counted before the γ table is built.
-    n = game.vertex_count
-    _check_listed(game, 3 * n * n * (len(set(game.priorities)) + 1) + 1)
+    return _half_move_arena(game, False, bias)
 
 
 def _issued(c: int, cprime: int, same_vertex: bool) -> int:
@@ -457,11 +458,7 @@ def build_gstut_arena(game: ParityGame) -> Arena:
             return [duplicator(head, dagger, dagger, n, n)]
         return [duplicator(head, dagger, _issued(c, 2 + n + t, same), n, t) for t in succ[b]]
 
-    pos_of = [-1] * dups
-    ids = list(dict.fromkeys(base))
-    for pos, key in enumerate(ids):
-        pos_of[key] = pos
-    start = [pos_of[key] for key in base]
+    pos_of, ids, start = _seeded(base, dups)
     far: dict[int, int] = {}
     # The start row is no position's moves: the starts have no predecessors.
     preds: list[list[int]] = [[] for _ in ids]
@@ -576,7 +573,7 @@ def governed_bisim_via_game(game: ParityGame) -> Partition:
 def delayed_sim(game: ParityGame, bias: str = "none") -> tuple[int, ...]:
     """Delayed simulation preorder: Duplicator wins from (v, w, γ(v, w, ✓)).
     Kept on the game per bias, and looked up after the arena's size check."""
-    _check_delayed_listed(game)
+    _half_move_layout(game, False, bias)
     return derived(game, _delayed_sim, bias)
 
 

@@ -69,9 +69,8 @@ class Arena:
 
     Positions are dense indices.  For the pair games of
     :mod:`pgreduce.simgames`, ``ids[p]`` is the integer id from which the
-    builder computed position ``p`` (a delayed configuration (v, w, k) has
-    id ``(v * n + w) * K + k``, and its half moves and sink follow the
-    n²K configuration ids), and ``start[v * n + w]`` is the position
+    builder computed position ``p`` (the half-move layout is set out in
+    ``simgames._half_move_arena``), and ``start[v * n + w]`` is the position
     at which a play from the vertex pair (v, w) starts.  A hand-built arena
     may leave both empty.  Only the builders of :mod:`pgreduce.simgames`
     set ``predecessors``, the lists of the positions moving to each one, as

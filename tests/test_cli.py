@@ -184,6 +184,16 @@ class TestLatticeCheck:
         assert out == ""
         assert "not both" in err
 
+    @pytest.mark.parametrize(
+        "flag", [("--seeds", 1), ("--max-priority", 2), ("--degree", "x:y")], ids=lambda flag: flag[0]
+    )
+    def test_random_game_flags_rejected_with_input_file(self, capsys, write_fixture, flag):
+        # They shape the games of --random N; with a file they would be ignored.
+        code, out, err = run(capsys, "lattice-check", write_fixture("cross_owner"), *flag)
+        assert code == 1
+        assert out == ""
+        assert f"{flag[0]} shapes the games of --random N, not an input file" in err
+
     def test_isomorphism_size_limit(self, capsys, tmp_path):
         path = tmp_path / "big.gm"
         path.write_bytes(serialize_pgsolver(random_game(65, 3, (1, 3), 1)))

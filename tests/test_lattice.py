@@ -1,4 +1,6 @@
 import importlib
+import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -206,6 +208,38 @@ def test_iso_relation_searches_only_alike_vertices(monkeypatch):
     # One search per vertex outside its orbit's least vertex.
     pgreduce.lattice._iso_partition(_cycle(10, [0] * 10))
     assert calls == [(0, w) for w in range(1, 10)]
+
+
+def _two_regular(n):
+    """n alike vertices, each with two successors read off two permutations
+    drawn by ``random.Random(n)``; a draw with a self-loop or a repeated
+    successor is dropped."""
+    rng = random.Random(n)
+    while True:
+        left, right = list(range(n)), list(range(n))
+        rng.shuffle(left)
+        rng.shuffle(right)
+        if all(v != left[v] and v != right[v] and left[v] != right[v] for v in range(n)):
+            return ParityGame((0,) * n, (0,) * n, tuple(zip(left, right)))
+
+
+def test_iso_search_keeps_to_mapped_neighbours():
+    # Every vertex has the same invariants, so only the search tells them
+    # apart; ordered by candidate count alone it ran for minutes here.
+    game = _two_regular(24)
+
+    def expired(*args):
+        raise TimeoutError("isomorphism search still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(10)
+    try:
+        part = pgreduce.lattice._iso_partition(game)
+        assert part.class_count == 24
+        assert part.as_relation() == oracle_iso_relation(game)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_compute_relations_enforces_isomorphism_limit():

@@ -338,9 +338,19 @@ def test_biased_gap_fixture(biased_gap, delayed_chain):
 @pytest.mark.parametrize(
     "call", [delayed_sim, delayed_sim_fixpoint, wf_rank_check, build_delayed_sim_arena]
 )
-def test_unknown_bias_rejected(escape_edge, call):
+def test_unknown_bias_rejected(escape_edge, call, monkeypatch):
+    # The bias is checked before any obligation row is built or kept.
+    original = pgreduce.simgames._obligation_rows
+
+    def refused(*args):
+        raise AssertionError("obligation rows built for an unknown bias")
+
+    monkeypatch.setattr(pgreduce.simgames, "_obligation_rows", refused)
+    # A fresh game object: ``escape_edge`` keeps the tables earlier tests built.
+    fresh = parse_pgsolver(serialize_pgsolver(escape_edge))
     with pytest.raises(ValueError, match="'bogus'.*none, even, odd"):
-        call(escape_edge, "bogus")
+        call(fresh, "bogus")
+    assert not [key for key in fresh._tables if key[0] in (original, refused)]
 
 
 def _tail_games():
